@@ -4,10 +4,11 @@ Every file here uses the pytest-benchmark fixture, so the suite is run as::
 
     pytest benchmarks/ --benchmark-only
 
-The experiment benches (`test_bench_eXX_*`) regenerate the E1–E10 result
-tables of DESIGN.md §4 at smoke scale (timing the full regeneration);
-`test_bench_kernels` times the low-level step engines, and
-`test_bench_ablation` times the design alternatives DESIGN.md calls out.
+The experiment benches (`test_bench_eXX_*`) regenerate the E1–E12 result
+tables (``repro list``; claims from PAPER.md) at smoke scale (timing the
+full regeneration); `test_bench_kernels` times the low-level step engines,
+and `test_bench_ablation` times the design alternatives (exact vs
+agent-level engine, tie-break convention, batched vs per-replica).
 Rendered tables are printed; pass ``-s`` to see them inline.
 
 Machine-readable results: after a timed run (i.e. not with

@@ -1,4 +1,4 @@
-"""A1 ablations — the design choices DESIGN.md §4 declares immaterial/material.
+"""A1 ablations — which design choices are immaterial or material to the results.
 
 * exact multinomial engine vs agent-level engine: identical statistics
   (asserted on one-round means), ~n/k speed gap (timed);

@@ -1,9 +1,11 @@
-"""Regeneration benches: one per experiment of DESIGN.md §4 (E1–E10).
+"""Regeneration benches: one per experiment of the suite (E1–E12; ``repro list``).
 
 Each bench regenerates the experiment's result table (the reproduction of
 one paper claim) at smoke scale and asserts its headline criterion, so
 ``pytest benchmarks/ --benchmark-only`` both times and *validates* the full
-reproduction pipeline.  EXPERIMENTS.md records the paper-scale numbers.
+reproduction pipeline.  The claims each table checks are the paper's
+(PAPER.md); ``repro run <id> --scale paper`` regenerates the paper-scale
+numbers.
 """
 
 from __future__ import annotations

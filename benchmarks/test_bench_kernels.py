@@ -1,6 +1,7 @@
 """Throughput benchmarks for the low-level step engines.
 
-These quantify the claim in DESIGN.md §3: the exact counts-level engine
+These quantify the engine claim of the README (and the matrix in
+``core/dynamics.py``): the exact counts-level engine
 makes a round O(k) instead of O(n), enabling n = 10^6+ at microsecond
 round costs, while the agent-level engine (needed for h-plurality and
 arbitrary 3-input rules) pays O(n·h).

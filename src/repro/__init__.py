@@ -16,7 +16,7 @@ on the clique (and, as an extension, on general graphs):
   from a :class:`~repro.scenario.ScenarioSpec` via its ``topology`` field);
 * :mod:`repro.experiments` — the E1–E12 experiment suite reproducing each
   theorem/lemma of the paper, plus the beyond-the-paper topology family
-  E13 (see DESIGN.md for the index).
+  E13 (``repro list`` prints the index; README.md describes the suite).
 
 Quickstart
 ----------
@@ -90,7 +90,7 @@ from .serve import BatchReport, ResultCache, cache_key, run_batch
 
 __version__ = "1.7.0"
 
-_SERVICE_EXPORTS = ("BackgroundServer", "ScenarioService", "ServiceClient", "ShardMap")
+_SERVICE_EXPORTS = ("BackgroundServer", "ScenarioService", "ServiceClient")
 
 
 def __getattr__(name: str):
@@ -135,7 +135,6 @@ __all__ = [
     "ScenarioService",
     "ScenarioSpec",
     "ServiceClient",
-    "ShardMap",
     "TOPOLOGIES",
     "StoppingRule",
     "TargetedAdversary",

@@ -31,7 +31,7 @@ reference; ``metrics`` lists the per-round observables a spec's
 graph generators a spec's ``topology`` field (or ``--topology``) may
 name.  ``batch`` pushes a JSON
 array of scenarios through the :mod:`repro.serve` substrate
-(content-addressed result cache + sharded executor, recorded TraceSets
+(content-addressed result cache + executor, recorded TraceSets
 included) — invalid items are reported per item, they never abort the
 valid ones; ``cache`` inspects or clears that cache.  ``serve`` runs the
 network-facing scenario service of :mod:`repro.service` in the
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = sub.add_parser(
         "batch",
-        help="execute a JSON batch of scenarios through the cache + sharded executor",
+        help="execute a JSON batch of scenarios through the cache + executor",
     )
     batch.add_argument(
         "specs",
@@ -210,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="process-pool width for cache misses (0: in-process threads)",
     )
-    serve.add_argument(
-        "--shards", default=None, help="comma-separated consistent-hash node names"
-    )
-    serve.add_argument("--shard-self", default="local")
     serve.add_argument(
         "--memory-entries",
         type=int,
@@ -608,8 +604,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         forward += ["--cache-dir", args.cache_dir]
     if args.no_cache:
         forward += ["--no-cache"]
-    if args.shards:
-        forward += ["--shards", args.shards, "--shard-self", args.shard_self]
     if args.memory_entries is not None:
         forward += ["--memory-entries", str(args.memory_entries)]
     if args.deadline_ms is not None:

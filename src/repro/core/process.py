@@ -29,14 +29,11 @@ take ``record=`` — metric names, a :class:`~repro.core.metrics.RecordSpec`
 or its serialized dict — and emit a columnar
 :class:`~repro.core.metrics.TraceSet` (``result.trace``), computed
 vectorized across replicas in the batched path.  Metrics never consume
-randomness, so recording cannot perturb a trajectory.  The legacy
-``bias_history`` / ``plurality_history`` / ``trajectory`` fields and the
-``record_trajectory=`` flag survive as deprecation shims over the trace.
+randomness, so recording cannot perturb a trajectory.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -48,13 +45,7 @@ from .dynamics import Dynamics
 from .metrics import RecordSpec, TraceRecorder, TraceSet, as_record_spec, stack_traces
 from .rng import make_rng, spawn_streams
 from .support import scatter_counts
-from .stopping import (
-    BUDGET_EXHAUSTED,
-    AnyOfStop,
-    PluralityFractionStop,
-    StoppingRule,
-    stopping_from_dict,
-)
+from .stopping import BUDGET_EXHAUSTED, StoppingRule, stopping_from_dict
 
 __all__ = [
     "ENGINE_SCHEMA_VERSION",
@@ -107,58 +98,18 @@ _SPARSE_HYSTERESIS = 0.5
 #: ``stopped_by`` label for replicas absorbed in a monochromatic state.
 _MONO = "monochromatic"
 
-#: What :func:`run_process` records when no ``record=`` is given — the
-#: legacy always-on O(k)-per-round histories, expressed as metrics.
+#: What :func:`run_process` records when no ``record=`` is given: the
+#: per-round bias and plurality count.
 DEFAULT_PROCESS_RECORD = RecordSpec(metrics=("bias", "plurality-count"), every=1)
 
 
-def _resolve_stopping(
-    stopping: StoppingRule | Mapping | None,
-    stop_at_plurality_fraction: float | None,
-) -> StoppingRule | None:
-    """Normalise the ``stopping`` argument and apply the deprecation shim."""
+def _resolve_stopping(stopping: StoppingRule | Mapping | None) -> StoppingRule | None:
+    """Normalise the ``stopping`` argument (a rule, its dict form, or None)."""
     if isinstance(stopping, Mapping):
         stopping = stopping_from_dict(stopping)
     if stopping is not None and not isinstance(stopping, StoppingRule):
         raise TypeError(f"stopping must be a StoppingRule or dict, got {stopping!r}")
-    if stop_at_plurality_fraction is not None:
-        warnings.warn(
-            "stop_at_plurality_fraction is deprecated; pass "
-            "stopping=PluralityFractionStop(fraction) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        shim = PluralityFractionStop(stop_at_plurality_fraction)
-        stopping = shim if stopping is None else AnyOfStop([stopping, shim])
     return stopping
-
-
-def _resolve_record(
-    record: RecordSpec | Mapping | Sequence[str] | str | None,
-    record_trajectory: bool,
-    *,
-    default: RecordSpec | None,
-) -> RecordSpec | None:
-    """Normalise ``record=`` and fold in the deprecated trajectory flag."""
-    spec = as_record_spec(record, default=default)
-    if record_trajectory:
-        warnings.warn(
-            "record_trajectory is deprecated; pass record=[\"counts\", ...] and read "
-            "result.trace[\"counts\"] instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = (spec if spec is not None else RecordSpec()).with_metric("counts")
-    return spec
-
-
-def _deprecated_series(trace: TraceSet | None, name: str, attribute: str) -> np.ndarray:
-    if trace is None or name not in trace:
-        raise ValueError(
-            f"{attribute} needs the {name!r} metric in the result trace; it is only "
-            f"available under the default record (or any record= including {name!r})"
-        )
-    return trace.replica(0, name)
 
 
 @dataclass
@@ -203,42 +154,6 @@ class ProcessResult:
     def plurality_won(self) -> bool:
         """True iff the process converged to the initial plurality color."""
         return self.converged and self.winner == self.plurality_color
-
-    # -- deprecation shims over the trace -------------------------------------
-
-    @property
-    def bias_history(self) -> np.ndarray:
-        """Deprecated alias for ``trace["bias"]`` (the per-round bias series)."""
-        warnings.warn(
-            "ProcessResult.bias_history is deprecated; read result.trace[\"bias\"]",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_series(self.trace, "bias", "bias_history")
-
-    @property
-    def plurality_history(self) -> np.ndarray:
-        """Deprecated alias for ``trace["plurality-count"]``."""
-        warnings.warn(
-            "ProcessResult.plurality_history is deprecated; read "
-            "result.trace[\"plurality-count\"]",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _deprecated_series(self.trace, "plurality-count", "plurality_history")
-
-    @property
-    def trajectory(self) -> np.ndarray | None:
-        """Deprecated alias for ``trace["counts"]`` (None when not recorded)."""
-        warnings.warn(
-            "ProcessResult.trajectory is deprecated; record=[\"counts\"] and read "
-            "result.trace[\"counts\"]",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self.trace is None or "counts" not in self.trace:
-            return None
-        return self.trace.replica(0, "counts")
 
 
 @dataclass
@@ -328,9 +243,7 @@ def run_process(
     max_rounds: int = 1_000_000,
     adversary: Adversary | None = None,
     record: RecordSpec | Mapping | Sequence[str] | str | None = None,
-    record_trajectory: bool = False,
     stopping: StoppingRule | Mapping | None = None,
-    stop_at_plurality_fraction: float | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> ProcessResult:
     """Run one trajectory until consensus (or a stopping rule) is reached.
@@ -340,22 +253,16 @@ def run_process(
     record:
         Which metrics to observe per round (names, a
         :class:`~repro.core.metrics.RecordSpec`, or its dict form).  The
-        default records ``bias`` and ``plurality-count`` every round — the
-        legacy histories, now expressed declaratively.  The columnar
-        result lands in ``ProcessResult.trace``.
-    record_trajectory:
-        Deprecated spelling of adding ``"counts"`` to ``record``.
+        default records ``bias`` and ``plurality-count`` every round.  The
+        columnar result lands in ``ProcessResult.trace``.
     stopping:
         Optional early-stop rule (a :class:`~repro.core.stopping.StoppingRule`
         or its serialized dict), checked on the color counts after every
         round; monochromatic absorption always ends the run regardless.
         The rule that fired is recorded in ``ProcessResult.stopped_by``.
-    stop_at_plurality_fraction:
-        Deprecated spelling of
-        ``stopping=PluralityFractionStop(fraction)``; kept as a shim.
     """
-    stopping = _resolve_stopping(stopping, stop_at_plurality_fraction)
-    record = _resolve_record(record, record_trajectory, default=DEFAULT_PROCESS_RECORD)
+    stopping = _resolve_stopping(stopping)
+    record = as_record_spec(record, default=DEFAULT_PROCESS_RECORD)
     generator = make_rng(rng)
     state, k = _prepare_state(dynamics, initial)
     n = int(state.sum())
@@ -476,8 +383,8 @@ def run_ensemble(
         raise ValueError("need at least one replica")
     if engine not in ENSEMBLE_ENGINES:
         raise ValueError(f"unknown ensemble engine {engine!r}; expected one of {ENSEMBLE_ENGINES}")
-    stopping = _resolve_stopping(stopping, None)
-    record = _resolve_record(record, False, default=None)
+    stopping = _resolve_stopping(stopping)
+    record = as_record_spec(record, default=None)
     state0, k = _prepare_state(dynamics, initial)
     n = int(state0.sum())
     plurality_color = int(np.argmax(state0[:k]))

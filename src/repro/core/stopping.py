@@ -15,8 +15,7 @@ Built-in rules (registry names in :data:`repro.core.registry.STOPPING`):
   applies this as the absorbing condition; registering it makes the
   default expressible in a scenario file);
 * ``plurality-fraction`` — the top color holds at least ``fraction · n``
-  agents (successor of the deprecated ``stop_at_plurality_fraction=``
-  flag of :func:`repro.core.process.run_process`);
+  agents;
 * ``bias-threshold`` — the additive bias ``s(c) = c_(1) - c_(2)`` reaches
   ``threshold``;
 * ``round-budget`` — ``rounds`` rounds have elapsed (a *soft* budget that

@@ -1,8 +1,8 @@
-"""Experiment suite: one module per paper claim (see DESIGN.md §4)."""
+"""Experiment suite: one module per paper claim (``repro list`` prints the index;
+the claims are the paper's, see PAPER.md)."""
 
 from .harness import SCALES, ExperimentSpec, SweepPoint, ensemble_at, grid, sweep
 from .figures import FIGURES, figure_ids, render_figure
-from .parallel import parallel_sweep
 from .plotting import ascii_plot
 from .registry import ALL_EXPERIMENTS, experiment_ids, get_experiment
 from .results import ResultTable
@@ -35,7 +35,6 @@ __all__ = [
     "grid",
     "lemma10_start",
     "lemma8_start",
-    "parallel_sweep",
     "render_figure",
     "paper_biased",
     "soda15_gap",

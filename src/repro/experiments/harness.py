@@ -6,7 +6,7 @@ single code path honest at three budgets:
 
 * ``smoke`` — seconds; exercised by the integration tests;
 * ``small`` — default CLI scale, tens of seconds;
-* ``paper`` — the scale whose numbers EXPERIMENTS.md records.
+* ``paper`` — the scale of the paper's own claims (PAPER.md).
 
 :func:`sweep` is the shared inner loop: a cartesian or explicit list of
 parameter points, each measured over a replica ensemble with an
@@ -16,7 +16,9 @@ pair or a declarative :class:`~repro.scenario.ScenarioSpec` — specs are
 resolved through the registries and run via
 :func:`~repro.scenario.simulate_ensemble`, with the sweep's
 ``replicas``/``max_rounds``/derived-seed discipline overriding the
-spec's own run knobs so scale presets stay authoritative.
+spec's own run knobs so scale presets stay authoritative.  With a
+``cache``, spec points go through the one execution core
+(:class:`~repro.serve.executor.Executor`) keyed on the derived stream.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..core.rng import derive_seed, make_rng
 from ..scenario import ScenarioSpec, simulate_ensemble
 from .results import ResultTable
 
-if TYPE_CHECKING:  # keep experiments → serve a type-only dependency
+if TYPE_CHECKING:  # serve is imported lazily, by cached sweeps only
     from ..serve.cache import ResultCache
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "sweep",
     "ensemble_at",
     "grid",
-    "run_sweep_point",
 ]
 
 #: Recognised scale presets, ordered by budget.
@@ -99,46 +100,6 @@ def ensemble_at(
     )
 
 
-def run_sweep_point(
-    built: ScenarioSpec | tuple[Dynamics, Configuration],
-    *,
-    replicas: int,
-    max_rounds: int,
-    stream_seed,
-    adversary: Adversary | None = None,
-    cache: ResultCache | None = None,
-) -> EnsembleResult:
-    """Measure one built sweep point (spec or classic pair) on one stream.
-
-    Shared by the sequential and multiprocess sweeps so both accept the
-    same two ``build`` contracts and stay result-identical.  With a
-    ``cache``, spec-built points are served through
-    :meth:`~repro.serve.cache.ResultCache.fetch_or_run` keyed on the derived
-    stream seed — bit-identical to the uncached path, so repeated sweeps run
-    warm.  Classic ``(dynamics, initial)`` pairs have no content address and
-    always execute.
-    """
-    if isinstance(built, ScenarioSpec):
-        if adversary is not None:
-            raise ValueError(
-                "adversary_for cannot be combined with ScenarioSpec builds; "
-                "declare the adversary inside the spec"
-            )
-        spec = built.with_overrides(replicas=replicas, max_rounds=max_rounds)
-        if cache is not None:
-            return cache.fetch_or_run(spec, seed=stream_seed)
-        return simulate_ensemble(spec, rng=make_rng(stream_seed))
-    dynamics, initial = built
-    return ensemble_at(
-        dynamics,
-        initial,
-        replicas=replicas,
-        max_rounds=max_rounds,
-        seed=stream_seed,
-        adversary=adversary,
-    )
-
-
 def sweep(
     points: Iterable[Mapping[str, object]],
     build: Callable[[Mapping[str, object]], ScenarioSpec | tuple[Dynamics, Configuration]],
@@ -168,30 +129,55 @@ def sweep(
         index, so each point gets an independent, reproducible stream.
     cache:
         Optional :class:`~repro.serve.cache.ResultCache`: spec-built points
-        are keyed by (spec, derived stream seed) and served warm on repeat
-        sweeps, bit-identical to a cold run.
+        are submitted to an :class:`~repro.serve.executor.Executor` with
+        the derived stream seed, so they are keyed by (spec, stream) and
+        served warm on repeat sweeps, bit-identical to a cold run.
+        Classic ``(dynamics, initial)`` pairs have no content address and
+        always execute.
     """
+    executor = None
+    if cache is not None:
+        from ..serve.executor import Executor
+
+        executor = Executor(cache)
     out: list[SweepPoint] = []
-    for idx, params in enumerate(points):
-        built = build(params)
-        adversary = adversary_for(params) if adversary_for is not None else None
-        stream_seed = derive_seed(seed, experiment_id, idx)
-        start = time.perf_counter()
-        ens = run_sweep_point(
-            built,
-            replicas=replicas,
-            max_rounds=max_rounds,
-            stream_seed=stream_seed,
-            adversary=adversary,
-            cache=cache,
-        )
-        out.append(
-            SweepPoint(
-                params=dict(params),
-                ensemble=ens,
-                wall_seconds=time.perf_counter() - start,
+    try:
+        for idx, params in enumerate(points):
+            built = build(params)
+            adversary = adversary_for(params) if adversary_for is not None else None
+            stream_seed = derive_seed(seed, experiment_id, idx)
+            start = time.perf_counter()
+            if isinstance(built, ScenarioSpec):
+                if adversary is not None:
+                    raise ValueError(
+                        "adversary_for cannot be combined with ScenarioSpec builds; "
+                        "declare the adversary inside the spec"
+                    )
+                spec = built.with_overrides(replicas=replicas, max_rounds=max_rounds)
+                if executor is not None:
+                    ens = executor.submit(spec, seed=stream_seed).result()[2]
+                else:
+                    ens = simulate_ensemble(spec, rng=make_rng(stream_seed))
+            else:
+                dynamics, initial = built
+                ens = ensemble_at(
+                    dynamics,
+                    initial,
+                    replicas=replicas,
+                    max_rounds=max_rounds,
+                    seed=stream_seed,
+                    adversary=adversary,
+                )
+            out.append(
+                SweepPoint(
+                    params=dict(params),
+                    ensemble=ens,
+                    wall_seconds=time.perf_counter() - start,
+                )
             )
-        )
+    finally:
+        if executor is not None:
+            executor.close()
     return out
 
 

@@ -1,4 +1,4 @@
-"""Registry mapping experiment ids to their specs (the E-index of DESIGN.md)."""
+"""Registry mapping experiment ids to their specs (the E-index ``repro list`` prints)."""
 
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 A :class:`ResultTable` is an ordered list of homogeneous rows (dicts) with
 helpers for aggregation, ASCII rendering (the offline stand-in for the
 figures a paper would plot) and CSV export.  Experiments also attach
-`paper_expectation` strings so EXPERIMENTS.md can show claim vs measured
-side by side.
+`paper_expectation` strings so a rendered table shows the paper's claim
+(PAPER.md) next to the measured values.
 """
 
 from __future__ import annotations

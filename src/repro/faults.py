@@ -8,7 +8,7 @@ This module is the substrate: a process-wide registry of named
 =============================  =================================================
 point                          where it fires
 =============================  =================================================
-``executor.worker-crash``      :func:`repro.serve.executor._run_shard`, before a
+``executor.worker-crash``      :func:`repro.serve.executor._run_task`, before a
                                task runs (simulated worker death)
 ``executor.worker-stall``      same place; sleeps ``seconds`` (default 30)
 ``cache.read-error``           :meth:`ResultCache._disk_get` manifest/npz read
@@ -98,7 +98,7 @@ class InjectedFault(Exception):
 
 
 class InjectedWorkerCrash(InjectedFault):
-    """A worker died mid-shard (the soft, in-process form of a crash)."""
+    """A worker failed a task (the soft form of a crash: the worker survives)."""
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,10 @@ from ..core.config import Configuration
 from ..core.dynamics import Dynamics
 from ..core.majority import HPlurality, ThreeMajority, TwoSampleUniform
 from ..core.median import MedianDynamics
-from ..core.metrics import RecordSpec, TraceRecorder, stack_traces
+from ..core.metrics import RecordSpec, TraceRecorder, as_record_spec, stack_traces
 from ..core.process import (
     DEFAULT_PROCESS_RECORD,
     _MONO,
-    _resolve_record,
     _resolve_stopping,
     EnsembleResult,
     ProcessResult,
@@ -254,7 +253,6 @@ def run_graph_process(
     *,
     max_rounds: int = 1_000_000,
     record: RecordSpec | Mapping | Sequence[str] | str | None = None,
-    record_trajectory: bool = False,
     stopping: StoppingRule | Mapping | None = None,
     rng: int | np.random.Generator | None = None,
 ) -> ProcessResult:
@@ -265,8 +263,8 @@ def run_graph_process(
     rounds then consume.  Defaults mirror run_process, including the
     default bias/plurality record.
     """
-    stopping = _resolve_stopping(stopping, None)
-    record = _resolve_record(record, record_trajectory, default=DEFAULT_PROCESS_RECORD)
+    stopping = _resolve_stopping(stopping)
+    record = as_record_spec(record, default=DEFAULT_PROCESS_RECORD)
     kernel = graph_kernel(dynamics, initial.k)
     generator = make_rng(rng)
     colors = _initial_colors(topology, initial, generator)
@@ -310,8 +308,8 @@ def run_graph_ensemble(
     n = topology.n
     if initial.n != n:
         raise ValueError(f"configuration has {initial.n} agents, topology has {n}")
-    stopping = _resolve_stopping(stopping, None)
-    record = _resolve_record(record, False, default=None)
+    stopping = _resolve_stopping(stopping)
+    record = as_record_spec(record, default=None)
     kernel = graph_kernel(dynamics, k)
     plurality_color = int(np.argmax(initial.counts))
     gens = spawn_streams(rng, replicas)

@@ -383,15 +383,13 @@ def simulate(
     spec: ScenarioSpec,
     *,
     rng: int | np.random.Generator | None = None,
-    record_trajectory: bool = False,
 ) -> ProcessResult:
     """Run one trajectory of ``spec`` (seed from the spec unless ``rng`` given).
 
     Thin facade over :func:`repro.core.process.run_process`: at equal seed
     the result is bit-identical to building the objects by hand.  The
     spec's ``record`` field selects the metrics traced into
-    ``ProcessResult.trace`` (``record_trajectory=`` is the deprecated
-    spelling of adding ``"counts"``).  The spec's ``engine`` field is an
+    ``ProcessResult.trace``.  The spec's ``engine`` field is an
     ensemble-layout choice and does not apply to a single trajectory.
     Specs naming a ``topology`` dispatch to the agent-level graph runner
     (:func:`~repro.graphs.ensemble.run_graph_process`) with the same
@@ -408,7 +406,6 @@ def simulate(
             max_rounds=spec.max_rounds,
             stopping=resolved.stopping,
             record=resolved.record,
-            record_trajectory=record_trajectory,
             rng=spec.seed if rng is None else rng,
         )
     return run_process(
@@ -418,7 +415,6 @@ def simulate(
         adversary=resolved.adversary,
         stopping=resolved.stopping,
         record=resolved.record,
-        record_trajectory=record_trajectory,
         rng=spec.seed if rng is None else rng,
     )
 

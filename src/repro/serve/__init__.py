@@ -4,9 +4,10 @@
 something that can absorb heavy repeated traffic: :class:`ResultCache`
 memoises :func:`~repro.scenario.simulate_ensemble` results under a
 content-addressed key (canonical scenario JSON + seed + engine schema
-version), and :func:`run_batch` executes many specs at once — deduping
-identical requests, serving hits from the cache and sharding the misses
-over a spawn-context process pool — while preserving request order.
+version), :class:`Executor` is the one execution core (coalescing, cache
+probe, process pool or threads, bounded retry) behind every caller, and
+:func:`run_batch` executes many specs at once through it — deduping
+identical requests — while preserving request order.
 
 Results served from the cache are bit-identical to a direct
 ``simulate_ensemble`` call at equal seed, and cache entries written by an
@@ -16,11 +17,12 @@ invalidated instead of served.
 
 from .cache import DEFAULT_MEMORY_ENTRIES, ResultCache, cache_key, default_cache_dir
 from .envelope import error_envelope, prepare_spec, prepare_specs
-from .executor import BatchReport, run_batch
+from .executor import BatchReport, Executor, run_batch
 
 __all__ = [
     "BatchReport",
     "DEFAULT_MEMORY_ENTRIES",
+    "Executor",
     "ResultCache",
     "cache_key",
     "default_cache_dir",

@@ -199,23 +199,19 @@ def _decode(manifest: dict, arrays) -> EnsembleResult:
     if trace_meta is not None:
         rounds = np.asarray(arrays["trace_rounds"])
         n_recorded = np.asarray(arrays["trace_n_recorded"])
+        # Unpack the valid prefixes back into the zero-padded columnar
+        # layout: bit-identical to the recorded TraceSet (asserted via
+        # digest() in the tests and the CI cold/warm smoke).
         data: dict[str, np.ndarray] = {}
-        if trace_meta.get("packed"):
-            # Unpack the valid prefixes back into the zero-padded columnar
-            # layout: bit-identical to the recorded TraceSet (asserted via
-            # digest() in the tests and the CI cold/warm smoke).
-            n_rounds = int(rounds.size)
-            valid = np.arange(n_rounds)[None, :] < n_recorded[:, None]
-            for position, name in enumerate(trace_meta["metrics"]):
-                flat = np.asarray(arrays[f"trace_values_{position}"])
-                column = np.zeros(
-                    (int(n_recorded.size), n_rounds) + flat.shape[1:], dtype=flat.dtype
-                )
-                column[valid] = flat
-                data[str(name)] = column
-        else:  # pre-packing dense layout (defence in depth; keyed out by schema)
-            for position, name in enumerate(trace_meta["metrics"]):
-                data[str(name)] = np.asarray(arrays[f"trace_values_{position}"])
+        n_rounds = int(rounds.size)
+        valid = np.arange(n_rounds)[None, :] < n_recorded[:, None]
+        for position, name in enumerate(trace_meta["metrics"]):
+            flat = np.asarray(arrays[f"trace_values_{position}"])
+            column = np.zeros(
+                (int(n_recorded.size), n_rounds) + flat.shape[1:], dtype=flat.dtype
+            )
+            column[valid] = flat
+            data[str(name)] = column
         trace = TraceSet(
             n=int(trace_meta["n"]),
             every=int(trace_meta["every"]),
@@ -310,8 +306,8 @@ class ResultCache:
         # One reentrant lock over the LRU, the counters and the disk
         # put/remove paths: the service serves many threads off one cache,
         # and an OrderedDict move_to_end racing a popitem corrupts the LRU.
-        # Simulation never runs under the lock (fetch_or_run locks only
-        # through get/put), so contention is bounded by (de)serialization.
+        # Simulation never runs under the lock (callers lock only through
+        # get/put), so contention is bounded by (de)serialization.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -352,27 +348,6 @@ class ResultCache:
             self._memory_put(key, result)
             self._disk_put(key, result)
             self.stores += 1
-
-    def fetch_or_run(self, spec: ScenarioSpec, *, seed=None, runner=None) -> EnsembleResult:
-        """Serve ``spec`` from the cache, running and storing it on a miss.
-
-        ``runner`` defaults to :func:`~repro.scenario.simulate_ensemble`
-        driven by the effective seed, so hit or miss the caller sees the
-        exact same result.
-        """
-        key = self.key_for(spec, seed=seed)
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        if runner is None:
-            from ..core.rng import make_rng
-            from ..scenario import simulate_ensemble
-
-            result = simulate_ensemble(spec, rng=None if seed is None else make_rng(seed))
-        else:
-            result = runner(spec)
-        self.put(key, result)
-        return result
 
     # -- maintenance ---------------------------------------------------------
 

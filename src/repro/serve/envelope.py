@@ -24,9 +24,9 @@ __all__ = ["EnvelopeError", "error_envelope", "prepare_spec", "prepare_specs"]
 class EnvelopeError(Exception):
     """An exception reconstructed from a ``{"type", "message"}`` envelope.
 
-    Worker shards report per-item failures as envelopes (picklable,
-    JSON-able); when a caller needs the failure back as an exception —
-    the service raising it to coalesced followers — this carries the
+    Workers report per-item failures as envelopes (picklable, JSON-able);
+    when a caller needs the failure back as an exception — the executor
+    raising it to every waiter of a run — this carries the
     original envelope so :func:`error_envelope` round-trips the worker's
     exception type instead of reporting ``EnvelopeError``.
     """

@@ -1,40 +1,40 @@
-"""Batch executor: dedup, cache probe, and sharded execution of many specs.
+"""The execution core: coalescing, cache, pool and retry for every caller.
 
-:func:`run_batch` is the serving hot path for scenario traffic.  It takes a
-request-ordered list of :class:`~repro.scenario.ScenarioSpec`, collapses
-duplicate requests onto one execution via their content-addressed
-:func:`~repro.serve.cache.cache_key`, serves whatever the
-:class:`~repro.serve.cache.ResultCache` already holds, and shards the
-remaining misses over a spawn-context process pool (the same pool
-discipline as :func:`repro.experiments.parallel.parallel_sweep`: spawn
-context for BLAS-thread safety, stateless workers, one coarse
-pickle-friendly shard of work per worker, small arrays back).
+On the clique each of the paper's dynamics is a finite Markov chain driven
+by the spec's seed, so an ensemble result is a pure function of (spec,
+seed, engine schema).  That is what makes dedup, coalescing, caching and
+crash retry sound, and :class:`Executor` is the one place that does them.
+``run_batch`` / ``repro batch``, the service's ``/v1/simulate`` and
+``/v1/batch``, and ``sweep(cache=)`` all go through :meth:`Executor.submit`,
+which returns a per-caller :class:`~concurrent.futures.Future` of
+``(key, source, result)``:
 
-Determinism: every spec carries its own seed, so a result is a pure
-function of the spec — identical whichever worker (or the parent) runs it,
-and bit-identical to a direct :func:`~repro.scenario.simulate_ensemble`
-call.  That is what makes the dedup and the cache sound — **and** what
-makes retrying a lost shard safe: re-running a task after a worker crash
-reproduces the exact same bits the dead worker would have returned.
+* **coalescing** — one lock-guarded in-flight table: while a key runs,
+  later submits of it wait on that run (source ``"coalesced"``);
+* **cache** — the run's owner probes the :class:`~repro.serve.cache.ResultCache`
+  (source ``"cache"``), and stores a fresh result (source ``"run"``)
+  before any waiter wakes;
+* **execution** — one persistent spawn-context process pool
+  (``workers >= 1``; spawn for BLAS-thread safety, stateless workers,
+  spec JSON in, small arrays back) or in-process threads (``workers = 0``);
+* **retry** — one loop of up to :data:`MAX_ATTEMPTS` with jittered
+  exponential backoff.  A fault the worker *raised* retries on the same
+  pool: the worker is alive, and a fresh one would re-arm
+  ``$REPRO_FAULT_PLAN`` and replay the same fault.  A pool that is broken
+  (a worker died) or stalled (no answer within ``worker_timeout``) is
+  replaced, once per pool however many runs it took down.
 
-Failure semantics (the resilience contract, tested in
-``tests/test_serve.py``):
+The executor, not a caller, owns each run.  A caller that stops waiting
+(the service's request deadline) drops only its own future; the run
+finishes, is cached, and every coalesced caller gets it.
 
-* a spec that *raises* inside a worker (a deterministic item failure)
-  becomes a per-item ``{"type", "message"}`` error envelope in
-  :attr:`BatchReport.errors` — one poisoned spec never takes down its
-  batch siblings;
-* a worker that *dies* (``BrokenProcessPool``) or *stalls* past
-  ``worker_timeout`` loses its shard, not the batch: the pool is
-  respawned and the lost tasks are retried with exponential backoff +
-  deterministic jitter, up to ``max_attempts`` total attempts, with
-  per-key retry counts recorded in :attr:`BatchReport.retries`;
-* both failure modes are injectable deterministically through
-  :mod:`repro.faults` (``executor.worker-crash`` /
-  ``executor.worker-stall``), which is how the chaos suite exercises
-  these paths without real hardware failures.
-
-Specs with ``seed=None`` are rejected up front.
+Failure semantics (tested in ``tests/test_serve.py``): a spec that raises
+inside a worker is a deterministic item failure — it never retries, is
+never cached, and every waiter gets :class:`~repro.serve.envelope.EnvelopeError`
+carrying its ``{"type", "message"}`` envelope; a run still failing after
+:data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.  Both worker faults
+are injectable through :mod:`repro.faults` (``executor.worker-crash`` /
+``executor.worker-stall``), which is how the chaos suite exercises them.
 """
 
 from __future__ import annotations
@@ -42,34 +42,287 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import random
+import threading
 import time
+from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    InvalidStateError,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .. import faults
 from ..core.process import EnsembleResult
+from ..core.rng import make_rng
 from ..scenario import ScenarioSpec, simulate_ensemble
 from .cache import ResultCache, cache_key
-from .envelope import error_envelope
+from .envelope import EnvelopeError, error_envelope
 
-__all__ = ["BatchReport", "WorkerPoolError", "run_batch"]
+__all__ = ["BatchReport", "Executor", "WorkerPoolError", "run_batch"]
 
-#: Per-request provenance labels in :attr:`BatchReport.sources`.
+#: Provenance labels (``source``) of a result.
 FROM_CACHE = "cache"
 FROM_RUN = "run"
+FROM_COALESCED = "coalesced"
 FROM_DEDUP = "dedup"
 FROM_ERROR = "error"
 
-#: Retry policy defaults for lost shards (crash / stall recovery).
-DEFAULT_MAX_ATTEMPTS = 4
+#: Attempts per run before :class:`WorkerPoolError`.  8 puts exhaustion
+#: under an injected crash probability of 0.2 at ~2.6e-6 per run, so the
+#: chaos smoke's no-500 assertion is sound.
+MAX_ATTEMPTS = 8
 BACKOFF_BASE_SECONDS = 0.05
 BACKOFF_CAP_SECONDS = 2.0
 
+#: Owner threads over a process pool.  They only wait on the pool, so a
+#: wide pool of them keeps cache hits from queueing behind misses held in
+#: workers.  With ``workers=0`` the owner threads run the simulations and
+#: keep the ``ThreadPoolExecutor`` default width.
+_POOL_OWNERS = 32
+
 
 class WorkerPoolError(RuntimeError):
-    """Every attempt at executing a shard's tasks failed (crash/stall)."""
+    """A run still failed (worker crash or stall) after every attempt."""
+
+
+def backoff_delay(attempt: int, jitter: random.Random) -> float:
+    """Exponential backoff with jitter: uniformly 50–150% of the nominal step.
+
+    The jitter source is an explicit ``random.Random`` so schedules are
+    reproducible (the executor seeds it from the run's content address).
+    """
+    nominal = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * (2 ** attempt))
+    return nominal * (0.5 + jitter.random())
+
+
+def _run_task(spec_json: str, seed) -> EnsembleResult | dict:
+    """Worker: run one spec; the result, or an error envelope for an item failure.
+
+    Module-level (picklable) and stateless; the spec JSON and the seed are
+    the entire task.  Injected faults fire before the per-item catch: they
+    model *infrastructure* failures, which are retryable, unlike a spec
+    that fails the same way on every attempt.
+    """
+    rule = faults.fire("executor.worker-crash")
+    if rule is not None:
+        if rule.params.get("hard"):
+            # Simulated hard death: the pool sees a vanished worker
+            # (BrokenProcessPool), exactly like an OOM kill.
+            os._exit(3)
+        raise faults.InjectedWorkerCrash("injected worker crash")
+    rule = faults.fire("executor.worker-stall")
+    if rule is not None:
+        time.sleep(float(rule.params.get("seconds", 30.0)))
+    try:
+        spec = ScenarioSpec.from_json(spec_json)
+        return simulate_ensemble(spec, rng=None if seed is None else make_rng(seed))
+    except Exception as exc:  # noqa: BLE001 — becomes the item's envelope
+        return error_envelope(exc)
+
+
+class Executor:
+    """Runs specs once per content address; see the module docstring.
+
+    Parameters
+    ----------
+    cache:
+        :class:`ResultCache` to probe and fill; ``None`` runs every key
+        that is not already in flight.
+    workers:
+        ``0`` runs on in-process threads; ``>= 1`` is the width of one
+        persistent spawn-context process pool (processes start on demand).
+    worker_timeout:
+        Seconds to wait for one pooled attempt before the pool counts as
+        stalled and is replaced (``None``: wait forever).  Threads cannot
+        be timed out, so ``workers=0`` ignores it.
+    """
+
+    def __init__(
+        self,
+        cache: ResultCache | None = None,
+        *,
+        workers: int = 0,
+        worker_timeout: float | None = None,
+    ):
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
+        if worker_timeout is not None and worker_timeout <= 0:
+            raise ValueError(f"worker_timeout must be > 0, got {worker_timeout}")
+        self.cache = cache
+        self.workers = int(workers)
+        self.worker_timeout = None if worker_timeout is None else float(worker_timeout)
+        self._lock = threading.Lock()
+        #: key → waiting futures; the first is the owner's.
+        self._inflight: dict[str, list[Future]] = {}
+        self._pool = self._new_pool() if self.workers else None
+        self._owners = ThreadPoolExecutor(
+            max_workers=_POOL_OWNERS if self.workers else None,
+            thread_name_prefix="repro-executor",
+        )
+        self.runs = 0
+        self.coalesced = 0
+        #: Retries per key, for keys that needed any.
+        self.retries: Counter[str] = Counter()
+
+    @property
+    def worker_retries(self) -> int:
+        with self._lock:  # owner threads add keys concurrently
+            return sum(self.retries.values())
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=mp.get_context("spawn")
+        )
+
+    def key_for(self, spec: ScenarioSpec, seed=None) -> str:
+        if self.cache is not None:
+            return self.cache.key_for(spec, seed=seed)
+        return cache_key(spec, seed=seed)
+
+    def submit(self, spec: ScenarioSpec, seed=None) -> Future:
+        """A new future of ``(key, source, result)`` for ``spec``.
+
+        ``seed`` overrides the spec's own seed, as in :func:`cache_key`
+        (sweeps pass their derived stream).  Cancelling the returned future
+        only drops this caller; the run goes on for the others.
+        """
+        key = self.key_for(spec, seed)
+        future: Future = Future()
+        with self._lock:
+            waiters = self._inflight.get(key)
+            if waiters is not None:
+                waiters.append(future)
+                self.coalesced += 1
+                return future
+            self._inflight[key] = [future]
+        try:
+            self._owners.submit(self._own, key, spec.to_json(indent=None), seed)
+        except RuntimeError as exc:  # closed
+            self._settle(key, error=exc)
+        return future
+
+    def submit_unique(
+        self, specs: Sequence[ScenarioSpec]
+    ) -> tuple[list[str], list[Future | None]]:
+        """Submit the first occurrence of each key; later duplicates get None."""
+        keys = [self.key_for(spec) for spec in specs]
+        first: set[str] = set()
+        futures: list[Future | None] = []
+        for key, spec in zip(keys, specs):
+            futures.append(None if key in first else self.submit(spec))
+            first.add(key)
+        return keys, futures
+
+    def close(self) -> None:
+        """Stop taking work.  Runs already started finish in the background;
+        callers still waiting get a ``RuntimeError``."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+            stranded, self._inflight = self._inflight, {}
+        self._owners.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        closed = RuntimeError("executor closed before the run finished")
+        for key, waiters in stranded.items():
+            self._wake(key, waiters, None, closed)
+
+    def __enter__(self) -> Executor:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    # -- one run ---------------------------------------------------------------
+
+    def _own(self, key: str, spec_json: str, seed) -> None:
+        """Own one key's run: cache probe, run, store, then wake every waiter."""
+        try:
+            source, result = FROM_CACHE, None
+            if self.cache is not None:
+                result = self.cache.get(key)
+            if result is None:
+                source, result = FROM_RUN, self._run(key, spec_json, seed)
+                if self.cache is not None:
+                    self.cache.put(key, result)
+                with self._lock:
+                    self.runs += 1
+        except BaseException as exc:
+            self._settle(key, error=exc)  # every waiter must wake
+            raise
+        self._settle(key, (source, result))
+
+    def _run(self, key: str, spec_json: str, seed) -> EnsembleResult:
+        """The retry loop: the one place a run is attempted."""
+        # Deterministic jitter keyed on the content address: replayable
+        # schedules, uncorrelated across concurrent runs.
+        jitter = random.Random(int(key[:16], 16))
+        error: BaseException | None = None
+        for attempt in range(MAX_ATTEMPTS):
+            if attempt:
+                with self._lock:
+                    self.retries[key] += 1
+                time.sleep(backoff_delay(attempt - 1, jitter))
+            pool = None
+            try:
+                if not self.workers:
+                    payload = _run_task(spec_json, seed)
+                else:
+                    with self._lock:
+                        pool = self._pool
+                        if pool is None:
+                            raise RuntimeError("executor is closed")
+                        task = pool.submit(_run_task, spec_json, seed)
+                    payload = task.result(self.worker_timeout)
+            except faults.InjectedFault as exc:
+                error = exc  # the worker raised and lives: same pool
+                continue
+            except (BrokenProcessPool, CancelledError) as exc:
+                error = exc  # a worker died, or another run replaced the pool
+                self._replace_pool(pool)
+                continue
+            except TimeoutError:
+                error = TimeoutError(
+                    f"worker stalled past worker_timeout={self.worker_timeout}s"
+                )
+                self._replace_pool(pool)  # the stalled worker is wedged
+                continue
+            if isinstance(payload, dict):  # the spec itself failed
+                raise EnvelopeError(payload)
+            return payload
+        raise WorkerPoolError(
+            f"run {key[:12]} still failing after {MAX_ATTEMPTS} attempts"
+        ) from error
+
+    def _replace_pool(self, pool: ProcessPoolExecutor | None) -> None:
+        """Swap a broken or stalled pool for a fresh one, once per pool."""
+        with self._lock:
+            if pool is None or self._pool is not pool:
+                return
+            self._pool = self._new_pool()
+        pool.shutdown(wait=False, cancel_futures=True)
+
+    def _settle(self, key: str, outcome=None, error: BaseException | None = None) -> None:
+        with self._lock:
+            waiters = self._inflight.pop(key, [])
+        self._wake(key, waiters, outcome, error)
+
+    @staticmethod
+    def _wake(key, waiters, outcome, error) -> None:
+        for position, future in enumerate(waiters):
+            try:
+                if error is not None:
+                    future.set_exception(error)
+                else:
+                    source, result = outcome
+                    future.set_result((key, source if position == 0 else FROM_COALESCED, result))
+            except InvalidStateError:
+                pass  # that caller cancelled its own future
 
 
 @dataclass
@@ -87,8 +340,7 @@ class BatchReport:
     #: in a worker, None elsewhere — aligned with :attr:`results`, which
     #: holds None at the same positions.
     errors: list[dict | None] = field(default_factory=list, repr=False)
-    #: Per-key retry counts for tasks whose shard was lost to a worker
-    #: crash or stall and re-executed (provenance for the chaos suite).
+    #: Per-key retry counts for runs a worker crash or stall interrupted.
     retries: dict[str, int] = field(default_factory=dict, repr=False)
     hits: int = 0
     misses: int = 0
@@ -114,77 +366,23 @@ class BatchReport:
         }
 
 
-def _run_shard(shard: list[tuple[str, str]]) -> list[tuple[str, object]]:
-    """Worker: execute one shard of ``(key, spec_json)`` tasks.
-
-    Module-level (picklable) and stateless; the spec JSON is the entire
-    task description, per the coarse-communication discipline.  Each pair
-    in the return value carries either the :class:`EnsembleResult` or a
-    per-item ``{"type", "message"}`` error envelope — a deterministic
-    item failure must not poison its shard siblings.  Injected faults
-    (:mod:`repro.faults`) deliberately bypass the per-item catch: they
-    model *infrastructure* failures, which are retryable, unlike a spec
-    that fails the same way on every attempt.
-    """
-    out: list[tuple[str, object]] = []
-    for key, spec_json in shard:
-        rule = faults.fire("executor.worker-crash")
-        if rule is not None:
-            if rule.params.get("hard"):
-                # Simulated hard death: the pool sees a vanished worker
-                # (BrokenProcessPool), exactly like an OOM kill.
-                os._exit(3)
-            raise faults.InjectedWorkerCrash(
-                f"injected worker crash before task {key[:12]}"
-            )
-        rule = faults.fire("executor.worker-stall")
-        if rule is not None:
-            time.sleep(float(rule.params.get("seconds", 30.0)))
-        try:
-            spec = ScenarioSpec.from_json(spec_json)
-            out.append((key, simulate_ensemble(spec)))
-        except faults.InjectedFault:
-            raise
-        except Exception as exc:  # noqa: BLE001 — becomes the item's envelope
-            out.append((key, error_envelope(exc)))
-    return out
-
-
 def run_batch(
     specs: Sequence[ScenarioSpec],
     *,
     cache: ResultCache | None = None,
     processes: int | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     worker_timeout: float | None = None,
 ) -> BatchReport:
-    """Execute ``specs``, merging cache hits and fresh runs in request order.
+    """Execute ``specs`` through one :class:`Executor`, in request order.
 
-    Parameters
-    ----------
-    specs:
-        The request batch; every spec must have a concrete ``seed`` (results
-        would otherwise be irreproducible, breaking dedup and caching).
-    cache:
-        Optional :class:`ResultCache`; hits skip execution entirely and
-        fresh results are stored back.  Without a cache the batch still
-        dedups identical requests within itself.
-    processes:
-        Pool width for the misses.  ``None`` lets ``multiprocessing`` pick;
-        ``1`` (or a batch with at most one miss) runs inline with no pool —
-        the dependency-free fallback path.
-    max_attempts:
-        Total attempts per task before the batch raises
-        :class:`WorkerPoolError` — only worker *crashes and stalls* retry
-        (results are pure functions of the spec, so a retry is
-        bit-identical); deterministic item failures never do.
-    worker_timeout:
-        Seconds to wait for a pool attempt before declaring the
-        outstanding shards stalled and retrying them on a fresh pool.
-        ``None`` (default) waits indefinitely.
-
-    Duplicate requests share one ``EnsembleResult`` object; treat results
-    as read-only (the cache already hands out defensive copies).
+    Every spec must have a concrete ``seed``.  Duplicates are deduped by
+    key, then each unique spec is submitted.  ``processes`` is the pool
+    width (``None``: one per CPU, at most one per unique spec); a width of
+    1 runs on in-process threads.  A worker failure becomes that item's
+    ``"error"`` envelope; a run still crashing or stalling after
+    :data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.  Duplicate
+    requests share one ``EnsembleResult`` object; treat results as
+    read-only.
     """
     specs = list(specs)
     for position, spec in enumerate(specs):
@@ -196,164 +394,38 @@ def run_batch(
                 "seeds so results are reproducible and cacheable"
             )
     start = time.perf_counter()
-    keys = [
-        cache.key_for(spec) if cache is not None else cache_key(spec) for spec in specs
+    unique = len({cache_key(spec) for spec in specs})
+    width = min(processes if processes is not None else os.cpu_count() or 1, unique)
+    with Executor(
+        cache, workers=width if width > 1 else 0, worker_timeout=worker_timeout
+    ) as executor:
+        keys, futures = executor.submit_unique(specs)
+        wait([future for future in futures if future is not None])
+        retries = dict(executor.retries)
+
+    outcome: dict[str, tuple[str, EnsembleResult | None, dict | None]] = {}
+    for key, future in zip(keys, futures):
+        if future is None:
+            continue
+        try:
+            _key, source, result = future.result()
+            outcome[key] = (source, result, None)
+        except EnvelopeError as exc:  # one poisoned spec; siblings unaffected
+            outcome[key] = (FROM_ERROR, None, exc.envelope)
+    sources = [
+        FROM_DEDUP if future is None else outcome[key][0]
+        for key, future in zip(keys, futures)
     ]
-
-    # Dedup: the first occurrence of each key owns the execution slot.
-    owner_of: dict[str, int] = {}
-    sources: list[str] = []
-    for position, key in enumerate(keys):
-        if key in owner_of:
-            sources.append(FROM_DEDUP)
-        else:
-            owner_of[key] = position
-            sources.append(None)  # filled below with "cache", "run" or "error"
-
-    results: dict[str, EnsembleResult] = {}
-    failures: dict[str, dict] = {}
-    to_run: list[tuple[str, str]] = []
-    for key, position in owner_of.items():
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            results[key] = cached
-            sources[position] = FROM_CACHE
-        else:
-            to_run.append((key, specs[position].to_json(indent=None)))
-            sources[position] = FROM_RUN
-    hits = len(owner_of) - len(to_run)
-
-    retries: dict[str, int] = {}
-    if to_run:
-        fresh = _execute(
-            to_run,
-            processes,
-            max_attempts=max_attempts,
-            worker_timeout=worker_timeout,
-            retries=retries,
-        )
-        for key, payload in fresh:
-            if isinstance(payload, dict):  # per-item worker error envelope
-                failures[key] = payload
-                sources[owner_of[key]] = FROM_ERROR
-            else:
-                results[key] = payload
-                if cache is not None:
-                    cache.put(key, payload)
-
-    ordered = [results.get(key) for key in keys]
-    errors = [failures.get(key) for key in keys]
+    errors = [outcome[key][2] for key in keys]
     return BatchReport(
-        results=ordered,
+        results=[outcome[key][1] for key in keys],
         keys=keys,
         sources=sources,
         errors=errors,
         retries=retries,
-        hits=hits,
-        misses=len(to_run),
-        deduped=len(specs) - len(owner_of),
+        hits=sources.count(FROM_CACHE),
+        misses=sources.count(FROM_RUN) + sources.count(FROM_ERROR),
+        deduped=sources.count(FROM_DEDUP),
         failed=sum(1 for envelope in errors if envelope is not None),
         wall_seconds=time.perf_counter() - start,
     )
-
-
-def backoff_delay(attempt: int, jitter: random.Random) -> float:
-    """Exponential backoff with jitter: uniformly 50–150% of the nominal step.
-
-    The jitter source is an explicit ``random.Random`` so callers that
-    need reproducible schedules (the chaos tests) can seed it.
-    """
-    nominal = min(BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * (2 ** attempt))
-    return nominal * (0.5 + jitter.random())
-
-
-def _execute(
-    tasks: list[tuple[str, str]],
-    processes: int | None,
-    *,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    worker_timeout: float | None = None,
-    retries: dict[str, int] | None = None,
-) -> list[tuple[str, object]]:
-    """Run the miss tasks with crash/stall recovery; records per-key retries.
-
-    Each attempt runs the still-pending tasks — inline when trivial,
-    sharded over a **fresh** spawn pool otherwise (a broken or stalled
-    pool is never reused).  Tasks whose shard completed are banked across
-    attempts; only lost tasks retry.
-    """
-    if retries is None:
-        retries = {}
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    # Deterministic jitter: the schedule is a function of the task list,
-    # not of wall clock or PID, so chaos runs replay identically.
-    jitter = random.Random(len(tasks) * 1_000_003 + max_attempts)
-    pending = list(tasks)
-    done: list[tuple[str, object]] = []
-    last_error: BaseException | None = None
-    for attempt in range(max_attempts):
-        if attempt:
-            for key, _ in pending:
-                retries[key] = retries.get(key, 0) + 1
-            time.sleep(backoff_delay(attempt - 1, jitter))
-        completed, pending, last_error = _one_attempt(
-            pending, processes, worker_timeout
-        )
-        done.extend(completed)
-        if not pending:
-            return done
-    raise WorkerPoolError(
-        f"{len(pending)} task(s) still failing after {max_attempts} attempts"
-    ) from last_error
-
-
-def _one_attempt(
-    tasks: list[tuple[str, str]],
-    processes: int | None,
-    worker_timeout: float | None,
-) -> tuple[list[tuple[str, object]], list[tuple[str, str]], BaseException | None]:
-    """One execution attempt: ``(completed pairs, lost tasks, last error)``."""
-    if processes == 1 or len(tasks) <= 1:
-        try:
-            return _run_shard(tasks), [], None
-        except faults.InjectedFault as exc:
-            return [], list(tasks), exc
-    ctx = mp.get_context("spawn")  # fork-safety with BLAS threads
-    workers = processes if processes is not None else min(len(tasks), ctx.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks)))
-    if workers == 1:
-        try:
-            return _run_shard(tasks), [], None
-        except faults.InjectedFault as exc:
-            return [], list(tasks), exc
-    shards = [tasks[offset::workers] for offset in range(workers)]
-    completed: list[tuple[str, object]] = []
-    lost: list[tuple[str, str]] = []
-    last_error: BaseException | None = None
-    # A fresh pool per attempt: after a crash the old pool is broken, and
-    # after a stall its worker is wedged — respawning is the recovery.
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    try:
-        futures = {pool.submit(_run_shard, shard): shard for shard in shards}
-        finished, unfinished = wait(
-            futures, timeout=worker_timeout, return_when=FIRST_EXCEPTION
-        )
-        # FIRST_EXCEPTION returns early when a shard dies; shards still in
-        # flight at that point (or past the stall timeout) count as lost
-        # and retry — their tasks are pure, so nothing is double-counted.
-        for future in finished:
-            try:
-                completed.extend(future.result())
-            except (BrokenProcessPool, faults.InjectedFault) as exc:
-                last_error = exc
-                lost.extend(futures[future])
-        for future in unfinished:
-            if last_error is None:
-                last_error = TimeoutError(
-                    f"shard stalled past worker_timeout={worker_timeout}s"
-                )
-            lost.extend(futures[future])
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return completed, lost, last_error

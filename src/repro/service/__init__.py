@@ -7,11 +7,11 @@ read-heavy, content-addressed workload.  This package puts a socket in
 front of that fact with **no new runtime dependency**: the HTTP/1.1
 framing is hand-rolled on :mod:`asyncio` streams (:mod:`.http`), requests
 validate through the same strict ``ScenarioSpec.from_dict`` the library
-uses everywhere, cache misses run on a spawn-context process-pool worker
-tier sharing :mod:`repro.serve.executor`'s stateless-worker discipline,
-concurrent duplicate requests coalesce onto one run, and a
-consistent-hash :class:`~repro.service.sharding.ShardMap` over the cache
-key routes toward the multi-host story.
+uses everywhere, and every request then goes through the one execution
+core, :class:`repro.serve.executor.Executor`: concurrent duplicate
+requests coalesce onto one run, hits come from the result cache, and
+misses run on in-process threads or a spawn-context process pool, with
+bounded crash/stall retry.
 
 Run it with ``python -m repro.service`` (or spawn it through ``repro
 load``); drive it with :class:`~repro.service.client.ServiceClient` or
@@ -30,7 +30,6 @@ must be concrete).  Response 200::
 
     {"key": <sha256 hex>,             # content-addressed cache key
      "source": "run"|"cache"|"coalesced",
-     "shard": <owning node>,          # consistent-hash owner of the key
      "spec": {...},                   # the validated spec, echoed
      "replicas": R,
      "plurality_color": c,
@@ -60,22 +59,23 @@ every item is validated up front and answered positionally.  Response
 
 Duplicate items within one batch report ``"source": "dedup"`` and share
 the first occurrence's execution, exactly like
-:func:`repro.serve.executor.run_batch`.
+:func:`repro.serve.executor.run_batch` (both dedup through
+:meth:`~repro.serve.executor.Executor.submit_unique`).
 
 ``GET /v1/result/{key}`` — content-addressed lookup of a previously
 computed result (``key`` is the 64-hex-digit cache key).  200 with the
 simulate payload (``source: "cache"``, no ``spec`` echo) or 404.
 
 ``GET /v1/health`` — liveness: ``{"status": "ok", "version": ...,
-"schema_version": ..., "workers": ..., "cache": bool, "shard_self": ...}``.
+"schema_version": ..., "workers": ..., "cache": bool, "draining": bool}``.
 
-``GET /v1/stats`` — counters: ``in_flight``, ``runs`` (underlying
-executions), ``coalesced`` (requests that awaited another request's
-run — two concurrent duplicates show ``runs == 1, coalesced == 1``),
-``remote_shard_requests``, ``cache`` (the
+``GET /v1/stats`` — counters: ``in_flight`` (work requests being
+answered), ``runs`` (underlying executions), ``coalesced`` (requests
+that awaited another request's run — two concurrent duplicates show
+``runs == 1, coalesced == 1``), ``cache`` (the
 :meth:`~repro.serve.cache.ResultCache.stats` dict, including the
 ``quarantined``/``read_errors`` corruption counters), ``cache_hit_rate``,
-``shards`` (the ring), resilience counters (``shed``, ``deadline_hits``,
+resilience counters (``shed``, ``deadline_hits``,
 ``worker_retries``, ``dropped_connections``, ``draining``, ``limits``,
 ``faults`` — the armed fault plan's trigger state, or ``null``), and
 per-endpoint latency histograms under ``requests``
@@ -85,18 +85,19 @@ Resilience status codes
 -----------------------
 Beyond 200/400/404/405/500, clients must expect:
 
-* **429** — the work cap (``--max-in-flight``) is hit; the request was
-  shed before any work started.  Carries a ``Retry-After: 1`` header and
+* **429** — the work cap (``--max-in-flight``, counting simulate and
+  batch requests only) is hit; the request was shed before any work
+  started.  Carries a ``Retry-After: 1`` header and
   an ``Overloaded`` envelope; retry with backoff
   (:class:`~repro.service.client.RetryPolicy` does this).
 * **503** — the service is draining after SIGTERM; a ``Draining``
   envelope, and the connection closes after the response.  In-flight
   work still completes within the drain grace.
-* **504** — the per-request deadline expired (``--deadline-ms`` config
-  or an ``x-deadline-ms`` request header, header wins): a
-  ``DeadlineExceeded`` envelope for the request owning the run, an
-  ``OwnerCancelled`` envelope for coalesced followers whose owner's
-  budget expired first.
+* **504** — the request's own deadline expired (``--deadline-ms``
+  config or an ``x-deadline-ms`` request header, header wins): a
+  ``DeadlineExceeded`` envelope.  A deadline bounds only that request's
+  wait: the run it started finishes and is cached, and requests that
+  coalesced onto it still get 200.
 
 All three are *safe to retry*: results are content-addressed, so a
 resent request either recomputes deterministically or hits the cache.
@@ -119,7 +120,6 @@ from .client import (
 )
 from .load import drive, generate_corpus, run_load, spawn_service, write_corpus
 from .runner import BackgroundServer
-from .sharding import ShardMap
 
 __all__ = [
     "AsyncConnection",
@@ -130,7 +130,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",
-    "ShardMap",
     "drive",
     "generate_corpus",
     "result_payload",

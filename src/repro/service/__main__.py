@@ -53,14 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        default=None,
-        help="comma-separated shard node names for the consistent-hash ring",
-    )
-    parser.add_argument(
-        "--shard-self", default="local", help="this node's name in --shards"
-    )
-    parser.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -115,12 +107,9 @@ async def _serve(args: argparse.Namespace) -> int:
             args.cache_dir if args.cache_dir else default_cache_dir(),
             memory_entries=args.memory_entries,
         )
-    shards = [s.strip() for s in args.shards.split(",")] if args.shards else None
     service = ScenarioService(
         cache,
         workers=args.workers,
-        shards=shards,
-        shard_self=args.shard_self,
         deadline_seconds=None if args.deadline_ms is None else args.deadline_ms / 1e3,
         max_in_flight=args.max_in_flight,
         worker_timeout=args.worker_timeout,

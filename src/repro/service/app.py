@@ -1,43 +1,33 @@
 """The scenario service: asyncio HTTP front over the serve substrate.
 
-:class:`ScenarioService` owns one listening socket, one
-:class:`~repro.serve.cache.ResultCache`, an optional process-pool worker
-tier, the in-flight coalescing table and the consistent-hash
-:class:`~repro.service.sharding.ShardMap`.  Request handling is a
-straight pipeline::
+:class:`ScenarioService` owns one listening socket and one
+:class:`~repro.serve.executor.Executor` (which owns the cache, the
+in-flight coalescing table, the worker pool and the retry loop).
+Request handling is a straight pipeline::
 
     parse JSON  →  strict ScenarioSpec validation (error envelope on
-    failure)  →  content-addressed cache_key  →  shard lookup  →
-    in-flight coalescing  →  cache probe  →  miss dispatched to the
-    worker tier  →  store  →  JSON payload
+    failure)  →  Executor.submit  →  await the run's future  →  JSON payload
 
-Two concurrent requests for the same key run the simulation **once**:
-the first becomes the owner of an in-flight future, later arrivals await
-it (``source: "coalesced"``, counted in ``/v1/stats``).  Workers reuse
-:func:`repro.serve.executor._run_shard` — the same stateless
-spec-JSON-in, result-out discipline as ``run_batch`` — over a
-spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`;
-``workers=0`` executes misses on threads in-process (the
-dependency-light mode used by tests and the smoke harness).  Blocking
-cache I/O runs via :func:`asyncio.to_thread`, which is what the
-:class:`ResultCache` locking added alongside this module makes safe.
+Two concurrent requests for the same key run the simulation **once**
+(the second reports ``source: "coalesced"``, counted in ``/v1/stats``).
+``workers=0`` executes misses on in-process threads (the
+dependency-light mode used by tests and the smoke harness); ``workers
+>= 1`` runs them in a persistent spawn-context process pool.
 
 Resilience (all deterministic under :mod:`repro.faults`, exercised by
 the chaos smoke in CI):
 
 * **deadlines** — ``deadline_seconds`` (or a per-request ``x-deadline-ms``
-  header) bounds the work endpoints; exceeding it answers a 504
-  ``DeadlineExceeded`` envelope, and a cancelled *owner* rejects its
-  coalesced followers with the typed :class:`OwnerCancelled` (also 504)
-  instead of stranding them;
-* **worker recovery** — a crashed (``BrokenProcessPool``) or stalled
-  (``worker_timeout``) worker loses one attempt, not the request: the
-  pool is respawned and the task retried with exponential backoff +
-  jitter up to ``worker_attempts`` times (results are pure functions of
-  the spec, so retries are bit-identical);
-* **backpressure** — ``max_in_flight`` caps concurrent work; excess
-  requests are shed with 429 + ``Retry-After`` (counted in ``/v1/stats``
-  under ``shed``) rather than queued without bound;
+  header) bounds how long a work request *waits*; past it the request
+  answers a 504 ``DeadlineExceeded`` envelope.  The run itself belongs to
+  the executor: it finishes, is cached, and coalesced requests get it;
+* **worker recovery** — the executor retries a crashed or stalled run
+  (see :mod:`repro.serve.executor`); results are pure functions of the
+  spec, so retries are bit-identical;
+* **backpressure** — ``max_in_flight`` caps concurrent work requests;
+  excess ones are shed with 429 + ``Retry-After`` (counted in
+  ``/v1/stats`` under ``shed``) rather than queued without bound.  Health,
+  stats and result lookups never count toward the cap;
 * **graceful drain** — :meth:`ScenarioService.drain` (SIGTERM in
   ``python -m repro.service``) stops accepting, answers new work 503,
   finishes in-flight requests within a grace budget, then closes.
@@ -49,40 +39,31 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import multiprocessing as mp
-import random
 import re
 import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from .. import __version__, faults
 from ..core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
 from ..scenario import ScenarioSpec
-from ..serve.cache import ResultCache, cache_key
-from ..serve.envelope import EnvelopeError, error_envelope, prepare_spec
+from ..serve.cache import ResultCache
+from ..serve.envelope import error_envelope, prepare_spec
 from ..serve.executor import (
     FROM_CACHE,
+    FROM_COALESCED,
     FROM_DEDUP,
+    FROM_ERROR,
     FROM_RUN,
-    WorkerPoolError,
-    _run_shard,
-    backoff_delay,
+    MAX_ATTEMPTS,
+    Executor,
 )
 from .http import HttpError, Request, encode_response, read_request
-from .sharding import ShardMap
 
-__all__ = ["LatencyHistogram", "OwnerCancelled", "ScenarioService", "result_payload"]
-
-#: Provenance label for a request that awaited another request's run.
-FROM_COALESCED = "coalesced"
-#: Provenance label for a request whose item failed validation.
-FROM_ERROR = "error"
+__all__ = ["LatencyHistogram", "ScenarioService", "result_payload"]
 
 #: Request body cap: a batch of a few thousand specs fits comfortably.
 DEFAULT_MAX_BODY = 8 << 20
@@ -91,27 +72,12 @@ DEFAULT_MAX_BODY = 8 << 20
 #: far above any realistic working set, small enough to bound memory.
 VALIDATION_MEMO_ENTRIES = 4096
 
-#: Retry policy defaults for the worker tier (crash/stall recovery).  8
-#: attempts puts exhaustion under an injected crash probability of 0.2 at
-#: ~2.6e-6 per request — the chaos smoke's zero-5xx assertion is sound.
-DEFAULT_WORKER_ATTEMPTS = 8
-
 #: Work endpoints: the routes that execute simulations, and therefore the
 #: ones deadlines bound and backpressure sheds.  Health, stats and cached
 #: result lookups always answer.
 _WORK_LABELS = frozenset({"POST /v1/simulate", "POST /v1/batch"})
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-class OwnerCancelled(Exception):
-    """The owning request of a coalesced key was cancelled mid-run.
-
-    Set on the in-flight future (instead of the raw ``CancelledError``,
-    which would tear through the followers' own ``wait_for`` guards) so
-    every coalesced follower fails typed — the dispatcher maps this to a
-    504, same as the owner's own deadline.
-    """
 
 
 def _finite(value: float) -> float | None:
@@ -204,7 +170,7 @@ class LatencyHistogram:
 
 
 class ScenarioService:
-    """One service instance: routes, stats, coalescing, worker tier.
+    """One service instance: routes, stats and an :class:`Executor`.
 
     Parameters
     ----------
@@ -214,31 +180,21 @@ class ScenarioService:
     workers:
         Process-pool width for cache misses.  ``0`` (default) executes
         misses on in-process threads — no pool start-up cost, the right
-        mode for tests and smoke runs; ``>= 1`` starts a spawn-context
-        pool of stateless workers on :meth:`start`.
-    shards:
-        Node names for the consistent-hash ring (default: just
-        ``shard_self``).  ``shard_self`` must be listed; requests whose
-        key another node owns are still served locally (single-host
-        deployment) but carry the owner in the response ``shard`` field,
-        and the mismatch is counted in ``/v1/stats``.
+        mode for tests and smoke runs; ``>= 1`` runs them in a persistent
+        spawn-context pool of stateless workers.
     deadline_seconds:
         Default per-request deadline for the work endpoints (``None`` —
         the default — means unbounded).  A client ``x-deadline-ms``
-        header overrides it per request.  Exceeding the deadline answers
-        504 and cancels the underlying run.
+        header overrides it per request.  Past the deadline the request
+        answers 504; the run goes on for the cache and coalesced requests.
     max_in_flight:
         Concurrent-work cap; ``0`` (default) is unbounded.  Work requests
         arriving at the cap are shed with 429 + ``Retry-After`` instead
         of queueing without bound.
-    worker_attempts:
-        Total attempts per run before a crashed/stalled worker tier gives
-        up with a 500 (each retry respawns the pool and backs off with
-        jitter).
     worker_timeout:
-        Seconds to wait for one worker attempt before declaring it
-        stalled and retrying on a fresh pool (``None``: wait forever —
-        rely on the request deadline instead).
+        Seconds to wait for one pooled attempt before the pool counts as
+        stalled and is replaced (``None``: wait forever — rely on the
+        request deadline instead).
     """
 
     def __init__(
@@ -246,40 +202,21 @@ class ScenarioService:
         cache: ResultCache | None = None,
         *,
         workers: int = 0,
-        shards: list[str] | None = None,
-        shard_self: str = "local",
         max_body: int = DEFAULT_MAX_BODY,
         deadline_seconds: float | None = None,
         max_in_flight: int = 0,
-        worker_attempts: int = DEFAULT_WORKER_ATTEMPTS,
         worker_timeout: float | None = None,
     ):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(f"deadline_seconds must be > 0, got {deadline_seconds}")
         if max_in_flight < 0:
             raise ValueError(f"max_in_flight must be >= 0, got {max_in_flight}")
-        if worker_attempts < 1:
-            raise ValueError(f"worker_attempts must be >= 1, got {worker_attempts}")
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise ValueError(f"worker_timeout must be > 0, got {worker_timeout}")
+        self.executor = Executor(cache, workers=workers, worker_timeout=worker_timeout)
         self.cache = cache
-        self.workers = int(workers)
-        self.shard_self = shard_self
-        self.shard_map = ShardMap(shards if shards else [shard_self])
-        if shard_self not in self.shard_map.nodes:
-            raise ValueError(
-                f"shard_self {shard_self!r} is not in shards {list(self.shard_map.nodes)!r}"
-            )
         self.max_body = int(max_body)
         self.deadline_seconds = None if deadline_seconds is None else float(deadline_seconds)
         self.max_in_flight = int(max_in_flight)
-        self.worker_attempts = int(worker_attempts)
-        self.worker_timeout = None if worker_timeout is None else float(worker_timeout)
-        self._pool: ProcessPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._inflight: dict[str, asyncio.Future] = {}
         self._draining = False
         # Validation memo: canonical spec JSON → already passed validate().
         # Registry validation can materialise a topology graph (hundreds of
@@ -290,12 +227,8 @@ class ScenarioService:
         self._histograms: dict[str, LatencyHistogram] = {}
         self._errors: dict[str, int] = {}
         self.in_flight = 0
-        self.runs = 0
-        self.coalesced = 0
-        self.remote_shard_requests = 0
         self.shed = 0
         self.deadline_hits = 0
-        self.worker_retries = 0
         self.dropped_connections = 0
         self._started_at = time.monotonic()
 
@@ -303,10 +236,6 @@ class ScenarioService:
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start serving; returns the bound ``(host, port)``."""
-        if self.workers > 0 and self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=mp.get_context("spawn")
-            )
         self._server = await asyncio.start_server(self._handle_connection, host, port)
         self._started_at = time.monotonic()
         bound = self._server.sockets[0].getsockname()
@@ -321,9 +250,7 @@ class ScenarioService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self.executor.close()
 
     async def drain(self, grace: float = 10.0) -> bool:
         """Graceful shutdown: stop accepting, finish in-flight, then close.
@@ -345,15 +272,6 @@ class ScenarioService:
         drained = self.in_flight == 0
         await self.close()
         return drained
-
-    def _respawn_pool(self) -> None:
-        """Replace a broken or stalled worker pool with a fresh one."""
-        if self._pool is None:
-            return
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=mp.get_context("spawn")
-        )
 
     # -- connection / dispatch ----------------------------------------------
 
@@ -427,7 +345,8 @@ class ScenarioService:
         rule = faults.fire("service.slow-response")
         if rule is not None:
             await asyncio.sleep(float(rule.params.get("seconds", 1.0)))
-        self.in_flight += 1
+        if is_work:  # probes never count toward the work cap
+            self.in_flight += 1
         start = time.perf_counter()
         deadline = None
         try:
@@ -450,15 +369,11 @@ class ScenarioService:
             status, payload = 504, {
                 "error": {"type": "DeadlineExceeded", "message": f"request exceeded {budget}"}
             }
-        except OwnerCancelled as exc:
-            # Coalesced follower whose owner was cancelled: same verdict
-            # (and same status) as if this request had timed out itself.
-            self.deadline_hits += 1
-            status, payload = 504, {"error": error_envelope(exc)}
         except Exception as exc:  # noqa: BLE001 — a handler bug must not kill the loop
             status, payload = 500, {"error": error_envelope(exc)}
         finally:
-            self.in_flight -= 1
+            if is_work:
+                self.in_flight -= 1
             histogram.observe(time.perf_counter() - start)
         if status >= 400:
             self._errors[label] = self._errors.get(label, 0) + 1
@@ -493,109 +408,6 @@ class ScenarioService:
             return "GET /v1/result", "GET", self._handle_result, key
         return request.method + " " + path, request.method, None, None
 
-    # -- execution core ------------------------------------------------------
-
-    async def _obtain(self, spec: ScenarioSpec) -> tuple[str, str, EnsembleResult]:
-        """Serve one validated spec: coalesce → cache → run; returns provenance."""
-        key = self.cache.key_for(spec) if self.cache is not None else cache_key(spec)
-        if self.shard_map.owner_of(key) != self.shard_self:
-            self.remote_shard_requests += 1
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self.coalesced += 1
-            return key, FROM_COALESCED, await pending
-        # Register the future BEFORE the first await: between the in-flight
-        # probe above and this line the coroutine never yields, so exactly
-        # one request per key can become the owner — later duplicates land
-        # on the branch above even while the owner is still probing the
-        # cache in a thread.
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        try:
-            if self.cache is not None:
-                cached = await asyncio.to_thread(self.cache.get, key)
-                if cached is not None:
-                    future.set_result(cached)
-                    return key, FROM_CACHE, cached
-            result = await self._execute(key, spec)
-            if self.cache is not None:
-                await asyncio.to_thread(self.cache.put, key, result)
-            self.runs += 1
-            future.set_result(result)
-            return key, FROM_RUN, result
-        except BaseException as exc:
-            # BaseException: a cancelled owner must not strand followers
-            # on a forever-pending future.
-            if not future.done():
-                if isinstance(exc, asyncio.CancelledError):
-                    # Deadline (or teardown) cancelled the owner: fail the
-                    # followers typed — a raw CancelledError would tear
-                    # through their own wait_for guards unrecognisably.
-                    future.set_exception(
-                        OwnerCancelled(
-                            f"owning request for {key[:12]}… was cancelled before completing"
-                        )
-                    )
-                else:
-                    future.set_exception(exc)
-                # Coalesced awaiters consume the exception; without any,
-                # tell asyncio it is handled (it re-raises below regardless).
-                future.exception()
-            raise
-        finally:
-            del self._inflight[key]
-
-    async def _execute(self, key: str, spec: ScenarioSpec) -> EnsembleResult:
-        """Run one miss through the worker tier (stateless ``_run_shard`` task).
-
-        Survives worker death and stalls: each failed attempt respawns the
-        pool and retries after jittered exponential backoff, up to
-        ``worker_attempts`` total.  A retry is safe by construction — the
-        result is a pure function of the spec, so the bits are identical
-        whichever attempt produces them.  A *deterministic* spec failure
-        (the worker returned an error envelope) never retries; it is
-        re-raised typed so the envelope reaches the wire unchanged.
-        """
-        shard = [(key, spec.to_json(indent=None))]
-        # Deterministic jitter keyed on the content address: replayable
-        # schedules, uncorrelated across concurrent requests.
-        jitter = random.Random(int(key[:16], 16))
-        last: BaseException | None = None
-        for attempt in range(self.worker_attempts):
-            if attempt:
-                self.worker_retries += 1
-                await asyncio.sleep(backoff_delay(attempt - 1, jitter))
-            try:
-                if self._pool is not None:
-                    waiter = asyncio.get_running_loop().run_in_executor(
-                        self._pool, _run_shard, shard
-                    )
-                    if self.worker_timeout is not None:
-                        pairs = await asyncio.wait_for(
-                            asyncio.shield(waiter), self.worker_timeout
-                        )
-                    else:
-                        pairs = await waiter
-                else:
-                    pairs = await asyncio.to_thread(_run_shard, shard)
-            except (BrokenProcessPool, faults.InjectedFault) as exc:
-                last = exc
-                self._respawn_pool()
-                continue
-            except TimeoutError:
-                last = TimeoutError(
-                    f"worker stalled past worker_timeout={self.worker_timeout}s"
-                )
-                self._respawn_pool()  # the stalled worker is wedged; replace it
-                continue
-            payload = pairs[0][1]
-            if isinstance(payload, dict):  # per-item error envelope from the worker
-                raise EnvelopeError(payload)
-            return payload
-        raise WorkerPoolError(
-            f"worker execution failed after {self.worker_attempts} attempts"
-        ) from last
-
     # -- handlers ------------------------------------------------------------
 
     async def _handle_health(self, request: Request, _argument) -> tuple[int, dict]:
@@ -603,9 +415,8 @@ class ScenarioService:
             "status": "draining" if self._draining else "ok",
             "version": __version__,
             "schema_version": ENGINE_SCHEMA_VERSION,
-            "workers": self.workers,
+            "workers": self.executor.workers,
             "cache": self.cache is not None,
-            "shard_self": self.shard_self,
             "draining": self._draining,
         }
 
@@ -626,12 +437,11 @@ class ScenarioService:
         return 200, {
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "in_flight": self.in_flight,
-            "runs": self.runs,
-            "coalesced": self.coalesced,
-            "remote_shard_requests": self.remote_shard_requests,
+            "runs": self.executor.runs,
+            "coalesced": self.executor.coalesced,
             "shed": self.shed,
             "deadline_hits": self.deadline_hits,
-            "worker_retries": self.worker_retries,
+            "worker_retries": self.executor.worker_retries,
             "dropped_connections": self.dropped_connections,
             "draining": self._draining,
             "limits": {
@@ -639,14 +449,13 @@ class ScenarioService:
                 "deadline_ms": None
                 if self.deadline_seconds is None
                 else round(self.deadline_seconds * 1e3, 3),
-                "worker_attempts": self.worker_attempts,
-                "worker_timeout_s": self.worker_timeout,
+                "worker_attempts": MAX_ATTEMPTS,
+                "worker_timeout_s": self.executor.worker_timeout,
             },
             "faults": faults.describe(),
             "cache": cache_stats,
             "cache_hit_rate": round(total_hits / total, 4) if total else None,
             "requests": requests,
-            "shards": self.shard_map.describe(),
         }
 
     def _prepare(self, entry) -> tuple[ScenarioSpec | None, dict | None]:
@@ -679,9 +488,8 @@ class ScenarioService:
         spec, error = await asyncio.to_thread(self._prepare, request.json())
         if error is not None:
             return 400, {"error": error}
-        key, source, result = await self._obtain(spec)
+        key, source, result = await asyncio.wrap_future(self.executor.submit(spec))
         payload = result_payload(key, source, result)
-        payload["shard"] = self.shard_map.owner_of(key)
         payload["spec"] = spec.to_dict()
         return 200, payload
 
@@ -698,44 +506,33 @@ class ScenarioService:
             lambda: [self._prepare(entry) for entry in body]
         )
 
-        # Dedup valid items by key; the first occurrence owns the execution
-        # slot (run_batch's discipline), later duplicates report "dedup".
-        keys: list[str | None] = []
-        owner_of: dict[str, int] = {}
-        for position, (spec, error) in enumerate(prepared):
-            if spec is None:
-                keys.append(None)
-                continue
-            key = self.cache.key_for(spec) if self.cache is not None else cache_key(spec)
-            keys.append(key)
-            owner_of.setdefault(key, position)
-
-        owners = list(owner_of.items())
-        obtained = await asyncio.gather(
-            *(self._obtain(prepared[position][0]) for _key, position in owners),
-            return_exceptions=True,
+        keys, futures = self.executor.submit_unique(
+            [spec for spec, error in prepared if error is None]
         )
-        outcome: dict[str, object] = {
-            key: result for (key, _), result in zip(owners, obtained)
+        owned = {
+            key: asyncio.wrap_future(future)
+            for key, future in zip(keys, futures)
+            if future is not None
         }
+        await asyncio.gather(*owned.values(), return_exceptions=True)
 
         items: list[dict] = []
         counters = {FROM_CACHE: 0, FROM_RUN: 0, FROM_DEDUP: 0, FROM_COALESCED: 0}
         errors = 0
-        for position, ((spec, error), key) in enumerate(zip(prepared, keys)):
+        answers = iter(zip(keys, futures))
+        for _spec, error in prepared:
             if error is not None:
                 errors += 1
                 items.append({"key": None, "source": FROM_ERROR, "error": error})
                 continue
-            value = outcome[key]
-            if isinstance(value, BaseException):
+            key, future = next(answers)
+            failure = owned[key].exception()
+            if failure is not None:
                 errors += 1
-                items.append(
-                    {"key": key, "source": FROM_ERROR, "error": error_envelope(value)}
-                )
+                items.append({"key": key, "source": FROM_ERROR, "error": error_envelope(failure)})
                 continue
-            _key, source, result = value
-            if owner_of[key] != position:
+            _key, source, result = owned[key].result()
+            if future is None:
                 source = FROM_DEDUP
             counters[source] += 1
             item = result_payload(key, source, result)
@@ -743,7 +540,7 @@ class ScenarioService:
             items.append(item)
         return 200, {
             "requests": len(items),
-            "unique": len(owner_of),
+            "unique": len(owned),
             "hits": counters[FROM_CACHE],
             "misses": counters[FROM_RUN],
             "deduped": counters[FROM_DEDUP],

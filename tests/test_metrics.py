@@ -268,40 +268,6 @@ class TestRecordSpec:
         assert spec.with_metric("counts").metrics == ("bias", "counts")
 
 
-class TestDeprecationShims:
-    def test_record_trajectory_kwarg_warns_and_matches(self):
-        cfg = Configuration.biased(5_000, 4, 600)
-        with pytest.warns(DeprecationWarning, match="record_trajectory"):
-            old = run_process(ThreeMajority(), cfg, rng=1, record_trajectory=True)
-        new = run_process(ThreeMajority(), cfg, rng=1, record=["bias", "plurality-count", "counts"])
-        with pytest.warns(DeprecationWarning, match="trajectory"):
-            trajectory = old.trajectory
-        assert np.array_equal(trajectory, new.trace.replica(0, "counts"))
-
-    def test_history_properties_warn_and_match_trace(self):
-        cfg = Configuration.biased(5_000, 4, 600)
-        res = run_process(ThreeMajority(), cfg, rng=0)
-        with pytest.warns(DeprecationWarning, match="bias_history"):
-            bias = res.bias_history
-        with pytest.warns(DeprecationWarning, match="plurality_history"):
-            plurality = res.plurality_history
-        assert np.array_equal(bias, res.trace.replica(0, "bias"))
-        assert np.array_equal(plurality, res.trace.replica(0, "plurality-count"))
-
-    def test_trajectory_none_when_counts_not_recorded(self):
-        res = run_process(ThreeMajority(), Configuration.biased(1_000, 3, 200), rng=0)
-        with pytest.warns(DeprecationWarning):
-            assert res.trajectory is None
-
-    def test_history_raises_when_not_in_custom_record(self):
-        res = run_process(
-            ThreeMajority(), Configuration.biased(1_000, 3, 200), rng=0, record=["entropy"]
-        )
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="bias_history"):
-                res.bias_history
-
-
 class TestTraceRecorderInternals:
     def test_zero_metric_record_tracks_rounds_only(self):
         recorder = TraceRecorder(RecordSpec(), n=10, k=2, replicas=2)

@@ -1,60 +1,10 @@
-"""Tests for the multiprocess sweep runner and the ASCII figure registry."""
+"""Tests for the ASCII figure registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Configuration, ThreeMajority
 from repro.experiments import figure_ids, render_figure
-from repro.experiments.harness import sweep
-from repro.experiments.parallel import parallel_sweep
-
-
-def _build(params):
-    """Module-level builder: picklable for the spawn-based pool."""
-    return ThreeMajority(), Configuration.biased(int(params["n"]), 4, int(params["n"]) // 10)
-
-
-POINTS = [{"n": 2_000}, {"n": 4_000}, {"n": 6_000}]
-
-
-class TestParallelSweep:
-    def test_matches_sequential_exactly(self):
-        kwargs = dict(
-            replicas=4, max_rounds=2_000, seed=11, experiment_id="PTEST"
-        )
-        seq = sweep(POINTS, _build, **kwargs)
-        par = parallel_sweep(POINTS, _build, processes=2, **kwargs)
-        assert len(seq) == len(par)
-        for a, b in zip(seq, par):
-            assert a.params == b.params
-            assert (a.ensemble.rounds == b.ensemble.rounds).all()
-            assert (a.ensemble.winners == b.ensemble.winners).all()
-
-    def test_single_process_fallback(self):
-        out = parallel_sweep(
-            POINTS[:2],
-            _build,
-            processes=1,
-            replicas=2,
-            max_rounds=2_000,
-            seed=0,
-            experiment_id="PTEST",
-        )
-        assert len(out) == 2
-        assert all(p.ensemble.convergence_rate == 1.0 for p in out)
-
-    def test_preserves_point_order(self):
-        out = parallel_sweep(
-            POINTS,
-            _build,
-            processes=3,
-            replicas=2,
-            max_rounds=2_000,
-            seed=0,
-            experiment_id="PTEST",
-        )
-        assert [p.params["n"] for p in out] == [2_000, 4_000, 6_000]
 
 
 class TestFigures:

@@ -8,6 +8,7 @@ import pytest
 from repro import (
     Configuration,
     EnsembleResult,
+    PluralityFractionStop,
     ThreeMajority,
     UndecidedState,
     Voter,
@@ -49,10 +50,9 @@ class TestRunProcess:
 
     def test_stop_at_plurality_fraction(self):
         cfg = Configuration.biased(20_000, 4, 2_000)
-        with pytest.warns(DeprecationWarning, match="stop_at_plurality_fraction"):
-            res = run_process(
-                ThreeMajority(), cfg, rng=0, stop_at_plurality_fraction=0.5, max_rounds=10_000
-            )
+        res = run_process(
+            ThreeMajority(), cfg, rng=0, stopping=PluralityFractionStop(0.5), max_rounds=10_000
+        )
         plurality = res.trace.replica(0, "plurality-count")
         assert plurality[-1] >= 10_000
         assert not res.converged or plurality[-1] == 20_000

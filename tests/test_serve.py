@@ -1,19 +1,21 @@
-"""Tests for the serving substrate: content-addressed cache + batch executor."""
+"""Tests for the serving substrate: content-addressed cache + the execution core."""
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro import ResultCache, ScenarioSpec, cache_key, run_batch, simulate_ensemble
+import repro.serve.executor as executor_module
+from repro import ResultCache, ScenarioSpec, cache_key, faults, run_batch, simulate_ensemble
 from repro.core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
 from repro.core.rng import derive_seed
 from repro.experiments.harness import grid, sweep
-from repro.experiments.parallel import parallel_sweep
 from repro.serve.cache import _seed_token
+from repro.serve.executor import Executor
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -28,6 +30,12 @@ def small_spec(**overrides) -> ScenarioSpec:
     )
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+def fetch(cache: ResultCache, spec: ScenarioSpec) -> EnsembleResult:
+    """Serve ``spec`` through the execution core: from ``cache``, or run and store."""
+    with Executor(cache) as executor:
+        return executor.submit(spec).result()[2]
 
 
 def assert_results_identical(a: EnsembleResult, b: EnsembleResult) -> None:
@@ -116,7 +124,7 @@ class TestResultCache:
     def test_disk_round_trip_across_instances(self, tmp_path):
         spec = small_spec()
         writer = ResultCache(tmp_path)
-        writer.fetch_or_run(spec)
+        fetch(writer, spec)
         reader = ResultCache(tmp_path)  # fresh memory layer, same disk
         hit = reader.get(reader.key_for(spec))
         assert hit is not None
@@ -132,27 +140,27 @@ class TestResultCache:
         direct = simulate_ensemble(spec)
         assert direct.trace is not None
         cache = ResultCache(tmp_path)
-        cold = cache.fetch_or_run(spec)
-        warm = cache.fetch_or_run(spec)
-        disk = ResultCache(tmp_path).fetch_or_run(spec)  # cold process, disk layer
+        cold = fetch(cache, spec)
+        warm = fetch(cache, spec)
+        disk = fetch(ResultCache(tmp_path), spec)  # cold process, disk layer
         for replay in (cold, warm, disk):
             assert_results_identical(direct, replay)
         assert disk.trace.digest() == direct.trace.digest()
 
     def test_record_config_separates_cache_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        bare = cache.fetch_or_run(small_spec())
-        recorded = cache.fetch_or_run(small_spec(record=["bias"]))
+        bare = fetch(cache, small_spec())
+        recorded = fetch(cache, small_spec(record=["bias"]))
         assert bare.trace is None
         assert recorded.trace is not None
         assert cache.misses == 2  # different content addresses, no collision
         assert np.array_equal(bare.rounds, recorded.rounds)
 
-    def test_fetch_or_run_equals_direct_call(self, tmp_path):
+    def test_cached_run_equals_direct_call(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path)
-        cold = cache.fetch_or_run(spec)
-        warm = cache.fetch_or_run(spec)
+        cold = fetch(cache, spec)
+        warm = fetch(cache, spec)
         direct = simulate_ensemble(spec)
         assert_results_identical(direct, cold)
         assert_results_identical(direct, warm)
@@ -183,8 +191,8 @@ class TestResultCache:
         )
         direct = simulate_ensemble(spec)
         cache = ResultCache(tmp_path)
-        cold = cache.fetch_or_run(spec)
-        disk = ResultCache(tmp_path).fetch_or_run(spec)
+        cold = fetch(cache, spec)
+        disk = fetch(ResultCache(tmp_path), spec)
         assert_results_identical(direct, cold)
         assert_results_identical(direct, disk)
 
@@ -214,26 +222,12 @@ class TestResultCache:
         replay = ResultCache(tmp_path).get(key)
         assert replay.trace.digest() == trace.digest()
 
-    def test_unpacked_legacy_trace_layout_still_decodes(self):
-        # Defence in depth: a manifest without the packed flag decodes the
-        # old dense layout (such entries are keyed out by the schema bump,
-        # but the decoder should not misread one that reappears).
-        from repro.serve.cache import _decode, _encode
-
-        direct = simulate_ensemble(small_spec(record=["bias"]))
-        manifest, arrays = _encode(direct)
-        dense_arrays = dict(arrays)
-        dense_arrays["trace_values_0"] = direct.trace["bias"]
-        manifest["trace"] = {k: v for k, v in manifest["trace"].items() if k != "packed"}
-        decoded = _decode(manifest, dense_arrays)
-        assert decoded.trace.digest() == direct.trace.digest()
-
     def test_schema_version_invalidates(self, tmp_path):
         # Primary mechanism: the version is hashed into the key, so a new
         # engine simply never addresses old entries.
         spec = small_spec()
         old = ResultCache(tmp_path, schema_version=ENGINE_SCHEMA_VERSION)
-        old.fetch_or_run(spec)
+        fetch(old, spec)
         new = ResultCache(tmp_path, schema_version=ENGINE_SCHEMA_VERSION + 1)
         assert new.get(new.key_for(spec)) is None
 
@@ -243,7 +237,7 @@ class TestResultCache:
         spec = small_spec()
         cache = ResultCache(tmp_path)
         key = cache.key_for(spec)
-        cache.fetch_or_run(spec)
+        fetch(cache, spec)
         manifest_path = tmp_path / (key + ".json")
         manifest = json.loads(manifest_path.read_text())
         manifest["schema"] = ENGINE_SCHEMA_VERSION - 1
@@ -256,17 +250,17 @@ class TestResultCache:
     def test_returned_arrays_are_defensive_copies(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path)
-        first = cache.fetch_or_run(spec)
+        first = fetch(cache, spec)
         first.rounds[:] = -99
-        second = cache.fetch_or_run(spec)
+        second = fetch(cache, spec)
         assert not np.array_equal(first.rounds, second.rounds)
         assert_results_identical(simulate_ensemble(spec), second)
 
     def test_memory_lru_evicts_to_disk_layer(self, tmp_path):
         cache = ResultCache(tmp_path, memory_entries=1)
         spec_a, spec_b = small_spec(seed=0), small_spec(seed=1)
-        cache.fetch_or_run(spec_a)
-        cache.fetch_or_run(spec_b)  # evicts spec_a from memory
+        fetch(cache, spec_a)
+        fetch(cache, spec_b)  # evicts spec_a from memory
         assert len(cache._memory) == 1
         hit = cache.get(cache.key_for(spec_a))  # re-promoted from disk
         assert hit is not None
@@ -274,16 +268,16 @@ class TestResultCache:
     def test_memory_only_cache(self):
         cache = ResultCache(None)
         spec = small_spec()
-        cold = cache.fetch_or_run(spec)
-        warm = cache.fetch_or_run(spec)
+        cold = fetch(cache, spec)
+        warm = fetch(cache, spec)
         assert cache.hits == 1
         assert_results_identical(cold, warm)
         assert cache.stats()["root"] is None
 
     def test_clear_and_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.fetch_or_run(small_spec(seed=0))
-        cache.fetch_or_run(small_spec(seed=1))
+        fetch(cache, small_spec(seed=0))
+        fetch(cache, small_spec(seed=1))
         stats = cache.stats()
         assert stats["disk_entries"] == 2
         assert stats["disk_bytes"] > 0
@@ -298,9 +292,9 @@ class TestResultCache:
 
     def test_purge_stale_removes_only_other_versions(self, tmp_path):
         current = ResultCache(tmp_path)
-        current.fetch_or_run(small_spec(seed=0))
+        fetch(current, small_spec(seed=0))
         old = ResultCache(tmp_path, schema_version=ENGINE_SCHEMA_VERSION - 1)
-        old.fetch_or_run(small_spec(seed=0))  # different key: old-version entry
+        fetch(old, small_spec(seed=0))  # different key: old-version entry
         assert current.stats()["disk_entries"] == 2
         assert current.purge_stale() == 1
         assert current.stats()["disk_entries"] == 1
@@ -309,7 +303,7 @@ class TestResultCache:
     def test_in_flight_temp_files_stay_out_of_entry_namespace(self, tmp_path):
         # stats()/clear() glob "*.json"; writer temp files must not match it.
         cache = ResultCache(tmp_path)
-        cache.fetch_or_run(small_spec(seed=0))
+        fetch(cache, small_spec(seed=0))
         (tmp_path / "tmpabc123.json.tmp").write_text("{}")
         (tmp_path / "tmpabc123.npz.tmp").write_bytes(b"")
         assert cache.stats()["disk_entries"] == 1
@@ -360,7 +354,7 @@ class TestRunBatch:
 
 
 def build_cached_sweep_spec(params):
-    """Module-level builder (parallel_sweep requires picklability)."""
+    """Sweep builder: one small clique spec per grid point."""
     return ScenarioSpec(
         dynamics="3-majority",
         initial="paper-biased",
@@ -386,30 +380,17 @@ class TestSweepCacheWiring:
             assert_results_identical(b.ensemble, c.ensemble)
             assert_results_identical(b.ensemble, w.ensemble)
 
-    def test_parallel_sweep_shares_the_cache(self, tmp_path):
-        points = grid(n=[2_000, 4_000])
-        cache = ResultCache(tmp_path)
-        seq = sweep(points, build_cached_sweep_spec, cache=cache, **self.KW)
-        par = parallel_sweep(
-            points, build_cached_sweep_spec, cache=cache, processes=1, **self.KW
-        )
-        # The parallel pass is warm: the sequential pass populated the cache.
-        assert cache.hits == 2
-        for s, p in zip(seq, par):
-            assert_results_identical(s.ensemble, p.ensemble)
-
     def test_cache_hit_cannot_bypass_adversary_guard(self, tmp_path):
         from repro import TargetedAdversary
 
         points = grid(n=[2_000])
         cache = ResultCache(tmp_path)
-        parallel_sweep(points, build_cached_sweep_spec, cache=cache, processes=1, **self.KW)
+        sweep(points, build_cached_sweep_spec, cache=cache, **self.KW)
         with pytest.raises(ValueError, match="adversary_for"):
-            parallel_sweep(
+            sweep(
                 points,
                 build_cached_sweep_spec,
                 cache=cache,
-                processes=1,
                 adversary_for=lambda p: TargetedAdversary(5),
                 **self.KW,
             )
@@ -440,9 +421,9 @@ class TestGraphSpecServing:
         direct = simulate_ensemble(spec)
         assert direct.trace is not None
         cache = ResultCache(tmp_path)
-        cold = cache.fetch_or_run(spec)
-        warm = cache.fetch_or_run(spec)
-        disk = ResultCache(tmp_path).fetch_or_run(spec)  # cold process, disk layer
+        cold = fetch(cache, spec)
+        warm = fetch(cache, spec)
+        disk = fetch(ResultCache(tmp_path), spec)  # cold process, disk layer
         for replay in (cold, warm, disk):
             assert_results_identical(direct, replay)
         assert disk.trace.digest() == direct.trace.digest()
@@ -583,13 +564,14 @@ class TestExecutorResilience:
         assert sum(report.retries.values()) == 1
         assert_results_identical(report.results[0], baseline.results[0])
 
-    def test_crash_every_attempt_exhausts_bounded(self):
+    def test_crash_every_attempt_exhausts_bounded(self, monkeypatch):
         from repro import faults
         from repro.serve.executor import WorkerPoolError
 
+        monkeypatch.setattr(executor_module, "MAX_ATTEMPTS", 2)
         faults.arm({"rules": [{"point": "executor.worker-crash", "probability": 1.0}]})
         with pytest.raises(WorkerPoolError, match="after 2 attempts"):
-            run_batch([small_spec()], processes=1, max_attempts=2)
+            run_batch([small_spec()], processes=1)
 
     def test_worker_exception_becomes_item_envelope(self, monkeypatch):
         import repro.serve.executor as executor_module
@@ -633,12 +615,12 @@ class TestExecutorResilience:
         # InjectedFault models infrastructure failure: it must stay
         # retryable, never become a deterministic per-item envelope.
         from repro import faults
-        from repro.serve.executor import _run_shard
+        from repro.serve.executor import _run_task
 
         spec = small_spec()
         faults.arm({"rules": [{"point": "executor.worker-crash", "probability": 1.0}]})
         with pytest.raises(faults.InjectedWorkerCrash):
-            _run_shard([(cache_key(spec), spec.to_json(indent=None))])
+            _run_task(spec.to_json(indent=None), None)
 
     def test_backoff_delay_deterministic_and_capped(self):
         import random
@@ -649,6 +631,123 @@ class TestExecutorResilience:
         b = [backoff_delay(i, random.Random(0)) for i in range(12)]
         assert a == b
         assert all(delay <= BACKOFF_CAP_SECONDS * 1.5 for delay in a)
+
+
+class TestExecutor:
+    """The one execution core: coalescing, pooled retry, abandoned callers."""
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self):
+        faults.disarm()
+        yield
+        faults.disarm()
+
+    @pytest.fixture
+    def gate(self, monkeypatch):
+        """Hold every in-process run until ``release`` is set."""
+        release = threading.Event()
+        real = executor_module._run_task
+
+        def held(*args):
+            if not release.wait(60):
+                raise RuntimeError("gate never opened")
+            return real(*args)
+
+        monkeypatch.setattr(executor_module, "_run_task", held)
+        yield release
+        release.set()
+
+    def test_concurrent_duplicate_submits_run_once(self, gate):
+        spec = small_spec(record={"metrics": ["bias"], "every": 1})
+        fan_out = 5
+        with Executor(ResultCache(None)) as executor:
+            futures = [executor.submit(spec) for _ in range(fan_out)]
+            gate.set()
+            outcomes = [future.result(timeout=60) for future in futures]
+            assert executor.runs == 1
+            assert executor.coalesced == fan_out - 1
+        assert [source for _, source, _ in outcomes] == ["run"] + ["coalesced"] * (fan_out - 1)
+        assert len({result.trace.digest() for _, _, result in outcomes}) == 1
+        assert_results_identical(outcomes[0][2], simulate_ensemble(spec))
+
+    def test_threaded_duplicate_submits_coalesce_exactly(self, gate):
+        # Many threads race submit() on a few keys while the runs are held:
+        # a lost update on the in-flight table would start a second run.
+        import sys
+
+        specs = [small_spec(seed=s, n=1_000) for s in range(4)]
+        threads_n, per_thread = 8, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Executor(ResultCache(None)) as executor:
+                futures: list = []
+
+                def hammer(offset: int) -> None:
+                    for i in range(per_thread):
+                        futures.append(executor.submit(specs[(offset + i) % len(specs)]))
+
+                threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                gate.set()
+                outcomes = [future.result(timeout=60) for future in futures]
+                assert executor.runs == len(specs)
+                assert executor.coalesced == threads_n * per_thread - len(specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(source for _, source, _ in outcomes).count("run") == len(specs)
+
+    def test_abandoned_caller_does_not_cancel_the_run(self, gate):
+        spec = small_spec()
+        cache = ResultCache(None)
+        with Executor(cache) as executor:
+            first = executor.submit(spec)
+            follower = executor.submit(spec)
+            assert first.cancel()  # the first caller gives up
+            gate.set()
+            key, source, result = follower.result(timeout=60)
+            assert source == "coalesced"
+            assert executor.runs == 1 and executor._inflight == {}
+        assert cache.get(key) is not None  # finished and cached all the same
+
+    def test_seed_override_keys_and_runs_the_stream(self):
+        stream = derive_seed(7, "exp", 0)
+        spec = small_spec()
+        with Executor(ResultCache(None)) as executor:
+            key, _, result = executor.submit(spec, seed=stream).result()
+        assert key == cache_key(spec, seed=stream)
+        from repro.core.rng import make_rng
+
+        assert_results_identical(result, simulate_ensemble(spec, rng=make_rng(stream)))
+
+    def test_a_lost_pool_is_replaced_once(self):
+        # Every run that lost a broken or stalled pool asks for a new one;
+        # only the first request replaces it.  (No worker is spawned here.)
+        with Executor(workers=1) as executor:
+            lost = executor._pool
+            executor._replace_pool(lost)
+            fresh = executor._pool
+            executor._replace_pool(lost)
+            assert fresh is not lost and executor._pool is fresh
+
+    def test_pooled_crash_retries_on_the_same_pool(self, monkeypatch):
+        # Spawned workers arm the plan from the environment, so every fresh
+        # worker crashes its first task.  Retrying on the same pool reaches
+        # a worker that already fired; respawning would replay the crash.
+        monkeypatch.setenv(
+            faults.ENV_VAR,
+            '{"rules":[{"point":"executor.worker-crash","nth":1,"times":1}]}',
+        )
+        specs = [small_spec(seed=s) for s in range(4)]
+        report = run_batch(specs, processes=2)
+        assert report.errors == [None] * 4
+        assert report.retries and set(report.retries.values()) == {1}
+        for spec, result in zip(specs, report.results):
+            assert_results_identical(result, simulate_ensemble(spec))
 
 
 class TestCacheQuarantine:
@@ -675,7 +774,7 @@ class TestCacheQuarantine:
 
         spec = small_spec(record={"metrics": ["bias"], "every": 1})
         cache = ResultCache(tmp_path / "cache")
-        original = cache.fetch_or_run(spec)
+        original = fetch(cache, spec)
         key = cache.key_for(spec)
         self._corrupt(cache, key)
         cache._memory.clear()  # force the disk read path
@@ -691,7 +790,7 @@ class TestCacheQuarantine:
 
         # Recompute and re-store: bit-identical to the original, including
         # the trace digest.
-        recomputed = cache.fetch_or_run(spec)
+        recomputed = fetch(cache, spec)
         assert_results_identical(recomputed, original)
         assert recomputed.trace.digest() == original.trace.digest()
         cache._memory.clear()
@@ -701,7 +800,7 @@ class TestCacheQuarantine:
     def test_corrupt_manifest_quarantines(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        cache.fetch_or_run(spec)
+        fetch(cache, spec)
         key = cache.key_for(spec)
         cache._paths(key)[0].write_text("{not json", encoding="utf-8")
         cache._memory.clear()
@@ -711,7 +810,7 @@ class TestCacheQuarantine:
     def test_checksum_recorded_at_write_time(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        cache.fetch_or_run(spec)
+        fetch(cache, spec)
         key = cache.key_for(spec)
         manifest = json.loads(cache._paths(key)[0].read_text(encoding="utf-8"))
         import hashlib
@@ -724,7 +823,7 @@ class TestCacheQuarantine:
 
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        cache.fetch_or_run(spec)
+        fetch(cache, spec)
         key = cache.key_for(spec)
         cache._memory.clear()
         faults.arm({"rules": [{"point": "cache.read-error", "nth": 1, "times": 1}]})
@@ -740,7 +839,7 @@ class TestCacheQuarantine:
 
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        original = cache.fetch_or_run(spec)
+        original = fetch(cache, spec)
         key = cache.key_for(spec)
         cache._memory.clear()
         faults.arm(
@@ -749,13 +848,13 @@ class TestCacheQuarantine:
         assert cache.get(key) is None  # the fault corrupted the real file
         assert cache.quarantined == 1
         assert ((tmp_path / "cache") / QUARANTINE_DIR).is_dir()
-        recomputed = cache.fetch_or_run(spec)
+        recomputed = fetch(cache, spec)
         assert_results_identical(recomputed, original)
 
     def test_legacy_entry_without_checksum_still_serves(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        original = cache.fetch_or_run(spec)
+        original = fetch(cache, spec)
         key = cache.key_for(spec)
         manifest_path = cache._paths(key)[0]
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -768,7 +867,7 @@ class TestCacheQuarantine:
     def test_clear_also_empties_quarantine(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        cache.fetch_or_run(spec)
+        fetch(cache, spec)
         key = cache.key_for(spec)
         self._corrupt(cache, key)
         cache._memory.clear()

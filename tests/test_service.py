@@ -1,4 +1,4 @@
-"""Tests for the network-facing service: HTTP framing, coalescing, sharding,
+"""Tests for the network-facing service: HTTP framing, coalescing, deadlines,
 the load harness, and end-to-end bit-identity against the library."""
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from repro import ResultCache, ScenarioSpec, cache_key, simulate_ensemble
+import repro.serve.executor as executor_module
+from repro import ResultCache, ScenarioSpec, cache_key, faults, simulate_ensemble
 from repro.service import (
     BackgroundServer,
     ScenarioService,
     ServiceClient,
     ServiceError,
-    ShardMap,
 )
 from repro.service.app import LatencyHistogram
 from repro.service.http import HttpError, encode_response
@@ -57,49 +57,28 @@ def client(server):
         yield c
 
 
-class TestShardMap:
-    def test_deterministic_and_total(self):
-        ring = ShardMap(["a", "b", "c"])
-        keys = [f"{i:064x}" for i in range(200)]
-        owners = [ring.owner_of(k) for k in keys]
-        assert owners == [ShardMap(["c", "a", "b"]).owner_of(k) for k in keys]
-        assert set(owners) <= {"a", "b", "c"}
+@pytest.fixture()
+def gate(monkeypatch):
+    """Hold every in-process run until ``release`` is set (threads mode only)."""
+    started, release = threading.Event(), threading.Event()
+    real = executor_module._run_task
 
-    def test_reasonable_balance(self):
-        ring = ShardMap(["a", "b", "c", "d"])
-        keys = [f"{i:064x}" for i in range(4_000)]
-        counts = {}
-        for key in keys:
-            owner = ring.owner_of(key)
-            counts[owner] = counts.get(owner, 0) + 1
-        for node, count in counts.items():
-            assert 0.5 * 1_000 < count < 2.0 * 1_000, (node, counts)
+    def held(*args):
+        started.set()
+        if not release.wait(60):
+            raise RuntimeError("gate never opened")
+        return real(*args)
 
-    def test_adding_a_node_moves_few_keys(self):
-        keys = [f"{i:064x}" for i in range(2_000)]
-        before = ShardMap(["a", "b", "c"])
-        after = ShardMap(["a", "b", "c", "d"])
-        moved = sum(
-            1
-            for k in keys
-            if before.owner_of(k) != after.owner_of(k)
-        )
-        # Consistent hashing: ~1/4 of keys move to the new node, not ~3/4.
-        assert moved < len(keys) * 0.45
-        for k in keys:
-            if before.owner_of(k) != after.owner_of(k):
-                assert after.owner_of(k) == "d"
+    monkeypatch.setattr(executor_module, "_run_task", held)
+    yield started, release
+    release.set()
 
-    def test_assignments_partition_keys(self):
-        ring = ShardMap(["x", "y"])
-        keys = [f"{i:064x}" for i in range(100)]
-        counts = ring.assignments(keys)
-        assert set(counts) == {"x", "y"}
-        assert sum(counts.values()) == len(keys)
 
-    def test_rejects_empty_ring(self):
-        with pytest.raises(ValueError):
-            ShardMap([])
+def wait_until(predicate, timeout: float = 30.0) -> None:
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, "condition not reached in time"
+        time.sleep(0.01)
 
 
 class TestLatencyHistogram:
@@ -237,7 +216,6 @@ class TestEndpoints:
         per = stats["requests"]["POST /v1/simulate"]
         assert per["count"] >= 1
         assert per["p95_ms"] is not None
-        assert stats["shards"]["nodes"] == ["local"]
 
     def test_batch_mixed_valid_invalid_and_dedup(self, client):
         good = spec_dict(seed=15)
@@ -260,15 +238,8 @@ class TestEndpoints:
 
 
 class TestCoalescing:
-    def test_concurrent_duplicates_run_once(self):
+    def test_concurrent_duplicates_run_once(self, gate):
         service = ScenarioService(cache=ResultCache(None), workers=0)
-        real_execute = service._execute
-
-        async def slow_execute(key, spec):
-            await asyncio.sleep(0.3)  # hold the in-flight window open
-            return await real_execute(key, spec)
-
-        service._execute = slow_execute
         spec = spec_dict(seed=17)
         fan_out = 4
         payloads: list[dict] = []
@@ -281,10 +252,13 @@ class TestCoalescing:
             except BaseException as exc:  # noqa: BLE001 — surfaced via the assert
                 errors.append(exc)
 
+        _started, release = gate
         with BackgroundServer(service) as srv:
             threads = [threading.Thread(target=one_request) for _ in range(fan_out)]
             for t in threads:
                 t.start()
+            wait_until(lambda: service.executor.coalesced == fan_out - 1)
+            release.set()
             for t in threads:
                 t.join(timeout=120)
             with ServiceClient("127.0.0.1", srv.port) as c:
@@ -297,14 +271,13 @@ class TestCoalescing:
         digests = {p["trace"]["digest"] for p in payloads}
         assert len(digests) == 1  # every follower saw the owner's bits
 
-    def test_coalesced_failure_propagates_to_followers(self):
+    def test_coalesced_failure_propagates_to_followers(self, gate, monkeypatch):
         service = ScenarioService(cache=ResultCache(None), workers=0)
 
-        async def exploding_execute(key, spec):
-            await asyncio.sleep(0.2)
+        def exploding(spec, **kwargs):
             raise RuntimeError("engine exploded")
 
-        service._execute = exploding_execute
+        monkeypatch.setattr(executor_module, "simulate_ensemble", exploding)
         spec = spec_dict(seed=18)
         statuses: list[int] = []
 
@@ -316,10 +289,13 @@ class TestCoalescing:
                 except ServiceError as exc:
                     statuses.append(exc.status)
 
+        _started, release = gate
         with BackgroundServer(service) as srv:
             threads = [threading.Thread(target=one_request) for _ in range(3)]
             for t in threads:
                 t.start()
+            wait_until(lambda: service.executor.coalesced == 2)
+            release.set()
             for t in threads:
                 t.join(timeout=60)
         assert statuses == [500, 500, 500]
@@ -341,25 +317,58 @@ class TestProcessPoolWorkers:
         assert left["trace"]["digest"] == right["trace"]["digest"]
 
 
-class TestShardRouting:
-    def test_remote_owner_still_served_but_counted(self):
-        spec = spec_dict(seed=20)
-        key = cache_key(ScenarioSpec.from_dict(spec))
-        ring = ShardMap(["local", "other"])
-        owner = ring.owner_of(key)
-        service = ScenarioService(
-            cache=ResultCache(None),
-            workers=0,
-            shards=["local", "other"],
-            shard_self="local",
+class TestPooledExecution:
+    """``workers >= 1``: one persistent spawn pool behind the service."""
+
+    @pytest.fixture(autouse=True)
+    def _disarmed(self):
+        faults.disarm()
+        yield
+        faults.disarm()
+
+    def test_pooled_crash_answers_200_after_one_retry(self, monkeypatch):
+        # The spawned worker arms the plan from the environment and crashes
+        # its first task; the retry runs on the same (live) worker.
+        monkeypatch.setenv(
+            faults.ENV_VAR,
+            '{"rules":[{"point":"executor.worker-crash","nth":1,"times":1}]}',
         )
+        service = ScenarioService(cache=ResultCache(None), workers=1)
         with BackgroundServer(service) as srv:
-            with ServiceClient("127.0.0.1", srv.port) as c:
-                payload = c.simulate(spec)
+            with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as c:
+                payload = c.simulate(spec_dict(seed=21, n=2_000, replicas=4))
                 stats = c.stats()
-        assert payload["shard"] == owner
-        expected_remote = 1 if owner != "local" else 0
-        assert stats["remote_shard_requests"] == expected_remote
+        assert payload["source"] == "run"
+        assert stats["worker_retries"] == 1
+
+    def test_cache_hit_answers_while_a_miss_is_held_in_the_worker(self, monkeypatch):
+        monkeypatch.setenv(
+            faults.ENV_VAR,
+            '{"rules":[{"point":"executor.worker-stall","nth":1,"times":1,'
+            '"params":{"seconds":4.0}}]}',
+        )
+        cache = ResultCache(None)
+        hit_spec = spec_dict(seed=22, n=2_000, replicas=4)
+        hit = ScenarioSpec.from_dict(hit_spec)
+        cache.put(cache_key(hit), simulate_ensemble(hit))
+        service = ScenarioService(cache=cache, workers=1)
+        finished: dict[str, float] = {}
+
+        def miss():
+            with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as c:
+                assert c.simulate(spec_dict(seed=23, n=2_000, replicas=4))["source"] == "run"
+            finished["miss"] = time.perf_counter()
+
+        with BackgroundServer(service) as srv:
+            thread = threading.Thread(target=miss)
+            thread.start()
+            wait_until(lambda: service.executor._inflight)  # the miss is in flight
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                assert c.simulate(hit_spec)["source"] == "cache"
+            finished["hit"] = time.perf_counter()
+            assert "miss" not in finished  # still held in the stalled worker
+            thread.join(timeout=120)
+        assert finished["hit"] < finished["miss"]
 
 
 class TestCorpus:
@@ -451,20 +460,14 @@ class TestServiceResilience:
         yield
         faults.disarm()
 
-    def test_injected_owner_crash_rejects_all_followers_same_envelope(self):
+    def test_injected_owner_crash_rejects_all_followers_same_envelope(self, gate, monkeypatch):
         # Every attempt crashes → bounded retries exhaust → the owner AND
         # every coalesced follower get the same 500 envelope, and the
         # in-flight table is left clean.
         from repro import faults
 
-        service = ScenarioService(cache=ResultCache(None), workers=0, worker_attempts=2)
-        real_execute = service._execute
-
-        async def slow_then_real(key, spec):
-            await asyncio.sleep(0.3)  # hold the coalescing window open
-            return await real_execute(key, spec)
-
-        service._execute = slow_then_real
+        monkeypatch.setattr(executor_module, "MAX_ATTEMPTS", 2)
+        service = ScenarioService(cache=ResultCache(None), workers=0)
         faults.arm({"rules": [{"point": "executor.worker-crash", "probability": 1.0}]})
         spec = spec_dict(seed=41)
         outcomes: list[tuple[int, dict]] = []
@@ -477,10 +480,13 @@ class TestServiceResilience:
                 except ServiceError as exc:
                     outcomes.append((exc.status, exc.body.get("error", {})))
 
+        _started, release = gate
         with BackgroundServer(service) as srv:
             threads = [threading.Thread(target=one_request) for _ in range(3)]
             for t in threads:
                 t.start()
+            wait_until(lambda: service.executor.coalesced == 2)
+            release.set()
             for t in threads:
                 t.join(timeout=60)
         statuses = sorted(status for status, _ in outcomes)
@@ -488,7 +494,7 @@ class TestServiceResilience:
         envelopes = {json.dumps(envelope, sort_keys=True) for _, envelope in outcomes}
         assert len(envelopes) == 1  # followers see the owner's exact envelope
         assert outcomes[0][1]["type"] == "WorkerPoolError"
-        assert service._inflight == {}
+        assert service.executor._inflight == {}
 
     def test_worker_crash_recovers_transparently(self):
         # A sub-certain crash probability: retries absorb every crash and
@@ -503,35 +509,29 @@ class TestServiceResilience:
             with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
                 payloads = [c.simulate(spec_dict(seed=s)) for s in range(6)]
         assert all(p["source"] == "run" for p in payloads)
-        assert service.worker_retries > 0  # the plan did fire
+        assert service.executor.worker_retries > 0  # the plan did fire
 
-    def test_config_deadline_yields_504(self):
+    def test_config_deadline_yields_504(self, gate):
         service = ScenarioService(
             cache=ResultCache(None), workers=0, deadline_seconds=0.15
         )
-
-        async def stuck_execute(key, spec):
-            await asyncio.sleep(30)
-
-        service._execute = stuck_execute
+        _started, release = gate
         with BackgroundServer(service) as srv:
             with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
                 with pytest.raises(ServiceError) as err:
                     c.simulate(spec_dict(seed=42))
-        assert err.value.status == 504
-        assert err.value.body["error"]["type"] == "DeadlineExceeded"
-        assert service.deadline_hits == 1
-        assert service._inflight == {}
+            assert err.value.status == 504
+            assert err.value.body["error"]["type"] == "DeadlineExceeded"
+            assert service.deadline_hits == 1
+            # The deadline bounded the wait, not the run: it still finishes.
+            release.set()
+            wait_until(lambda: service.executor.runs == 1)
+        assert service.executor._inflight == {}
 
-    def test_header_deadline_overrides_config(self):
+    def test_header_deadline_overrides_config(self, gate):
         import http.client
 
         service = ScenarioService(cache=ResultCache(None), workers=0)
-
-        async def stuck_execute(key, spec):
-            await asyncio.sleep(30)
-
-        service._execute = stuck_execute
         with BackgroundServer(service) as srv:
             conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=60.0)
             try:
@@ -548,6 +548,7 @@ class TestServiceResilience:
                 body = json.loads(response.read())
             finally:
                 conn.close()
+            gate[1].set()
         assert response.status == 504
         assert body["error"]["type"] == "DeadlineExceeded"
 
@@ -570,21 +571,15 @@ class TestServiceResilience:
                 conn.close()
         assert response.status == 400
 
-    def test_owner_deadline_rejects_followers_with_504(self):
+    def test_owner_deadline_leaves_followers_served(self, gate):
         # The owner carries a short x-deadline-ms; the followers have no
-        # deadline of their own.  When the owner's budget expires, the
-        # shared future is cancelled and the followers must see a typed
-        # OwnerCancelled 504 — not hang on work nobody is running.
+        # deadline of their own.  The owner's deadline bounds only its own
+        # wait: it answers 504, while the run it started finishes and the
+        # coalesced followers get 200 from that one run.
         import http.client
 
         service = ScenarioService(cache=ResultCache(None), workers=0)
-        started = threading.Event()
-
-        async def stuck_execute(key, spec):
-            started.set()
-            await asyncio.sleep(30)
-
-        service._execute = stuck_execute
+        started, release = gate
         spec = spec_dict(seed=45)
         owner_result: list[tuple[int, str]] = []
         follower_results: list[tuple[int, str]] = []
@@ -609,41 +604,31 @@ class TestServiceResilience:
 
         def follower():
             with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
-                try:
-                    c.simulate(spec)
-                    follower_results.append((200, ""))
-                except ServiceError as exc:
-                    follower_results.append(
-                        (exc.status, exc.body["error"]["type"])
-                    )
+                payload = c.simulate(spec)
+                follower_results.append((200, payload["source"]))
 
         with BackgroundServer(service) as srv:
             owner_thread = threading.Thread(target=owner)
             owner_thread.start()
-            started.wait(timeout=10)  # the owner holds the in-flight entry
+            started.wait(timeout=10)  # the owner's run holds the in-flight entry
             followers = [threading.Thread(target=follower) for _ in range(2)]
             for t in followers:
                 t.start()
+            wait_until(lambda: service.executor.coalesced == 2)
             owner_thread.join(timeout=60)
+            release.set()
             for t in followers:
                 t.join(timeout=60)
+            with ServiceClient("127.0.0.1", srv.port) as c:
+                stats = c.stats()
         assert owner_result == [(504, "DeadlineExceeded")]
-        assert follower_results == [(504, "OwnerCancelled")] * 2
-        assert service._inflight == {}
+        assert follower_results == [(200, "coalesced")] * 2
+        assert stats["runs"] == 1
+        assert service.executor._inflight == {}
 
-    def test_backpressure_sheds_with_429_and_retry_after(self):
+    def test_backpressure_sheds_with_429_and_retry_after(self, gate):
         service = ScenarioService(cache=ResultCache(None), workers=0, max_in_flight=1)
-        release = asyncio.Event()
-        real_execute = service._execute
-
-        occupied = threading.Event()
-
-        async def gated_execute(key, spec):
-            occupied.set()  # the slot is genuinely taken once we get here
-            await release.wait()
-            return await real_execute(key, spec)
-
-        service._execute = gated_execute
+        occupied, release = gate  # the slot is genuinely taken once the run starts
         shed_status: list[int] = []
         retry_after: list[float | None] = []
 
@@ -665,23 +650,47 @@ class TestServiceResilience:
                         retry_after.append(c.last_retry_after)
                         break
                     time.sleep(0.01)
-            srv._loop.call_soon_threadsafe(release.set)
+            release.set()
             thread.join(timeout=60)
         assert shed_status == [429]
         assert retry_after == [1.0]
         assert service.shed >= 1
 
-    def test_drain_rejects_new_work_finishes_in_flight(self):
+    def test_probes_do_not_count_toward_max_in_flight(self):
+        # A health/stats probe in flight must not make the work cap shed
+        # real work: only simulate and batch requests count.
+        cache = ResultCache(None)
+        entered, release = threading.Event(), threading.Event()
+        real_stats = cache.stats
+
+        def slow_stats():
+            entered.set()
+            release.wait(30)
+            return real_stats()
+
+        cache.stats = slow_stats
+        service = ScenarioService(cache=cache, workers=0, max_in_flight=1)
+
+        def stats_probe():
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                c.stats()
+
+        with BackgroundServer(service) as srv:
+            probe = threading.Thread(target=stats_probe)
+            probe.start()
+            try:
+                assert entered.wait(timeout=10)  # /v1/stats is in flight
+                with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                    payload = c.simulate(spec_dict(seed=55))
+            finally:
+                release.set()
+                probe.join(timeout=30)
+        assert payload["source"] == "run"
+        assert service.shed == 0
+
+    def test_drain_rejects_new_work_finishes_in_flight(self, gate):
         service = ScenarioService(cache=ResultCache(None), workers=0)
-        started = threading.Event()
-        real_execute = service._execute
-
-        async def slow_execute(key, spec):
-            started.set()
-            await asyncio.sleep(0.5)
-            return await real_execute(key, spec)
-
-        service._execute = slow_execute
+        started, release = gate
         results: list[dict] = []
 
         def in_flight_request():
@@ -707,6 +716,7 @@ class TestServiceResilience:
                 draining_type = exc.body["error"]["type"]
             finally:
                 survivor.close()
+            release.set()
             drained = future.result(timeout=30)
             thread.join(timeout=60)
         assert draining_status == 503
@@ -833,20 +843,11 @@ class TestClientResilience:
             with pytest.raises(ServiceUnavailable):
                 c.health()
 
-    def test_retry_policy_recovers_from_shed(self):
+    def test_retry_policy_recovers_from_shed(self, gate):
         from repro.service.client import RetryPolicy
 
         service = ScenarioService(cache=ResultCache(None), workers=0, max_in_flight=1)
-        release = asyncio.Event()
-        occupied = threading.Event()
-        real_execute = service._execute
-
-        async def gated_execute(key, spec):
-            occupied.set()
-            await release.wait()
-            return await real_execute(key, spec)
-
-        service._execute = gated_execute
+        occupied, release = gate
 
         def occupant():
             with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
@@ -859,7 +860,7 @@ class TestClientResilience:
 
             def releaser():
                 time.sleep(0.4)
-                srv._loop.call_soon_threadsafe(release.set)
+                release.set()
 
             release_thread = threading.Thread(target=releaser)
             release_thread.start()

@@ -216,19 +216,6 @@ class TestRunProcessIntegration:
         with pytest.raises(TypeError, match="StoppingRule"):
             run_process(ThreeMajority(), Configuration.biased(100, 2, 10), rng=0, stopping=3.5)
 
-    def test_deprecation_shim_matches_new_rule(self):
-        cfg = Configuration.biased(20_000, 4, 2_000)
-        with pytest.warns(DeprecationWarning, match="stop_at_plurality_fraction"):
-            old = run_process(
-                ThreeMajority(), cfg, rng=5, stop_at_plurality_fraction=0.5, max_rounds=10_000
-            )
-        new = run_process(
-            ThreeMajority(), cfg, rng=5, stopping=PluralityFractionStop(0.5), max_rounds=10_000
-        )
-        assert old.rounds == new.rounds
-        assert old.stopped_by == new.stopped_by
-        assert np.array_equal(old.final_counts, new.final_counts)
-
 
 class TestRunEnsembleIntegration:
     def test_stopped_by_labels_batched(self):
