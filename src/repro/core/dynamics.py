@@ -54,10 +54,20 @@ HPlurality             auto: counts for h ≤ 5   composition enumeration,
                        table stays small,       ``engine="counts"`` forces
                        agent otherwise          it, ``"agent"`` forbids it
 TwoSampleUniform       counts (law = c/n)       fixed
-Voter / TwoChoices     counts                   fixed
-MedianDynamics         counts (class-wise       fixed, O(k²) law
-                       product of multinomials)
-UndecidedState         counts (product form)    fixed, extra state slot
+Voter                  counts                   fixed
+TwoChoices,            counts (class-wise       fixed, O(k²) law per row;
+MedianDynamics         product of multinomials) ``step_many`` draws every
+                                                class of a chunk of rows in
+                                                one call, bit-identical to
+                                                looping ``step`` over rows
+                                                (shared base class
+                                                ``ClasswiseDynamics``)
+UndecidedState         counts (product form)    fixed, extra state slot;
+                                                ``step_many`` computes the
+                                                laws of a chunk of rows at
+                                                once, keeps two draws per
+                                                row (bit-identical to the
+                                                per-row loop)
 =====================  =======================  ===========================
 
 Orthogonal to the law engine, :func:`repro.core.process.run_ensemble`
@@ -109,10 +119,18 @@ import numpy as np
 
 from .samplers import multinomial_step, multinomial_step_batch
 
-__all__ = ["Dynamics", "CountsDynamics"]
+__all__ = ["Dynamics", "CountsDynamics", "ClasswiseDynamics"]
 
 #: Recognised values for the ``engine=`` keyword of selectable dynamics.
 ENGINES = ("auto", "counts", "agent")
+
+#: Upper bound on the cells one chunk of rows of a replica-batched kernel
+#: materialises per temporary (128 KiB of float64): ``rows * k * k`` for
+#: :meth:`ClasswiseDynamics.step_many`, ``rows * slots`` for
+#: :meth:`repro.core.undecided.UndecidedState.step_many`.  It bounds memory
+#: at any ``k`` and keeps a chunk's laws cache-sized at large ``k``; a
+#: single row always fits, however large.
+CHUNK_CELLS = 1 << 14
 
 
 def validate_engine(engine: str) -> str:
@@ -231,3 +249,54 @@ class CountsDynamics(Dynamics):
         totals = counts.sum(axis=1)
         laws = self.color_law_batch(counts)
         return multinomial_step_batch(totals, laws, rng)
+
+
+class ClasswiseDynamics(CountsDynamics):
+    """Dynamics whose next color also depends on the agent's own color.
+
+    Subclasses implement :meth:`class_transition_matrix`: ``M[i, j]`` is
+    the probability that a class-``i`` agent holds color ``j`` next.  The
+    next configuration is then the sum of one independent
+    ``Multinomial(c_i, M[i])`` per class, and the exact Markov analysis
+    (:mod:`repro.analysis.markov`), :meth:`step` and :meth:`step_many` all
+    evaluate that one matrix.
+    """
+
+    @abc.abstractmethod
+    def class_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
+        """``(..., k)`` configurations to ``(..., k, k)`` class laws.
+
+        Broadcasts over leading axes (reductions along ``axis=-1``), and
+        raises :class:`ValueError` if any configuration is empty.
+        """
+
+    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.sum() == 0:
+            return counts.copy()
+        mat = self.class_transition_matrix(counts)
+        occupied = np.nonzero(counts)[0]
+        return rng.multinomial(counts[occupied], mat[occupied]).sum(axis=0)
+
+    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Replica-batched :meth:`step`, bit-identical to looping it over rows.
+
+        One ``multinomial`` call per chunk of rows draws every class of
+        every row in row-major order.  NumPy draws nothing for a class of
+        count 0, so the stream is exactly that of the per-row
+        occupied-class calls; rows of zero mass draw nothing and are
+        returned unchanged.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 2:
+            raise ValueError("step_many expects (R, k) counts")
+        out = counts.copy()
+        live = np.flatnonzero(counts.sum(axis=1))
+        k = counts.shape[1]
+        rows = max(1, CHUNK_CELLS // max(1, k * k))
+        for start in range(0, live.size, rows):
+            chunk = live[start : start + rows]
+            block = counts[chunk]
+            draws = rng.multinomial(block, self.class_transition_matrix(block))
+            out[chunk] = draws.sum(axis=1)
+        return out

@@ -16,20 +16,23 @@ Exact counts-level law: for an agent with value ``x`` and sample CDF ``F``
 
 so each current-value class has a closed-form next-value pmf and the next
 configuration is a sum of ``k`` independent multinomials (one per class).
+A replica batch draws all of them in one call per chunk of rows (see
+:class:`~repro.core.dynamics.ClasswiseDynamics`), bit-identical to stepping
+the rows one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CountsDynamics
+from .dynamics import ClasswiseDynamics
 from .registry import DYNAMICS
 
 __all__ = ["MedianDynamics"]
 
 
 @DYNAMICS.register("median", summary="Doerr et al. median rule (the paper's foil)")
-class MedianDynamics(CountsDynamics):
+class MedianDynamics(ClasswiseDynamics):
     """Doerr et al.'s median rule: own value + two uniform samples."""
 
     name = "median"
@@ -38,26 +41,26 @@ class MedianDynamics(CountsDynamics):
     support_closed = True  # the median of three values is one of them
 
     def class_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """``M[x, v]``: probability a class-``x`` agent moves to value ``v``.
+        """``M[..., x, v]``: probability a class-``x`` agent moves to value ``v``.
 
         Built from the two-branch CDF formula above, vectorised over all
-        (x, v) pairs at O(k^2) cost.
+        (x, v) pairs at O(k^2) cost per configuration.
         """
         c = np.asarray(counts, dtype=np.float64)
-        n = c.sum()
-        if n <= 0:
+        n = c.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty configuration has no transition matrix")
-        k = c.size
-        F = np.cumsum(c) / n  # F[v] = P(sample <= v)
+        k = c.shape[-1]
+        F = np.cumsum(c, axis=-1) / n  # F[v] = P(sample <= v)
         vals = np.arange(k)
         # cdf_next[x, v] = P(median(x, A, B) <= v)
         below = F**2  # row used where v < x
         above = 1.0 - (1.0 - F) ** 2  # row used where v >= x
-        cdf_next = np.where(vals[None, :] >= vals[:, None], above[None, :], below[None, :])
-        pmf = np.diff(cdf_next, axis=1, prepend=0.0)
+        cdf_next = np.where(vals[None, :] >= vals[:, None], above[..., None, :], below[..., None, :])
+        pmf = np.diff(cdf_next, axis=-1, prepend=0.0)
         # Clamp tiny negative round-off and renormalise each row.
         pmf = np.clip(pmf, 0.0, None)
-        pmf /= pmf.sum(axis=1, keepdims=True)
+        pmf /= pmf.sum(axis=-1, keepdims=True)
         return pmf
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
@@ -68,19 +71,3 @@ class MedianDynamics(CountsDynamics):
             raise ValueError("empty configuration has no color law")
         mat = self.class_transition_matrix(counts)
         return (c / n) @ mat
-
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        k = counts.size
-        if counts.sum() == 0:
-            return counts.copy()
-        mat = self.class_transition_matrix(counts)
-        occupied = np.nonzero(counts)[0]
-        draws = rng.multinomial(counts[occupied], mat[occupied])
-        return draws.sum(axis=0).astype(np.int64)
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        return np.stack([self.step(row, rng) for row in counts])

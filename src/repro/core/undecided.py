@@ -17,14 +17,16 @@ Experiment E9 reproduces both sides of this comparison.
 State convention: a length ``k+1`` vector, entries ``0..k-1`` the color
 counts and entry ``k`` the undecided count.  The exact engine is O(k) per
 round: each colored class survives by an independent binomial and the
-undecided mass recolors by one multinomial.
+undecided mass recolors by one multinomial.  A replica batch computes
+those laws for a chunk of rows at once and keeps only the two draws per
+row in a loop, so it is bit-identical to stepping the rows one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Dynamics
+from .dynamics import CHUNK_CELLS, Dynamics
 from .registry import DYNAMICS
 from .samplers import multinomial_step
 
@@ -86,10 +88,37 @@ class UndecidedState(Dynamics):
         return np.concatenate([new_c, [new_q]]).astype(np.int64)
 
     def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
+        """Replica-batched :meth:`step`, bit-identical to looping it over rows.
+
+        The survive and pull laws are computed for a chunk of rows at once
+        (chunks bounded by :data:`~repro.core.dynamics.CHUNK_CELLS`);
+        only each row's two draws (its binomials, then its undecided
+        multinomial) stay in the loop, in the order :meth:`step` makes
+        them.  Rows of zero mass draw nothing and are returned unchanged.
+        """
+        states = np.asarray(counts, dtype=np.int64)
+        if states.ndim != 2 or states.shape[1] < 2:
             raise ValueError("step_many expects (R, k+1) states")
-        return np.stack([self.step(row, rng) for row in counts])
+        out = states.copy()
+        live = np.flatnonzero(states.sum(axis=1))
+        rows = max(1, CHUNK_CELLS // states.shape[1])
+        for start in range(0, live.size, rows):
+            chunk = live[start : start + rows]
+            block = states[chunk]
+            n = block.sum(axis=1, keepdims=True)
+            c = block[:, :-1]
+            q = block[:, -1]
+            survive_p = (c + q[:, None]) / n
+            pull_law = np.clip(block / n, 0.0, None)
+            pull_law /= pull_law.sum(axis=1, keepdims=True)
+            new_c = np.empty_like(c)
+            for row in range(chunk.size):
+                new_c[row] = rng.binomial(c[row], survive_p[row])
+                if q[row] > 0:
+                    new_c[row] += rng.multinomial(q[row], pull_law[row])[:-1]
+            out[chunk, :-1] = new_c
+            out[chunk, -1] = n[:, 0] - new_c.sum(axis=1)
+        return out
 
     def class_transition_matrix(self, state: np.ndarray) -> np.ndarray:
         """``M[i, j]`` over the k+1 slots (undecided = last row/column)."""

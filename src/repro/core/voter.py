@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CountsDynamics
+from .dynamics import ClasswiseDynamics, CountsDynamics
 from .registry import DYNAMICS
 
 __all__ = ["Voter", "TwoChoices"]
@@ -39,7 +39,7 @@ class Voter(CountsDynamics):
 
 
 @DYNAMICS.register("two-choices", summary="adopt a doubly-sampled color, else keep own")
-class TwoChoices(CountsDynamics):
+class TwoChoices(ClasswiseDynamics):
     """Two-choices dynamics: adopt a doubly-sampled color, else keep own.
 
     Not a pure anonymous color law — the next color depends on the agent's
@@ -47,7 +47,9 @@ class TwoChoices(CountsDynamics):
     separately: a class-``i`` agent moves to ``j`` with probability
     ``(c_j/n)^2`` for ``j != i`` and stays with the remaining mass.  The
     next configuration is the sum of ``k`` independent multinomials, one
-    per class.
+    per class; :meth:`~repro.core.dynamics.ClasswiseDynamics.step_many`
+    draws them for a whole replica batch in one call per chunk of rows,
+    bit-identical to stepping the rows one by one.
     """
 
     name = "two-choices"
@@ -70,34 +72,15 @@ class TwoChoices(CountsDynamics):
         return f * stay_extra + sq
 
     def class_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """``M[i, j]``: probability a class-``i`` agent has color ``j`` next."""
+        """``M[..., i, j]``: probability a class-``i`` agent has color ``j`` next."""
         c = np.asarray(counts, dtype=np.float64)
-        n = c.sum()
-        if n <= 0:
+        n = c.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty configuration has no transition matrix")
         f = c / n
         sq = f * f
-        k = c.size
-        mat = np.tile(sq, (k, 1))
-        stay = 1.0 - (sq.sum() - sq)  # 1 - sum_{j != i} (c_j/n)^2
-        np.fill_diagonal(mat, stay)
+        k = c.shape[-1]
+        mat = np.repeat(sq[..., None, :], k, axis=-2)
+        diag = np.arange(k)
+        mat[..., diag, diag] = 1.0 - (sq.sum(axis=-1, keepdims=True) - sq)  # 1 - sum_{j != i}
         return mat
-
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        k = counts.size
-        if counts.sum() == 0:
-            return counts.copy()
-        mat = self.class_transition_matrix(counts)
-        out = np.zeros(k, dtype=np.int64)
-        occupied = np.nonzero(counts)[0]
-        # One multinomial per occupied class; k is small on the hot path.
-        draws = rng.multinomial(counts[occupied], mat[occupied])
-        out += draws.sum(axis=0)
-        return out
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        return np.stack([self.step(row, rng) for row in counts])

@@ -150,6 +150,8 @@ def random_regular(n: int, d: int, seed: int | None = None) -> Topology:
 
 def erdos_renyi(n: int, p: float, seed: int | None = None) -> Topology:
     """G(n, p); isolated nodes keep a self-loop-only pool."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erdos-renyi needs 0 <= p <= 1, got p={p}")
     g = nx.fast_gnp_random_graph(n, p, seed=seed)
     return Topology.from_networkx(g, name=f"gnp-{n}-{p}")
 
@@ -190,6 +192,9 @@ def _topology_cycle(n: int) -> Topology:
 
 @TOPOLOGIES.register("torus", summary="periodic rows x cols grid (near-square by default)")
 def _topology_torus(n: int, rows: int | None = None, cols: int | None = None) -> Topology:
+    for side, value in (("rows", rows), ("cols", cols)):
+        if value is not None and int(value) < 1:
+            raise ValueError(f"torus needs {side} >= 1, got {side}={value}")
     if rows is None and cols is None:
         rows, cols = _near_square(n)
     elif rows is None:

@@ -79,7 +79,11 @@ resilience counters (``shed``, ``deadline_hits``,
 ``worker_retries``, ``dropped_connections``, ``draining``, ``limits``,
 ``faults`` — the armed fault plan's trigger state, or ``null``), and
 per-endpoint latency histograms under ``requests``
-(``count``/``errors``/``mean_ms``/``p50_ms``/``p95_ms``/``p99_ms``).
+(``count``/``errors``/``mean_ms``/``min_ms``/``max_ms``/``p50_ms``/``p95_ms``/``p99_ms``).
+``min_ms``/``max_ms`` are exact; each quantile is its log-spaced bucket's
+upper edge clamped into ``[min_ms, max_ms]``, so it never exceeds an
+observed latency.  The latency fields are ``null`` until a request on
+that endpoint completes.
 
 Resilience status codes
 -----------------------

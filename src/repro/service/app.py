@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import re
 import threading
 import time
@@ -126,8 +127,10 @@ class LatencyHistogram:
 
     Buckets grow by √2 from 0.1 ms to ~100 s, so any latency is within
     ~20% of its bucket bound — plenty for p50/p95/p99 reporting without
-    storing per-request samples.  Only touched from the event loop, so it
-    needs no locking.
+    storing per-request samples.  The exact ``min`` and ``max`` are kept
+    too, and every quantile is clamped into ``[min, max]``, so no quantile
+    reports a latency beyond what was observed.  Only touched from the
+    event loop, so it needs no locking.
     """
 
     def __init__(self):
@@ -138,14 +141,18 @@ class LatencyHistogram:
         self._counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def observe(self, seconds: float) -> None:
         self._counts[bisect_left(self._bounds, seconds)] += 1
         self.count += 1
         self.total += seconds
+        self.min = min(self.min, seconds)
+        self.max = max(self.max, seconds)
 
     def quantile(self, q: float) -> float | None:
-        """Upper bucket edge holding the q-quantile (seconds); None when empty."""
+        """Upper edge of the q-quantile's bucket clamped into [min, max] (seconds); None when empty."""
         if self.count == 0:
             return None
         target = q * self.count
@@ -153,8 +160,9 @@ class LatencyHistogram:
         for index, bucket in enumerate(self._counts):
             seen += bucket
             if seen >= target and bucket:
-                return self._bounds[min(index, len(self._bounds) - 1)]
-        return self._bounds[-1]
+                break
+        edge = self._bounds[min(index, len(self._bounds) - 1)]
+        return min(max(edge, self.min), self.max)
 
     def to_dict(self) -> dict[str, object]:
         def _ms(seconds: float | None) -> float | None:
@@ -163,6 +171,8 @@ class LatencyHistogram:
         return {
             "count": self.count,
             "mean_ms": _ms(self.total / self.count) if self.count else None,
+            "min_ms": _ms(self.min) if self.count else None,
+            "max_ms": _ms(self.max) if self.count else None,
             "p50_ms": _ms(self.quantile(0.50)),
             "p95_ms": _ms(self.quantile(0.95)),
             "p99_ms": _ms(self.quantile(0.99)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Configuration, ThreeMajority, majority_rule
+from repro.core.registry import TOPOLOGIES
 from repro.graphs import (
     GraphPluralityProcess,
     GraphState,
@@ -46,6 +47,20 @@ class TestTopology:
     def test_erdos_renyi_isolated_nodes_ok(self):
         topo = erdos_renyi(20, 0.0, seed=0)
         assert (topo.degrees == 1).all()  # self-loop only
+
+    def test_erdos_renyi_p_one_is_complete(self):
+        topo = erdos_renyi(6, 1.0, seed=0)
+        assert (topo.degrees == 6).all()  # 5 neighbors + self
+
+    @pytest.mark.parametrize("p", [-0.5, 1.5, 2.0, float("nan")])
+    def test_erdos_renyi_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="0 <= p <= 1"):
+            erdos_renyi(20, p, seed=0)
+
+    @pytest.mark.parametrize("params", [{"rows": 0}, {"cols": 0}, {"rows": 0, "cols": 12}, {"rows": -3}])
+    def test_torus_rejects_non_positive_sides(self, params):
+        with pytest.raises(ValueError, match=">= 1"):
+            TOPOLOGIES.build("torus", 12, **params)
 
     def test_bipartite_and_barbell(self):
         assert complete_bipartite(3, 4).n == 7

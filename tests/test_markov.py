@@ -122,8 +122,9 @@ class TestSimulatorAgreement:
             (Voter(), (4, 2)),
             (MedianDynamics(), (3, 2, 1)),
             (TwoChoices(), (4, 2)),
+            (UndecidedState(), (3, 2, 1)),  # 2 colors + the undecided slot
         ],
-        ids=["3maj", "voter", "median", "2choices"],
+        ids=["3maj", "voter", "median", "2choices", "undecided"],
     )
     def test_one_round_distribution(self, dynamics, start, rng):
         k = len(start)

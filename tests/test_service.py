@@ -90,11 +90,23 @@ class TestLatencyHistogram:
         assert stats["count"] == 5
         assert 0 < stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"]
         assert stats["p99_ms"] >= 100  # the 200 ms sample dominates the tail
+        assert (stats["min_ms"], stats["max_ms"]) == (1.0, 200.0)
+        assert stats["p99_ms"] == 200.0  # its bucket edge (~205 ms), clamped to the max
 
     def test_empty_histogram(self):
         stats = LatencyHistogram().to_dict()
         assert stats["count"] == 0
         assert stats["p50_ms"] is None
+        assert stats["min_ms"] is None and stats["max_ms"] is None
+
+    def test_lone_request_reports_its_own_latency(self):
+        # 1021 ms falls in the bucket whose upper edge is ~1158 ms; no
+        # quantile may report more than was observed.
+        hist = LatencyHistogram()
+        hist.observe(1.021)
+        stats = hist.to_dict()
+        assert stats["min_ms"] == stats["max_ms"] == 1021.0
+        assert stats["p50_ms"] == stats["p95_ms"] == stats["p99_ms"] == 1021.0
 
 
 class TestHttpLayer:
@@ -196,6 +208,16 @@ class TestEndpoints:
         assert err.value.status == 400
         assert err.value.body["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "topology,params", [("erdos-renyi", {"p": -0.5}), ("torus", {"rows": 0})]
+    )
+    def test_out_of_range_topology_params_are_400(self, client, topology, params):
+        spec = spec_dict(n=120, replicas=2, topology=topology, topology_params=params)
+        with pytest.raises(ServiceError) as err:
+            client.simulate(spec)
+        assert err.value.status == 400
+        assert err.value.body["error"]["type"] == "ValueError"
+
     def test_unseeded_spec_is_rejected(self, client):
         with pytest.raises(ServiceError) as err:
             client.simulate(spec_dict(seed=None))
@@ -216,6 +238,7 @@ class TestEndpoints:
         per = stats["requests"]["POST /v1/simulate"]
         assert per["count"] >= 1
         assert per["p95_ms"] is not None
+        assert 0 < per["min_ms"] <= per["p50_ms"] <= per["max_ms"]
 
     def test_batch_mixed_valid_invalid_and_dedup(self, client):
         good = spec_dict(seed=15)
