@@ -3,7 +3,7 @@
 The acceptance pair for the replica-batched graph engine: stepping an
 (R, n) color matrix through one vectorized CSR gather per round must
 beat the retired per-replica Python loop (re-implemented inline below,
-since ``GraphPluralityProcess.run`` now delegates to the shared engine)
+since every graph runner now steps on the shared loops)
 by >= 5x at n = 10^4, R = 64.  The JSON records both sides and the
 ratio so the trajectory is tracked across PRs.
 """
@@ -20,7 +20,7 @@ from repro import Configuration, ThreeMajority
 from repro.core.rng import spawn_streams
 from repro.core.samplers import row_plurality
 from repro.graphs import Topology, random_regular, run_graph_ensemble
-from repro.graphs.agentsim import random_coloring
+from repro.graphs import random_coloring
 
 N, REPLICAS, ROUNDS, K = 10_000, 64, 8, 32
 

@@ -11,9 +11,10 @@ clique baseline records support size and distance-to-consensus per round
 through ``record=``, and the physical topologies (random-regular, torus,
 cycle) just set the spec's ``topology`` field — the same path as
 ``repro simulate --topology torus``.  All runs share the replica-batched
-graph engine; only the barbell deadlock at the end drops to an explicit
-per-agent color vector, which is what :class:`GraphPluralityProcess`
-is still for.
+graph engine; only the barbell deadlock at the end starts from a
+hand-placed per-agent color vector, which
+:func:`repro.graphs.run_graph_process` accepts in place of a
+configuration.
 
 Run:  python examples/sensor_network.py
 """
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ScenarioSpec, simulate_ensemble
+from repro import HPlurality, ProcessResult, ScenarioSpec, simulate_ensemble
 from repro.analysis import trace_round_means
-from repro.graphs import GraphPluralityProcess, barbell
+from repro.graphs import barbell, run_graph_process
 
 N, K, BIAS = 1_024, 4, 200
 REPLICAS, MAX_ROUNDS = 8, 40_000
@@ -52,6 +53,17 @@ def measure(spec: ScenarioSpec) -> tuple[float, float]:
     ens = simulate_ensemble(spec)
     med = float(np.median(np.where(ens.converged, ens.rounds, MAX_ROUNDS)))
     return ens.plurality_win_rate, med
+
+
+def barbell_deadlock(m: int, *, max_rounds: int = 2_000, seed: int = 7) -> ProcessResult:
+    """3-plurality on two m-cliques joined by one edge, each half unanimous.
+
+    A hand-placed color vector (one color per community), which specs
+    deliberately cannot express.
+    """
+    colors = np.zeros(2 * m, dtype=np.int64)
+    colors[m:] = 1
+    return run_graph_process(HPlurality(3), barbell(m), colors, max_rounds=max_rounds, rng=seed)
 
 
 def main() -> None:
@@ -89,14 +101,8 @@ def main() -> None:
         print(f"{name:>18} | {t_rate:>14.2f} | {t_med:>13.0f}")
 
     # --- community deadlock on the barbell --------------------------------
-    # Needs a hand-placed color vector (each half unanimous), which specs
-    # deliberately cannot express — the agent-level escape hatch.
     m = N // 2
-    topo = barbell(m)
-    colors = np.zeros(2 * m, dtype=np.int64)
-    colors[m:] = 1  # each community starts internally unanimous
-    proc = GraphPluralityProcess(topo, h=3)
-    res = proc.run(colors, k=2, rng=np.random.default_rng(7), max_rounds=2_000)
+    res = barbell_deadlock(m)
     print(
         f"\nbarbell ({m}+{m} communities, opposite unanimous opinions): "
         f"{'consensus in ' + str(res.rounds) + ' rounds' if res.converged else 'no consensus within 2000 rounds'}"

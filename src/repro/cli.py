@@ -49,6 +49,7 @@ import sys
 import time
 
 from .experiments.registry import ALL_EXPERIMENTS, get_experiment
+from .service import __main__ as service_main  # flag definitions only; the stack loads on serve
 
 __all__ = ["main", "build_parser"]
 
@@ -200,51 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the HTTP/JSON scenario service in the foreground"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8321, help="0 picks a free port")
-    serve.add_argument("--cache-dir", default=None)
-    serve.add_argument("--no-cache", action="store_true")
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool width for cache misses (0: in-process threads)",
-    )
-    serve.add_argument(
-        "--memory-entries",
-        type=int,
-        default=None,
-        help="in-memory LRU capacity of the result cache (entries)",
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="default per-request deadline for work endpoints (504 past it)",
-    )
-    serve.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=0,
-        help="shed work requests with 429 past this many in flight (0: unbounded)",
-    )
-    serve.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        help="seconds before a worker attempt counts as stalled and retries",
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=10.0,
-        help="seconds SIGTERM waits for in-flight work before closing",
-    )
-    serve.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm a repro.faults plan: inline JSON or @path/to/plan.json",
-    )
+    service_main.add_arguments(serve)
 
     load = sub.add_parser(
         "load", help="replay the seeded scenario corpus against a service"
@@ -426,19 +383,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ens = simulate_ensemble(spec)
     elapsed = time.perf_counter() - start
     summary = ens.rounds_summary()
-    record = {
-        "spec": spec.to_dict(),
-        "replicas": ens.replicas,
-        "plurality_color": ens.plurality_color,
-        "plurality_win_rate": ens.plurality_win_rate,
-        "convergence_rate": ens.convergence_rate,
-        "rounds": summary,
-        "stop_reasons": ens.stop_reasons(),
-        "trace": _trace_summary(ens.trace),
-        "wall_seconds": elapsed,
-    }
     if args.json:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        record = {
+            "spec": spec.to_dict(),
+            "replicas": ens.replicas,
+            "plurality_color": ens.plurality_color,
+            "plurality_win_rate": _finite_or_none(ens.plurality_win_rate),
+            "convergence_rate": _finite_or_none(ens.convergence_rate),
+            "rounds": {name: _finite_or_none(value) for name, value in summary.items()},
+            "stop_reasons": ens.stop_reasons(),
+            "trace": _trace_summary(ens.trace),
+            "wall_seconds": elapsed,
+        }
+        print(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
         return 0
     engine_note = "" if spec.engine == "auto" else f", engine={spec.engine}"
     print(
@@ -594,28 +551,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"in {summary['wall_seconds']:.2f}s"
     )
     return exit_code
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service.__main__ import main as service_main
-
-    forward = ["--host", args.host, "--port", str(args.port), "--workers", str(args.workers)]
-    if args.cache_dir:
-        forward += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        forward += ["--no-cache"]
-    if args.memory_entries is not None:
-        forward += ["--memory-entries", str(args.memory_entries)]
-    if args.deadline_ms is not None:
-        forward += ["--deadline-ms", str(args.deadline_ms)]
-    if args.max_in_flight:
-        forward += ["--max-in-flight", str(args.max_in_flight)]
-    if args.worker_timeout is not None:
-        forward += ["--worker-timeout", str(args.worker_timeout)]
-    forward += ["--drain-grace", str(args.drain_grace)]
-    if args.fault_plan:
-        forward += ["--fault-plan", args.fault_plan]
-    return service_main(forward)
 
 
 def _parse_server(server: str) -> tuple[str, int]:
@@ -840,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "serve":
-        return _cmd_serve(args)
+        return service_main.serve(args)
     if args.command == "load":
         return _cmd_load(args)
     return 2  # pragma: no cover — argparse enforces the choices

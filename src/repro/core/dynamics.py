@@ -98,6 +98,10 @@ per replica is the full ``(n,)`` color vector, ensembles step an
 per-agent rule is the dynamics' :class:`~repro.graphs.ensemble.GraphKernel`
 (the same agent-level reductions the clique engines use, so the graph
 engine on the clique topology cross-validates against the counts law).
+The graph engine brings only that advance and a color-count reader: it
+runs on the same sequential and batched loops as the clique
+(:mod:`repro.core.process`), so absorption, stopping and recording are
+one code path for every topology.
 Dynamics with extra non-color state (``undecided-state``) have no graph
 kernel; :func:`repro.graphs.ensemble.graph_ineligibility` explains why.
 

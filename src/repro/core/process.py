@@ -11,6 +11,18 @@ exactly the round split of Corollary 4's proof::
 the batched step kernels — the workhorse of every experiment, giving
 empirical success probabilities and convergence-time distributions.
 
+The round contract — evaluate t = 0, then per round advance, record,
+absorb at the monochromatic state and check the stopping rule — is
+written once per kind of loop: :func:`_run_trajectory` (sequential) and
+:func:`_run_ensemble_batched` (replica-batched).  Both loops serve both
+engines.  They take the per-round advance and a reader of the color
+counts: the clique passes ``step``/``step_many`` plus the adversary and
+a column view of its count state, the graph engine
+(:mod:`repro.graphs.ensemble`) passes its CSR gather plus
+``GraphKernel.reduce`` and per-replica histograms of its color vectors.
+So the exact-chain and chi-square checks on the clique exercise the same
+loops graph scenarios run.
+
 ``run_ensemble`` steps its batch in one of two *layouts* (the
 ``engine=`` keyword): ``"dense"`` keeps the full ``(R, k)`` count matrix;
 ``"sparse"`` tracks the ensemble's union live support and steps the
@@ -34,7 +46,7 @@ randomness, so recording cannot perturb a trajectory.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,12 +242,6 @@ def _prepare_state(dynamics: Dynamics, initial: Configuration | np.ndarray) -> t
     return state, k
 
 
-def _is_monochromatic(state: np.ndarray, k: int) -> bool:
-    n = int(state.sum())
-    colored = state[:k]
-    return bool(colored.max() == n)
-
-
 def run_process(
     dynamics: Dynamics,
     initial: Configuration | np.ndarray,
@@ -265,46 +271,96 @@ def run_process(
     record = as_record_spec(record, default=DEFAULT_PROCESS_RECORD)
     generator = make_rng(rng)
     state, k = _prepare_state(dynamics, initial)
-    n = int(state.sum())
+
+    def advance(state: np.ndarray) -> np.ndarray:
+        state = dynamics.step(state, generator)
+        if adversary is None:
+            return state
+        if dynamics.uses_extra_state:
+            return np.concatenate([adversary.corrupt(state[:k], generator), state[k:]])
+        return adversary.corrupt(state, generator)
+
+    return _run_trajectory(
+        advance,
+        lambda state: state[:k],
+        state,
+        n=int(state.sum()),
+        k=k,
+        max_rounds=max_rounds,
+        record=record,
+        stopping=stopping,
+    )
+
+
+def _run_trajectory(
+    advance: Callable[[np.ndarray], np.ndarray],
+    colored: Callable[[np.ndarray], np.ndarray],
+    state: np.ndarray,
+    *,
+    n: int,
+    k: int,
+    max_rounds: int,
+    record: RecordSpec,
+    stopping: StoppingRule | None,
+) -> ProcessResult:
+    """The sequential round loop, shared by the clique and graph runners.
+
+    ``advance(state)`` performs one round C(t) -> C(t+1): the clique steps
+    the counts and lets the adversary corrupt them, the graph engine
+    gathers each agent's neighbor samples and applies the per-agent rule.
+    ``colored(state)`` reads the ``(k,)`` color counts of a state.  Each
+    round is evaluated in one order, t = 0 included: record, absorb at the
+    monochromatic state, then check the stopping rule.  This loop is the
+    reference the batched loop (:func:`_run_ensemble_batched`) is tested
+    against, which is why it stays a loop of its own.
+    """
     if n == 0:
         raise ValueError("cannot run a process with zero agents")
-    plurality_color = int(np.argmax(state[:k]))
-
+    counts = colored(state)
+    plurality_color = int(np.argmax(counts))
     recorder = TraceRecorder(record, n=n, k=k, replicas=1)
-    recorder.observe(0, state[None, :k])
     rounds = 0
-    converged = _is_monochromatic(state, k)
-    stopped_by = _MONO if converged else None
-    if stopped_by is None and stopping is not None:
-        # Stopping rules are evaluated on the *initial* configuration too:
-        # a rule already satisfied at t=0 ends the run with rounds=0 instead
-        # of silently burning one round.
-        stopped_by = stopping.fired(state[:k], n, 0)
-    while stopped_by is None and rounds < max_rounds:
-        state = dynamics.step(state, generator)
-        if adversary is not None:
-            if dynamics.uses_extra_state:
-                colored = adversary.corrupt(state[:k], generator)
-                state = np.concatenate([colored, state[k:]])
-            else:
-                state = adversary.corrupt(state, generator)
+    while True:
+        recorder.observe(rounds, counts[None, :])
+        converged = bool(counts.max() == n)
+        stopped_by = _MONO if converged else None
+        if stopped_by is None and stopping is not None:
+            # Rules see the initial configuration too: one already met at
+            # t = 0 ends the run with rounds = 0.
+            stopped_by = stopping.fired(counts, n, rounds)
+        if stopped_by is not None or rounds >= max_rounds:
+            break
+        state = advance(state)
+        counts = colored(state)
         rounds += 1
-        recorder.observe(rounds, state[None, :k])
-        converged = _is_monochromatic(state, k)
-        if converged:
-            stopped_by = _MONO
-        elif stopping is not None:
-            stopped_by = stopping.fired(state[:k], n, rounds)
-
-    winner = int(np.argmax(state[:k])) if converged else None
     return ProcessResult(
         converged=converged,
-        winner=winner,
+        winner=int(np.argmax(counts)) if converged else None,
         rounds=rounds,
         plurality_color=plurality_color,
-        final_counts=state[:k].copy(),
+        final_counts=counts.copy(),
         trace=recorder.finish(),
         stopped_by=stopped_by if stopped_by is not None else BUDGET_EXHAUSTED,
+    )
+
+
+def _stack_results(
+    results: Sequence[ProcessResult], *, max_rounds: int, keep_trace: bool
+) -> EnsembleResult:
+    """Assemble sequential trajectories into one :class:`EnsembleResult`.
+
+    The ``batch=False`` paths of both ensemble runners end here.  Traces
+    are stacked only when the caller asked for a record.
+    """
+    return EnsembleResult(
+        rounds=np.array([r.rounds for r in results], dtype=np.int64),
+        winners=np.array([-1 if r.winner is None else r.winner for r in results], dtype=np.int64),
+        converged=np.array([r.converged for r in results], dtype=bool),
+        plurality_color=results[0].plurality_color,
+        max_rounds=max_rounds,
+        final_counts=np.stack([r.final_counts for r in results]),
+        stopped_by=np.array([r.stopped_by for r in results], dtype=object),
+        trace=stack_traces([r.trace for r in results]) if keep_trace else None,
     )
 
 
@@ -385,14 +441,10 @@ def run_ensemble(
         raise ValueError(f"unknown ensemble engine {engine!r}; expected one of {ENSEMBLE_ENGINES}")
     stopping = _resolve_stopping(stopping)
     record = as_record_spec(record, default=None)
-    state0, k = _prepare_state(dynamics, initial)
-    n = int(state0.sum())
-    plurality_color = int(np.argmax(state0[:k]))
 
     if not batch:
         if engine == "sparse":
             raise ValueError("engine='sparse' needs the batched path (batch=True)")
-        streams = spawn_streams(rng, replicas)
         results = [
             run_process(
                 dynamics,
@@ -401,193 +453,175 @@ def run_ensemble(
                 adversary=adversary,
                 # An explicitly empty record skips run_process's default
                 # bias/plurality bookkeeping: the per-replica traces are
-                # discarded below when no record was requested.
+                # discarded when no record was requested.
                 record=record if record is not None else RecordSpec(),
                 stopping=stopping,
                 rng=stream,
             )
-            for stream in streams
+            for stream in spawn_streams(rng, replicas)
         ]
-        return EnsembleResult(
-            rounds=np.array([r.rounds for r in results], dtype=np.int64),
-            winners=np.array(
-                [r.winner if r.winner is not None else -1 for r in results], dtype=np.int64
-            ),
-            converged=np.array([r.converged for r in results], dtype=bool),
-            plurality_color=plurality_color,
-            max_rounds=max_rounds,
-            final_counts=np.stack([r.final_counts for r in results]),
-            stopped_by=np.array([r.stopped_by for r in results], dtype=object),
-            trace=stack_traces([r.trace for r in results]) if record is not None else None,
-        )
+        return _stack_results(results, max_rounds=max_rounds, keep_trace=record is not None)
 
+    state0, k = _prepare_state(dynamics, initial)
     generator = make_rng(rng)
     reason = sparse_ineligibility(dynamics, adversary, stopping)
     support = None
-    if engine == "sparse" or (
-        engine == "auto" and k >= _SPARSE_AUTO_MIN_K and n > 0 and reason is None
-    ):
+    if engine == "sparse" or (engine == "auto" and k >= _SPARSE_AUTO_MIN_K and reason is None):
         if reason is not None:  # only reachable for an explicit "sparse"
             raise ValueError(f"engine='sparse' unavailable: {reason}")
-        if n <= 0:
-            raise ValueError("cannot run the sparse engine with zero agents")
         support = np.flatnonzero(state0[:k]).astype(np.int64)
-    return _run_ensemble_batched(
-        dynamics,
-        state0,
-        replicas,
-        n=n,
-        k=k,
-        max_rounds=max_rounds,
-        adversary=adversary,
-        record=record,
-        stopping=stopping,
-        generator=generator,
-        plurality_color=plurality_color,
-        support=support,
-    )
-
-
-def _run_ensemble_batched(
-    dynamics: Dynamics,
-    state0: np.ndarray,
-    replicas: int,
-    *,
-    n: int,
-    k: int,
-    max_rounds: int,
-    adversary: Adversary | None,
-    record: RecordSpec | None,
-    stopping: StoppingRule | None,
-    generator: np.random.Generator,
-    plurality_color: int,
-    support: np.ndarray | None,
-) -> EnsembleResult:
-    """The batched replica loop, shared by the dense and sparse layouts.
-
-    With ``support is None`` the working set is the dense ``(R, k [+
-    extra])`` state matrix — the historical layout.  With ``support``
-    given (the sorted union-live-support map), the working set is the
-    compacted ``(R, s)`` columns: per round the dynamics steps the
-    compacted batch (its law sees width ``s``, so e.g.
-    :class:`~repro.core.majority.HPlurality`'s auto engine sizes its
-    composition table by ``s``, not ``k``), the support-preserving
-    adversary corrupts the compacted columns, metrics record through the
-    compaction-aware :meth:`~repro.core.metrics.TraceRecorder.observe`,
-    and winners / final counts scatter back through ``support`` only at
-    retirement boundaries.  When the union support has shrunk past the
-    hysteresis fraction the working set is re-compacted — the dead
-    columns' cost disappears for the rest of the run.
-
-    Support is monotone non-increasing (support-closed dynamics,
-    support-preserving adversaries — enforced by
-    :func:`sparse_ineligibility`), so ``scatter_counts`` is lossless at
-    every round and both layouts report identical dense-``k`` result
-    arrays.  Everything else — stepping order, t=0 rule evaluation,
-    record-before-retire, stop labelling — is one shared code path, so
-    the two layouts cannot drift apart semantically.
-    """
     sparse = support is not None
-    states = np.tile(state0[support] if sparse else state0, (replicas, 1))
-    rounds = np.full(replicas, max_rounds, dtype=np.int64)
-    winners = np.full(replicas, -1, dtype=np.int64)
-    converged = np.zeros(replicas, dtype=bool)
-    final_counts = np.tile(state0[:k], (replicas, 1))
-    stopped_by = np.full(replicas, None, dtype=object)
-    recorder = (
-        TraceRecorder(record, n=n, k=k, replicas=replicas) if record is not None else None
-    )
-    # Reused per-round scratch: the absorption scan writes its row maxima
-    # and boolean verdicts into leading views of these instead of
-    # allocating fresh arrays every round.
-    scratch_max = np.empty(replicas, dtype=states.dtype)
-    scratch_mask = np.empty(replicas, dtype=bool)
 
-    def colored_view(block: np.ndarray) -> np.ndarray:
-        """The color columns: compacted batches are all colors; dense
-        batches may carry extra state slots past ``k``."""
-        return block if sparse else block[:, :k]
-
-    def to_dense(rows: np.ndarray) -> np.ndarray:
-        return scatter_counts(rows, support, k) if sparse else rows
-
-    def absorb(live_idx: np.ndarray, live_states: np.ndarray, t: int) -> np.ndarray:
-        colored = colored_view(live_states)
-        live = colored.shape[0]
-        peak = np.max(colored, axis=1, out=scratch_max[:live])
-        mono = np.equal(peak, n, out=scratch_mask[:live])
-        if mono.any():
-            idx = live_idx[mono]
-            converged[idx] = True
-            rounds[idx] = t
-            top = np.argmax(colored[mono], axis=1)
-            winners[idx] = support[top] if sparse else top
-            final_counts[idx] = to_dense(colored[mono])
-            stopped_by[idx] = _MONO
-        # The caller consumes the alive mask before the next absorb call,
-        # so inverting in place keeps the round allocation-free.
-        return np.logical_not(mono, out=mono)
-
-    def cull_stopped(live_idx: np.ndarray, states: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Retire replicas whose stopping rule fires at round ``t``.
-
-        The cheap boolean ``met_many`` runs every round; the object-array
-        label pass (``fired_many``) runs only on the rows that actually
-        fired.
-        """
-        colored = colored_view(states)
-        hit = stopping.met_many(colored, n, t)
-        if np.any(hit):
-            idx = live_idx[hit]
-            rounds[idx] = t
-            final_counts[idx] = to_dense(colored[hit])
-            stopped_by[idx] = stopping.fired_many(colored[hit], n, t)
-            live_idx = live_idx[~hit]
-            states = states[~hit]
-        return live_idx, states
-
-    live_idx = np.arange(replicas)
-    # Mirror run_process's t=0 snapshot: every replica records the initial
-    # configuration, before absorption/stopping retire any of them.
-    if recorder is not None:
-        recorder.observe(0, colored_view(states), live_idx, support=support)
-    alive = absorb(live_idx, states, 0)
-    live_idx = live_idx[alive]
-    states = states[alive]
-    if stopping is not None and live_idx.size:
-        # Mirror run_process: rules see the initial configuration at t=0.
-        live_idx, states = cull_stopped(live_idx, states, 0)
-
-    t = 0
-    while live_idx.size and t < max_rounds:
-        t += 1
+    def advance(states: np.ndarray, live_idx: np.ndarray) -> np.ndarray:
         states = dynamics.step_many(states, generator)
         if adversary is not None:
             if sparse:
                 states = adversary.corrupt_many(states, generator)
             else:
                 states[:, :k] = adversary.corrupt_many(states[:, :k], generator)
+        return states
+
+    return _run_ensemble_batched(
+        advance,
+        # Compacted batches are all colors; dense batches may carry extra
+        # state slots past ``k``.
+        (lambda states: states) if sparse else (lambda states: states[:, :k]),
+        np.tile(state0[support] if sparse else state0, (replicas, 1)),
+        n=int(state0.sum()),
+        k=k,
+        max_rounds=max_rounds,
+        record=record,
+        stopping=stopping,
+        support=support,
+    )
+
+
+def _run_ensemble_batched(
+    advance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    colored: Callable[[np.ndarray], np.ndarray],
+    states: np.ndarray,
+    *,
+    n: int,
+    k: int,
+    max_rounds: int,
+    record: RecordSpec | None,
+    stopping: StoppingRule | None,
+    support: np.ndarray | None = None,
+) -> EnsembleResult:
+    """The batched replica loop, shared by the clique layouts and graphs.
+
+    ``states`` holds one row per replica.  ``advance(states, live_idx)``
+    performs one round for the live rows (``live_idx`` are their replica
+    indices, which the graph engine uses to pick each row's own stream);
+    ``colored(states)`` reads their color counts.  The clique runner
+    passes :meth:`Dynamics.step_many` plus the adversary and a column
+    view; the graph engine (:mod:`repro.graphs.ensemble`) passes its CSR
+    gather plus :attr:`GraphKernel.reduce` and per-row histograms.
+
+    With ``support is None`` the counts are dense ``(L, k)``.  With
+    ``support`` given (the sorted union-live-support map of the sparse
+    clique layout), the working set is the compacted ``(L, s)`` columns:
+    the dynamics' law sees width ``s`` (so e.g.
+    :class:`~repro.core.majority.HPlurality`'s auto engine sizes its
+    composition table by ``s``, not ``k``), metrics record through the
+    compaction-aware :meth:`~repro.core.metrics.TraceRecorder.observe`,
+    and winners / final counts scatter back through ``support`` only at
+    retirement boundaries.  When the union support has shrunk past the
+    hysteresis fraction the working set is re-compacted — the dead
+    columns' cost disappears for the rest of the run.  Support is
+    monotone non-increasing (enforced by :func:`sparse_ineligibility`),
+    so ``scatter_counts`` is lossless and every layout reports identical
+    dense-``k`` result arrays.
+
+    Each round follows :func:`_run_trajectory`'s order, t = 0 included:
+    record, absorb, then cull the replicas whose stopping rule fires.
+    """
+    if n == 0:
+        raise ValueError("cannot run a process with zero agents")
+    replicas = states.shape[0]
+    sparse = support is not None
+    rounds = np.full(replicas, max_rounds, dtype=np.int64)
+    winners = np.full(replicas, -1, dtype=np.int64)
+    converged = np.zeros(replicas, dtype=bool)
+    final_counts = np.zeros((replicas, k), dtype=np.int64)
+    stopped_by = np.full(replicas, None, dtype=object)
+    recorder = (
+        TraceRecorder(record, n=n, k=k, replicas=replicas) if record is not None else None
+    )
+
+    def to_dense(rows: np.ndarray) -> np.ndarray:
+        return scatter_counts(rows, support, k) if sparse else rows
+
+    counts = colored(states)
+    plurality_color = int(np.argmax(to_dense(counts[:1])))
+    # Reused per-round scratch: the absorption scan writes its row maxima
+    # and boolean verdicts into leading views of these instead of
+    # allocating fresh arrays every round.
+    scratch_max = np.empty(replicas, dtype=counts.dtype)
+    scratch_mask = np.empty(replicas, dtype=bool)
+
+    def absorb(live_idx: np.ndarray, counts: np.ndarray, t: int) -> np.ndarray:
+        live = counts.shape[0]
+        peak = np.max(counts, axis=1, out=scratch_max[:live])
+        mono = np.equal(peak, n, out=scratch_mask[:live])
+        if mono.any():
+            idx = live_idx[mono]
+            converged[idx] = True
+            rounds[idx] = t
+            top = np.argmax(counts[mono], axis=1)
+            winners[idx] = support[top] if sparse else top
+            final_counts[idx] = to_dense(counts[mono])
+            stopped_by[idx] = _MONO
+        # The caller consumes the alive mask before the next absorb call,
+        # so inverting in place keeps the round allocation-free.
+        return np.logical_not(mono, out=mono)
+
+    def cull_stopped(live_idx: np.ndarray, counts: np.ndarray, t: int) -> np.ndarray | None:
+        """Retire replicas whose stopping rule fires at round ``t``.
+
+        Returns the mask of rows still running, or None when none fired.
+        The cheap boolean ``met_many`` runs every round; the object-array
+        label pass (``fired_many``) runs only on the rows that actually
+        fired.
+        """
+        hit = stopping.met_many(counts, n, t)
+        if not np.any(hit):
+            return None
+        idx = live_idx[hit]
+        rounds[idx] = t
+        final_counts[idx] = to_dense(counts[hit])
+        stopped_by[idx] = stopping.fired_many(counts[hit], n, t)
+        return ~hit
+
+    live_idx = np.arange(replicas)
+    t = 0
+    while True:
         # Record before retiring anyone: a replica absorbing at round t has
-        # its round-t configuration in the trace, as in run_process.
+        # its round-t configuration in the trace.
         if recorder is not None:
-            recorder.observe(t, colored_view(states), live_idx, support=support)
-        alive = absorb(live_idx, states, t)
+            recorder.observe(t, counts, live_idx, support=support)
+        alive = absorb(live_idx, counts, t)
         if not np.all(alive):
-            live_idx = live_idx[alive]
-            states = states[alive]
+            live_idx, states, counts = live_idx[alive], states[alive], counts[alive]
         if stopping is not None and live_idx.size:
-            live_idx, states = cull_stopped(live_idx, states, t)
-        if sparse and live_idx.size and support.size > 1:
+            alive = cull_stopped(live_idx, counts, t)
+            if alive is not None:
+                live_idx, states, counts = live_idx[alive], states[alive], counts[alive]
+        if not live_idx.size or t >= max_rounds:
+            break
+        if sparse and support.size > 1:
             # Hysteresis re-compaction: only pay the column copy once the
             # union support has shrunk enough to matter.
             cols = states.any(axis=0)
-            live_cols = int(np.count_nonzero(cols))
-            if live_cols <= support.size * _SPARSE_HYSTERESIS:
+            if np.count_nonzero(cols) <= support.size * _SPARSE_HYSTERESIS:
                 support = support[cols]
                 states = np.ascontiguousarray(states[:, cols])
+        t += 1
+        states = advance(states, live_idx)
+        counts = colored(states)
 
     if live_idx.size:
-        final_counts[live_idx] = to_dense(colored_view(states))
+        final_counts[live_idx] = to_dense(counts)
     stopped_by[np.equal(stopped_by, None)] = BUDGET_EXHAUSTED
 
     return EnsembleResult(

@@ -1,16 +1,19 @@
 """General-graph substrate (extension beyond the paper's clique).
 
 Topologies are CSR-packed (:mod:`~repro.graphs.topology`, registered in
-:data:`~repro.core.registry.TOPOLOGIES`); the replica-batched engine
-(:mod:`~repro.graphs.ensemble`) runs them through the same
-spec → engine → trace → cache stack as the clique runners.
+:data:`~repro.core.registry.TOPOLOGIES`); the graph engine
+(:mod:`~repro.graphs.ensemble`) steps color vectors on the clique
+runners' own sequential and batched loops, so graph runs go through the
+same spec → engine → trace → cache stack.  :func:`run_graph_process`
+starts from a :class:`~repro.core.config.Configuration` (scattered by
+:func:`random_coloring`) or from a hand-placed color vector.
 """
 
-from .agentsim import GraphPluralityProcess, GraphProcessResult, GraphState, random_coloring
 from .ensemble import (
     GraphKernel,
     graph_ineligibility,
     graph_kernel,
+    random_coloring,
     run_graph_ensemble,
     run_graph_process,
 )
@@ -27,9 +30,6 @@ from .topology import (
 
 __all__ = [
     "GraphKernel",
-    "GraphPluralityProcess",
-    "GraphProcessResult",
-    "GraphState",
     "Topology",
     "barbell",
     "clique",

@@ -1,26 +1,26 @@
-"""Replica-batched graph engine: the general-graph analogue of the runners.
+"""Graph engine: the clique runners' loops on an explicit color vector.
 
 On a general graph the counts are not a Markov chain — *where* each color
 sits matters — so the state of a replica is its full ``(n,)`` color vector
-and an ensemble is an ``(R, n)`` color matrix.  This module steps that
-matrix in lock-step, mirroring the counts-level
-:func:`~repro.core.process._run_ensemble_batched` contract exactly:
+and an ensemble is an ``(R, n)`` color matrix.  This module supplies only
+the graph-specific half of a run: the per-round advance and the count
+reader.  The loops themselves are the clique runners' own
+(:func:`~repro.core.process._run_trajectory` and
+:func:`~repro.core.process._run_ensemble_batched`), so t = 0 evaluation,
+record-before-retire ordering, absorption, stopping and the ``stopped_by``
+vocabulary are shared code, and a graph run returns a standard
+:class:`~repro.core.process.EnsembleResult` that serializes through the
+serve cache unchanged.
 
 * **one vectorized CSR gather per round** — per-replica neighbor draws are
   cheap bounded-integer calls on each replica's own stream, but the color
   gather, the per-agent reduction (for rules that consume no tie-break
-  randomness), the per-replica histograms and the absorption scan all run
-  batched across the live replicas;
+  randomness) and the per-replica histograms run batched across the live
+  replicas;
 * **per-replica randomness** — every replica consumes its spawned stream
   in exactly the order the sequential single-replica run does (coloring,
   then per round: neighbor picks, then any tie-break draws), so
-  ``batch=True`` and ``batch=False`` are **bit-identical** at equal seed;
-* **shared observation/stopping machinery** — per-replica color histograms
-  feed :meth:`StoppingRule.met_many` / ``fired_many`` and the
-  :class:`~repro.core.metrics.TraceRecorder`, with run_process's t=0
-  evaluation, record-before-retire ordering and ``stopped_by`` vocabulary,
-  so a graph run returns a standard :class:`~repro.core.process.EnsembleResult`
-  that serializes through the serve cache unchanged.
+  ``batch=True`` and ``batch=False`` are **bit-identical** at equal seed.
 
 A dynamics participates through a :class:`GraphKernel` — its per-agent
 decision rule ``f(own, seen) -> color`` lifted to aligned arrays.  Rules
@@ -28,6 +28,8 @@ whose clique engines already are per-agent laws (3-majority, the 3-input
 family, h-plurality, voter, two-choices, median, 2-sample-uniform) map
 directly; dynamics carrying non-color state (undecided-state) have no
 graph kernel and are rejected with a reason (:func:`graph_ineligibility`).
+:func:`run_graph_process` also starts from a hand-placed ``(n,)`` color
+vector, for initial states a spec's counts cannot express.
 """
 
 from __future__ import annotations
@@ -41,17 +43,19 @@ from ..core.config import Configuration
 from ..core.dynamics import Dynamics
 from ..core.majority import HPlurality, ThreeMajority, TwoSampleUniform
 from ..core.median import MedianDynamics
-from ..core.metrics import RecordSpec, TraceRecorder, as_record_spec, stack_traces
+from ..core.metrics import RecordSpec, as_record_spec
 from ..core.process import (
     DEFAULT_PROCESS_RECORD,
-    _MONO,
-    _resolve_stopping,
     EnsembleResult,
     ProcessResult,
+    _resolve_stopping,
+    _run_ensemble_batched,
+    _run_trajectory,
+    _stack_results,
 )
 from ..core.rng import make_rng, spawn_streams
 from ..core.samplers import row_counts_dense, row_plurality
-from ..core.stopping import BUDGET_EXHAUSTED, StoppingRule
+from ..core.stopping import StoppingRule
 from ..core.threeinput import ThreeInputRule
 from ..core.voter import TwoChoices, Voter
 from .topology import Topology
@@ -60,6 +64,7 @@ __all__ = [
     "GraphKernel",
     "graph_kernel",
     "graph_ineligibility",
+    "random_coloring",
     "run_graph_process",
     "run_graph_ensemble",
 ]
@@ -180,76 +185,31 @@ def graph_kernel(dynamics: Dynamics, k: int) -> GraphKernel:
     return GraphKernel(h=2, reduce=_median, consumes_rng=False)
 
 
-def _initial_colors(
-    topology: Topology, initial: Configuration, generator: np.random.Generator
+def random_coloring(
+    topology: Topology, configuration: Configuration, rng: np.random.Generator
 ) -> np.ndarray:
-    from .agentsim import random_coloring  # local: agentsim imports this module
+    """Assign the configuration's counts to uniformly random agents."""
+    if configuration.n != topology.n:
+        raise ValueError(f"configuration has {configuration.n} agents, topology has {topology.n}")
+    colors = np.repeat(np.arange(configuration.k, dtype=np.int64), configuration.counts)
+    rng.shuffle(colors)
+    return colors
 
-    return random_coloring(topology, initial, generator)
 
-
-def run_graph_colors(
-    colors: np.ndarray,
-    k: int,
-    kernel: GraphKernel,
-    topology: Topology,
-    *,
-    max_rounds: int,
-    stopping: StoppingRule | None,
-    record: RecordSpec | None,
-    generator: np.random.Generator,
-) -> tuple[ProcessResult, np.ndarray]:
-    """One sequential graph trajectory from an explicit color vector.
-
-    Shares run_process's exact control flow (t=0 evaluation, stop-label
-    vocabulary, record cadence) and consumes the stream in the same
-    per-round order as one row of the batched engine — the bit-identity
-    contract.  Returns the result plus the final color vector (the
-    deprecation shim still exposes per-agent state).
-    """
-    colors = np.asarray(colors, dtype=np.int64)
-    n = topology.n
-    if colors.size != n:
-        raise ValueError("color vector does not match topology size")
-    counts = np.bincount(colors, minlength=k).astype(np.int64)
-    plurality_color = int(np.argmax(counts))
-    recorder = TraceRecorder(record, n=n, k=k, replicas=1) if record is not None else None
-    if recorder is not None:
-        recorder.observe(0, counts[None, :])
-    rounds = 0
-    converged = bool(counts.max() == n)
-    stopped_by = _MONO if converged else None
-    if stopped_by is None and stopping is not None:
-        stopped_by = stopping.fired(counts, n, 0)
-    while stopped_by is None and rounds < max_rounds:
-        picks = topology.sample_neighbors(kernel.h, generator)
-        seen = colors[picks]
-        colors = kernel.reduce(colors, seen, generator)
-        counts = np.bincount(colors, minlength=k).astype(np.int64)
-        rounds += 1
-        if recorder is not None:
-            recorder.observe(rounds, counts[None, :])
-        converged = bool(counts.max() == n)
-        if converged:
-            stopped_by = _MONO
-        elif stopping is not None:
-            stopped_by = stopping.fired(counts, n, rounds)
-    result = ProcessResult(
-        converged=converged,
-        winner=int(colors[0]) if converged else None,
-        rounds=rounds,
-        plurality_color=plurality_color,
-        final_counts=counts,
-        trace=recorder.finish() if recorder is not None else None,
-        stopped_by=stopped_by if stopped_by is not None else BUDGET_EXHAUSTED,
-    )
-    return result, colors
+def _color_vector(colors: np.ndarray, n: int) -> np.ndarray:
+    """Validate a hand-placed ``(n,)`` color vector; returns an int64 copy."""
+    colors = np.asarray(colors)
+    if colors.shape != (n,):
+        raise ValueError(f"color vector must have shape ({n},), got {colors.shape}")
+    if not np.issubdtype(colors.dtype, np.integer) or colors.min() < 0:
+        raise ValueError("color vector must hold non-negative integer colors")
+    return colors.astype(np.int64)
 
 
 def run_graph_process(
     dynamics: Dynamics,
     topology: Topology,
-    initial: Configuration,
+    initial: Configuration | np.ndarray,
     *,
     max_rounds: int = 1_000_000,
     record: RecordSpec | Mapping | Sequence[str] | str | None = None,
@@ -258,27 +218,66 @@ def run_graph_process(
 ) -> ProcessResult:
     """Run one graph trajectory; the general-graph analogue of run_process.
 
-    The initial counts are scattered onto uniformly random agents
-    (:func:`~repro.graphs.agentsim.random_coloring`) on the same stream the
-    rounds then consume.  Defaults mirror run_process, including the
+    ``initial`` is either a :class:`Configuration`, whose counts are
+    scattered onto uniformly random agents (:func:`random_coloring`) on
+    the same stream the rounds then consume, or a hand-placed ``(n,)``
+    vector of non-negative integer colors (``k`` is its largest color
+    plus one), used as given.  Defaults mirror run_process, including the
     default bias/plurality record.
     """
     stopping = _resolve_stopping(stopping)
     record = as_record_spec(record, default=DEFAULT_PROCESS_RECORD)
-    kernel = graph_kernel(dynamics, initial.k)
     generator = make_rng(rng)
-    colors = _initial_colors(topology, initial, generator)
-    result, _ = run_graph_colors(
-        colors,
-        initial.k,
-        kernel,
+    if isinstance(initial, Configuration):
+        colors = random_coloring(topology, initial, generator)
+        k = initial.k
+    else:
+        colors = _color_vector(initial, topology.n)
+        k = int(colors.max()) + 1
+    return _run_graph_trajectory(
+        graph_kernel(dynamics, k),
         topology,
+        colors,
+        k,
+        generator,
         max_rounds=max_rounds,
-        stopping=stopping,
         record=record,
-        generator=generator,
+        stopping=stopping,
     )
-    return result
+
+
+def _run_graph_trajectory(
+    kernel: GraphKernel,
+    topology: Topology,
+    colors: np.ndarray,
+    k: int,
+    generator: np.random.Generator,
+    *,
+    max_rounds: int,
+    record: RecordSpec,
+    stopping: StoppingRule | None,
+) -> ProcessResult:
+    """One graph trajectory on the sequential loop, from a color vector.
+
+    Per round: the agents' neighbor picks, then the kernel's tie-break
+    draws, all on ``generator`` — the order each row of the batched
+    engine consumes its own stream in.
+    """
+
+    def advance(colors: np.ndarray) -> np.ndarray:
+        picks = topology.sample_neighbors(kernel.h, generator)
+        return kernel.reduce(colors, colors[picks], generator)
+
+    return _run_trajectory(
+        advance,
+        lambda colors: np.bincount(colors, minlength=k),
+        colors,
+        n=topology.n,
+        k=k,
+        max_rounds=max_rounds,
+        record=record,
+        stopping=stopping,
+    )
 
 
 def run_graph_ensemble(
@@ -295,107 +294,45 @@ def run_graph_ensemble(
 ) -> EnsembleResult:
     """Run ``replicas`` independent graph trajectories in lock-step.
 
-    With ``batch=True`` the ``(R, n)`` color matrix advances through one
-    batched gather/reduce per round, replicas retiring as they absorb or
-    as ``stopping`` fires (labels in ``EnsembleResult.stopped_by``, same
-    vocabulary as the counts engines).  With ``batch=False`` each replica
-    runs sequentially on its own spawned stream — bit-identical to the
-    batched path at equal seed, which the tests assert.
+    With ``batch=True`` the ``(R, n)`` color matrix advances on the shared
+    batched loop (:func:`~repro.core.process._run_ensemble_batched`)
+    through one gather/reduce per round, replicas retiring as they absorb
+    or as ``stopping`` fires (labels in ``EnsembleResult.stopped_by``,
+    same vocabulary as the counts engines).  With ``batch=False`` each
+    replica runs on the sequential loop on its own spawned stream —
+    bit-identical to the batched path at equal seed, which the tests
+    assert.
     """
     if replicas <= 0:
         raise ValueError("need at least one replica")
     k = initial.k
     n = topology.n
-    if initial.n != n:
-        raise ValueError(f"configuration has {initial.n} agents, topology has {n}")
     stopping = _resolve_stopping(stopping)
     record = as_record_spec(record, default=None)
     kernel = graph_kernel(dynamics, k)
-    plurality_color = int(np.argmax(initial.counts))
     gens = spawn_streams(rng, replicas)
 
     if not batch:
-        outcomes = []
-        for gen in gens:
-            colors0 = _initial_colors(topology, initial, gen)
-            result, _ = run_graph_colors(
-                colors0,
-                k,
+        results = [
+            _run_graph_trajectory(
                 kernel,
                 topology,
+                random_coloring(topology, initial, gen),
+                k,
+                gen,
                 max_rounds=max_rounds,
-                stopping=stopping,
                 # An explicitly empty record skips the default bookkeeping;
                 # the traces are only kept when a record was requested.
                 record=record if record is not None else RecordSpec(),
-                generator=gen,
+                stopping=stopping,
             )
-            outcomes.append(result)
-        return EnsembleResult(
-            rounds=np.array([r.rounds for r in outcomes], dtype=np.int64),
-            winners=np.array(
-                [r.winner if r.winner is not None else -1 for r in outcomes], dtype=np.int64
-            ),
-            converged=np.array([r.converged for r in outcomes], dtype=bool),
-            plurality_color=plurality_color,
-            max_rounds=max_rounds,
-            final_counts=np.stack([r.final_counts for r in outcomes]),
-            stopped_by=np.array([r.stopped_by for r in outcomes], dtype=object),
-            trace=stack_traces([r.trace for r in outcomes]) if record is not None else None,
-        )
-
-    colors = np.empty((replicas, n), dtype=np.int64)
-    for row, gen in enumerate(gens):
-        colors[row] = _initial_colors(topology, initial, gen)
-
-    rounds = np.full(replicas, max_rounds, dtype=np.int64)
-    winners = np.full(replicas, -1, dtype=np.int64)
-    converged = np.zeros(replicas, dtype=bool)
-    final_counts = np.tile(initial.counts, (replicas, 1))
-    stopped_by = np.full(replicas, None, dtype=object)
-    recorder = (
-        TraceRecorder(record, n=n, k=k, replicas=replicas) if record is not None else None
-    )
-
-    def absorb(live_idx: np.ndarray, counts: np.ndarray, t: int) -> np.ndarray:
-        peak = counts.max(axis=1)
-        mono = peak == n
-        if mono.any():
-            idx = live_idx[mono]
-            converged[idx] = True
-            rounds[idx] = t
-            winners[idx] = np.argmax(counts[mono], axis=1)
-            final_counts[idx] = counts[mono]
-            stopped_by[idx] = _MONO
-        return ~mono
-
-    def cull_stopped(
-        live_idx: np.ndarray, colors: np.ndarray, counts: np.ndarray, t: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        hit = stopping.met_many(counts, n, t)
-        if np.any(hit):
-            idx = live_idx[hit]
-            rounds[idx] = t
-            final_counts[idx] = counts[hit]
-            stopped_by[idx] = stopping.fired_many(counts[hit], n, t)
-            live_idx = live_idx[~hit]
-            colors = colors[~hit]
-        return live_idx, colors
-
-    live_idx = np.arange(replicas)
-    counts = row_counts_dense(colors, k)
-    if recorder is not None:
-        recorder.observe(0, counts, live_idx)
-    alive = absorb(live_idx, counts, 0)
-    live_idx = live_idx[alive]
-    colors = colors[alive]
-    if stopping is not None and live_idx.size:
-        live_idx, colors = cull_stopped(live_idx, colors, counts[alive], 0)
+            for gen in gens
+        ]
+        return _stack_results(results, max_rounds=max_rounds, keep_trace=record is not None)
 
     h = kernel.h
-    t = 0
-    while live_idx.size and t < max_rounds:
-        t += 1
+
+    def advance(colors: np.ndarray, live_idx: np.ndarray) -> np.ndarray:
         live = live_idx.size
         # Per-replica draws on each replica's own stream (the bit-identity
         # contract); everything after is batched across live replicas.
@@ -406,38 +343,20 @@ def run_graph_ensemble(
         for row, replica in enumerate(live_idx):
             np.add(topology.sample_neighbors(h, gens[replica]), row * n, out=picks[row])
         seen = colors.reshape(-1).take(picks)
-        if kernel.consumes_rng:
-            new_colors = np.empty_like(colors)
-            for row, replica in enumerate(live_idx):
-                new_colors[row] = kernel.reduce(colors[row], seen[row], gens[replica])
-            colors = new_colors
-        else:
-            colors = kernel.reduce(
-                colors.reshape(-1), seen.reshape(-1, h), None
-            ).reshape(live, n)
-        counts = row_counts_dense(colors, k)
-        # Record before retiring anyone, as in the counts engines.
-        if recorder is not None:
-            recorder.observe(t, counts, live_idx)
-        alive = absorb(live_idx, counts, t)
-        if not np.all(alive):
-            live_idx = live_idx[alive]
-            colors = colors[alive]
-            counts = counts[alive]
-        if stopping is not None and live_idx.size:
-            live_idx, colors = cull_stopped(live_idx, colors, counts, t)
+        if not kernel.consumes_rng:
+            return kernel.reduce(colors.reshape(-1), seen.reshape(-1, h), None).reshape(live, n)
+        new_colors = np.empty_like(colors)
+        for row, replica in enumerate(live_idx):
+            new_colors[row] = kernel.reduce(colors[row], seen[row], gens[replica])
+        return new_colors
 
-    if live_idx.size:
-        final_counts[live_idx] = row_counts_dense(colors, k)
-    stopped_by[np.equal(stopped_by, None)] = BUDGET_EXHAUSTED
-
-    return EnsembleResult(
-        rounds=rounds,
-        winners=winners,
-        converged=converged,
-        plurality_color=plurality_color,
+    return _run_ensemble_batched(
+        advance,
+        lambda colors: row_counts_dense(colors, k),
+        np.stack([random_coloring(topology, initial, gen) for gen in gens]),
+        n=n,
+        k=k,
         max_rounds=max_rounds,
-        final_counts=final_counts,
-        stopped_by=stopped_by,
-        trace=recorder.finish() if recorder is not None else None,
+        record=record,
+        stopping=stopping,
     )

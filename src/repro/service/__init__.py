@@ -114,30 +114,32 @@ load --help`` and the README's "Serving over the network" section.  Under
 the injected faults (:mod:`repro.faults`) were firing.
 """
 
-from .app import LatencyHistogram, ScenarioService, result_payload
-from .client import (
-    AsyncConnection,
-    RetryPolicy,
-    ServiceClient,
-    ServiceError,
-    ServiceUnavailable,
-)
-from .load import drive, generate_corpus, run_load, spawn_service, write_corpus
-from .runner import BackgroundServer
+import importlib
 
-__all__ = [
-    "AsyncConnection",
-    "BackgroundServer",
-    "LatencyHistogram",
-    "RetryPolicy",
-    "ScenarioService",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceUnavailable",
-    "drive",
-    "generate_corpus",
-    "result_payload",
-    "run_load",
-    "spawn_service",
-    "write_corpus",
-]
+#: Public name -> defining submodule.  The submodules load on first
+#: attribute access, so ``python -m repro.service`` and the ``repro`` CLI
+#: can import the flag definitions in :mod:`.__main__` without the stack.
+_EXPORTS = {
+    "AsyncConnection": "client",
+    "BackgroundServer": "runner",
+    "LatencyHistogram": "app",
+    "RetryPolicy": "client",
+    "ScenarioService": "app",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "ServiceUnavailable": "client",
+    "drive": "load",
+    "generate_corpus": "load",
+    "result_payload": "app",
+    "run_load": "load",
+    "spawn_service": "load",
+    "write_corpus": "load",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

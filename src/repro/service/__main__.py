@@ -1,5 +1,10 @@
 """Run the scenario service: ``python -m repro.service [options]``.
 
+``repro serve`` takes the same flags (:func:`add_arguments`) and runs the
+same coroutine (:func:`serve`).  asyncio and the service stack are
+imported only when :func:`serve` runs, so the ``repro`` CLI can build its
+parser from this module without them.
+
 Shutdown semantics: SIGTERM drains gracefully (stop accepting, finish
 in-flight work within ``--drain-grace`` seconds, then close) — the
 orchestrator-friendly path; SIGINT (Ctrl-C) stops immediately.
@@ -8,14 +13,12 @@ orchestrator-friendly path; SIGINT (Ctrl-C) stops immediately.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import signal
 import sys
 
 from .. import faults
 from ..serve.cache import DEFAULT_MEMORY_ENTRIES, ResultCache, default_cache_dir
-from .app import ScenarioService
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,6 +26,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description="HTTP/JSON scenario service over the repro.serve substrate",
     )
+    add_arguments(parser)
+    return parser
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The service's flags, shared with ``repro serve``."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321, help="0 picks a free port")
     parser.add_argument(
@@ -91,10 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
             "(also honoured from $REPRO_FAULT_PLAN)"
         ),
     )
-    return parser
 
 
 async def _serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from .app import ScenarioService
+
     if args.fault_plan:
         raw = args.fault_plan.strip()
         if raw.startswith("@"):
@@ -144,12 +156,18 @@ async def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def serve(args: argparse.Namespace) -> int:
+    """Run the service in the foreground until SIGINT or a SIGTERM drain."""
+    import asyncio
+
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:
         return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return serve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -96,6 +96,31 @@ class TestScenarioCommands:
         assert record["plurality_win_rate"] == 1.0
         assert record["stop_reasons"] == {"monochromatic": 4}
 
+    def test_simulate_json_is_strict_when_nothing_converged(self, capsys, tmp_path):
+        # Every replica stops on the plurality fraction, so the rounds
+        # summary over converged replicas is empty: its values must come out
+        # as null, never as bare NaN (which is not JSON).
+        spec = ScenarioSpec(
+            dynamics="3-majority",
+            initial="paper-biased",
+            n=5_000,
+            k=3,
+            replicas=4,
+            seed=0,
+            stopping={"rule": "plurality-fraction", "fraction": 0.9},
+        )
+        path = tmp_path / "scenario.json"
+        spec.save(path)
+        assert main(["simulate", str(path), "--json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant!r} in output")
+
+        record = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert record["stop_reasons"] == {"plurality-fraction": 4}
+        assert record["convergence_rate"] == 0.0
+        assert record["rounds"] == {"mean": None, "median": None, "p90": None, "max": None}
+
     def test_simulate_file_overrides(self, capsys, tmp_path):
         spec = ScenarioSpec(dynamics="3-majority", initial="paper-biased", n=5_000, k=3)
         path = tmp_path / "scenario.json"

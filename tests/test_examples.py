@@ -70,6 +70,17 @@ class TestExamplesRun:
         assert rate == 1.0
         assert med < 100
 
+    def test_sensor_barbell_unit(self):
+        # The example's barbell run, at toy scale: two unanimous communities
+        # joined by one edge hold their colors for the whole budget.
+        module = _import_module("sensor_network")
+        res = module.barbell_deadlock(20, max_rounds=60)
+        assert not res.converged
+        assert res.stopped_by == "max-rounds"
+        assert res.rounds == 60
+        assert res.final_counts.sum() == 40
+        assert res.final_counts.min() >= 15
+
     def test_sensor_spec_builder_sets_topology(self):
         module = _import_module("sensor_network")
         spec = module.sensor_spec("torus", rows=32, cols=32)

@@ -1,23 +1,30 @@
-"""Tests for the general-graph substrate (topology packing + agent sim)."""
+"""Tests for the general-graph substrate (topology packing + graph engine)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import Configuration, ThreeMajority, majority_rule
+from repro import (
+    Configuration,
+    HPlurality,
+    PluralityFractionStop,
+    ThreeMajority,
+    Voter,
+    majority_rule,
+)
 from repro.core.registry import TOPOLOGIES
 from repro.graphs import (
-    GraphPluralityProcess,
-    GraphState,
     Topology,
     barbell,
     clique,
     complete_bipartite,
     cycle,
     erdos_renyi,
+    graph_kernel,
     random_coloring,
     random_regular,
+    run_graph_process,
     torus,
 )
 
@@ -105,8 +112,7 @@ class TestGraphProcess:
         topo = clique(500)
         cfg = Configuration([400, 100])
         colors = random_coloring(topo, cfg, rng)
-        proc = GraphPluralityProcess(topo, h=3)
-        res = proc.run(colors, k=2, rng=rng, max_rounds=2_000)
+        res = run_graph_process(HPlurality(3), topo, colors, rng=rng, max_rounds=2_000)
         assert res.converged
         assert res.plurality_won
 
@@ -117,14 +123,12 @@ class TestGraphProcess:
         topo = clique(n)
         cfg = Configuration([1_200, 500, 300])
         law = ThreeMajority().color_law(cfg.counts)
-        proc = GraphPluralityProcess(topo, h=3)
         acc = np.zeros(3)
         reps = 200
         for i in range(reps):
-            rng = rng_factory(i)
-            colors = random_coloring(topo, cfg, rng)
-            new = proc.step(colors, 3, rng)
-            acc += np.bincount(new, minlength=3)
+            res = run_graph_process(HPlurality(3), topo, cfg, max_rounds=1, rng=rng_factory(i))
+            assert res.rounds == 1
+            acc += res.final_counts
         mean = acc / reps / n
         stderr = np.sqrt(0.25 / (n * reps))
         assert np.all(np.abs(mean - law) < 8 * stderr)
@@ -133,8 +137,7 @@ class TestGraphProcess:
         topo = clique(300)
         cfg = Configuration([200, 60, 40])
         colors = random_coloring(topo, cfg, rng)
-        proc = GraphPluralityProcess(topo, rule=majority_rule())
-        res = proc.run(colors, k=3, rng=rng, max_rounds=2_000)
+        res = run_graph_process(majority_rule(), topo, colors, rng=rng, max_rounds=2_000)
         assert res.converged
         assert res.plurality_won
 
@@ -142,39 +145,62 @@ class TestGraphProcess:
         topo = cycle(50)
         colors = np.zeros(50, dtype=np.int64)
         colors[::2] = 1
-        proc = GraphPluralityProcess(topo, h=1)
-        new = proc.step(colors, 2, rng)
+        kernel = graph_kernel(HPlurality(1), 2)
+        assert kernel.h == 1 and not kernel.consumes_rng
+        assert kernel.reduce is graph_kernel(Voter(), 2).reduce
+        new = kernel.reduce(colors, colors[topo.sample_neighbors(kernel.h, rng)], rng)
         assert new.shape == (50,)
         assert set(np.unique(new)) <= {0, 1}
 
     def test_monochromatic_is_absorbing(self, rng):
         topo = random_regular(40, 4, seed=1)
         colors = np.full(40, 2, dtype=np.int64)
-        proc = GraphPluralityProcess(topo, h=3)
-        res = proc.run(colors, k=3, rng=rng)
+        res = run_graph_process(HPlurality(3), topo, colors, rng=rng)
         assert res.converged
         assert res.rounds == 0
         assert res.winner == 2
+        assert res.stopped_by == "monochromatic"
 
     def test_record_counts_history(self, rng):
         topo = clique(200)
         cfg = Configuration([150, 50])
         colors = random_coloring(topo, cfg, rng)
-        proc = GraphPluralityProcess(topo, h=3)
-        res = proc.run(colors, k=2, rng=rng, record_counts=True, max_rounds=1_000)
-        assert res.counts_history is not None
-        assert (res.counts_history.sum(axis=1) == 200).all()
-
-    def test_graph_state_helpers(self):
-        state = GraphState(np.array([0, 0, 1]), k=2)
-        assert state.counts().tolist() == [2, 1]
-        assert not state.is_monochromatic
-        assert state.configuration() == Configuration([2, 1])
+        res = run_graph_process(
+            HPlurality(3), topo, colors, rng=rng, record=["counts"], max_rounds=1_000
+        )
+        history = res.trace.replica(0, "counts")
+        assert history.shape == (res.rounds + 1, 2)
+        assert (history.sum(axis=1) == 200).all()
 
     def test_size_mismatch_rejected(self, rng):
-        proc = GraphPluralityProcess(clique(5), h=3)
-        with pytest.raises(ValueError):
-            proc.step(np.zeros(4, dtype=np.int64), 2, rng)
+        with pytest.raises(ValueError, match="shape"):
+            run_graph_process(HPlurality(3), clique(5), np.zeros(4, dtype=np.int64), rng=rng)
+
+    @pytest.mark.parametrize(
+        "colors",
+        [
+            np.zeros((2, 3), dtype=np.int64),  # not 1-D
+            np.array([0, 1, -1, 0, 1, 0]),  # negative color
+            np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),  # not integers
+            np.array([True, False, True, False, True, False]),  # booleans
+        ],
+        ids=["2-d", "negative", "float", "bool"],
+    )
+    def test_bad_color_vector_rejected(self, colors, rng):
+        with pytest.raises(ValueError, match="color vector"):
+            run_graph_process(HPlurality(3), cycle(6), colors, rng=rng)
+
+    def test_color_vector_continues_configuration_stream(self):
+        # A Configuration start is a random coloring drawn from the run's
+        # own stream, then the same rounds as a hand-placed vector.
+        topo, cfg = torus(5, 6), Configuration([14, 10, 6])
+        gen = np.random.default_rng(3)
+        colors = random_coloring(topo, cfg, gen)
+        from_vector = run_graph_process(HPlurality(3), topo, colors, rng=gen)
+        from_config = run_graph_process(HPlurality(3), topo, cfg, rng=3)
+        assert from_vector.rounds == from_config.rounds
+        assert np.array_equal(from_vector.final_counts, from_config.final_counts)
+        assert from_vector.trace.digest() == from_config.trace.digest()
 
     def test_local_topology_slows_consensus(self, rng_factory):
         # Sanity for the substrate: the cycle mixes far slower than the
@@ -186,14 +212,10 @@ class TestGraphProcess:
         for i in range(10):
             rng = rng_factory(1_000 + i)
             colors = random_coloring(clique(n), cfg, rng)
-            r1 = GraphPluralityProcess(clique(n), h=3).run(
-                colors, k=2, rng=rng, max_rounds=20_000
-            )
+            r1 = run_graph_process(HPlurality(3), clique(n), colors, rng=rng, max_rounds=20_000)
             rng2 = rng_factory(2_000 + i)
             colors2 = random_coloring(cycle(n), cfg, rng2)
-            r2 = GraphPluralityProcess(cycle(n), h=3).run(
-                colors2, k=2, rng=rng2, max_rounds=20_000
-            )
+            r2 = run_graph_process(HPlurality(3), cycle(n), colors2, rng=rng2, max_rounds=20_000)
             rounds_clique.append(r1.rounds)
             rounds_cycle.append(r2.rounds)
         assert np.median(rounds_cycle) > np.median(rounds_clique)
@@ -321,41 +343,46 @@ class TestGraphEnsembleBitIdentity:
     counts, recorded traces — must be equal exactly, not statistically.
     """
 
-    DYNAMICS = (
-        ("3-majority tie-first", ThreeMajority(), {}),
-        ("h-plurality h=4", None, {"h": 4}),  # built below to avoid import cycles
-        ("voter", None, {"voter": True}),
-    )
+    #: name -> (dynamics, stopping rule).  On the 60-agent torus below the
+    #: initial plurality fraction is 0.5: a 0.8 rule fires mid-run, a 0.4
+    #: rule is already met at t = 0.
+    CASES = {
+        "3-majority tie-first": (ThreeMajority(), None),
+        "h-plurality h=4": (HPlurality(4), None),
+        "voter": (Voter(), None),
+        "3-majority stop mid-run": (ThreeMajority(), PluralityFractionStop(0.8)),
+        "h-plurality h=4 stop at t=0": (HPlurality(4), PluralityFractionStop(0.4)),
+    }
 
-    def _pair(self, dynamics, topo, cfg, seed, record=None):
+    def _pair(self, dynamics, topo, cfg, seed, record=None, stopping=None):
         from repro.core.metrics import RecordSpec
         from repro.graphs import run_graph_ensemble
 
-        kwargs = dict(max_rounds=3_000, rng=seed)
+        kwargs = dict(max_rounds=3_000, rng=seed, stopping=stopping)
         if record:
             kwargs["record"] = RecordSpec(metrics=tuple(record), every=1)
         batched = run_graph_ensemble(dynamics, topo, cfg, 6, **kwargs)
         sequential = run_graph_ensemble(dynamics, topo, cfg, 6, batch=False, **kwargs)
         return batched, sequential
 
-    @pytest.mark.parametrize("name", [d[0] for d in DYNAMICS])
+    @pytest.mark.parametrize("name", list(CASES))
     def test_bitwise_equal(self, name):
-        from repro import HPlurality, Voter
-
-        dynamics = {
-            "3-majority tie-first": ThreeMajority(),
-            "h-plurality h=4": HPlurality(4),
-            "voter": Voter(),
-        }[name]
+        dynamics, stopping = self.CASES[name]
         topo = torus(6, 10)
         cfg = Configuration([30, 20, 10])
-        batched, sequential = self._pair(dynamics, topo, cfg, 123, record=("counts", "bias"))
+        batched, sequential = self._pair(
+            dynamics, topo, cfg, 123, record=("counts", "bias"), stopping=stopping
+        )
         assert np.array_equal(batched.rounds, sequential.rounds)
         assert np.array_equal(batched.converged, sequential.converged)
         assert np.array_equal(batched.winners, sequential.winners)
         assert np.array_equal(batched.final_counts, sequential.final_counts)
-        assert batched.stop_reasons() == sequential.stop_reasons()
+        assert np.array_equal(batched.stopped_by, sequential.stopped_by)
         assert batched.trace.digest() == sequential.trace.digest()
+        if stopping is not None:
+            # The rule fired where its input says it should.
+            assert "plurality-fraction" in batched.stop_reasons()
+            assert np.all(batched.rounds == 0) == (stopping.fraction <= 0.5)
 
     def test_uniform_tiebreak_consumes_rng_identically(self):
         batched, sequential = self._pair(
@@ -385,31 +412,3 @@ class TestGraphIneligibility:
 
         for dyn in (ThreeMajority(), HPlurality(5), Voter(), majority_rule()):
             assert graph_ineligibility(dyn) is None
-
-
-class TestRunShimMatchesEngine:
-    def test_run_delegates_to_shared_engine(self, rng_factory):
-        # The deprecated GraphPluralityProcess.run must produce exactly
-        # what the shared engine produces for the same colors + stream.
-        from repro.graphs.ensemble import run_graph_colors
-
-        topo = torus(4, 5)
-        cfg = Configuration([10, 6, 4])
-        colors = random_coloring(topo, cfg, rng_factory(9))
-        proc = GraphPluralityProcess(topo, h=3)
-        shim = proc.run(colors, k=3, rng=42, record_counts=True)
-        result, final = run_graph_colors(
-            colors.copy(),
-            3,
-            proc.kernel(3),
-            topo,
-            max_rounds=100_000,
-            stopping=None,
-            record=None,
-            generator=np.random.default_rng(42),
-        )
-        assert shim.rounds == result.rounds
-        assert shim.converged == result.converged
-        assert np.array_equal(shim.final_state.colors, final)
-        assert shim.counts_history is not None
-        assert (shim.counts_history.sum(axis=1) == topo.n).all()

@@ -93,6 +93,22 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(ThreeMajority(), Configuration([5, 5]), 0, rng=0)
 
+    @pytest.mark.parametrize(
+        "k, kwargs",
+        [
+            (3, {"batch": True, "engine": "dense"}),
+            (3, {"batch": True, "engine": "sparse"}),
+            (128, {"batch": True, "engine": "auto"}),  # auto picks sparse at this k
+            (3, {"batch": False, "engine": "dense"}),
+        ],
+        ids=["batched-dense", "batched-sparse", "batched-auto-large-k", "unbatched"],
+    )
+    def test_zero_agents_rejected(self, k, kwargs):
+        # An empty population has no consensus to report: every runner path
+        # raises the error run_process raises, instead of calling it converged.
+        with pytest.raises(ValueError, match="cannot run a process with zero agents"):
+            run_ensemble(ThreeMajority(), Configuration([0] * k), 3, rng=0, **kwargs)
+
     def test_non_converged_marked(self):
         cfg = Configuration.balanced(10_000, 8)
         ens = run_ensemble(ThreeMajority(), cfg, 4, max_rounds=2, rng=0)
