@@ -375,24 +375,25 @@ def _spec_from_args(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .scenario import simulate_ensemble
+    from .serve.envelope import finite_or_none, trace_summary
 
-    spec = _spec_from_args(args).validate()
+    spec = _spec_from_args(args)
+    start = time.perf_counter()
+    ens = simulate_ensemble(spec)  # resolves the spec: an invalid one raises here
+    elapsed = time.perf_counter() - start
     if args.save_spec:
         spec.save(args.save_spec)
-    start = time.perf_counter()
-    ens = simulate_ensemble(spec)
-    elapsed = time.perf_counter() - start
     summary = ens.rounds_summary()
     if args.json:
         record = {
             "spec": spec.to_dict(),
             "replicas": ens.replicas,
             "plurality_color": ens.plurality_color,
-            "plurality_win_rate": _finite_or_none(ens.plurality_win_rate),
-            "convergence_rate": _finite_or_none(ens.convergence_rate),
-            "rounds": {name: _finite_or_none(value) for name, value in summary.items()},
+            "plurality_win_rate": finite_or_none(ens.plurality_win_rate),
+            "convergence_rate": finite_or_none(ens.convergence_rate),
+            "rounds": {name: finite_or_none(value) for name, value in summary.items()},
             "stop_reasons": ens.stop_reasons(),
-            "trace": _trace_summary(ens.trace),
+            "trace": trace_summary(ens.trace),
             "wall_seconds": elapsed,
         }
         print(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
@@ -430,34 +431,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_summary(trace) -> dict | None:
-    """JSON-able TraceSet summary (metrics, shape, bit-identity digest)."""
-    if trace is None:
-        return None
-    return {
-        "metrics": list(trace.metrics),
-        "every": trace.every,
-        "rounds_recorded": trace.n_rounds,
-        "replicas": trace.replicas,
-        "digest": trace.digest(),
-    }
-
-
 def _open_cache(cache_dir: str | None):
     from .serve.cache import ResultCache, default_cache_dir
 
     return ResultCache(cache_dir if cache_dir is not None else default_cache_dir())
 
 
-def _finite_or_none(value: float) -> float | None:
-    """NaN/inf → None so ``--json`` output stays strict JSON."""
-    import math
-
-    return value if math.isfinite(value) else None
-
-
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .serve.envelope import prepare_specs
+    from .serve.envelope import finite_or_none, prepare_specs, trace_summary
     from .serve.executor import run_batch
 
     with open(args.specs, encoding="utf-8") as handle:
@@ -469,7 +450,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"{args.specs} must hold a non-empty JSON array of scenario objects "
             '(or {"scenarios": [...]})'
         )
-    # Validate every item up front: a malformed spec gets a per-item error
+    # Parse every item up front: a malformed spec gets a per-item error
     # envelope (same shape the service wire format uses) instead of
     # aborting the batch before any valid item runs.
     prepared = prepare_specs(payload)
@@ -502,7 +483,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             continue
         result, key, source, run_error = by_position[position]
         if run_error is not None:
-            # The spec validated but failed inside a worker: same envelope
+            # The spec parsed but failed to resolve or to run: same envelope
             # shape, but keyed — siblings in the batch were unaffected.
             errors += 1
             items.append({"key": key, "source": source, "error": run_error})
@@ -516,14 +497,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "n": spec.n,
                 "k": spec.k,
                 "replicas": result.replicas,
-                "plurality_win_rate": _finite_or_none(result.plurality_win_rate),
-                "convergence_rate": _finite_or_none(result.convergence_rate),
+                "plurality_win_rate": finite_or_none(result.plurality_win_rate),
+                "convergence_rate": finite_or_none(result.convergence_rate),
                 "rounds": {
-                    name: _finite_or_none(value)
+                    name: finite_or_none(value)
                     for name, value in result.rounds_summary().items()
                 },
                 "stop_reasons": result.stop_reasons(),
-                "trace": _trace_summary(result.trace),
+                "trace": trace_summary(result.trace),
             }
         )
     summary = {**summary, "requests": len(items), "errors": errors}

@@ -197,6 +197,14 @@ class FaultPlan:
     def from_file(cls, path) -> "FaultPlan":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
+    @classmethod
+    def parse(cls, text: str) -> "FaultPlan":
+        """A plan from inline JSON or ``@path/to/plan.json`` (the CLI and env form)."""
+        text = text.strip()
+        if text.startswith("@"):
+            return cls.from_file(text[1:])
+        return cls.from_json(text)
+
 
 class _ArmedPlan:
     """Per-process runtime state: counters + per-point derived RNG streams."""
@@ -299,10 +307,7 @@ def arm_from_env(environ=os.environ) -> FaultPlan | None:
     raw = environ.get(ENV_VAR)
     if not raw:
         return None
-    raw = raw.strip()
-    if raw.startswith("@"):
-        return arm(FaultPlan.from_file(raw[1:]))
-    return arm(raw)
+    return arm(FaultPlan.parse(raw))
 
 
 arm_from_env()

@@ -1,24 +1,41 @@
-"""Per-item spec validation with error envelopes.
+"""Per-item spec parsing and the JSON shapes both front ends emit.
 
 ``repro batch`` and the network service both accept *lists* of scenario
 objects from untrusted input, and both need the same failure semantics:
 one malformed item must not abort the valid ones.  :func:`prepare_specs`
-validates every item up front — strict :meth:`ScenarioSpec.from_dict`
-structure, a concrete seed (reproducibility is what makes dedup and
-caching sound), and a full registry :meth:`~repro.scenario.ScenarioSpec.validate`
-so unknown names fail here instead of inside a worker — and returns one
-``(spec, error)`` pair per item in request order.  Exactly one of the
-pair is ``None``; errors are JSON-able ``{"type", "message"}`` envelopes,
-the shape both the CLI output and the service wire format embed.
+parses every item — strict :meth:`ScenarioSpec.from_dict` structure and
+a concrete seed (reproducibility is what makes dedup and caching sound)
+— and returns one ``(spec, error)`` pair per item in request order.
+Exactly one of the pair is ``None``; errors are JSON-able ``{"type",
+"message"}`` envelopes, the shape both the CLI output and the service
+wire format embed.
+
+Parsing resolves no registry name.  A spec is resolved in one place,
+the run (:func:`~repro.scenario.simulate_ensemble` inside the
+:class:`~repro.serve.executor.Executor`); a spec that fails to resolve
+or to run comes back from there as an :class:`EnvelopeError` carrying
+the same envelope shape.
+
+:func:`finite_or_none` and :func:`trace_summary` are the result fields
+that ``repro simulate --json``, ``repro batch --json`` and the service's
+``result_payload`` share.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 
 from ..scenario import ScenarioSpec
 
-__all__ = ["EnvelopeError", "error_envelope", "prepare_spec", "prepare_specs"]
+__all__ = [
+    "EnvelopeError",
+    "error_envelope",
+    "finite_or_none",
+    "prepare_spec",
+    "prepare_specs",
+    "trace_summary",
+]
 
 
 class EnvelopeError(Exception):
@@ -40,23 +57,14 @@ class EnvelopeError(Exception):
 
 
 def error_envelope(exc: BaseException) -> dict[str, str]:
-    """JSON-able ``{"type", "message"}`` form of one validation failure."""
+    """JSON-able ``{"type", "message"}`` form of one item failure."""
     if isinstance(exc, EnvelopeError):
         return dict(exc.envelope)
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def prepare_spec(
-    entry, *, validate: bool = True
-) -> tuple[ScenarioSpec | None, dict[str, str] | None]:
-    """Validate one scenario object into ``(spec, None)`` or ``(None, envelope)``.
-
-    ``validate=False`` skips the registry :meth:`~repro.scenario.ScenarioSpec.validate`
-    pass (which can be expensive — topology validation materialises the
-    graph) for callers that memoise it themselves, e.g. the service's
-    per-spec validation cache.  Structural parsing and the concrete-seed
-    requirement always apply.
-    """
+def prepare_spec(entry) -> tuple[ScenarioSpec | None, dict[str, str] | None]:
+    """Parse one scenario object into ``(spec, None)`` or ``(None, envelope)``."""
     try:
         if isinstance(entry, ScenarioSpec):
             spec = entry
@@ -71,8 +79,6 @@ def prepare_spec(
                 "scenario has seed=None; serving needs concrete seeds so results "
                 "are reproducible and cacheable"
             )
-        if validate:
-            spec.validate()  # resolve every registry name before any item runs
         return spec, None
     except Exception as exc:  # noqa: BLE001 — any failure becomes the item's envelope
         return None, error_envelope(exc)
@@ -81,5 +87,24 @@ def prepare_spec(
 def prepare_specs(
     entries: Sequence,
 ) -> list[tuple[ScenarioSpec | None, dict[str, str] | None]]:
-    """Validate every item (request order preserved, no early abort)."""
+    """Parse every item (request order preserved, no early abort)."""
     return [prepare_spec(entry) for entry in entries]
+
+
+def finite_or_none(value: float) -> float | None:
+    """NaN/inf → None: result JSON is strict (``allow_nan=False``)."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def trace_summary(trace) -> dict | None:
+    """JSON-able TraceSet summary (metrics, shape, bit-identity digest)."""
+    if trace is None:
+        return None
+    return {
+        "metrics": list(trace.metrics),
+        "every": trace.every,
+        "rounds_recorded": trace.n_rounds,
+        "replicas": trace.replicas,
+        "digest": trace.digest(),
+    }

@@ -39,6 +39,7 @@ are injectable through :mod:`repro.faults` (``executor.worker-crash`` /
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import random
@@ -152,8 +153,8 @@ class Executor:
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if worker_timeout is not None and worker_timeout <= 0:
-            raise ValueError(f"worker_timeout must be > 0, got {worker_timeout}")
+        if worker_timeout is not None and not 0 < worker_timeout < math.inf:
+            raise ValueError(f"worker_timeout must be finite and > 0, got {worker_timeout}")
         self.cache = cache
         self.workers = int(workers)
         self.worker_timeout = None if worker_timeout is None else float(worker_timeout)

@@ -6,9 +6,10 @@ spec JSON, seed, engine schema version) — so serving simulations is a
 read-heavy, content-addressed workload.  This package puts a socket in
 front of that fact with **no new runtime dependency**: the HTTP/1.1
 framing is hand-rolled on :mod:`asyncio` streams (:mod:`.http`), requests
-validate through the same strict ``ScenarioSpec.from_dict`` the library
+parse through the same strict ``ScenarioSpec.from_dict`` the library
 uses everywhere, and every request then goes through the one execution
-core, :class:`repro.serve.executor.Executor`: concurrent duplicate
+core, :class:`repro.serve.executor.Executor`, whose run is the one place a
+spec's registry names are resolved: concurrent duplicate
 requests coalesce onto one run, hits come from the result cache, and
 misses run on in-process threads or a spawn-context process pool, with
 bounded crash/stall retry.
@@ -24,13 +25,19 @@ serialized as ``null``).  Every error, at any status, is the envelope
 ``{"error": {"type": <exception class>, "message": <text>}}`` — the same
 per-item envelope ``repro batch --json`` reports.
 
+400 covers every deterministic spec failure: a body that does not parse,
+a registry name or parameter the run's resolve rejects, and a spec that
+fails while it runs.  Its envelope carries the exception the library
+raises for that spec.  500 means the executor could not finish a run
+(``WorkerPoolError``: every bounded retry crashed or stalled).
+
 ``POST /v1/simulate`` — body: one scenario object (exactly the
 ``ScenarioSpec.to_dict()`` schema; unknown keys are rejected, the seed
 must be concrete).  Response 200::
 
     {"key": <sha256 hex>,             # content-addressed cache key
      "source": "run"|"cache"|"coalesced",
-     "spec": {...},                   # the validated spec, echoed
+     "spec": {...},                   # the parsed spec, echoed
      "replicas": R,
      "plurality_color": c,
      "plurality_win_rate": f|null, "convergence_rate": f|null,
@@ -48,8 +55,9 @@ on all of them at equal seed.
 
 ``POST /v1/batch`` — body: an array of scenario objects (or
 ``{"scenarios": [...]}``).  Invalid items do **not** abort the batch:
-every item is validated up front and answered positionally.  Response
-200::
+every item is parsed up front and answered positionally.  An item that
+does not parse answers ``"key": null``; one that fails in the run
+carries its ``key``.  Response 200::
 
     {"requests": N, "unique": U, "hits": h, "misses": m, "deduped": d,
      "coalesced": c, "errors": e, "wall_seconds": s,

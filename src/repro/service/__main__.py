@@ -108,11 +108,7 @@ async def _serve(args: argparse.Namespace) -> int:
     from .app import ScenarioService
 
     if args.fault_plan:
-        raw = args.fault_plan.strip()
-        if raw.startswith("@"):
-            faults.arm(faults.FaultPlan.from_file(raw[1:]))
-        else:
-            faults.arm(raw)
+        faults.arm(faults.FaultPlan.parse(args.fault_plan))
     cache = None
     if not args.no_cache:
         cache = ResultCache(

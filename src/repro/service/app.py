@@ -5,8 +5,14 @@
 in-flight coalescing table, the worker pool and the retry loop).
 Request handling is a straight pipeline::
 
-    parse JSON  →  strict ScenarioSpec validation (error envelope on
-    failure)  →  Executor.submit  →  await the run's future  →  JSON payload
+    parse JSON  →  strict ScenarioSpec parse (error envelope on failure)
+    →  Executor.submit  →  await the run's future  →  JSON payload
+
+The service resolves no registry name itself: the run does, once, inside
+the executor, and a spec that fails to resolve or to run comes back as
+its :class:`~repro.serve.envelope.EnvelopeError` and answers 400 (a
+keyed per-item error in ``/v1/batch``).  A warm request is a parse, a
+key and a cache hit.
 
 Two concurrent requests for the same key run the simulation **once**
 (the second reports ``source: "coalesced"``, counted in ``/v1/stats``).
@@ -41,18 +47,20 @@ import asyncio
 import contextlib
 import math
 import re
-import threading
 import time
 from bisect import bisect_left
-from collections import OrderedDict
-
-import numpy as np
 
 from .. import __version__, faults
 from ..core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
-from ..scenario import ScenarioSpec
 from ..serve.cache import ResultCache
-from ..serve.envelope import error_envelope, prepare_spec
+from ..serve.envelope import (
+    EnvelopeError,
+    error_envelope,
+    finite_or_none,
+    prepare_spec,
+    prepare_specs,
+    trace_summary,
+)
 from ..serve.executor import (
     FROM_CACHE,
     FROM_COALESCED,
@@ -69,22 +77,12 @@ __all__ = ["LatencyHistogram", "ScenarioService", "result_payload"]
 #: Request body cap: a batch of a few thousand specs fits comfortably.
 DEFAULT_MAX_BODY = 8 << 20
 
-#: Upper bound on memoised validations (canonical spec JSON strings);
-#: far above any realistic working set, small enough to bound memory.
-VALIDATION_MEMO_ENTRIES = 4096
-
 #: Work endpoints: the routes that execute simulations, and therefore the
 #: ones deadlines bound and backpressure sheds.  Health, stats and cached
 #: result lookups always answer.
 _WORK_LABELS = frozenset({"POST /v1/simulate", "POST /v1/batch"})
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-def _finite(value: float) -> float | None:
-    """NaN/inf → None: the wire format is strict JSON (``allow_nan=False``)."""
-    value = float(value)
-    return value if np.isfinite(value) else None
 
 
 def result_payload(key: str, source: str, result: EnsembleResult) -> dict[str, object]:
@@ -95,30 +93,21 @@ def result_payload(key: str, source: str, result: EnsembleResult) -> dict[str, o
     the :meth:`TraceSet.digest` (which covers dtypes, shapes and raw
     bytes of every recorded column).
     """
-    trace = result.trace
     return {
         "key": key,
         "source": source,
         "replicas": result.replicas,
         "plurality_color": int(result.plurality_color),
-        "plurality_win_rate": _finite(result.plurality_win_rate),
-        "convergence_rate": _finite(result.convergence_rate),
+        "plurality_win_rate": finite_or_none(result.plurality_win_rate),
+        "convergence_rate": finite_or_none(result.convergence_rate),
         "winners": [int(w) for w in result.winners],
         "rounds": [int(r) for r in result.rounds],
         "converged": [bool(c) for c in result.converged],
         "rounds_summary": {
-            name: _finite(value) for name, value in result.rounds_summary().items()
+            name: finite_or_none(value) for name, value in result.rounds_summary().items()
         },
         "stop_reasons": result.stop_reasons(),
-        "trace": None
-        if trace is None
-        else {
-            "metrics": list(trace.metrics),
-            "every": trace.every,
-            "rounds_recorded": trace.n_rounds,
-            "replicas": trace.replicas,
-            "digest": trace.digest(),
-        },
+        "trace": trace_summary(result.trace),
     }
 
 
@@ -217,8 +206,8 @@ class ScenarioService:
         max_in_flight: int = 0,
         worker_timeout: float | None = None,
     ):
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise ValueError(f"deadline_seconds must be > 0, got {deadline_seconds}")
+        if deadline_seconds is not None and not 0 < deadline_seconds < math.inf:
+            raise ValueError(f"deadline_seconds must be finite and > 0, got {deadline_seconds}")
         if max_in_flight < 0:
             raise ValueError(f"max_in_flight must be >= 0, got {max_in_flight}")
         self.executor = Executor(cache, workers=workers, worker_timeout=worker_timeout)
@@ -228,12 +217,6 @@ class ScenarioService:
         self.max_in_flight = int(max_in_flight)
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
-        # Validation memo: canonical spec JSON → already passed validate().
-        # Registry validation can materialise a topology graph (hundreds of
-        # ms), so the warm path must not re-pay it per request.  Accessed
-        # from handler worker threads; guarded by its own lock.
-        self._validated: OrderedDict[str, None] = OrderedDict()
-        self._validated_lock = threading.Lock()
         self._histograms: dict[str, LatencyHistogram] = {}
         self._errors: dict[str, int] = {}
         self.in_flight = 0
@@ -373,6 +356,8 @@ class ScenarioService:
                 status, payload = await handler(request, argument)
         except HttpError as exc:
             status, payload = exc.status, {"error": error_envelope(exc)}
+        except EnvelopeError as exc:  # the spec failed to resolve or to run
+            status, payload = 400, {"error": error_envelope(exc)}
         except TimeoutError:  # asyncio.wait_for: the deadline fired
             self.deadline_hits += 1
             budget = f"its {deadline * 1e3:.0f} ms deadline" if deadline else "a deadline"
@@ -398,8 +383,8 @@ class ScenarioService:
             ms = float(raw)
         except ValueError:
             raise HttpError(400, f"x-deadline-ms is not a number: {raw!r}") from None
-        if ms <= 0:
-            raise HttpError(400, f"x-deadline-ms must be > 0, got {raw}")
+        if not 0 < ms < math.inf:  # also rejects nan, and 1e400 parsed as inf
+            raise HttpError(400, f"x-deadline-ms must be finite and > 0, got {raw}")
         return ms / 1e3
 
     def _route(self, request: Request):
@@ -468,34 +453,8 @@ class ScenarioService:
             "requests": requests,
         }
 
-    def _prepare(self, entry) -> tuple[ScenarioSpec | None, dict | None]:
-        """:func:`prepare_spec` with the validation memo applied.
-
-        Runs on a worker thread (``asyncio.to_thread``) so a cold
-        validation never stalls the event loop; a spec whose canonical
-        JSON already validated skips straight through.
-        """
-        spec, error = prepare_spec(entry, validate=False)
-        if error is not None:
-            return None, error
-        token = spec.to_json(indent=None)
-        with self._validated_lock:
-            known = token in self._validated
-            if known:
-                self._validated.move_to_end(token)
-        if not known:
-            try:
-                spec.validate()
-            except Exception as exc:  # noqa: BLE001 — becomes the item envelope
-                return None, error_envelope(exc)
-            with self._validated_lock:
-                self._validated[token] = None
-                while len(self._validated) > VALIDATION_MEMO_ENTRIES:
-                    self._validated.popitem(last=False)
-        return spec, None
-
     async def _handle_simulate(self, request: Request, _argument) -> tuple[int, dict]:
-        spec, error = await asyncio.to_thread(self._prepare, request.json())
+        spec, error = prepare_spec(request.json())
         if error is not None:
             return 400, {"error": error}
         key, source, result = await asyncio.wrap_future(self.executor.submit(spec))
@@ -512,9 +471,7 @@ class ScenarioService:
                 400, 'batch body must be a non-empty JSON array (or {"scenarios": [...]})'
             )
         start = time.perf_counter()
-        prepared = await asyncio.to_thread(
-            lambda: [self._prepare(entry) for entry in body]
-        )
+        prepared = await asyncio.to_thread(prepare_specs, body)
 
         keys, futures = self.executor.submit_unique(
             [spec for spec, error in prepared if error is None]

@@ -492,14 +492,8 @@ def drive(
             except subprocess.TimeoutExpired:
                 process.kill()
     report["spawned_service"] = process is not None
-    if fault_plan:
-        if fault_plan.startswith("@"):
-            plan = faults.FaultPlan.from_file(fault_plan[1:])
-        else:
-            plan = faults.FaultPlan.from_json(fault_plan)
-        report["fault_plan"] = plan.to_dict()
-    else:
-        report["fault_plan"] = None
+    plan = faults.FaultPlan.parse(fault_plan) if fault_plan else None
+    report["fault_plan"] = None if plan is None else plan.to_dict()
     if p95_budget_ms is not None:
         warm_p95 = report["phases"]["warm"]["latency_ms"]["p95"]
         report["budget"] = {

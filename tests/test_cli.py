@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import ScenarioSpec
+from repro import ScenarioSpec, cache_key, simulate_ensemble
 from repro.cli import build_parser, main
 
 
@@ -169,6 +169,21 @@ class TestScenarioCommands:
         assert saved.stopping == {"rule": "round-budget", "rounds": 5}
         out = capsys.readouterr().out
         assert "stopped by" in out
+
+    def test_save_spec_is_skipped_when_the_run_fails(self, tmp_path):
+        out_path = tmp_path / "saved.json"
+        with pytest.raises(ValueError, match="unavailable"):
+            main(
+                [
+                    "simulate",
+                    "--dynamics", "h-plurality",
+                    "--dynamics-params", '{"h": 6, "engine": "counts"}',
+                    "--n", "500",
+                    "--k", "3",
+                    "--save-spec", str(out_path),
+                ]
+            )
+        assert not out_path.exists()
 
 
 class TestMetricsCommands:
@@ -380,6 +395,29 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "[error]" in out
         assert "1 failed" in out
+
+    def test_unrunnable_items_are_keyed_errors(self, capsys, tmp_path):
+        # Each of these parses, so it gets a key, and then fails in the run
+        # (the only place a spec is resolved); its siblings are served.
+        bad = [
+            self._spec(1, engine="sparse", adversary="targeted", adversary_params={"budget": 10}),
+            self._spec(1, dynamics="h-plurality", dynamics_params={"h": 6, "engine": "counts"}),
+            self._spec(1, dynamics="no-such-dynamics"),
+        ]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([self._spec(0), *bad, self._spec(0)]))
+        assert main(["batch", str(path), "--json", "--no-cache", "--processes", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        items = report["items"]
+        assert report["errors"] == len(bad)
+        assert [item["source"] for item in items] == ["run", "error", "error", "error", "dedup"]
+        assert items[0]["error"] is None and items[-1]["key"] == items[0]["key"]
+        for raw, item in zip(bad, items[1:-1]):
+            spec = ScenarioSpec.from_dict(raw)
+            with pytest.raises(Exception) as err:
+                simulate_ensemble(spec)
+            assert item["key"] == cache_key(spec)
+            assert item["error"] == {"type": type(err.value).__name__, "message": str(err.value)}
 
     def test_unseeded_entry_is_per_item_error(self, capsys, tmp_path):
         path = tmp_path / "batch.json"

@@ -657,6 +657,11 @@ class TestExecutor:
         yield release
         release.set()
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_worker_timeout_is_rejected(self, seconds):
+        with pytest.raises(ValueError, match="finite"):
+            Executor(ResultCache(None), workers=1, worker_timeout=seconds)
+
     def test_concurrent_duplicate_submits_run_once(self, gate):
         spec = small_spec(record={"metrics": ["bias"], "every": 1})
         fan_out = 5

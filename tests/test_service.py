@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 
@@ -72,6 +73,26 @@ def gate(monkeypatch):
     monkeypatch.setattr(executor_module, "_run_task", held)
     yield started, release
     release.set()
+
+
+#: Specs that parse and resolve but fail in the run: deterministic spec
+#: failures like any other, so each must answer 400, never 500.
+UNRUNNABLE = {
+    "sparse-engine-with-targeted-adversary": dict(
+        engine="sparse", adversary="targeted", adversary_params={"budget": 10}
+    ),
+    "h6-plurality-on-counts-engine": dict(
+        dynamics="h-plurality", dynamics_params={"h": 6, "engine": "counts"}
+    ),
+    "negative-seed": dict(seed=-1),
+}
+
+
+def run_failure(raw: dict) -> dict:
+    """The envelope of the exception a direct library run of ``raw`` raises."""
+    with pytest.raises(Exception) as err:
+        simulate_ensemble(ScenarioSpec.from_dict(raw))
+    return {"type": type(err.value).__name__, "message": str(err.value)}
 
 
 def wait_until(predicate, timeout: float = 30.0) -> None:
@@ -303,6 +324,7 @@ class TestCoalescing:
         monkeypatch.setattr(executor_module, "simulate_ensemble", exploding)
         spec = spec_dict(seed=18)
         statuses: list[int] = []
+        envelopes: list[dict] = []
 
         def one_request():
             with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
@@ -311,6 +333,7 @@ class TestCoalescing:
                     statuses.append(200)
                 except ServiceError as exc:
                     statuses.append(exc.status)
+                    envelopes.append(exc.body["error"])
 
         _started, release = gate
         with BackgroundServer(service) as srv:
@@ -321,7 +344,10 @@ class TestCoalescing:
             release.set()
             for t in threads:
                 t.join(timeout=60)
-        assert statuses == [500, 500, 500]
+        # A run that raises is a deterministic failure of its spec: 400,
+        # with the owner's envelope for every follower.
+        assert statuses == [400, 400, 400]
+        assert envelopes == [{"type": "RuntimeError", "message": "engine exploded"}] * 3
 
 
 class TestProcessPoolWorkers:
@@ -441,35 +467,83 @@ class TestLoadDriver:
 
 
 class TestValidationMemo:
+    """The run is the only place the service resolves a spec."""
+
     def test_validate_runs_once_per_unique_spec(self, monkeypatch):
-        # Registry validation can materialise a topology graph; the warm
-        # path must not re-pay it for a spec already seen (app._prepare).
+        # A cold graph request resolves (and so builds its topology) once,
+        # inside the run; the warm repeat is a parse, a key and a cache hit.
         calls: list[int] = []
-        real_validate = ScenarioSpec.validate
+        real_resolve = ScenarioSpec.resolve
 
-        def counting_validate(self):
+        def counting_resolve(self):
             calls.append(self.seed)
-            return real_validate(self)
+            return real_resolve(self)
 
-        monkeypatch.setattr(ScenarioSpec, "validate", counting_validate)
+        monkeypatch.setattr(ScenarioSpec, "resolve", counting_resolve)
         service = ScenarioService(cache=ResultCache(None), workers=0)
-        entry = spec_dict(seed=30)
-        for _ in range(3):
-            spec, error = service._prepare(entry)
-            assert error is None and spec is not None
+        spec = spec_dict(
+            seed=30, n=120, replicas=2, topology="random-regular", topology_params={"d": 4}
+        )
+        with BackgroundServer(service) as srv:
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                cold = c.simulate(spec)
+                assert calls == [30]
+                warm = c.simulate(spec)
+        assert (cold["source"], warm["source"]) == ("run", "cache")
         assert calls == [30]
-        other = spec_dict(seed=31)
-        service._prepare(other)
-        assert calls == [30, 31]
 
     def test_invalid_specs_are_not_memoised(self):
-        service = ScenarioService(cache=ResultCache(None), workers=0)
-        bad = spec_dict(dynamics="no-such-dynamics")
-        for _ in range(2):
-            spec, error = service._prepare(bad)
-            assert spec is None
-            assert error["type"] in ("KeyError", "ValueError")
-        assert len(service._validated) == 0
+        # An unknown name parses, then fails the run's resolve: the same
+        # 400 envelope every time, and nothing reaches the cache.
+        cache = ResultCache(None)
+        service = ScenarioService(cache=cache, workers=0)
+        bad = spec_dict(seed=31, dynamics="no-such-dynamics")
+        envelopes = []
+        with BackgroundServer(service) as srv:
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                for _ in range(2):
+                    with pytest.raises(ServiceError) as err:
+                        c.simulate(bad)
+                    assert err.value.status == 400
+                    envelopes.append(err.value.body["error"])
+        assert envelopes[0] == envelopes[1] == run_failure(bad)
+        assert envelopes[0]["type"] == "KeyError"
+        assert cache.stats()["stores"] == 0
+        assert service.executor.runs == 0
+
+
+class TestUnrunnableSpecs:
+    """Specs that parse but fail to resolve or to run answer 400, never 500."""
+
+    @pytest.fixture(scope="class", params=[0, 1], ids=["threads", "pool"])
+    def port(self, request):
+        service = ScenarioService(cache=ResultCache(None), workers=request.param)
+        with BackgroundServer(service) as srv:
+            yield srv.port
+
+    @pytest.mark.parametrize("name", sorted(UNRUNNABLE))
+    def test_simulate_answers_400_with_the_run_envelope(self, port, name):
+        spec = spec_dict(**{"seed": 60, **UNRUNNABLE[name]})
+        with ServiceClient("127.0.0.1", port, timeout=120.0) as c:
+            with pytest.raises(ServiceError) as err:
+                c.simulate(spec)
+        assert err.value.status == 400
+        assert err.value.body["error"] == run_failure(spec)
+        assert err.value.body["error"]["type"] == "ValueError"
+
+    def test_batch_keys_each_failure_and_serves_its_siblings(self, port):
+        good = spec_dict(seed=61)
+        bad = [spec_dict(**{"seed": 61, **UNRUNNABLE[name]}) for name in sorted(UNRUNNABLE)]
+        with ServiceClient("127.0.0.1", port, timeout=120.0) as c:
+            report = c.batch([good, *bad, good])
+        items = report["items"]
+        assert report["errors"] == len(bad)
+        assert items[0]["error"] is None and items[0]["source"] == "run"
+        assert items[-1]["error"] is None and items[-1]["source"] == "dedup"
+        for raw, item in zip(bad, items[1:-1]):
+            assert item["source"] == "error"
+            assert item["key"] == cache_key(ScenarioSpec.from_dict(raw))
+            assert item["error"] == run_failure(raw)
 
 
 class TestServiceResilience:
@@ -593,6 +667,37 @@ class TestServiceResilience:
             finally:
                 conn.close()
         assert response.status == 400
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_deadline_header_is_400(self, raw):
+        # float() accepts every one of these (1e400 overflows to inf); none
+        # is a deadline, so none may mean "no deadline" or "already past".
+        import http.client
+
+        service = ScenarioService(cache=ResultCache(None), workers=0)
+        with BackgroundServer(service) as srv:
+            conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30.0)
+            try:
+                conn.request(
+                    "POST",
+                    "/v1/simulate",
+                    body=json.dumps(spec_dict(seed=44)),
+                    headers={"Content-Type": "application/json", "x-deadline-ms": raw},
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+            finally:
+                conn.close()
+        assert response.status == 400
+        assert body["error"]["type"] == "HttpError"
+        assert "finite" in body["error"]["message"]
+        assert service.deadline_hits == 0
+        assert service.executor.runs == 0
+
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf])
+    def test_non_finite_config_deadline_is_rejected(self, seconds):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioService(cache=ResultCache(None), deadline_seconds=seconds)
 
     def test_owner_deadline_leaves_followers_served(self, gate):
         # The owner carries a short x-deadline-ms; the followers have no
