@@ -48,7 +48,6 @@ import os
 import sys
 import time
 
-from .experiments.registry import ALL_EXPERIMENTS, get_experiment
 from .service import __main__ as service_main  # flag definitions only; the stack loads on serve
 
 __all__ = ["main", "build_parser"]
@@ -278,6 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(experiment_id: str, scale: str, seed: int, csv_dir: str | None) -> None:
+    from .experiments.registry import get_experiment
+
     spec = get_experiment(experiment_id)
     start = time.perf_counter()
     table = spec(scale=scale, seed=seed)
@@ -669,9 +670,8 @@ def _cmd_metrics(as_json: bool) -> int:
 
 def _cmd_topologies(as_json: bool) -> int:
     from .core.registry import TOPOLOGIES
-    from .scenario import ScenarioSpec
+    from .graphs import topology  # noqa: F401 — import registers TOPOLOGIES
 
-    ScenarioSpec.registries()  # force registration of every component
     if as_json:
         payload = {
             name: {
@@ -694,7 +694,6 @@ def _cmd_scenarios(as_json: bool) -> int:
     from .core.registry import ADVERSARIES, DYNAMICS, METRICS, STOPPING, TOPOLOGIES, WORKLOADS
     from .scenario import ScenarioSpec
 
-    ScenarioSpec.registries()  # force registration of every component
     if as_json:
         print(json.dumps(ScenarioSpec.registries(), indent=2, sort_keys=True))
         return 0
@@ -718,10 +717,14 @@ def _cmd_scenarios(as_json: bool) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
+        from .experiments.registry import ALL_EXPERIMENTS
+
         for spec in ALL_EXPERIMENTS.values():
             print(f"{spec.id:4s} {spec.title}")
         return 0
     if args.command == "describe":
+        from .experiments.registry import get_experiment
+
         spec = get_experiment(args.experiment)
         print(f"{spec.id}: {spec.title}")
         print(f"tags: {', '.join(spec.tags)}")
@@ -729,6 +732,8 @@ def main(argv: list[str] | None = None) -> int:
         print(spec.claim)
         return 0
     if args.command == "run":
+        from .experiments.registry import ALL_EXPERIMENTS
+
         targets = (
             list(ALL_EXPERIMENTS) if args.experiment.lower() == "all" else [args.experiment]
         )

@@ -1,45 +1,46 @@
 """Experiment suite: one module per paper claim (``repro list`` prints the index;
-the claims are the paper's, see PAPER.md)."""
+the claims are the paper's, see PAPER.md).
 
-from .harness import SCALES, ExperimentSpec, SweepPoint, ensemble_at, grid, sweep
-from .figures import FIGURES, figure_ids, render_figure
-from .plotting import ascii_plot
-from .registry import ALL_EXPERIMENTS, experiment_ids, get_experiment
-from .results import ResultTable
-from .workloads import (
-    corollary3_start,
-    geometric_tail,
-    lemma8_start,
-    lemma10_start,
-    paper_biased,
-    soda15_gap,
-    theorem1_bias,
-    theorem2_start,
-    theorem4_start,
-)
+The names below load on first attribute access.  :mod:`.workloads`, which
+registers the initial-configuration generators every spec resolves
+through, needs only numpy, so importing it (as :mod:`repro.scenario` does)
+leaves the experiments, their scipy-backed analysis and the figures
+unloaded until something asks for them.
+"""
 
-__all__ = [
-    "ALL_EXPERIMENTS",
-    "ExperimentSpec",
-    "FIGURES",
-    "ResultTable",
-    "SCALES",
-    "SweepPoint",
-    "ascii_plot",
-    "corollary3_start",
-    "ensemble_at",
-    "experiment_ids",
-    "figure_ids",
-    "geometric_tail",
-    "get_experiment",
-    "grid",
-    "lemma10_start",
-    "lemma8_start",
-    "render_figure",
-    "paper_biased",
-    "soda15_gap",
-    "sweep",
-    "theorem1_bias",
-    "theorem2_start",
-    "theorem4_start",
-]
+import importlib
+
+#: Public name -> defining submodule.
+_EXPORTS = {
+    "ALL_EXPERIMENTS": "registry",
+    "ExperimentSpec": "harness",
+    "FIGURES": "figures",
+    "ResultTable": "results",
+    "SCALES": "harness",
+    "SweepPoint": "harness",
+    "ascii_plot": "plotting",
+    "corollary3_start": "workloads",
+    "ensemble_at": "harness",
+    "experiment_ids": "registry",
+    "figure_ids": "figures",
+    "geometric_tail": "workloads",
+    "get_experiment": "registry",
+    "grid": "harness",
+    "lemma10_start": "workloads",
+    "lemma8_start": "workloads",
+    "paper_biased": "workloads",
+    "render_figure": "figures",
+    "soda15_gap": "workloads",
+    "sweep": "harness",
+    "theorem1_bias": "workloads",
+    "theorem2_start": "workloads",
+    "theorem4_start": "workloads",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

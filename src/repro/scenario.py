@@ -28,6 +28,14 @@ dispatch straight to :func:`repro.core.process.run_process` /
 :func:`~repro.core.process.run_ensemble`, so at equal seed they reproduce
 the direct Python API bit for bit (asserted in the tests, with the
 dispatch overhead guarded in the benchmark suite).
+
+Importing this module fills every registry a spec can name: the
+dynamics, adversary, stopping and metric entries ride on
+:mod:`repro.core`, and the workload and topology generators on
+:mod:`repro.experiments.workloads` and :mod:`repro.graphs.topology`.
+Both need only numpy and the standard library (``repro.experiments``
+loads its experiment suite lazily), so resolving and running a spec
+never imports scipy or networkx.
 """
 
 from __future__ import annotations
@@ -52,28 +60,10 @@ from .core.process import (
 )
 from .core.registry import ADVERSARIES, DYNAMICS, METRICS, STOPPING, TOPOLOGIES, WORKLOADS
 from .core.stopping import StoppingRule, stopping_from_dict
+from .experiments import workloads  # noqa: F401 — import registers WORKLOADS
+from .graphs.topology import Topology  # import registers TOPOLOGIES
 
 __all__ = ["ScenarioSpec", "ResolvedScenario", "simulate", "simulate_ensemble"]
-
-_registered = False
-
-
-def _ensure_registered() -> None:
-    """Import the modules whose decorators populate the registries.
-
-    The dynamics/adversary/stopping registrations ride on ``repro.core``
-    (already imported above); the workload generators live one layer up in
-    :mod:`repro.experiments.workloads`, and the topology generators in
-    :mod:`repro.graphs.topology` — both imported lazily here to keep
-    ``repro.core`` free of upward dependencies (and the networkx import
-    off the non-graph paths).
-    """
-    global _registered
-    if not _registered:
-        from .experiments import workloads  # noqa: F401 — import registers WORKLOADS
-        from .graphs import topology  # noqa: F401 — import registers TOPOLOGIES
-
-        _registered = True
 
 
 def _checked_params(name: str, value: object) -> dict[str, Any]:
@@ -309,7 +299,6 @@ class ScenarioSpec:
 
     def resolve(self) -> ResolvedScenario:
         """Resolve all names through the registries into live objects."""
-        _ensure_registered()
         dynamics = DYNAMICS.build(self.dynamics, **self.dynamics_params)
         if not isinstance(dynamics, Dynamics):
             raise TypeError(f"dynamics {self.dynamics!r} did not build a Dynamics")
@@ -334,7 +323,6 @@ class ScenarioSpec:
         topology = None
         if self.topology is not None:
             from .graphs.ensemble import graph_ineligibility
-            from .graphs.topology import Topology
 
             if adversary is not None:
                 raise ValueError(
@@ -368,7 +356,6 @@ class ScenarioSpec:
     @staticmethod
     def registries() -> dict[str, list[str]]:
         """Registered names per component kind (what ``repro scenarios`` shows)."""
-        _ensure_registered()
         return {
             "dynamics": DYNAMICS.names(),
             "workloads": WORKLOADS.names(),

@@ -357,15 +357,20 @@ class ResultCache:
         disk_bytes = 0
         with self._lock:
             if self.root is not None and self.root.is_dir():
-                for manifest in self.root.glob("*" + _MANIFEST_SUFFIX):
-                    try:
-                        disk_bytes += manifest.stat().st_size
-                        disk_entries += 1
-                        arrays = manifest.with_suffix(_ARRAYS_SUFFIX)
-                        if arrays.exists():
-                            disk_bytes += arrays.stat().st_size
-                    except OSError:
-                        continue  # entry removed by another process mid-scan
+                # Stream the listing: collecting it first (as Path.glob
+                # does) costs memory in proportion to the entries on disk,
+                # and the service answers /v1/stats from here.
+                with os.scandir(self.root) as listing:
+                    for entry in listing:
+                        if not entry.name.endswith(_MANIFEST_SUFFIX):
+                            continue
+                        try:
+                            disk_bytes += entry.stat().st_size
+                            disk_entries += 1
+                            stem = entry.name[: -len(_MANIFEST_SUFFIX)]
+                            disk_bytes += os.stat(self.root / (stem + _ARRAYS_SUFFIX)).st_size
+                        except OSError:
+                            continue  # arrays missing, or entry removed mid-scan
             return {
                 "root": None if self.root is None else str(self.root),
                 "schema_version": self.schema_version,

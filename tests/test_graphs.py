@@ -335,6 +335,130 @@ class TestFromNetworkxVectorized:
             Topology.from_networkx(g, include_self=False)
 
 
+class TestBuildersMatchNetworkx:
+    """Every generator's CSR is byte-identical to packing networkx's graph.
+
+    networkx is only the reference here: the builders use numpy and
+    ``random.Random``, and the random ones port networkx 3.x's generators
+    draw for draw.  A mismatch would change what graph specs compute
+    under unchanged cache keys: results, trace digests and pins.
+    """
+
+    SEEDS = range(40)
+
+    @staticmethod
+    def _assert_same(topo, graph):
+        reference = Topology.from_networkx(graph)
+        assert topo.offsets.dtype == topo.neighbors.dtype == np.int64
+        assert np.array_equal(topo.offsets, reference.offsets)
+        assert np.array_equal(topo.neighbors, reference.neighbors)
+
+    def test_cycle(self):
+        import networkx as nx
+
+        for n in range(1, 13):
+            self._assert_same(cycle(n), nx.cycle_graph(n))
+
+    def test_torus(self):
+        import networkx as nx
+
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                self._assert_same(torus(rows, cols), nx.grid_2d_graph(rows, cols, periodic=True))
+
+    def test_complete_bipartite(self):
+        import networkx as nx
+
+        for a in range(1, 6):
+            for b in range(1, 6):
+                self._assert_same(complete_bipartite(a, b), nx.complete_bipartite_graph(a, b))
+
+    def test_barbell(self):
+        import networkx as nx
+
+        for m in range(2, 7):
+            for path in range(5):
+                self._assert_same(barbell(m, path), nx.barbell_graph(m, path))
+
+    @pytest.mark.parametrize("n,d", [(10, 3), (50, 4), (1000, 8), (7, 6), (9, 0)])
+    def test_random_regular(self, n, d):
+        import networkx as nx
+
+        for seed in self.SEEDS:
+            self._assert_same(random_regular(n, d, seed=seed), nx.random_regular_graph(d, n, seed=seed))
+
+    @pytest.mark.parametrize("p", [0.0, 0.15, 0.5, 1.0, None])
+    def test_erdos_renyi(self, p):
+        import networkx as nx
+
+        n = 120
+        params = {} if p is None else {"p": p}
+        p = min(1.0, 2.0 * np.log(n) / n) if p is None else p
+        for seed in self.SEEDS:
+            topo = TOPOLOGIES.build("erdos-renyi", n, seed=seed, **params)
+            self._assert_same(topo, nx.fast_gnp_random_graph(n, p, seed=seed))
+
+    @pytest.mark.parametrize("family", ["random-regular", "erdos-renyi"])
+    def test_unseeded_draws_from_the_module_generator(self, family):
+        import random
+
+        import networkx as nx
+
+        ours, theirs = {
+            "random-regular": (lambda: random_regular(60, 4), lambda: nx.random_regular_graph(4, 60)),
+            "erdos-renyi": (lambda: erdos_renyi(80, 0.1), lambda: nx.fast_gnp_random_graph(80, 0.1)),
+        }[family]
+        random.seed(5)
+        topo = ours()
+        next_draw = random.random()
+        random.seed(5)
+        self._assert_same(topo, theirs())
+        assert random.random() == next_draw  # both consumed the same draws
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"n": 120, "d": 120}, "0 <= d < n"),
+            ({"n": 120, "d": -2}, "0 <= d < n"),
+            ({"n": 121, "d": 3}, "must be even"),
+        ],
+    )
+    def test_random_regular_parameter_errors_are_value_errors(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            random_regular(seed=0, **kwargs)
+
+
+class TestGeneratorPins:
+    """sha256 over the int64 bytes of ``offsets`` then ``neighbors``.
+
+    Both digests were taken from networkx 3.6.1's graphs, so neither the
+    builders nor a future networkx release can move them unnoticed.
+    """
+
+    @pytest.mark.parametrize(
+        "build,digest",
+        [
+            (
+                lambda: random_regular(1000, 8, seed=12345),
+                "434fe4b4560c8c77719d19a754a8364b6694deada8131d665aad606775889b3e",
+            ),
+            (
+                lambda: erdos_renyi(2000, 2 * np.log(2000) / 2000, seed=7),
+                "917ec3ea8e1094b683a162b2b14144c240aee81395d95c9c45acf9390d7727ba",
+            ),
+        ],
+        ids=["random-regular", "erdos-renyi"],
+    )
+    def test_digest(self, build, digest):
+        import hashlib
+
+        topo = build()
+        sha = hashlib.sha256()
+        sha.update(topo.offsets.astype(np.int64).tobytes())
+        sha.update(topo.neighbors.astype(np.int64).tobytes())
+        assert sha.hexdigest() == digest
+
+
 class TestGraphEnsembleBitIdentity:
     """Batched (R, n) stepping ≡ sequential per-replica runs, bitwise.
 

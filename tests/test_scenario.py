@@ -587,3 +587,49 @@ class TestTopologyField:
         assert set(res.trace.metrics) == {"counts", "bias"}
         series = res.trace.replica(0, "counts")
         assert (series.sum(axis=1) == 120).all()
+
+
+class TestImportHygiene:
+    """The run path needs numpy alone: no scipy, networkx or experiment suite.
+
+    Runs in a fresh interpreter, because this test process has long since
+    imported all three.
+    """
+
+    PROGRAM = """
+import json, sys
+
+import repro
+import repro.cli
+from repro.core.registry import TOPOLOGIES
+from repro.scenario import ScenarioSpec, simulate_ensemble
+
+for name in TOPOLOGIES.names():
+    TOPOLOGIES.build(name, 12)
+for topology in (None, "random-regular"):
+    spec = ScenarioSpec(dynamics="3-majority", n=120, k=3, replicas=2, seed=0, topology=topology)
+    simulate_ensemble(spec)
+status = repro.cli.main(["simulate", "--dynamics", "3-majority", "--n", "120", "--k", "3",
+                         "--replicas", "2", "--topology", "torus", "--json"])
+loaded = [name for name in ("networkx", "scipy", "repro.experiments.registry") if name in sys.modules]
+print(json.dumps({"status": status, "loaded": loaded}))
+"""
+
+    def test_run_path_loads_neither_scipy_nor_networkx(self):
+        import json
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROGRAM],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert verdict == {"status": 0, "loaded": []}

@@ -230,7 +230,13 @@ class TestEndpoints:
         assert err.value.body["error"]["type"] == "ValueError"
 
     @pytest.mark.parametrize(
-        "topology,params", [("erdos-renyi", {"p": -0.5}), ("torus", {"rows": 0})]
+        "topology,params",
+        [
+            ("erdos-renyi", {"p": -0.5}),
+            ("torus", {"rows": 0}),
+            ("random-regular", {"d": 120}),
+            ("random-regular", {"d": -2}),
+        ],
     )
     def test_out_of_range_topology_params_are_400(self, client, topology, params):
         spec = spec_dict(n=120, replicas=2, topology=topology, topology_params=params)
