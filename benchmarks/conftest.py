@@ -11,24 +11,29 @@ and `test_bench_ablation` times the design alternatives (exact vs
 agent-level engine, tie-break convention, batched vs per-replica).
 Rendered tables are printed; pass ``-s`` to see them inline.
 
-Machine-readable results: after a timed run (i.e. not with
-``--benchmark-disable``) the session writes ``benchmarks/BENCH_results.json``
-— one record per benchmark with ns/op statistics plus whatever the bench
-attached via ``benchmark.extra_info`` (engine, n, k, replicas, ...).
-Records merge by fullname into the existing file, and the file is
-*deliberately version-controlled*: committing refreshed numbers alongside a
-perf-relevant PR is how the performance trajectory is tracked across PRs
-(don't commit incidental refreshes from unrelated work).
+Machine-readable results: a timed run (i.e. not with
+``--benchmark-disable``) with ``REPRO_BENCH_WRITE=1`` in the environment
+writes ``benchmarks/BENCH_results.json`` — one record per benchmark with
+ns/op statistics plus whatever the bench attached via
+``benchmark.extra_info`` (engine, n, k, replicas, ...).  Records merge by
+fullname into the existing file.  Without the variable nothing is
+written, so a plain test run leaves the checkout as it found it.  These
+single-host timings are a record, not a baseline: performance claims
+come from ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
 
 RESULTS_NAME = "BENCH_results.json"
+
+#: Environment variable that opts a session into writing :data:`RESULTS_NAME`.
+WRITE_ENV = "REPRO_BENCH_WRITE"
 
 
 @pytest.fixture
@@ -43,6 +48,8 @@ def show():
 
 
 def pytest_sessionfinish(session, exitstatus):
+    if os.environ.get(WRITE_ENV) != "1":
+        return
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not getattr(bench_session, "benchmarks", None):
         return

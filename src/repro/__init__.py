@@ -27,6 +27,8 @@ Quickstart
 (True, 23)
 """
 
+import importlib
+
 from .core import (
     ADVERSARIES,
     DYNAMICS,
@@ -84,23 +86,33 @@ from .core import (
     three_input_rule,
     three_majority_law,
 )
-from .faults import FaultPlan, FaultRule
 from .scenario import ResolvedScenario, ScenarioSpec, simulate, simulate_ensemble
-from .serve import BatchReport, ResultCache, cache_key, run_batch
 
 __version__ = "1.7.0"
 
-_SERVICE_EXPORTS = ("BackgroundServer", "ScenarioService", "ServiceClient")
+#: Exports reached lazily, keyed to the submodule that defines them, so a
+#: plain ``import repro`` loads neither the serving stack (whose executor
+#: pulls in ``multiprocessing``), the fault registry, nor the network
+#: service: nothing :func:`simulate_ensemble` runs needs them.
+_LAZY_EXPORTS = {
+    "BatchReport": "serve",
+    "ResultCache": "serve",
+    "cache_key": "serve",
+    "run_batch": "serve",
+    "FaultPlan": "faults",
+    "FaultRule": "faults",
+    "BackgroundServer": "service",
+    "ScenarioService": "service",
+    "ServiceClient": "service",
+}
 
 
 def __getattr__(name: str):
-    # The network service (repro.service) is reached lazily so that plain
-    # `import repro` never pays for the serving machinery it doesn't use.
-    if name in _SERVICE_EXPORTS:
-        from . import service
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ADVERSARIES",

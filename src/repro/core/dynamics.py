@@ -55,20 +55,34 @@ HPlurality             auto: counts for h ≤ 5   composition enumeration,
                        agent otherwise          it, ``"agent"`` forbids it
 TwoSampleUniform       counts (law = c/n)       fixed
 Voter                  counts                   fixed
-TwoChoices,            counts (class-wise       fixed, O(k²) law per row;
-MedianDynamics         product of multinomials) ``step_many`` draws every
+TwoChoices             counts (exact two-draw   fixed, O(k) per row: movers
+                       sampler)                 ``Bin(c_i, S)``, then one
+                                                multinomial over all movers;
+                                                ``step_many`` makes those
+                                                two calls for the whole
+                                                batch (``step`` is the
+                                                one-row batch)
+MedianDynamics         counts (class-wise       fixed, O(k²) law per row;
+                       product of multinomials) ``step_many`` draws every
                                                 class of a chunk of rows in
                                                 one call, bit-identical to
                                                 looping ``step`` over rows
-                                                (shared base class
-                                                ``ClasswiseDynamics``)
+                                                (base class
+                                                ``ClasswiseDynamics``,
+                                                which serves median only)
 UndecidedState         counts (product form)    fixed, extra state slot;
-                                                ``step_many`` computes the
-                                                laws of a chunk of rows at
-                                                once, keeps two draws per
-                                                row (bit-identical to the
-                                                per-row loop)
+                                                ``step_many`` makes two
+                                                calls per batch: every
+                                                row's survivor binomials,
+                                                then every row's undecided
+                                                multinomial (``step`` is the
+                                                one-row batch)
 =====================  =======================  ===========================
+
+Every counts-level ``step_many`` returns rows of zero mass unchanged and
+draws nothing for them, so dropping such rows never moves the other
+rows' draws.  (The agent-level engines return them unchanged too, but a
+batch with a zero row takes their per-row fallback.)
 
 Orthogonal to the law engine, :func:`repro.core.process.run_ensemble`
 selects an **ensemble layout** via its own ``engine=`` keyword:
@@ -76,7 +90,8 @@ selects an **ensemble layout** via its own ``engine=`` keyword:
 * ``"dense"`` — replicas step on the full ``(R, k)`` count matrix (the
   historical layout; counts-engine runs are bit-identical to previous
   releases at equal seed, while agent-level engines reordered their
-  draws when they went replica-batched);
+  draws when they went replica-batched, and two-choices and
+  undecided-state when they moved to two draws per batch);
 * ``"sparse"`` — replicas step on the **union-live-support compacted**
   ``(R, s)`` columns (see :mod:`repro.core.support`), re-compacting with
   hysteresis as colors go extinct, so per-round cost is O(s) not O(k).
@@ -128,13 +143,31 @@ __all__ = ["Dynamics", "CountsDynamics", "ClasswiseDynamics"]
 #: Recognised values for the ``engine=`` keyword of selectable dynamics.
 ENGINES = ("auto", "counts", "agent")
 
-#: Upper bound on the cells one chunk of rows of a replica-batched kernel
-#: materialises per temporary (128 KiB of float64): ``rows * k * k`` for
-#: :meth:`ClasswiseDynamics.step_many`, ``rows * slots`` for
-#: :meth:`repro.core.undecided.UndecidedState.step_many`.  It bounds memory
-#: at any ``k`` and keeps a chunk's laws cache-sized at large ``k``; a
-#: single row always fits, however large.
+#: Upper bound on the ``rows * k * k`` cells one chunk of rows of the
+#: class-wise ``step_many`` materialises per temporary (128 KiB of
+#: float64).  :class:`ClasswiseDynamics` now serves median only.  The
+#: bound caps memory at any ``k`` and keeps a chunk's class laws
+#: cache-sized at large ``k``; a single row always fits, however large.
 CHUNK_CELLS = 1 << 14
+
+
+def step_live_rows(step_rows, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``step_rows(live, totals, rng)`` applied to the rows of positive mass.
+
+    Rows of zero mass draw nothing and come back unchanged.  A batch
+    whose rows are all live is handed over whole, without a copy, so the
+    ensemble runners (which never step an empty replica) take one path.
+    """
+    if counts.shape[0] == 0:
+        return counts.copy()
+    totals = counts.sum(axis=1)
+    if totals.all():
+        return step_rows(counts, totals, rng)
+    out = counts.copy()
+    live = np.flatnonzero(totals)
+    if live.size:
+        out[live] = step_rows(counts[live], totals[live], rng)
+    return out
 
 
 def validate_engine(engine: str) -> str:
@@ -245,14 +278,17 @@ class CountsDynamics(Dynamics):
         return multinomial_step(n, self.color_law(counts), rng)
 
     def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One round for an ``(R, k)`` batch; rows of zero mass come back unchanged."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ValueError("step_many expects (R, k) counts")
-        if counts.shape[0] == 0:
-            return counts.copy()
-        totals = counts.sum(axis=1)
-        laws = self.color_law_batch(counts)
-        return multinomial_step_batch(totals, laws, rng)
+        return step_live_rows(self._step_rows, counts, rng)
+
+    def _step_rows(
+        self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One round for rows that all carry positive mass ``totals``."""
+        return multinomial_step_batch(totals, self.color_law_batch(counts), rng)
 
 
 class ClasswiseDynamics(CountsDynamics):
@@ -263,7 +299,10 @@ class ClasswiseDynamics(CountsDynamics):
     next configuration is then the sum of one independent
     ``Multinomial(c_i, M[i])`` per class, and the exact Markov analysis
     (:mod:`repro.analysis.markov`), :meth:`step` and :meth:`step_many` all
-    evaluate that one matrix.
+    evaluate that one matrix, at O(k²) per row.  Median is the built-in
+    rule that steps this way; two-choices and undecided-state expose a
+    ``class_transition_matrix`` for the Markov analysis but sample in
+    O(k) by a law of their own.
     """
 
     @abc.abstractmethod
@@ -282,25 +321,22 @@ class ClasswiseDynamics(CountsDynamics):
         occupied = np.nonzero(counts)[0]
         return rng.multinomial(counts[occupied], mat[occupied]).sum(axis=0)
 
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _step_rows(
+        self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         """Replica-batched :meth:`step`, bit-identical to looping it over rows.
 
         One ``multinomial`` call per chunk of rows draws every class of
         every row in row-major order.  NumPy draws nothing for a class of
         count 0, so the stream is exactly that of the per-row
-        occupied-class calls; rows of zero mass draw nothing and are
-        returned unchanged.
+        occupied-class calls (and :meth:`CountsDynamics.step_many` hands
+        over only rows of positive mass).
         """
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        out = counts.copy()
-        live = np.flatnonzero(counts.sum(axis=1))
+        out = np.empty_like(counts)
         k = counts.shape[1]
         rows = max(1, CHUNK_CELLS // max(1, k * k))
-        for start in range(0, live.size, rows):
-            chunk = live[start : start + rows]
-            block = counts[chunk]
+        for start in range(0, counts.shape[0], rows):
+            block = counts[start : start + rows]
             draws = rng.multinomial(block, self.class_transition_matrix(block))
-            out[chunk] = draws.sum(axis=1)
+            out[start : start + rows] = draws.sum(axis=1)
         return out

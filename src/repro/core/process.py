@@ -54,10 +54,17 @@ import numpy as np
 from .adversary import Adversary
 from .config import Configuration
 from .dynamics import Dynamics
-from .metrics import RecordSpec, TraceRecorder, TraceSet, as_record_spec, stack_traces
+from .metrics import (
+    PluralityCountMetric,
+    RecordSpec,
+    TraceRecorder,
+    TraceSet,
+    as_record_spec,
+    stack_traces,
+)
 from .rng import make_rng, spawn_streams
 from .support import scatter_counts
-from .stopping import BUDGET_EXHAUSTED, StoppingRule, stopping_from_dict
+from .stopping import BUDGET_EXHAUSTED, MetricThresholdStop, StoppingRule, stopping_from_dict
 
 __all__ = [
     "ENGINE_SCHEMA_VERSION",
@@ -87,7 +94,13 @@ __all__ = [
 #: consumption even on the dense layout (counts-engine dense runs are
 #: unchanged).  Cached entries from the two-engine era are invalidated
 #: rather than served.
-ENGINE_SCHEMA_VERSION = 3
+#: 4 = exact O(k) samplers for two-choices and undecided-state: a replica
+#: batch draws every row's binomials in one call, then every row's
+#: multinomial in one call (two-choices: movers per class, then where
+#: they land; undecided-state: colored survivors, then undecided pulls),
+#: so both consume randomness differently at equal seed.  Every other
+#: dynamics, layout and the graph engine draw exactly as under 3.
+ENGINE_SCHEMA_VERSION = 4
 
 #: Recognised values of :func:`run_ensemble`'s ``engine=`` keyword (the
 #: *ensemble layout*, orthogonal to each dynamics' own counts/agent law
@@ -97,7 +110,8 @@ ENSEMBLE_ENGINES = ("auto", "dense", "sparse")
 #: ``engine="auto"`` upgrades to the sparse layout at k >= this.  Below
 #: it the dense per-round cost is already small and auto keeps the dense
 #: layout (bit-stable with previous releases for counts-engine dynamics;
-#: agent-level engines reordered their draws in v3 regardless of layout);
+#: agent-level engines reordered their draws in v3 regardless of layout,
+#: two-choices and undecided-state in v4);
 #: every existing workload in the repo runs at k <= 100, so the threshold
 #: doubles as a compatibility line.
 _SPARSE_AUTO_MIN_K = 128
@@ -418,7 +432,8 @@ def run_ensemble(
     ``engine`` selects the batched layout: ``"dense"`` steps the full
     ``(R, k)`` matrix (the historical layout; bit-identical to previous
     releases at equal seed for counts-engine dynamics — agent-level
-    engines batch their draws differently since schema version 3);
+    engines batch their draws differently since schema version 3, and
+    two-choices and undecided-state since schema version 4);
     ``"sparse"`` steps the union-live-support compacted ``(R, s)`` columns
     — O(support) per round, the large-``k`` mode — and requires a
     sparse-eligible scenario (see :func:`sparse_ineligibility`);
@@ -559,38 +574,57 @@ def _run_ensemble_batched(
     # allocating fresh arrays every round.
     scratch_max = np.empty(replicas, dtype=counts.dtype)
     scratch_mask = np.empty(replicas, dtype=bool)
+    # ``monochromatic`` and ``plurality-fraction`` threshold the plurality
+    # count, which is exactly the absorption scan's row maximum: those
+    # rules fire from it instead of recomputing it.
+    peak_threshold = (
+        stopping.threshold_for(n)
+        if isinstance(stopping, MetricThresholdStop)
+        and isinstance(stopping.metric, PluralityCountMetric)
+        else None
+    )
 
-    def absorb(live_idx: np.ndarray, counts: np.ndarray, t: int) -> np.ndarray:
-        live = counts.shape[0]
-        peak = np.max(counts, axis=1, out=scratch_max[:live])
-        mono = np.equal(peak, n, out=scratch_mask[:live])
-        if mono.any():
-            idx = live_idx[mono]
-            converged[idx] = True
-            rounds[idx] = t
-            top = np.argmax(counts[mono], axis=1)
-            winners[idx] = support[top] if sparse else top
-            final_counts[idx] = to_dense(counts[mono])
-            stopped_by[idx] = _MONO
-        # The caller consumes the alive mask before the next absorb call,
-        # so inverting in place keeps the round allocation-free.
-        return np.logical_not(mono, out=mono)
+    def absorb(
+        live_idx: np.ndarray, counts: np.ndarray, peak: np.ndarray, t: int
+    ) -> np.ndarray | None:
+        """Retire the replicas absorbed at round ``t`` (``peak``: row maxima).
 
-    def cull_stopped(live_idx: np.ndarray, counts: np.ndarray, t: int) -> np.ndarray | None:
+        Returns the mask of rows still running, or None when none absorbed.
+        """
+        mono = np.equal(peak, n, out=scratch_mask[: peak.size])
+        if not mono.any():
+            return None
+        idx = live_idx[mono]
+        converged[idx] = True
+        rounds[idx] = t
+        top = np.argmax(counts[mono], axis=1)
+        winners[idx] = support[top] if sparse else top
+        final_counts[idx] = to_dense(counts[mono])
+        stopped_by[idx] = _MONO
+        return ~mono
+
+    def cull_stopped(
+        live_idx: np.ndarray, counts: np.ndarray, peak: np.ndarray, t: int
+    ) -> np.ndarray | None:
         """Retire replicas whose stopping rule fires at round ``t``.
 
         Returns the mask of rows still running, or None when none fired.
-        The cheap boolean ``met_many`` runs every round; the object-array
-        label pass (``fired_many``) runs only on the rows that actually
-        fired.
+        The cheap boolean test runs every round; the object-array label
+        pass (``fired_many``) runs only on the rows that actually fired.
         """
-        hit = stopping.met_many(counts, n, t)
+        if peak_threshold is None:
+            hit = stopping.met_many(counts, n, t)
+        else:
+            hit = peak >= peak_threshold
         if not np.any(hit):
             return None
         idx = live_idx[hit]
         rounds[idx] = t
         final_counts[idx] = to_dense(counts[hit])
-        stopped_by[idx] = stopping.fired_many(counts[hit], n, t)
+        if peak_threshold is None:
+            stopped_by[idx] = stopping.fired_many(counts[hit], n, t)
+        else:
+            stopped_by[idx] = stopping.rule
         return ~hit
 
     live_idx = np.arange(replicas)
@@ -600,11 +634,13 @@ def _run_ensemble_batched(
         # its round-t configuration in the trace.
         if recorder is not None:
             recorder.observe(t, counts, live_idx, support=support)
-        alive = absorb(live_idx, counts, t)
-        if not np.all(alive):
+        peak = np.max(counts, axis=1, out=scratch_max[: counts.shape[0]])
+        alive = absorb(live_idx, counts, peak, t)
+        if alive is not None:
             live_idx, states, counts = live_idx[alive], states[alive], counts[alive]
+            peak = peak[alive]
         if stopping is not None and live_idx.size:
-            alive = cull_stopped(live_idx, counts, t)
+            alive = cull_stopped(live_idx, counts, peak, t)
             if alive is not None:
                 live_idx, states, counts = live_idx[alive], states[alive], counts[alive]
         if not live_idx.size or t >= max_rounds:

@@ -90,16 +90,23 @@ def multinomial_step_batch(
 
     ``pvals`` has shape ``(R, k)``; ``n`` is a scalar or length-R vector.
     This is how replica ensembles advance in lock-step with one NumPy call.
+    Rows are validated like :func:`multinomial_step` with two reductions
+    over the batch (row sums and the smallest entry); the clip and
+    re-sum run only when some entry is negative, so the doubles handed to
+    NumPy are the clipped, renormalised rows either way.
     """
     p = np.asarray(pvals, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"pvals must be 2-D, got shape {p.shape}")
     sums = p.sum(axis=1)
-    if np.any(~np.isfinite(sums)) or np.any(np.abs(sums - 1.0) > 1e-9) or np.any(p < -1e-12):
+    low = p.min(initial=0.0)
+    # ``not <=`` also rejects NaN and infinite row sums.
+    if not np.abs(sums - 1.0).max(initial=0.0) <= 1e-9 or low < -1e-12:
         raise ValueError("pvals rows are not probability vectors")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum(axis=1, keepdims=True)
-    return rng.multinomial(n, p).astype(np.int64)
+    if low < 0.0:
+        p = np.clip(p, 0.0, None)
+        sums = p.sum(axis=1)
+    return rng.multinomial(n, p / sums[:, None])
 
 
 def categorical_sample(

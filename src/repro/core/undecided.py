@@ -17,18 +17,19 @@ Experiment E9 reproduces both sides of this comparison.
 State convention: a length ``k+1`` vector, entries ``0..k-1`` the color
 counts and entry ``k`` the undecided count.  The exact engine is O(k) per
 round: each colored class survives by an independent binomial and the
-undecided mass recolors by one multinomial.  A replica batch computes
-those laws for a chunk of rows at once and keeps only the two draws per
-row in a loop, so it is bit-identical to stepping the rows one by one.
+undecided mass recolors by one multinomial.  A replica batch makes two
+NumPy calls whatever its size: one binomial over every colored class of
+every row, then one multinomial over every row's undecided agents.  So
+it draws every binomial before any multinomial and is *not* the per-row
+loop's stream; a one-row batch is :meth:`UndecidedState.step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CHUNK_CELLS, Dynamics
+from .dynamics import Dynamics, step_live_rows
 from .registry import DYNAMICS
-from .samplers import multinomial_step
 
 __all__ = ["UndecidedState"]
 
@@ -69,55 +70,32 @@ class UndecidedState(Dynamics):
         state = np.asarray(counts, dtype=np.int64)
         if state.ndim != 1 or state.size < 2:
             raise ValueError("undecided-state expects a (k+1)-slot state vector")
-        c = state[:-1]
-        q = int(state[-1])
-        n = int(state.sum())
-        if n == 0:
-            return state.copy()
-        # Colored class j survives with probability (c_j + q) / n.
-        survive_p = (c + q) / n
-        survivors = rng.binomial(c, survive_p)
-        # Undecided agents recolor by one pull each.
-        if q > 0:
-            pull_law = state / n  # entry k = stay undecided
-            recolored = multinomial_step(q, pull_law, rng)
-        else:
-            recolored = np.zeros(state.size, dtype=np.int64)
-        new_c = survivors + recolored[:-1]
-        new_q = int(n - new_c.sum())
-        return np.concatenate([new_c, [new_q]]).astype(np.int64)
+        return self.step_many(state[None, :], rng)[0]
 
     def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Replica-batched :meth:`step`, bit-identical to looping it over rows.
-
-        The survive and pull laws are computed for a chunk of rows at once
-        (chunks bounded by :data:`~repro.core.dynamics.CHUNK_CELLS`);
-        only each row's two draws (its binomials, then its undecided
-        multinomial) stay in the loop, in the order :meth:`step` makes
-        them.  Rows of zero mass draw nothing and are returned unchanged.
-        """
+        """One round for an ``(R, k+1)`` batch; rows of zero mass come back unchanged."""
         states = np.asarray(counts, dtype=np.int64)
         if states.ndim != 2 or states.shape[1] < 2:
             raise ValueError("step_many expects (R, k+1) states")
-        out = states.copy()
-        live = np.flatnonzero(states.sum(axis=1))
-        rows = max(1, CHUNK_CELLS // states.shape[1])
-        for start in range(0, live.size, rows):
-            chunk = live[start : start + rows]
-            block = states[chunk]
-            n = block.sum(axis=1, keepdims=True)
-            c = block[:, :-1]
-            q = block[:, -1]
-            survive_p = (c + q[:, None]) / n
-            pull_law = np.clip(block / n, 0.0, None)
-            pull_law /= pull_law.sum(axis=1, keepdims=True)
-            new_c = np.empty_like(c)
-            for row in range(chunk.size):
-                new_c[row] = rng.binomial(c[row], survive_p[row])
-                if q[row] > 0:
-                    new_c[row] += rng.multinomial(q[row], pull_law[row])[:-1]
-            out[chunk, :-1] = new_c
-            out[chunk, -1] = n[:, 0] - new_c.sum(axis=1)
+        return step_live_rows(self._step_rows, states, rng)
+
+    @staticmethod
+    def _step_rows(
+        states: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Two draws for all rows: the colored survivors, then the undecided pulls."""
+        n = totals[:, None]
+        c = states[:, :-1]
+        q = states[:, -1]
+        # Colored class j survives with probability (c_j + q) / n.
+        new_c = rng.binomial(c, (c + q[:, None]) / n)
+        # Undecided agents recolor by one pull each (slot k: stay undecided).
+        pull_law = states / n
+        pull_law /= pull_law.sum(axis=1, keepdims=True)
+        new_c += rng.multinomial(q, pull_law)[:, :-1]
+        out = np.empty_like(states)
+        out[:, :-1] = new_c
+        out[:, -1] = totals - new_c.sum(axis=1)
         return out
 
     def class_transition_matrix(self, state: np.ndarray) -> np.ndarray:

@@ -9,13 +9,22 @@
   otherwise keep your own.  For ``k = 2`` this is fast and correct
   w.h.p. under √(n log n) bias; for large ``k`` from balanced starts the
   per-round progress is Θ(1/k) agreements, the "stall" E9 exhibits.
+
+Two-choices is exact at O(k) per replica: an agent moves only when its
+two samples agree, which happens with probability ``S = Σ_j (c_j/n)²``
+whatever its color, and it then holds ``j`` with probability
+``(c_j/n)² / S``.  So a round is one binomial per class (the movers) and
+one multinomial over all movers; a replica batch makes those two draws
+for all its rows at once.  The batch draws every binomial before any
+multinomial, so it is *not* the per-row loop's stream; a one-row batch
+is :meth:`TwoChoices.step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ClasswiseDynamics, CountsDynamics
+from .dynamics import CountsDynamics
 from .registry import DYNAMICS
 
 __all__ = ["Voter", "TwoChoices"]
@@ -39,28 +48,43 @@ class Voter(CountsDynamics):
 
 
 @DYNAMICS.register("two-choices", summary="adopt a doubly-sampled color, else keep own")
-class TwoChoices(ClasswiseDynamics):
+class TwoChoices(CountsDynamics):
     """Two-choices dynamics: adopt a doubly-sampled color, else keep own.
 
     Not a pure anonymous color law — the next color depends on the agent's
-    current color — so the exact engine treats each current-color class
-    separately: a class-``i`` agent moves to ``j`` with probability
-    ``(c_j/n)^2`` for ``j != i`` and stays with the remaining mass.  The
-    next configuration is the sum of ``k`` independent multinomials, one
-    per class; :meth:`~repro.core.dynamics.ClasswiseDynamics.step_many`
-    draws them for a whole replica batch in one call per chunk of rows,
-    bit-identical to stepping the rows one by one.
+    current color: a class-``i`` agent moves to ``j`` with probability
+    ``(c_j/n)^2`` for ``j != i`` and stays with the remaining mass
+    (:meth:`class_transition_matrix`, the exact Markov analysis' input).
+    The sampler splits that law into "the two samples agree" (probability
+    ``S``, the same for every class) and "which color they agree on"
+    (``(c_j/n)^2 / S``, the same for every mover), so one round is
+    ``c - m + Multinomial(sum(m), (c/n)^2 / S)`` with ``m_i ~ Bin(c_i, S)``.
     """
 
     name = "two-choices"
     sample_size = 2
     support_closed = True  # adopts a sampled color or keeps its own
 
+    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return self.step_many(np.asarray(counts, dtype=np.int64)[None, :], rng)[0]
+
+    def _step_rows(
+        self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Two draws for all rows: the movers per class, then where they land."""
+        f = counts / totals[:, None]
+        sq = f * f
+        agree = sq.sum(axis=1)
+        # Round-off can put S an ulp above 1, which binomial rejects.
+        movers = rng.binomial(counts, np.minimum(agree, 1.0)[:, None])
+        landed = rng.multinomial(movers.sum(axis=1), sq / agree[:, None])
+        return counts - movers + landed
+
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         # Marginal law over a uniformly random agent (used by the exact
         # Markov analysis): average the class-conditional laws weighted by
-        # class sizes.  Note the *joint* step below is NOT multinomial in
-        # this law; step() overrides with the exact class-wise sampling.
+        # class sizes.  Note the *joint* step is NOT multinomial in this
+        # law; step() and step_many() override with the exact sampler.
         c = np.asarray(counts, dtype=np.float64)
         n = c.sum()
         if n <= 0:

@@ -193,7 +193,9 @@ class Executor:
         (sweeps pass their derived stream).  Cancelling the returned future
         only drops this caller; the run goes on for the others.
         """
-        key = self.key_for(spec, seed)
+        return self._submit(self.key_for(spec, seed), spec, seed)
+
+    def _submit(self, key: str, spec: ScenarioSpec, seed) -> Future:
         future: Future = Future()
         with self._lock:
             waiters = self._inflight.get(key)
@@ -216,7 +218,7 @@ class Executor:
         first: set[str] = set()
         futures: list[Future | None] = []
         for key, spec in zip(keys, specs):
-            futures.append(None if key in first else self.submit(spec))
+            futures.append(None if key in first else self._submit(key, spec, None))
             first.add(key)
         return keys, futures
 
@@ -395,8 +397,9 @@ def run_batch(
                 "seeds so results are reproducible and cacheable"
             )
     start = time.perf_counter()
-    unique = len({cache_key(spec) for spec in specs})
-    width = min(processes if processes is not None else os.cpu_count() or 1, unique)
+    width = processes if processes is not None else os.cpu_count() or 1
+    if width > 1:  # a pool needs no more workers than unique specs
+        width = min(width, len({cache_key(spec) for spec in specs}))
     with Executor(
         cache, workers=width if width > 1 else 0, worker_timeout=worker_timeout
     ) as executor:

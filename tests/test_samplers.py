@@ -68,6 +68,36 @@ class TestMultinomialStepBatch:
         with pytest.raises(ValueError, match="probability"):
             multinomial_step_batch(10, np.array([[0.5, 0.2]]), rng)
 
+    @pytest.mark.parametrize(
+        "row", [[np.nan, 1.0], [np.inf, 0.0], [1.5, -0.5], [1.0 + 2e-9, 0.0]]
+    )
+    def test_rejects_non_finite_negative_and_off_by_more_than_1e9(self, rng, row):
+        p = np.array([[0.5, 0.5], row])
+        with pytest.raises(ValueError, match="probability"):
+            multinomial_step_batch(10, p, rng)
+
+    def test_clips_tiny_negative_entries(self, rng):
+        p = np.array([[0.5, 0.5 + 1e-13, -1e-13], [0.2, 0.3, 0.5]])
+        out = multinomial_step_batch(np.array([1_000, 7]), p, rng)
+        assert out.dtype == np.int64
+        assert out.sum(axis=1).tolist() == [1_000, 7]
+        assert out[0, 2] == 0
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_draws_the_clipped_renormalised_rows(self, negative):
+        # The sampler hands NumPy exactly clip(p, 0) / row sums, so its
+        # draws equal that reference call, with or without a clipped entry.
+        p = np.random.default_rng(3).dirichlet(np.ones(6), size=9)
+        if negative:
+            p[4, 2] -= 5e-13
+        totals = np.arange(1, 10) * 1_000
+        clipped = np.clip(p, 0.0, None)
+        reference = np.random.default_rng(11).multinomial(
+            totals, clipped / clipped.sum(axis=1, keepdims=True)
+        )
+        out = multinomial_step_batch(totals, p, np.random.default_rng(11))
+        np.testing.assert_array_equal(out, reference)
+
 
 class TestCategoricalSample:
     def test_range_and_shape(self, rng):

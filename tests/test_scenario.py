@@ -592,8 +592,9 @@ class TestTopologyField:
 class TestImportHygiene:
     """The run path needs numpy alone: no scipy, networkx or experiment suite.
 
-    Runs in a fresh interpreter, because this test process has long since
-    imported all three.
+    A library process that only simulates does not load the serving stack
+    either.  Each program runs in a fresh interpreter, because this test
+    process has long since imported all of these.
     """
 
     PROGRAM = """
@@ -615,7 +616,23 @@ loaded = [name for name in ("networkx", "scipy", "repro.experiments.registry") i
 print(json.dumps({"status": status, "loaded": loaded}))
 """
 
-    def test_run_path_loads_neither_scipy_nor_networkx(self):
+    LIBRARY_PROGRAM = """
+import json, sys
+
+import repro
+
+for topology in (None, "random-regular"):
+    spec = repro.ScenarioSpec(dynamics="3-majority", n=120, k=3, replicas=2, seed=0, topology=topology)
+    repro.simulate_ensemble(spec)
+loaded = [name for name in ("repro.serve", "repro.faults", "multiprocessing", "concurrent.futures")
+          if name in sys.modules]
+from repro import FaultPlan, ResultCache, run_batch
+lazy = [ResultCache.__module__, run_batch.__module__, FaultPlan.__module__]
+print(json.dumps({"loaded": loaded, "lazy": lazy}))
+"""
+
+    @staticmethod
+    def run_program(program: str) -> dict:
         import json
         import os
         import pathlib
@@ -627,9 +644,18 @@ print(json.dumps({"status": status, "loaded": loaded}))
         src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROGRAM],
+            [sys.executable, "-c", program],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        verdict = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert verdict == {"status": 0, "loaded": []}
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_run_path_loads_neither_scipy_nor_networkx(self):
+        assert self.run_program(self.PROGRAM) == {"status": 0, "loaded": []}
+
+    def test_library_run_leaves_the_serving_stack_unloaded(self):
+        verdict = self.run_program(self.LIBRARY_PROGRAM)
+        assert verdict == {
+            "loaded": [],
+            "lazy": ["repro.serve.cache", "repro.serve.executor", "repro.faults"],
+        }

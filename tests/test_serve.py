@@ -165,11 +165,11 @@ class TestResultCache:
         assert_results_identical(direct, cold)
         assert_results_identical(direct, warm)
 
-    def test_engine_schema_version_is_3(self):
-        # PR 5 regression: the sparse ensemble layout changed how
-        # randomness is consumed (and added the spec engine field to the
-        # content address), so two-engine-era entries must be unaddressable.
-        assert ENGINE_SCHEMA_VERSION == 3
+    def test_engine_schema_version_is_4(self):
+        # The two-draw two-choices and undecided-state samplers consume
+        # randomness differently from schema 3 (which keyed the sparse
+        # layout's draws), so older entries must be unaddressable.
+        assert ENGINE_SCHEMA_VERSION == 4
 
     def test_engine_field_separates_cache_entries(self, tmp_path):
         keys = {cache_key(small_spec(engine=engine)) for engine in ("auto", "dense", "sparse")}
