@@ -20,6 +20,13 @@ fullname into the existing file.  Without the variable nothing is
 written, so a plain test run leaves the checkout as it found it.  These
 single-host timings are a record, not a baseline: performance claims
 come from ``perfbench/``.
+
+Guards: each acceptance guard (warm ≥ 10× cold, sparse ≥ 10× dense,
+< 5% facade overhead, ...) asserts its property by counting — runs,
+resolves, columns stepped, recorder constructions — so tier-1 never
+compares two timings.  The wall-clock ratio runs too when
+``REPRO_BENCH_WRITE=1`` (the :func:`timed_guards` fixture), as in CI's
+bench-smoke job.
 """
 
 from __future__ import annotations
@@ -34,6 +41,34 @@ RESULTS_NAME = "BENCH_results.json"
 
 #: Environment variable that opts a session into writing :data:`RESULTS_NAME`.
 WRITE_ENV = "REPRO_BENCH_WRITE"
+
+
+@pytest.fixture
+def timed_guards() -> bool:
+    """Whether the guards also compare wall-clock timings (``REPRO_BENCH_WRITE=1``)."""
+    return os.environ.get(WRITE_ENV) == "1"
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test.
+
+    Returns the list each call appends its ``(args, kwargs)`` to.  A
+    function found on a class stays a method: ``args[0]`` is the instance.
+    """
+
+    def install(owner, name: str) -> list:
+        calls: list = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install
 
 
 @pytest.fixture

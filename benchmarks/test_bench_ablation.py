@@ -36,7 +36,7 @@ class TestEngineAblation:
         benchmark(lambda: dyn.step(counts, rng))
 
     def test_agent_engine_speed(self, benchmark, rng):
-        dyn = ThreeMajority(agent_level=True)
+        dyn = ThreeMajority(engine="agent")
         counts = self._counts()
         benchmark(lambda: dyn.step(counts, rng))
 
@@ -48,7 +48,7 @@ class TestEngineAblation:
         def agree() -> float:
             exact = np.zeros(self.K)
             agent = np.zeros(self.K)
-            e, a = ThreeMajority(), ThreeMajority(agent_level=True)
+            e, a = ThreeMajority(), ThreeMajority(engine="agent")
             for _ in range(reps):
                 exact += e.step(counts, rng)
                 agent += a.step(counts, rng)
@@ -68,8 +68,8 @@ class TestTieBreakAblation:
         reps = 150
 
         def deviation() -> float:
-            first = ThreeMajority(agent_level=True, tie_break="first")
-            uniform = ThreeMajority(agent_level=True, tie_break="uniform")
+            first = ThreeMajority(engine="agent", tie_break="first")
+            uniform = ThreeMajority(engine="agent", tie_break="uniform")
             acc_f, acc_u = np.zeros(3), np.zeros(3)
             for _ in range(reps):
                 acc_f += first.step(counts, rng)

@@ -4,12 +4,14 @@ The declarative layer must be free: resolving a ScenarioSpec through the
 registries is a few dict lookups plus object construction, amortised over
 a whole replica ensemble.  The two timed benches land in
 ``BENCH_results.json`` (tagged ``api=facade`` / ``api=direct``) so the
-dispatch cost is tracked across PRs, and the guard test *asserts* the
+dispatch cost is tracked across PRs, and the guard test asserts the
+facade makes exactly the direct call — and, in a timed session, that its
 overhead stays under 5%.
 
 Same deal for the metric-recording layer of :mod:`repro.core.metrics`:
-activating the recorder with an *empty* metric list must stay within 2%
-of the un-recorded path (guard test), and the timed benches (tagged
+a run without a record builds no recorder, and, timed, activating the
+recorder with an *empty* metric list must stay within 2% of the
+un-recorded path (guard test); the timed benches (tagged
 ``record=none`` / ``record=plurality-fraction`` at n=10⁵, k=8) publish
 the per-round cost of one scalar metric into ``BENCH_results.json``.
 """
@@ -18,6 +20,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
+import repro.core.process as process_module
+import repro.scenario as scenario_module
 from repro import RecordSpec, ScenarioSpec, ThreeMajority, run_ensemble, simulate_ensemble
 from repro.experiments.workloads import paper_biased
 
@@ -87,15 +93,36 @@ class TestFacadeDispatch:
         ens = benchmark(_facade)
         assert ens.convergence_rate == 1.0
 
-    def test_facade_overhead_under_5_percent(self):
-        """The guard: interleaved best-of-N wall times, facade <= 1.05 × direct.
+    def test_facade_overhead_under_5_percent(self, count_calls, monkeypatch, timed_guards):
+        """The guard: the facade is one direct ``run_ensemble`` call.
 
-        Interleaving the two measurements (direct, facade, direct, ...)
-        decorrelates clock-frequency / load drift from the comparison, and
-        best-of over many repeats discards scheduler noise; the workload is
-        sized so one call is a few ms, two orders of magnitude above the
-        actual resolution cost (~tens of µs).
+        ``simulate_ensemble`` calls ``run_ensemble`` exactly once, with the
+        arguments the direct call passes, and returns the same ensemble.
+        In a timed session, interleaved best-of-N wall times must also
+        show facade <= 1.05 × direct: interleaving (direct, facade,
+        direct, ...) decorrelates clock-frequency / load drift from the
+        comparison, best-of over many repeats discards scheduler noise,
+        and one call is a few ms, two orders of magnitude above the actual
+        resolution cost (~tens of µs).
         """
+        calls = count_calls(scenario_module, "run_ensemble")
+        facade = _facade()
+        assert len(calls) == 1
+        (dynamics, initial, replicas), kwargs = calls[0]
+        assert type(dynamics) is ThreeMajority and dynamics.resolved_engine(K) == "counts"
+        assert dynamics.tie_break == "first"
+        np.testing.assert_array_equal(initial.counts, paper_biased(N, K).counts)
+        assert replicas == REPLICAS
+        assert kwargs == dict(
+            max_rounds=MAX_ROUNDS, adversary=None, stopping=None, record=None,
+            rng=SEED, batch=True, engine="auto",
+        )
+        monkeypatch.undo()
+        direct = _direct()
+        np.testing.assert_array_equal(facade.rounds, direct.rounds)
+        np.testing.assert_array_equal(facade.final_counts, direct.final_counts)
+        if not timed_guards:
+            return
 
         def timed(fn) -> float:
             start = time.perf_counter()
@@ -143,15 +170,25 @@ class TestRecordingOverhead:
         ens = benchmark(lambda: _recording_run(["plurality-fraction"]))
         assert ens.trace is not None and ens.trace.metrics == ("plurality-fraction",)
 
-    def test_empty_record_overhead_under_2_percent(self):
-        """The guard: an active-but-empty recorder must be free.
+    def test_empty_record_overhead_under_2_percent(self, count_calls, monkeypatch, timed_guards):
+        """The guard: a run without a record builds no recorder.
 
-        ``record=RecordSpec()`` exercises the whole recording machinery
-        (cadence checks, per-round bookkeeping, trace assembly) with zero
-        metrics; interleaved best-of-N wall times against ``record=None``
-        over a fixed 400-round workload bound the machinery's overhead
-        at 2%.
+        ``record=None`` constructs no ``TraceRecorder`` (an empty
+        ``RecordSpec()`` constructs one), so none of the recording
+        machinery runs.  In a timed session, ``record=RecordSpec()`` —
+        the whole machinery (cadence checks, per-round bookkeeping, trace
+        assembly) with zero metrics — must also stay within 2% of
+        ``record=None`` in interleaved best-of-N wall times over a fixed
+        400-round workload.
         """
+        recorders = count_calls(process_module, "TraceRecorder")
+        assert not _guard_run(None).converged.any()
+        assert recorders == []
+        assert _guard_run(RecordSpec()).trace is not None
+        assert len(recorders) == 1
+        monkeypatch.undo()
+        if not timed_guards:
+            return
 
         def timed(record) -> float:
             start = time.perf_counter()

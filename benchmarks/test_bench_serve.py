@@ -4,8 +4,9 @@ The whole point of ``repro.serve`` is that repeated scenario traffic stops
 paying for simulation: a warm ``run_batch`` over a request list is pure
 cache lookups.  Two timed benches land in ``BENCH_results.json`` (tagged
 ``path=cold`` / ``path=warm``) so the cache's value is tracked across PRs,
-and the guard test asserts the warm path is at least 10× faster than the
-cold one — the acceptance bar for the cache being worth its complexity.
+and the guard test asserts that a warm batch runs and resolves nothing —
+and, in a timed session, that it is at least 10× faster than the cold
+one — the acceptance bar for the cache being worth its complexity.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import shutil
 import time
 
+import repro.serve.executor as executor_module
 from repro import ScenarioSpec, run_batch
 from repro.serve.cache import ResultCache
 
@@ -73,15 +75,29 @@ class TestBatchCacheThroughput:
         run_batch(SPECS, cache=cache, processes=1)  # populate
         benchmark(lambda: _warm(cache))
 
-    def test_warm_at_least_10x_faster_than_cold(self, tmp_path):
-        """The acceptance guard: warm throughput >= 10 × cold throughput.
+    def test_warm_at_least_10x_faster_than_cold(
+        self, tmp_path, count_calls, monkeypatch, timed_guards
+    ):
+        """The acceptance guard: a warm batch is pure cache lookups.
 
-        Cold pays SEEDS full ensemble simulations; warm pays SEEDS memory-LRU
-        probes plus key hashing for every request.  The workload is sized so
-        cold is tens of milliseconds — three orders of magnitude above a
-        lookup — making 10× a conservative, non-flaky bar.
+        It makes no run and no ``ScenarioSpec.resolve`` call, and every
+        item comes from the cache.  In a timed session it must also be at
+        least 10× faster than cold: cold pays SEEDS full ensemble
+        simulations, warm pays SEEDS memory-LRU probes plus key hashing
+        for every request, three orders of magnitude apart.
         """
         root = tmp_path / "cache"
+        _cold(root)
+        runs = count_calls(executor_module, "_run_task")
+        resolves = count_calls(ScenarioSpec, "resolve")
+        report = run_batch(SPECS, cache=ResultCache(root), processes=1)
+        assert runs == [] and resolves == []
+        assert report.sources.count("cache") == SEEDS
+        assert report.sources.count("dedup") == SEEDS * (DUPES - 1)
+        assert all(result is not None for result in report.results)
+        monkeypatch.undo()
+        if not timed_guards:
+            return
         cold = min(_cold(root) for _ in range(3))
         cache = ResultCache(root)  # fresh memory layer; first warm pass promotes
         warm = min(_warm(cache) for _ in range(5))

@@ -11,6 +11,10 @@ Also here: the serve-cache trace-packing record (valid prefixes +
 ``np.savez_compressed`` vs the old dense ``np.savez`` layout) and the
 guard that the dense runner's empty-stopping fast path stayed free after
 the scratch-reuse cleanup.
+
+The guards count what each engine does (columns stepped, rules
+evaluated, rounds stepped); their wall-clock ratios run in timed
+sessions only (``REPRO_BENCH_WRITE=1``, see ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ def _post_coalescence(k: int = K, support: int = SUPPORT, n: int = N) -> Configu
     return Configuration(counts)
 
 
+class _ColumnProbe(ThreeMajority):
+    """3-majority that logs each batch's (columns stepped, live columns)."""
+
+    def __init__(self):
+        super().__init__()
+        self.widths: list[tuple[int, int]] = []
+
+    def step_many(self, counts, rng):
+        self.widths.append((counts.shape[1], int(np.count_nonzero(counts.any(axis=0)))))
+        return super().step_many(counts, rng)
+
+
 def _fixed_rounds(engine: str, dynamics=None, rounds: int = ROUNDS, seed: int = 7):
     """A fixed-length ensemble burst (round-budget stop, no absorption)."""
     return run_ensemble(
@@ -80,9 +96,20 @@ class TestSparseVsDensePostCoalescence:
         ens = benchmark(lambda: _fixed_rounds("sparse"))
         assert (ens.rounds == ROUNDS).all()
 
-    def test_sparse_at_least_10x_faster_than_dense(self):
-        """Interleaved best-of-N, like the facade guard: the compacted
-        working set is 512x narrower, so 10x is a conservative floor."""
+    def test_sparse_at_least_10x_faster_than_dense(self, timed_guards):
+        """Counted: no sparse round steps more than twice the live
+        support's columns (the 0.5 re-compaction hysteresis), and every
+        dense round steps all k.  Timed, in a timed session: interleaved
+        best-of-N, like the facade guard; the compacted working set is
+        512x narrower, so 10x is a conservative floor."""
+        for engine in ("sparse", "dense"):
+            probe = _ColumnProbe()
+            assert (_fixed_rounds(engine, dynamics=probe).rounds == ROUNDS).all()
+            assert len(probe.widths) == ROUNDS
+            for width, live in probe.widths:
+                assert width <= 2 * live if engine == "sparse" else width == K
+        if not timed_guards:
+            return
 
         def timed(engine: str) -> float:
             start = time.perf_counter()
@@ -206,14 +233,25 @@ class TestTracePackingOnDisk:
         assert packed_bytes * 3 < dense_bytes
 
 
+class _StepCounter(Voter):
+    """The voter model, counting its batch steps."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def step_many(self, counts, rng):
+        self.steps += 1
+        return super().step_many(counts, rng)
+
+
 class TestStoppingFastPath:
     """Guard: the empty-stopping (stopping=None) round loop costs nothing
     extra versus a never-firing rule — the scratch-reuse cleanup must not
     have smuggled work into the common path."""
 
-    def _burst(self, stopping):
+    def _burst(self, stopping, dynamics=None):
         return run_ensemble(
-            Voter(),
+            dynamics if dynamics is not None else Voter(),
             Configuration.balanced(100_000, 8),
             256,
             max_rounds=300,
@@ -221,7 +259,25 @@ class TestStoppingFastPath:
             rng=3,
         )
 
-    def test_no_stopping_not_slower_than_never_firing_rule(self):
+    def test_no_stopping_not_slower_than_never_firing_rule(
+        self, count_calls, monkeypatch, timed_guards
+    ):
+        """Counted: with ``stopping=None`` the loop evaluates no stopping
+        rule, and both runs step all 300 rounds.  Timed, in a timed
+        session: the bare path is never meaningfully slower than the
+        ruled one."""
+        never = RoundBudgetStop(10**9)
+        evaluations = count_calls(RoundBudgetStop, "met_many")
+        for stopping, expected in ((None, 0), (never, 301)):
+            dynamics = _StepCounter()
+            ens = self._burst(stopping, dynamics)
+            assert not ens.converged.any() and (ens.rounds == 300).all()
+            assert dynamics.steps == 300
+            assert len(evaluations) == expected  # rounds t = 0..300
+        monkeypatch.undo()
+        if not timed_guards:
+            return
+
         def timed(stopping) -> float:
             start = time.perf_counter()
             ens = self._burst(stopping)
@@ -229,7 +285,6 @@ class TestStoppingFastPath:
             assert not ens.converged.any()
             return elapsed
 
-        never = RoundBudgetStop(10**9)
         timed(None), timed(never)  # warm-up
         bare = ruled = float("inf")
         for _ in range(7):

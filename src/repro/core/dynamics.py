@@ -12,9 +12,11 @@ Implementations provide at least one of:
   color given the configuration (when a closed form exists; enables the
   exact multinomial engine and the exact Markov-chain analysis);
 
-* :meth:`Dynamics.step` — one sampled round.  The default implementation
-  samples ``Multinomial(n, color_law(c))``, which is *exact* on the clique;
-  agent-level dynamics override it instead.
+* :meth:`Dynamics.step` — one sampled round.  :class:`CountsDynamics`
+  defines it as the one-row case of :meth:`~CountsDynamics.step_many`,
+  whose default draws ``Multinomial(n, color_law(c))``, *exact* on the
+  clique; a dynamics that defines only ``step`` still runs, through the
+  row-loop :meth:`Dynamics.step_many`.
 
 Dynamics that carry extra per-agent state beyond the color (the
 undecided-state protocol) extend the state vector with additional slots and
@@ -32,57 +34,60 @@ Every concrete dynamics is registered in
 ``repro scenarios`` for the full annotated list.  Constructor keywords
 (``h=``, ``engine=``, ...) travel in the spec's ``dynamics_params`` dict.
 
-Engine-selection matrix
------------------------
-Two *law* engines exist (see :mod:`repro.core.samplers`): the exact
-**counts-level** engine — one ``Multinomial(n, color_law(c))`` draw per
-round, O(k) — and the **agent-level** engine — explicit per-agent sampling,
-O(n·h) per round.  Dynamics whose constructor takes an ``engine=`` keyword
-accept ``"counts"``, ``"agent"`` or ``"auto"``; the rest are fixed.
+Declared engines
+----------------
+The engines never ask what type a dynamics is.  Each dynamics declares,
+next to its law:
 
-=====================  =======================  ===========================
-dynamics               default engine           notes
-=====================  =======================  ===========================
-ThreeMajority          counts (Lemma 1 law)     ``engine="agent"`` (or the
-                                                legacy ``agent_level=True``)
-                                                for cross-validation /
-                                                tie-break ablation
-ThreeInputRule         counts (O(k) pattern-    ``engine="agent"`` keeps the
-                       decomposed law)          explicit triple sampler
-HPlurality             auto: counts for h ≤ 5   composition enumeration,
-                       while the composition    C(k+h-1, h) table rows;
-                       table stays small,       ``engine="counts"`` forces
-                       agent otherwise          it, ``"agent"`` forbids it
-TwoSampleUniform       counts (law = c/n)       fixed
-Voter                  counts                   fixed
-TwoChoices             counts (exact two-draw   fixed, O(k) per row: movers
-                       sampler)                 ``Bin(c_i, S)``, then one
-                                                multinomial over all movers;
-                                                ``step_many`` makes those
-                                                two calls for the whole
-                                                batch (``step`` is the
-                                                one-row batch)
-MedianDynamics         counts (class-wise       fixed, O(k²) law per row;
-                       product of multinomials) ``step_many`` draws every
-                                                class of a chunk of rows in
-                                                one call, bit-identical to
-                                                looping ``step`` over rows
-                                                (base class
-                                                ``ClasswiseDynamics``,
-                                                which serves median only)
-UndecidedState         counts (product form)    fixed, extra state slot;
-                                                ``step_many`` makes two
-                                                calls per batch: every
-                                                row's survivor binomials,
-                                                then every row's undecided
-                                                multinomial (``step`` is the
-                                                one-row batch)
-=====================  =======================  ===========================
+* :meth:`Dynamics.resolved_engine` — ``"counts"`` (the default) or
+  ``"agent"`` at ``k`` colors.  The 3-majority and 3-input rules take an
+  ``engine=`` keyword (``"counts"``, ``"agent"`` or ``"auto"`` = counts);
+  h-plurality's ``"auto"`` resolves to counts while its composition
+  table stays small (C(k+h−1, h) ≤ ``counts_table_cap`` rows, h ≤ 5) and
+  to agent otherwise.
+* :meth:`Dynamics.agent_rule` — the per-agent :class:`GraphKernel`: how
+  many neighbour colors an agent samples (``h``), how it reduces its own
+  color and those samples to its next color, and whether that draws
+  randomness.  ``None`` for a dynamics with no per-agent color rule
+  (undecided-state carries an extra state).
 
-Every counts-level ``step_many`` returns rows of zero mass unchanged and
+==================  ========================  ==============================
+dynamics            ``resolved_engine(k)``    ``agent_rule(k)``: h, draws
+==================  ========================  ==============================
+3-majority          counts; ``engine=``       3; draws iff
+                    picks agent               ``tie_break="uniform"``
+h-plurality         table-size rule above     1, no at h = 1; else h, yes
+3-input rules       counts; ``engine=``       3; draws iff the distinct
+                    picks agent               choice is ``"uniform"``
+2-sample-uniform    counts                    2, yes
+voter               counts                    1, no
+two-choices         counts (two-draw          2, no (reads its own color)
+                    sampler)
+median              counts (class-wise        2, no (reads its own color)
+                    draw)
+undecided-state     counts (two draws)        none: extra state
+==================  ========================  ==============================
+
+:meth:`CountsDynamics.step_many` is the one clique batch entry.  On the
+**counts** engine it steps the rows of positive mass in one law draw —
+``Multinomial(n, color_law(c))`` over the batch, O(k) per row, unless the
+dynamics brings its own sampler (two-choices: movers ``Bin(c_i, S)``
+then one multinomial; median: one class-wise multinomial per chunk of
+rows, O(k²)).  On the **agent** engine it draws every agent's ``h``
+samples and reduces them with the agent rule through
+:func:`~repro.core.samplers.batched_agent_step`, O(n·h) per row.
+:meth:`Dynamics.step` is its one-row case.
+
+Every counts-engine ``step_many`` returns rows of zero mass unchanged and
 draws nothing for them, so dropping such rows never moves the other
-rows' draws.  (The agent-level engines return them unchanged too, but a
-batch with a zero row takes their per-row fallback.)
+rows' draws.  (The agent engine returns them unchanged too, but a batch
+with a zero or ragged row steps its rows one by one.)
+
+The agent engine is kept wherever a rule has one because it is the
+*statistical ground truth* the counts-level laws are validated against
+(``tests/test_counts_engines.py``).  It reduces each chunk of replicas to
+its ``(rows, k)`` histograms before drawing the next, so peak memory
+stays flat in the replica count.
 
 Orthogonal to the law engine, :func:`repro.core.process.run_ensemble`
 selects an **ensemble layout** via its own ``engine=`` keyword:
@@ -110,45 +115,53 @@ where anonymous counts are a Markov chain.  A
 runs on the **graph engine** (:mod:`repro.graphs.ensemble`) — the state
 per replica is the full ``(n,)`` color vector, ensembles step an
 ``(R, n)`` matrix through one CSR neighbor-gather per round, and the
-per-agent rule is the dynamics' :class:`~repro.graphs.ensemble.GraphKernel`
-(the same agent-level reductions the clique engines use, so the graph
-engine on the clique topology cross-validates against the counts law).
-The graph engine brings only that advance and a color-count reader: it
-runs on the same sequential and batched loops as the clique
-(:mod:`repro.core.process`), so absorption, stopping and recording are
-one code path for every topology.
-Dynamics with extra non-color state (``undecided-state``) have no graph
-kernel; :func:`repro.graphs.ensemble.graph_ineligibility` explains why.
-
-The agent-level paths are retained everywhere they exist because they are
-the *statistical ground truth* the counts-level laws are validated against
-(``tests/test_counts_engines.py``); their ``step_many`` batches the
-per-agent draws across replicas through the chunked offset-flattened
-categorical kernel (:func:`repro.core.samplers.batched_agent_step`)
-instead of a Python loop over rows — each chunk is reduced to its
-``(rows, k)`` histograms before the next is drawn, so peak memory
-matches the old per-replica path.
+per-agent rule is the dynamics' :meth:`~Dynamics.agent_rule` (the same
+rule the clique agent engine runs, so the graph engine on the clique
+topology cross-validates against the counts law).  The graph engine
+brings only that advance and a color-count reader: it runs on the same
+sequential and batched loops as the clique (:mod:`repro.core.process`),
+so absorption, stopping and recording are one code path for every
+topology.  A dynamics without an agent rule, or with extra non-color
+state, has no graph kernel;
+:func:`repro.graphs.ensemble.graph_ineligibility` explains why.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .samplers import multinomial_step, multinomial_step_batch
+from .samplers import batched_agent_step, equal_totals, multinomial_step_batch
 
-__all__ = ["Dynamics", "CountsDynamics", "ClasswiseDynamics"]
+__all__ = ["Dynamics", "CountsDynamics", "GraphKernel"]
 
 #: Recognised values for the ``engine=`` keyword of selectable dynamics.
 ENGINES = ("auto", "counts", "agent")
 
-#: Upper bound on the ``rows * k * k`` cells one chunk of rows of the
-#: class-wise ``step_many`` materialises per temporary (128 KiB of
-#: float64).  :class:`ClasswiseDynamics` now serves median only.  The
-#: bound caps memory at any ``k`` and keeps a chunk's class laws
-#: cache-sized at large ``k``; a single row always fits, however large.
-CHUNK_CELLS = 1 << 14
+
+@dataclass(frozen=True)
+class GraphKernel:
+    """A dynamics' per-agent decision rule, lifted to aligned arrays.
+
+    ``reduce(own, seen, rng)`` maps the agents' current colors ``(rows,)``
+    and their sampled neighbour colors ``(rows, h)`` to the next colors.
+    ``consumes_rng`` marks rules whose tie-breaking draws from the stream
+    (with data-dependent draw sizes): the graph engine reduces those
+    replica by replica on each replica's own stream, so batched and
+    sequential runs stay bit-identical; rng-free rules reduce the whole
+    flattened batch in one elementwise call (and get ``rng=None``).
+
+    The clique's agent engine runs the same rule with ``own=None``: it
+    tracks counts, not agents, so only rules that read the samples alone
+    resolve to it.
+    """
+
+    h: int
+    reduce: Callable[[np.ndarray | None, np.ndarray, np.random.Generator | None], np.ndarray]
+    consumes_rng: bool
 
 
 def step_live_rows(step_rows, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -207,6 +220,10 @@ class Dynamics(abc.ABC):
     #: default; laws that reduce over the whole array must leave this False.
     color_law_broadcasts: bool = False
 
+    #: The ``engine=`` keyword (see :data:`ENGINES`) of dynamics that take
+    #: one; the rest step on their law.
+    engine: str = "counts"
+
     @abc.abstractmethod
     def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample the configuration after one synchronous round."""
@@ -214,8 +231,8 @@ class Dynamics(abc.ABC):
     def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Advance a batch of replicas: ``counts`` has shape ``(R, k)``.
 
-        The default loops over rows; counts-level dynamics override with a
-        single broadcasted multinomial call.
+        The default loops :meth:`step` over rows; counts-level dynamics
+        step the whole batch at once.
         """
         counts = np.asarray(counts)
         if counts.ndim != 2:
@@ -223,6 +240,23 @@ class Dynamics(abc.ABC):
         if counts.shape[0] == 0:
             return counts.copy()
         return np.stack([self.step(row, rng) for row in counts])
+
+    def resolved_engine(self, k: int | None = None) -> str:
+        """The engine :meth:`CountsDynamics.step_many` runs at ``k`` colors.
+
+        ``"agent"`` when the ``engine`` keyword asks for it, ``"counts"``
+        otherwise; a dynamics whose choice depends on ``k`` overrides this.
+        """
+        return "agent" if self.engine == "agent" else "counts"
+
+    def agent_rule(self, k: int) -> GraphKernel | None:
+        """The per-agent rule over ``h`` sampled colors at ``k`` colors.
+
+        The clique's agent engine and the graph engine both run it.
+        ``None`` (the default) when the dynamics has no per-agent color
+        rule.
+        """
+        return None
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         """Exact per-agent next-color distribution, if known in closed form.
@@ -252,13 +286,15 @@ class Dynamics(abc.ABC):
 
 
 class CountsDynamics(Dynamics):
-    """Dynamics defined by an exact per-agent color law.
+    """Dynamics stepped on the clique's count vector, one batch at a time.
 
-    Subclasses implement :meth:`color_law`; stepping is the exact
-    multinomial draw, both for single configurations and replica batches.
-    Laws written with ``axis=-1`` reductions should set
-    :attr:`~Dynamics.color_law_broadcasts` so the batch path is a single
-    broadcasted call instead of a Python loop over replicas.
+    :meth:`step_many` is the one batch entry and :meth:`step` its one-row
+    case.  On the counts engine the rows of positive mass take one draw
+    of :meth:`_step_rows` — ``Multinomial(n, color_law(c))`` unless a
+    subclass brings its own sampler; on the agent engine they run
+    :meth:`~Dynamics.agent_rule`.  Laws written with ``axis=-1``
+    reductions should set :attr:`~Dynamics.color_law_broadcasts` so the
+    law is one broadcasted call instead of a Python loop over replicas.
     """
 
     def color_law_batch(self, counts: np.ndarray) -> np.ndarray:
@@ -271,72 +307,27 @@ class CountsDynamics(Dynamics):
         return np.stack([self.color_law(row) for row in counts])
 
     def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        n = int(counts.sum())
-        if n == 0:
-            return counts.copy()
-        return multinomial_step(n, self.color_law(counts), rng)
+        """One round for one configuration: the one-row :meth:`step_many`."""
+        return self.step_many(np.asarray(counts, dtype=np.int64)[None, :], rng)[0]
 
     def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One round for an ``(R, k)`` batch; rows of zero mass come back unchanged."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 2:
             raise ValueError("step_many expects (R, k) counts")
-        return step_live_rows(self._step_rows, counts, rng)
-
-    def _step_rows(
-        self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One round for rows that all carry positive mass ``totals``."""
-        return multinomial_step_batch(totals, self.color_law_batch(counts), rng)
-
-
-class ClasswiseDynamics(CountsDynamics):
-    """Dynamics whose next color also depends on the agent's own color.
-
-    Subclasses implement :meth:`class_transition_matrix`: ``M[i, j]`` is
-    the probability that a class-``i`` agent holds color ``j`` next.  The
-    next configuration is then the sum of one independent
-    ``Multinomial(c_i, M[i])`` per class, and the exact Markov analysis
-    (:mod:`repro.analysis.markov`), :meth:`step` and :meth:`step_many` all
-    evaluate that one matrix, at O(k²) per row.  Median is the built-in
-    rule that steps this way; two-choices and undecided-state expose a
-    ``class_transition_matrix`` for the Markov analysis but sample in
-    O(k) by a law of their own.
-    """
-
-    @abc.abstractmethod
-    def class_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """``(..., k)`` configurations to ``(..., k, k)`` class laws.
-
-        Broadcasts over leading axes (reductions along ``axis=-1``), and
-        raises :class:`ValueError` if any configuration is empty.
-        """
-
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.sum() == 0:
+        if counts.shape[0] == 0:
             return counts.copy()
-        mat = self.class_transition_matrix(counts)
-        occupied = np.nonzero(counts)[0]
-        return rng.multinomial(counts[occupied], mat[occupied]).sum(axis=0)
+        k = counts.shape[1]
+        if self.resolved_engine(k) == "counts":
+            return step_live_rows(self._step_rows, counts, rng)
+        if not equal_totals(counts):
+            # Ragged or zero-mass rows step one by one; a zero row draws nothing.
+            return np.stack([self.step(row, rng) if row.any() else row.copy() for row in counts])
+        rule = self.agent_rule(k)
+        return batched_agent_step(counts, rule.h, rng, lambda seen, r: rule.reduce(None, seen, r))
 
     def _step_rows(
         self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Replica-batched :meth:`step`, bit-identical to looping it over rows.
-
-        One ``multinomial`` call per chunk of rows draws every class of
-        every row in row-major order.  NumPy draws nothing for a class of
-        count 0, so the stream is exactly that of the per-row
-        occupied-class calls (and :meth:`CountsDynamics.step_many` hands
-        over only rows of positive mass).
-        """
-        out = np.empty_like(counts)
-        k = counts.shape[1]
-        rows = max(1, CHUNK_CELLS // max(1, k * k))
-        for start in range(0, counts.shape[0], rows):
-            block = counts[start : start + rows]
-            draws = rng.multinomial(block, self.class_transition_matrix(block))
-            out[start : start + rows] = draws.sum(axis=1)
-        return out
+        """One counts-engine round for rows that all carry positive mass ``totals``."""
+        return multinomial_step_batch(totals, self.color_law_batch(counts), rng)

@@ -8,8 +8,8 @@
       ``p_j = (c_j / n^3) * (n^2 + n c_j - sum_h c_h^2)``,
 
   which is independent of the tie-break convention; we use it to run the
-  exact counts-level engine.  An agent-level step (explicit triple sampling)
-  is kept for cross-validation and for the tie-break ablation.
+  exact counts-level engine.  The per-agent rule (explicit triples) is
+  kept for cross-validation, for the tie-break ablation and for graphs.
 
 * :class:`HPlurality` — the h-sample plurality rule of Section 4.3.  For
   ``h <= 5`` the per-agent law *is* tractable: the sample histogram is one
@@ -19,7 +19,7 @@
   compositions once per ``(h, k)`` (cached) and evaluate the law as two
   dense matrix products — the exact counts-level engine.  For larger ``h``
   (or ``k`` so large the table would not fit) stepping falls back to the
-  agent-level engine: an ``(n, h)`` categorical sample matrix reduced
+  agent-level engine: ``h`` categorical samples per agent reduced
   row-wise with uniform tie-breaking.  ``HPlurality(3)`` with uniform
   tie-break has the same marginal law as :class:`ThreeMajority`.
 
@@ -35,14 +35,10 @@ import math
 
 import numpy as np
 
-from .dynamics import CountsDynamics, Dynamics, validate_engine
+from .dynamics import CountsDynamics, GraphKernel, validate_engine
 from .registry import DYNAMICS
-from .samplers import (
-    batched_agent_step,
-    categorical_matrix,
-    equal_totals,
-    row_plurality,
-)
+from .samplers import row_plurality
+from .voter import COPY_FIRST
 
 __all__ = ["ThreeMajority", "HPlurality", "TwoSampleUniform", "three_majority_law"]
 
@@ -61,25 +57,49 @@ def three_majority_law(counts: np.ndarray) -> np.ndarray:
     return (c / n**3) * (n**2 + n * c - sq)
 
 
+def _majority_first(own, seen: np.ndarray, rng) -> np.ndarray:
+    """Majority of each sample triple; the first sample on three distinct colors.
+
+    If the second and third samples agree they win; any pair involving
+    the first sample elects it, as does the all-distinct default.
+    """
+    return np.where(seen[:, 1] == seen[:, 2], seen[:, 1], seen[:, 0])
+
+
+def _majority_uniform(own, seen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Majority of each sample triple; a uniform sample on three distinct colors."""
+    out = _majority_first(own, seen, rng)
+    a, b, c = seen[:, 0], seen[:, 1], seen[:, 2]
+    distinct = (a != b) & (b != c) & (a != c)
+    if np.any(distinct):
+        pick = rng.integers(0, 3, size=int(distinct.sum()))
+        out[distinct] = seen[distinct, :][np.arange(pick.size), pick]
+    return out
+
+
+def _plurality_rule(h: int, k: int) -> GraphKernel:
+    """Adopt the plurality of ``h`` samples, ties split uniformly at random."""
+    return GraphKernel(
+        h=h, reduce=lambda own, seen, rng: row_plurality(seen, k, rng), consumes_rng=True
+    )
+
+
 @DYNAMICS.register("3-majority", summary="3-majority on the clique (Lemma 1 exact law)")
 class ThreeMajority(CountsDynamics):
     """3-majority dynamics on the clique (exact counts-level engine).
 
     Parameters
     ----------
-    agent_level:
-        Legacy spelling of ``engine="agent"``: :meth:`step` samples explicit
-        triples per agent instead of using the Lemma 1 multinomial —
-        statistically identical, ~n/k times slower; used by the validation
-        tests and the engine ablation.
     tie_break:
         ``"first"`` (paper's rule) or ``"uniform"``; only observable in
         agent-level mode and only through joint statistics — the marginal
         law (hence the counts process) is the same, which the ablation
         bench verifies empirically.
     engine:
-        ``"counts"`` / ``"agent"`` / ``"auto"`` (= counts; the law always
-        exists).  Must agree with ``agent_level`` when both are given.
+        ``"counts"`` / ``"auto"`` (= counts; the law always exists) or
+        ``"agent"``: sample explicit triples per agent instead of the
+        Lemma 1 multinomial — statistically identical, ~n/k times slower;
+        used by the validation tests and the engine ablation.
     """
 
     name = "3-majority"
@@ -87,61 +107,19 @@ class ThreeMajority(CountsDynamics):
     color_law_broadcasts = True
     support_closed = True  # agents adopt a sampled color
 
-    def __init__(self, agent_level: bool = False, tie_break: str = "first", engine: str = "auto"):
+    def __init__(self, tie_break: str = "first", engine: str = "auto"):
         if tie_break not in ("first", "uniform"):
             raise ValueError(f"unknown tie_break {tie_break!r}")
-        validate_engine(engine)
-        if engine == "agent":
-            agent_level = True
-        elif engine == "counts" and agent_level:
-            raise ValueError("engine='counts' conflicts with agent_level=True")
-        self.agent_level = bool(agent_level)
-        self.engine = "agent" if self.agent_level else "counts"
         self.tie_break = tie_break
+        self.engine = validate_engine(engine)
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         return three_majority_law(counts)
 
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if not self.agent_level:
-            return super().step(counts, rng)
-        return self._agent_step(np.asarray(counts, dtype=np.int64), rng)
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if not self.agent_level:
-            return super().step_many(counts, rng)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        if counts.shape[0] == 0:
-            return counts.copy()
-        if not equal_totals(counts):
-            return Dynamics.step_many(self, counts, rng)
-        # The per-agent majority reduction is elementwise, so it rides the
-        # chunked batch sampler across replicas with no Python loop.
-        return batched_agent_step(counts, 3, rng, self._reduce_triples)
-
-    def _agent_step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = int(counts.sum())
-        k = counts.size
-        if n == 0:
-            return counts.copy()
-        triples = categorical_matrix(counts, n, 3, rng)
-        return np.bincount(self._reduce_triples(triples, rng), minlength=k).astype(np.int64)
-
-    def _reduce_triples(self, triples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Majority color of each ``(rows, 3)`` sample triple (shared by the
-        single-configuration and replica-batched agent engines)."""
-        a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
-        out = np.where(b == c, b, a)  # bc pair wins; else default to first
-        out = np.where(a == b, a, out)
-        out = np.where(a == c, a, out)
+    def agent_rule(self, k: int) -> GraphKernel:
         if self.tie_break == "uniform":
-            distinct = (a != b) & (b != c) & (a != c)
-            if np.any(distinct):
-                pick = rng.integers(0, 3, size=int(distinct.sum()))
-                out[distinct] = triples[distinct, :][np.arange(pick.size), pick]
-        return out
+            return GraphKernel(h=3, reduce=_majority_uniform, consumes_rng=True)
+        return GraphKernel(h=3, reduce=_majority_first, consumes_rng=False)
 
 
 class _CompositionTable:
@@ -267,7 +245,7 @@ class HPlurality(CountsDynamics):
         return self.h <= self._MAX_COUNTS_H
 
     def resolved_engine(self, k: int) -> str:
-        """The engine :meth:`step` will actually use at this ``k``."""
+        """The engine :meth:`step_many` runs at this ``k``: the table-size rule."""
         if self.engine == "agent":
             return "agent"
         if self.engine == "counts":
@@ -294,32 +272,8 @@ class HPlurality(CountsDynamics):
     def supports_exact_law(self) -> bool:
         return self.h <= self._MAX_COUNTS_H
 
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        n = int(counts.sum())
-        k = counts.size
-        if n == 0:
-            return counts.copy()
-        if self.resolved_engine(k) == "counts":
-            return super().step(counts, rng)
-        samples = categorical_matrix(counts, n, self.h, rng)
-        winners = row_plurality(samples, k, rng)
-        return np.bincount(winners, minlength=k).astype(np.int64)
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        if counts.shape[0] and self.resolved_engine(counts.shape[1]) != "counts":
-            if not equal_totals(counts):
-                return Dynamics.step_many(self, counts, rng)
-            # Replica-batched agent engine: chunked sample draws reduced
-            # by the plurality rule — no Python loop over replicas.
-            k = counts.shape[1]
-            return batched_agent_step(
-                counts, self.h, rng, lambda samples, r: row_plurality(samples, k, r)
-            )
-        return super().step_many(counts, rng)
+    def agent_rule(self, k: int) -> GraphKernel:
+        return COPY_FIRST if self.h == 1 else _plurality_rule(self.h, k)
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         """Exact law: closed forms for ``h <= 3``, compositions for ``h <= 5``.
@@ -382,3 +336,6 @@ class TwoSampleUniform(CountsDynamics):
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         c = np.asarray(counts, dtype=np.float64)
         return c / c.sum(axis=-1, keepdims=True)
+
+    def agent_rule(self, k: int) -> GraphKernel:
+        return _plurality_rule(2, k)

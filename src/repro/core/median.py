@@ -14,31 +14,65 @@ Exact counts-level law: for an agent with value ``x`` and sample CDF ``F``
     ``P(median <= v) = 1 - (1 - F(v))^2``  if ``v >= x``  (needs >= 1 sample <= v)
     ``P(median <= v) = F(v)^2``            if ``v <  x``  (needs both samples <= v)
 
-so each current-value class has a closed-form next-value pmf and the next
-configuration is a sum of ``k`` independent multinomials (one per class).
-A replica batch draws all of them in one call per chunk of rows (see
-:class:`~repro.core.dynamics.ClasswiseDynamics`), bit-identical to stepping
-the rows one by one.
+so each current-value class has a closed-form next-value pmf
+(:meth:`MedianDynamics.class_transition_matrix`) and the next
+configuration is a sum of ``k`` independent multinomials, one per class,
+at O(k²) per row.  A replica batch draws every class of a chunk of rows
+in one call, bit-identical to stepping the rows one by one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import ClasswiseDynamics
+from .dynamics import CountsDynamics, GraphKernel
 from .registry import DYNAMICS
 
 __all__ = ["MedianDynamics"]
 
+#: Upper bound on the ``rows * k * k`` cells one chunk of rows of
+#: :meth:`MedianDynamics.step_many` materialises per temporary (128 KiB
+#: of float64).  It caps memory at any ``k`` and keeps a chunk's class
+#: laws cache-sized at large ``k``; a single row always fits, however
+#: large.
+CHUNK_CELLS = 1 << 14
+
+
+def _median_of_three(own: np.ndarray, seen: np.ndarray, rng) -> np.ndarray:
+    """The middle of own value and two samples, branch-free."""
+    a, b, c = own, seen[:, 0], seen[:, 1]
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
 
 @DYNAMICS.register("median", summary="Doerr et al. median rule (the paper's foil)")
-class MedianDynamics(ClasswiseDynamics):
+class MedianDynamics(CountsDynamics):
     """Doerr et al.'s median rule: own value + two uniform samples."""
 
     name = "median"
     sample_size = 3  # own value counts as one of the three inputs
-    uses_extra_state = False
     support_closed = True  # the median of three values is one of them
+
+    def agent_rule(self, k: int) -> GraphKernel:
+        return GraphKernel(h=2, reduce=_median_of_three, consumes_rng=False)
+
+    def _step_rows(
+        self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The class-wise draw, bit-identical to stepping the rows one by one.
+
+        One ``multinomial`` call per chunk of rows draws every class of
+        every row in row-major order.  NumPy draws nothing for a class of
+        count 0, so the stream is exactly that of per-row calls over the
+        occupied classes.
+        """
+        out = np.empty_like(counts)
+        k = counts.shape[1]
+        rows = max(1, CHUNK_CELLS // max(1, k * k))
+        for start in range(0, counts.shape[0], rows):
+            block = counts[start : start + rows]
+            draws = rng.multinomial(block, self.class_transition_matrix(block))
+            out[start : start + rows] = draws.sum(axis=1)
+        return out
 
     def class_transition_matrix(self, counts: np.ndarray) -> np.ndarray:
         """``M[..., x, v]``: probability a class-``x`` agent moves to value ``v``.

@@ -5,13 +5,14 @@ Two execution engines are built on these kernels:
 * the **exact counts-level engine**: on the clique, agents update i.i.d.
   conditioned on the current configuration, so the next configuration is
   exactly ``Multinomial(n, p)`` for the per-agent color law ``p``
-  (:func:`multinomial_step`, batched over replicas via NumPy's broadcasting
-  multinomial);
+  (:func:`multinomial_step_batch`, one broadcasting NumPy call for a
+  whole replica batch);
 
 * the **agent-level engine** for rules without a tractable closed-form law
-  (h-plurality for general ``h``, arbitrary 3-input rules): draw an
-  ``(n, h)`` categorical sample matrix (:func:`categorical_matrix`) and
-  reduce each row with :func:`row_plurality` (uniform tie-breaking).
+  (h-plurality for general ``h``) and for cross-validation: draw ``h``
+  categorical samples per agent and reduce each agent's row with the
+  dynamics' per-agent rule (:func:`batched_agent_step`; e.g.
+  :func:`row_plurality`, uniform tie-breaking).
 
 Per the HPC guides the hot paths are loop-free; the only Python-level loop
 is row chunking to bound the transient memory of the one-hot count matrix.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "multinomial_step",
     "multinomial_step_batch",
     "categorical_sample",
     "categorical_matrix",
@@ -65,35 +65,19 @@ def top_two(counts: np.ndarray) -> tuple[int, int]:
     return first, second
 
 
-def multinomial_step(n: int, pvals: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one exact configuration update: ``Multinomial(n, pvals)``.
-
-    ``pvals`` must be a length-k probability vector (validated up to a small
-    tolerance, then renormalised so the multinomial sampler never sees a
-    sum > 1 from floating-point round-off).
-    """
-    p = np.asarray(pvals, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"pvals must be 1-D, got shape {p.shape}")
-    total = p.sum()
-    if not np.isfinite(total) or abs(total - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise ValueError(f"pvals is not a probability vector (sum={total!r})")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    return rng.multinomial(n, p).astype(np.int64)
-
-
 def multinomial_step_batch(
     n: int | np.ndarray, pvals: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Batched exact update: row ``r`` of the result is ``Multinomial(n_r, pvals[r])``.
 
     ``pvals`` has shape ``(R, k)``; ``n`` is a scalar or length-R vector.
-    This is how replica ensembles advance in lock-step with one NumPy call.
-    Rows are validated like :func:`multinomial_step` with two reductions
-    over the batch (row sums and the smallest entry); the clip and
-    re-sum run only when some entry is negative, so the doubles handed to
-    NumPy are the clipped, renormalised rows either way.
+    This is how replica ensembles advance in lock-step with one NumPy call
+    (a single configuration is the one-row batch).  Each row must be a
+    probability vector up to a small tolerance, checked with two
+    reductions over the batch (row sums and the smallest entry); rows are
+    then renormalised so the sampler never sees a sum > 1 from round-off.
+    The clip and re-sum run only when some entry is negative, so the
+    doubles handed to NumPy are the clipped, renormalised rows either way.
     """
     p = np.asarray(pvals, dtype=np.float64)
     if p.ndim != 2:

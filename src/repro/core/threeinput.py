@@ -64,9 +64,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .dynamics import CountsDynamics, Dynamics, validate_engine
+from .dynamics import CountsDynamics, GraphKernel, validate_engine
 from .registry import DYNAMICS
-from .samplers import batched_agent_step, categorical_matrix, equal_totals
 
 __all__ = [
     "ThreeInputRule",
@@ -241,36 +240,12 @@ class ThreeInputRule(CountsDynamics):
 
     # -- dynamics interface ----------------------------------------------------
 
-    def resolved_engine(self, k: int | None = None) -> str:
-        """The engine :meth:`step` will use (the O(k) law covers every k)."""
-        return "agent" if self.engine == "agent" else "counts"
-
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.engine != "agent":
-            return super().step(counts, rng)
-        counts = np.asarray(counts, dtype=np.int64)
-        n = int(counts.sum())
-        k = counts.size
-        if n == 0:
-            return counts.copy()
-        triples = categorical_matrix(counts, n, 3, rng)
-        new_colors = self.apply(triples[:, 0], triples[:, 1], triples[:, 2], rng)
-        return np.bincount(new_colors, minlength=k).astype(np.int64)
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.engine != "agent":
-            return super().step_many(counts, rng)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("step_many expects (R, k) counts")
-        if counts.shape[0] == 0:
-            return counts.copy()
-        if not equal_totals(counts):
-            return Dynamics.step_many(self, counts, rng)
-        # apply() is elementwise over aligned triple arrays, so the whole
-        # replica batch reduces through the chunked batch sampler.
-        return batched_agent_step(
-            counts, 3, rng, lambda t, r: self.apply(t[:, 0], t[:, 1], t[:, 2], r)
+    def agent_rule(self, k: int) -> GraphKernel:
+        """``f`` on each sample triple; it draws only for a uniform distinct choice."""
+        return GraphKernel(
+            h=3,
+            reduce=lambda own, seen, rng: self.apply(seen[:, 0], seen[:, 1], seen[:, 2], rng),
+            consumes_rng=self.distinct_choice == "uniform",
         )
 
     def _law_from_probs(self, p: np.ndarray) -> np.ndarray:

@@ -16,18 +16,25 @@ whatever its color, and it then holds ``j`` with probability
 ``(c_j/n)² / S``.  So a round is one binomial per class (the movers) and
 one multinomial over all movers; a replica batch makes those two draws
 for all its rows at once.  The batch draws every binomial before any
-multinomial, so it is *not* the per-row loop's stream; a one-row batch
-is :meth:`TwoChoices.step`.
+multinomial, so it is *not* the per-row loop's stream; ``step`` is the
+one-row batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import CountsDynamics
+from .dynamics import CountsDynamics, GraphKernel
 from .registry import DYNAMICS
 
-__all__ = ["Voter", "TwoChoices"]
+__all__ = ["Voter", "TwoChoices", "COPY_FIRST"]
+
+#: Copy the one sampled color: the voter rule, and h-plurality's at h = 1.
+COPY_FIRST = GraphKernel(h=1, reduce=lambda own, seen, rng: seen[:, 0], consumes_rng=False)
+
+
+def _adopt_agreeing_pair(own: np.ndarray, seen: np.ndarray, rng) -> np.ndarray:
+    return np.where(seen[:, 0] == seen[:, 1], seen[:, 0], own)
 
 
 @DYNAMICS.register("voter", summary="1-sample polling baseline")
@@ -38,6 +45,9 @@ class Voter(CountsDynamics):
     sample_size = 1
     color_law_broadcasts = True
     support_closed = True  # copies a sampled color
+
+    def agent_rule(self, k: int) -> GraphKernel:
+        return COPY_FIRST
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         c = np.asarray(counts, dtype=np.float64)
@@ -65,8 +75,8 @@ class TwoChoices(CountsDynamics):
     sample_size = 2
     support_closed = True  # adopts a sampled color or keeps its own
 
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.step_many(np.asarray(counts, dtype=np.int64)[None, :], rng)[0]
+    def agent_rule(self, k: int) -> GraphKernel:
+        return GraphKernel(h=2, reduce=_adopt_agreeing_pair, consumes_rng=False)
 
     def _step_rows(
         self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
@@ -84,7 +94,7 @@ class TwoChoices(CountsDynamics):
         # Marginal law over a uniformly random agent (used by the exact
         # Markov analysis): average the class-conditional laws weighted by
         # class sizes.  Note the *joint* step is NOT multinomial in this
-        # law; step() and step_many() override with the exact sampler.
+        # law; _step_rows() draws the exact two-draw sampler instead.
         c = np.asarray(counts, dtype=np.float64)
         n = c.sum()
         if n <= 0:

@@ -4,13 +4,16 @@ Topologies are CSR-packed (:mod:`~repro.graphs.topology`, registered in
 :data:`~repro.core.registry.TOPOLOGIES`); the graph engine
 (:mod:`~repro.graphs.ensemble`) steps color vectors on the clique
 runners' own sequential and batched loops, so graph runs go through the
-same spec → engine → trace → cache stack.  :func:`run_graph_process`
-starts from a :class:`~repro.core.config.Configuration` (scattered by
+same spec → engine → trace → cache stack.  Each round applies the
+dynamics' declared per-agent rule (:class:`GraphKernel`, from
+:meth:`~repro.core.dynamics.Dynamics.agent_rule`; :func:`graph_kernel`
+looks it up).  :func:`run_graph_process` starts from a
+:class:`~repro.core.config.Configuration` (scattered by
 :func:`random_coloring`) or from a hand-placed color vector.
 """
 
+from ..core.dynamics import GraphKernel
 from .ensemble import (
-    GraphKernel,
     graph_ineligibility,
     graph_kernel,
     random_coloring,

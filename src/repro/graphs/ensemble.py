@@ -22,27 +22,26 @@ serve cache unchanged.
   then per round: neighbor picks, then any tie-break draws), so
   ``batch=True`` and ``batch=False`` are **bit-identical** at equal seed.
 
-A dynamics participates through a :class:`GraphKernel` — its per-agent
-decision rule ``f(own, seen) -> color`` lifted to aligned arrays.  Rules
-whose clique engines already are per-agent laws (3-majority, the 3-input
-family, h-plurality, voter, two-choices, median, 2-sample-uniform) map
-directly; dynamics carrying non-color state (undecided-state) have no
-graph kernel and are rejected with a reason (:func:`graph_ineligibility`).
-:func:`run_graph_process` also starts from a hand-placed ``(n,)`` color
-vector, for initial states a spec's counts cannot express.
+A dynamics participates through the per-agent rule it declares,
+:meth:`~repro.core.dynamics.Dynamics.agent_rule` — a
+:class:`~repro.core.dynamics.GraphKernel`, its decision
+``f(own, seen) -> color`` lifted to aligned arrays, the same rule the
+clique's agent engine runs.  This module looks the rule up and never
+asks what type a dynamics is: a dynamics without a rule, or carrying
+non-color state (undecided-state), is rejected with a reason
+(:func:`graph_ineligibility`).  :func:`run_graph_process` also starts
+from a hand-placed ``(n,)`` color vector, for initial states a spec's
+counts cannot express.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from ..core.config import Configuration
-from ..core.dynamics import Dynamics
-from ..core.majority import HPlurality, ThreeMajority, TwoSampleUniform
-from ..core.median import MedianDynamics
+from ..core.dynamics import Dynamics, GraphKernel
 from ..core.metrics import RecordSpec, as_record_spec
 from ..core.process import (
     DEFAULT_PROCESS_RECORD,
@@ -54,14 +53,11 @@ from ..core.process import (
     _stack_results,
 )
 from ..core.rng import make_rng, spawn_streams
-from ..core.samplers import row_counts_dense, row_plurality
+from ..core.samplers import row_counts_dense
 from ..core.stopping import StoppingRule
-from ..core.threeinput import ThreeInputRule
-from ..core.voter import TwoChoices, Voter
 from .topology import Topology
 
 __all__ = [
-    "GraphKernel",
     "graph_kernel",
     "graph_ineligibility",
     "random_coloring",
@@ -70,119 +66,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphKernel:
-    """A dynamics' per-agent decision rule, lifted to aligned arrays.
-
-    ``reduce(own, seen, rng)`` maps the agents' current colors ``(rows,)``
-    and their gathered neighbor samples ``(rows, h)`` to the next colors.
-    ``consumes_rng`` marks rules whose tie-breaking draws from the stream
-    (with data-dependent draw sizes): those reduce replica-by-replica on
-    the replica's own stream so batched and sequential runs stay
-    bit-identical; rng-free rules reduce the whole flattened batch in one
-    elementwise call.
-    """
-
-    h: int
-    reduce: Callable[[np.ndarray, np.ndarray, np.random.Generator | None], np.ndarray]
-    consumes_rng: bool
-
-
-def _copy_first(own: np.ndarray, seen: np.ndarray, rng) -> np.ndarray:
-    return seen[:, 0]
-
-
-def graph_ineligibility(dynamics: Dynamics) -> str | None:
+def graph_ineligibility(dynamics: Dynamics, k: int = 2) -> str | None:
     """Why this dynamics cannot run on the graph engine (None when it can).
 
     The engine needs a pure per-agent color rule over (own color, sampled
-    neighbor colors); dynamics carrying extra non-color state, or without
-    a known per-agent form, are rejected with a human-readable reason.
+    neighbor colors): the dynamics' declared
+    :meth:`~repro.core.dynamics.Dynamics.agent_rule` at ``k`` colors.
+    Whether a built-in dynamics has a rule does not depend on ``k``, so
+    the default answers for every ``k``.
     """
-    if getattr(dynamics, "uses_extra_state", False):
+    if dynamics.uses_extra_state:
         return f"dynamics {dynamics.name!r} carries extra non-color state"
-    if isinstance(
-        dynamics,
-        (
-            ThreeMajority,
-            ThreeInputRule,
-            HPlurality,
-            TwoSampleUniform,
-            Voter,
-            TwoChoices,
-            MedianDynamics,
-        ),
-    ):
-        return None
-    return f"dynamics {dynamics.name!r} has no per-agent graph kernel"
+    if dynamics.agent_rule(k) is None:
+        return f"dynamics {dynamics.name!r} has no per-agent graph kernel"
+    return None
 
 
 def graph_kernel(dynamics: Dynamics, k: int) -> GraphKernel:
-    """Build the :class:`GraphKernel` for ``dynamics`` (ValueError if none).
+    """The dynamics' declared per-agent rule at ``k`` colors (ValueError if none).
 
-    The kernels reuse the dynamics' own agent-level reductions
-    (:meth:`ThreeMajority._reduce_triples`, :meth:`ThreeInputRule.apply`,
-    :func:`~repro.core.samplers.row_plurality`), so the graph engine on
+    It is the rule the clique's agent engine runs, so the graph engine on
     the clique topology is the clique agent engine modulo sampling pools —
     the property the cross-validation tests pin down.
     """
-    reason = graph_ineligibility(dynamics)
+    reason = graph_ineligibility(dynamics, k)
     if reason is not None:
         raise ValueError(f"graph engine unavailable: {reason}")
-    if isinstance(dynamics, ThreeMajority):
-        if dynamics.tie_break == "uniform":
-            return GraphKernel(
-                h=3,
-                reduce=lambda own, seen, rng: dynamics._reduce_triples(seen, rng),
-                consumes_rng=True,
-            )
-        # First-sample tie-break collapses to a single select: if the b/c
-        # pair agrees it wins; any pair involving a elects a, as does the
-        # all-distinct default — elementwise identical to _reduce_triples.
-        return GraphKernel(
-            h=3,
-            reduce=lambda own, seen, rng: np.where(
-                seen[:, 1] == seen[:, 2], seen[:, 1], seen[:, 0]
-            ),
-            consumes_rng=False,
-        )
-    if isinstance(dynamics, ThreeInputRule):
-        return GraphKernel(
-            h=3,
-            reduce=lambda own, seen, rng: dynamics.apply(
-                seen[:, 0], seen[:, 1], seen[:, 2], rng
-            ),
-            consumes_rng=dynamics.distinct_choice == "uniform",
-        )
-    if isinstance(dynamics, HPlurality):
-        if dynamics.h == 1:
-            return GraphKernel(h=1, reduce=_copy_first, consumes_rng=False)
-        return GraphKernel(
-            h=dynamics.h,
-            reduce=lambda own, seen, rng: row_plurality(seen, k, rng),
-            consumes_rng=True,
-        )
-    if isinstance(dynamics, TwoSampleUniform):
-        return GraphKernel(
-            h=2,
-            reduce=lambda own, seen, rng: row_plurality(seen, k, rng),
-            consumes_rng=True,
-        )
-    if isinstance(dynamics, Voter):
-        return GraphKernel(h=1, reduce=_copy_first, consumes_rng=False)
-    if isinstance(dynamics, TwoChoices):
-        return GraphKernel(
-            h=2,
-            reduce=lambda own, seen, rng: np.where(seen[:, 0] == seen[:, 1], seen[:, 0], own),
-            consumes_rng=False,
-        )
-    # MedianDynamics: own value + two samples; the median of three is the
-    # middle order statistic, computed branch-free.
-    def _median(own: np.ndarray, seen: np.ndarray, rng) -> np.ndarray:
-        a, b, c = own, seen[:, 0], seen[:, 1]
-        return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
-
-    return GraphKernel(h=2, reduce=_median, consumes_rng=False)
+    return dynamics.agent_rule(k)
 
 
 def random_coloring(

@@ -329,7 +329,7 @@ class ScenarioSpec:
                     "adversaries are not supported on graph topologies yet; "
                     "drop the adversary or the topology"
                 )
-            reason = graph_ineligibility(dynamics)
+            reason = graph_ineligibility(dynamics, self.k)
             if reason is not None:
                 raise ValueError(f"topology {self.topology!r} unavailable: {reason}")
             topology = TOPOLOGIES.build(self.topology, self.n, **self.topology_params)

@@ -36,7 +36,9 @@ the chaos smoke in CI):
   stats and result lookups never count toward the cap;
 * **graceful drain** — :meth:`ScenarioService.drain` (SIGTERM in
   ``python -m repro.service``) stops accepting, answers new work 503,
-  finishes in-flight requests within a grace budget, then closes.
+  finishes in-flight requests within a grace budget, then closes;
+  closing ends keep-alive connections idle between requests, so their
+  handlers return instead of being cancelled at loop teardown.
 
 See the package docstring (:mod:`repro.service`) for the wire schema.
 """
@@ -76,6 +78,11 @@ __all__ = ["LatencyHistogram", "ScenarioService", "result_payload"]
 
 #: Request body cap: a batch of a few thousand specs fits comfortably.
 DEFAULT_MAX_BODY = 8 << 20
+
+#: How long closing waits for the handlers of the idle connections it
+#: closed.  Their end-of-stream arrives within a few loop iterations
+#: unless a peer stopped reading the previous response.
+_IDLE_CLOSE_SECONDS = 1.0
 
 #: Work endpoints: the routes that execute simulations, and therefore the
 #: ones deadlines bound and backpressure sheds.  Health, stats and cached
@@ -216,6 +223,8 @@ class ScenarioService:
         self.deadline_seconds = None if deadline_seconds is None else float(deadline_seconds)
         self.max_in_flight = int(max_in_flight)
         self._server: asyncio.AbstractServer | None = None
+        #: Connections waiting for their next request, and their handlers.
+        self._idle: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._draining = False
         self._histograms: dict[str, LatencyHistogram] = {}
         self._errors: dict[str, int] = {}
@@ -239,8 +248,15 @@ class ScenarioService:
         await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening, end idle keep-alive connections, stop the executor."""
         if self._server is not None:
             self._server.close()
+            idle = list(self._idle.items())
+            for writer, _handler in idle:
+                writer.close()  # the handler reads end-of-stream and returns
+            if idle:
+                await asyncio.wait([handler for _, handler in idle], timeout=_IDLE_CLOSE_SECONDS)
+            # From Python 3.12 this also waits for every connection to drop.
             await self._server.wait_closed()
             self._server = None
         self.executor.close()
@@ -256,9 +272,7 @@ class ScenarioService:
         """
         self._draining = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            self._server.close()  # stop accepting; close() waits for the connections
         budget = time.monotonic() + float(grace)
         while self.in_flight > 0 and time.monotonic() < budget:
             await asyncio.sleep(0.02)
@@ -272,7 +286,7 @@ class ScenarioService:
         try:
             while True:
                 try:
-                    request = await read_request(reader, max_body=self.max_body)
+                    request = await self._next_request(reader, writer)
                 except HttpError as exc:
                     writer.write(
                         encode_response(
@@ -310,6 +324,14 @@ class ScenarioService:
                 ConnectionResetError, BrokenPipeError, asyncio.CancelledError
             ):
                 await writer.wait_closed()
+
+    async def _next_request(self, reader, writer) -> Request | None:
+        """The connection's next request; while waiting for it the connection is idle."""
+        self._idle[writer] = asyncio.current_task()
+        try:
+            return await read_request(reader, max_body=self.max_body)
+        finally:
+            del self._idle[writer]
 
     async def _dispatch(self, request: Request) -> tuple[int, dict, dict | None]:
         label, method, handler, argument = self._route(request)

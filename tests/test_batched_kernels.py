@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import dynamics as dynamics_module
+from repro.core import median as median_module
 from repro.core.median import MedianDynamics
 from repro.core.registry import DYNAMICS
 from repro.core.undecided import UndecidedState
@@ -133,7 +133,7 @@ class TestBitIdentity:
         cls, extra = BATCHED[name]
         batch = random_batch(np.random.default_rng(5), 23, 5 + extra)
         expected = cls().step_many(batch, np.random.default_rng(9))
-        monkeypatch.setattr(dynamics_module, "CHUNK_CELLS", cells)
+        monkeypatch.setattr(median_module, "CHUNK_CELLS", cells)
         assert_batch_contract(name, cls(), batch, seed=9)
         np.testing.assert_array_equal(cls().step_many(batch, np.random.default_rng(9)), expected)
 

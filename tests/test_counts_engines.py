@@ -242,17 +242,31 @@ class TestEngineSelection:
             HPlurality(8, engine="counts").resolved_engine(4)
 
     def test_three_majority_engine_kwarg(self):
-        assert ThreeMajority(engine="agent").agent_level
+        assert ThreeMajority(engine="agent").resolved_engine(3) == "agent"
         assert ThreeMajority(engine="counts").engine == "counts"
-        with pytest.raises(ValueError, match="conflicts"):
-            ThreeMajority(agent_level=True, engine="counts")
+        assert ThreeMajority().resolved_engine(3) == "counts"
+        with pytest.raises(ValueError, match="unknown engine"):
+            ThreeMajority(engine="fast")
+        # engine="agent" is the one spelling of the agent engine.
+        with pytest.raises(TypeError):
+            ThreeMajority(agent_level=True)
 
     def test_three_majority_agent_engine_covers_batch_path(self, rng):
         # engine="agent" must hold on step_many too, not just step —
         # otherwise ensemble cross-validation would compare the law to itself.
-        from repro import CountsDynamics
+        from repro.core.samplers import batched_agent_step
 
-        assert ThreeMajority.step_many is not CountsDynamics.step_many
+        for tie_break in ("first", "uniform"):
+            dyn = ThreeMajority(tie_break=tie_break, engine="agent")
+            batch = np.tile([50, 30, 20], (6, 1))
+            seed = rng.integers(2**32)
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            rule = dyn.agent_rule(3)
+            expected = batched_agent_step(
+                batch, rule.h, ref_gen, lambda seen, r: rule.reduce(None, seen, r)
+            )
+            np.testing.assert_array_equal(dyn.step_many(batch, gen), expected)
+            assert gen.integers(2**62) == ref_gen.integers(2**62)
         dyn = ThreeMajority(engine="agent")
         out = dyn.step_many(np.tile([50, 30, 20], (6, 1)), rng)
         assert out.shape == (6, 3)

@@ -40,7 +40,7 @@ from repro import (
 # Stateless dynamics operating on plain k-color count vectors.
 STATELESS = [
     ThreeMajority(),
-    ThreeMajority(agent_level=True),
+    ThreeMajority(engine="agent"),
     HPlurality(1),
     HPlurality(4),
     HPlurality(7),
@@ -56,7 +56,7 @@ STATELESS = [
     skewed_rule(),
 ]
 
-IDS = [d.name + ("/agent" if getattr(d, "agent_level", False) else "") for d in STATELESS]
+IDS = [d.name + ("/agent" if d.engine == "agent" else "") for d in STATELESS]
 
 counts_strategy = st.lists(st.integers(min_value=0, max_value=80), min_size=2, max_size=6).filter(
     lambda xs: sum(xs) > 0

@@ -117,7 +117,7 @@ class TestThreeMajorityDynamics:
         exact_mu = three_majority_law(counts) * 1000
         acc = np.zeros(3)
         reps = 400
-        dyn = ThreeMajority(agent_level=True)
+        dyn = ThreeMajority(engine="agent")
         for _ in range(reps):
             acc += dyn.step(counts, rng)
         mean = acc / reps
@@ -127,7 +127,7 @@ class TestThreeMajorityDynamics:
     def test_agent_level_uniform_tiebreak_matches_mean(self, rng):
         counts = np.array([400, 350, 250])
         exact_mu = three_majority_law(counts) * 1000
-        dyn = ThreeMajority(agent_level=True, tie_break="uniform")
+        dyn = ThreeMajority(engine="agent", tie_break="uniform")
         acc = np.zeros(3)
         reps = 400
         for _ in range(reps):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.samplers import (
     categorical_matrix,
     categorical_sample,
-    multinomial_step,
     multinomial_step_batch,
     row_counts_dense,
     row_plurality,
@@ -18,32 +17,33 @@ from repro.core.samplers import (
 )
 
 
+def multinomial_row(n: int, pvals, rng) -> np.ndarray:
+    """One configuration's update: the one-row :func:`multinomial_step_batch`."""
+    return multinomial_step_batch(np.array([n]), np.asarray(pvals)[None, :], rng)[0]
+
+
 class TestMultinomialStep:
     def test_conserves_mass(self, rng):
-        out = multinomial_step(1000, np.array([0.5, 0.3, 0.2]), rng)
+        out = multinomial_row(1000, np.array([0.5, 0.3, 0.2]), rng)
         assert out.sum() == 1000
         assert out.dtype == np.int64
 
     def test_rejects_bad_pvals(self, rng):
         with pytest.raises(ValueError, match="probability"):
-            multinomial_step(10, np.array([0.5, 0.6]), rng)
-
-    def test_rejects_2d(self, rng):
-        with pytest.raises(ValueError, match="1-D"):
-            multinomial_step(10, np.full((2, 2), 0.25), rng)
+            multinomial_row(10, np.array([0.5, 0.6]), rng)
 
     def test_tolerates_tiny_roundoff(self, rng):
         p = np.array([1 / 3, 1 / 3, 1 / 3])
-        out = multinomial_step(99, p, rng)
+        out = multinomial_row(99, p, rng)
         assert out.sum() == 99
 
     def test_degenerate_law(self, rng):
-        out = multinomial_step(50, np.array([0.0, 1.0]), rng)
+        out = multinomial_row(50, np.array([0.0, 1.0]), rng)
         assert out.tolist() == [0, 50]
 
     def test_mean_matches_law(self, rng):
         p = np.array([0.7, 0.2, 0.1])
-        draws = np.stack([multinomial_step(100, p, rng) for _ in range(2000)])
+        draws = np.stack([multinomial_row(100, p, rng) for _ in range(2000)])
         assert np.allclose(draws.mean(axis=0) / 100, p, atol=0.01)
 
 
@@ -213,7 +213,7 @@ def test_row_plurality_winner_always_present(counts, h):
 @given(st.integers(min_value=1, max_value=300))
 def test_multinomial_step_mass(total):
     rng = np.random.default_rng(7)
-    out = multinomial_step(total, np.array([0.2, 0.3, 0.5]), rng)
+    out = multinomial_row(total, np.array([0.2, 0.3, 0.5]), rng)
     assert out.sum() == total
     assert (out >= 0).all()
 

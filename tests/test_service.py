@@ -4,14 +4,20 @@ the load harness, and end-to-end bit-identity against the library."""
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 import repro.serve.executor as executor_module
 from repro import ResultCache, ScenarioSpec, cache_key, faults, simulate_ensemble
 from repro.service import (
@@ -857,6 +863,37 @@ class TestServiceResilience:
         assert draining_type == "Draining"
         assert drained is True
         assert results and results[0]["source"] == "run"  # in-flight work finished
+
+    def test_sigterm_drain_closes_idle_keep_alive_quietly(self):
+        # An idle keep-alive connection is cancelled at loop teardown; its
+        # handler must end cleanly, not print an asyncio traceback.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--workers", "0", "--port", "0", "--no-cache"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("GET", "/v1/health")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+            conn.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "repro-service drained (clean)" in out
+        assert "Traceback" not in err, err
 
     def test_slow_response_fault_delays_but_succeeds(self):
         from repro import faults
