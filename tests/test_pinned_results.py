@@ -23,11 +23,15 @@ from repro import (
     ProcessResult,
     ThreeMajority,
     TwoChoices,
+    TwoSampleUniform,
     UndecidedState,
+    Voter,
     run_ensemble,
     run_process,
+    three_input_rule,
 )
 from repro.core.process import ENGINE_SCHEMA_VERSION
+from repro.core.threeinput import PAIR_PATTERNS
 from repro.graphs import run_graph_ensemble, run_graph_process, torus
 
 PINNED_SCHEMA = 4
@@ -126,6 +130,44 @@ CASES = {
     "graph-process-vector": lambda: run_graph_process(
         HPlurality(3), torus(6, 10), VECTOR_COLORS, record=["counts"], max_rounds=3_000, rng=19
     ),
+    "h4-plurality-counts": lambda: run_ensemble(
+        HPlurality(4), Configuration([120, 90, 60, 30]), 6, record=["bias"], rng=22
+    ),
+    "h5-plurality-counts": lambda: run_ensemble(
+        HPlurality(5, engine="counts"), Configuration([100, 80, 60, 40, 20]), 6, rng=23
+    ),
+    "h7-plurality-auto": lambda: run_ensemble(
+        HPlurality(7), Configuration([70, 60, 50, 40]), 6, rng=24
+    ),
+    "h5-plurality-k64-auto": lambda: run_ensemble(
+        HPlurality(5), Configuration.balanced(320, 64), 4, max_rounds=400, rng=25
+    ),
+    "h1-plurality-agent": lambda: run_ensemble(
+        HPlurality(1, engine="agent"),
+        Configuration([30, 20, 10]),
+        4,
+        stopping=PluralityFractionStop(0.9),
+        max_rounds=2_000,
+        rng=26,
+    ),
+    "voter": lambda: run_ensemble(
+        Voter(), Configuration([30, 20, 10]), 6, max_rounds=2_000, rng=27
+    ),
+    "2-sample-uniform": lambda: run_ensemble(
+        TwoSampleUniform(), Configuration([30, 20, 10]), 6, max_rounds=2_000, rng=28
+    ),
+    "three-input-rule-counts": lambda: run_ensemble(
+        three_input_rule({p: "major" for p in PAIR_PATTERNS}, "uniform", engine="counts"),
+        Configuration([90, 60, 50]),
+        6,
+        rng=29,
+    ),
+    "three-input-rule-agent": lambda: run_ensemble(
+        three_input_rule({p: "major" for p in PAIR_PATTERNS}, "uniform", engine="agent"),
+        Configuration([90, 60, 50]),
+        6,
+        rng=30,
+    ),
 }
 
 #: Computed by running each case on the commit before the graph runners
@@ -135,7 +177,11 @@ CASES = {
 #: Schema 4 re-pinned ``undecided-state`` and added ``two-choices``: both
 #: step through the two-draw samplers.  ``median`` was added at schema 4
 #: with the value schema 3 computes, since its class-wise draws did not
-#: move; every other value is unchanged from schema 3.
+#: move; every other value is unchanged from schema 3.  The nine cases
+#: from ``h4-plurality-counts`` on were added at schema 4 with the values
+#: schema 4 computes: h-plurality's composition-table law at h = 4 and 5,
+#: its agent fallback at h = 7 and at h = 5, k = 64, the agent engine at
+#: h = 1, the voter, 2-sample-uniform, and one 3-input rule on each engine.
 PINNED = {
     "run_process": "e86869f2de977c3a973c95d6ce1428a6093ec5a218a0689e7222fe8edd8181a8",
     "dense-stop-record": "65a0b207cdd33de534121892d13a717004a8c5036fa0c36c95ec64f3f4b1f0d6",
@@ -148,6 +194,15 @@ PINNED = {
     "graph-ensemble-torus": "c4b8a7f6d63a607ef453cb40eb5a04e5340cf34f2ac8d60c5dbf210c8bf1010c",
     "graph-process-config": "870dde5e6f16e20e0aca175642a55c612a2023e1d3bb86a7d06472034e0d8fa0",
     "graph-process-vector": "d9dcc919070bf3982ca9067a374b23a51a64def70f19e74b9d18d22ebb712885",
+    "h4-plurality-counts": "d20202b590aada399e3822e1f21c73f752d6a78e3f69d6eb5692e12cc181a029",
+    "h5-plurality-counts": "51a081ef3214a79ea4d3ff04250a5266c493bbea075ac6117aee144f43f05ebf",
+    "h7-plurality-auto": "8d5511fc8357d3c5008df6a59d7cd859da4eae6788023f8b493f94da56ef165f",
+    "h5-plurality-k64-auto": "d20ee9506d7967caeb277b7730463d02ccc2cd1ed75ce0c88f64cebca0586c9d",
+    "h1-plurality-agent": "e390116856d0fa5b35bd47242a61964cf55dd3087e5b8ca3c1babef077afff2f",
+    "voter": "df5d16550af1e54fde24e73fe571da79ecdc5e3b25063f0797cd02a0c218147e",
+    "2-sample-uniform": "fc5905e0ce0e23eaa81f3938d5c09167e9c931d85b9c4f93d57380ddf3cea92f",
+    "three-input-rule-counts": "5dd96e93152482dfb514cb9cd6fa85ee1f5ddb8a283a44a769e36778c5339464",
+    "three-input-rule-agent": "b5f4f84b66f10e7c8d55c35e522dda7472e787453d4d56112378ccadd25cf0d6",
 }
 
 
