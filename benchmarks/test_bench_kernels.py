@@ -3,8 +3,8 @@
 These quantify the engine claim of the README (and the matrix in
 ``core/dynamics.py``): the exact counts-level engine
 makes a round O(k) instead of O(n), enabling n = 10^6+ at microsecond
-round costs, while the agent-level engine (needed for h-plurality and
-arbitrary 3-input rules) pays O(n·h).
+round costs, while the agent-level engine (the ground truth every law is
+checked against) pays O(n·h).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro import (
     majority_rule,
     skewed_rule,
 )
-from repro.core.samplers import categorical_matrix, row_plurality
+from repro.core.samplers import row_plurality
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestHPluralityEngines:
 class TestAgentEngine:
     def test_hplurality_step_n1e5_h7(self, benchmark, rng):
         counts = Configuration.biased(100_000, 32, 10_000).counts
-        dyn = HPlurality(7)  # h > 5: no counts-level law, agent engine
+        dyn = HPlurality(7, engine="agent")  # auto would step the exact law
         benchmark.extra_info.update(engine="agent", n=100_000, k=32, h=7)
         benchmark(lambda: dyn.step(counts, rng))
 
@@ -134,8 +134,8 @@ class TestAgentEngine:
         benchmark(lambda: rule.step(counts, rng))
 
     def test_row_plurality_reduction(self, benchmark, rng):
-        counts = Configuration.balanced(100_000, 32).counts
-        samples = categorical_matrix(counts, 100_000, 7, rng)
+        # Uniform samples: the balanced 32-color configuration's law.
+        samples = rng.integers(0, 32, size=(100_000, 7))
         benchmark(lambda: row_plurality(samples, 32, rng))
 
 

@@ -130,11 +130,11 @@ class TestSparseVsDensePostCoalescence:
         )
 
     def test_hplurality_sparse_recovers_exact_law(self, benchmark):
-        # Dense auto at k = 4096 would be O(n·h) agent sampling; sparse
-        # hands the law a width-8 axis and the C(12, 5) = 792-row exact
-        # table takes over.
+        # The exact law runs at any width, so dense auto at k = 4096 is
+        # counts too, but its law costs O(k h³ log h) per row; sparse hands
+        # it a width-8 axis.
         dyn = HPlurality(5)
-        assert dyn.resolved_engine(K) == "agent"
+        assert dyn.resolved_engine(K) == "counts"
         assert dyn.resolved_engine(SUPPORT) == "counts"
         benchmark.extra_info.update(
             engine="sparse", dynamics="5-plurality", n=N, k=K, support=SUPPORT,

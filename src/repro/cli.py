@@ -156,15 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="record every m-th round (default 1; needs --record or a file record)",
     )
-    sim.add_argument(
-        "--counts-table-cap",
-        type=int,
-        default=None,
-        help=(
-            "override the h-plurality auto-engine composition-table row cap "
-            "(default 100000; merged into dynamics_params)"
-        ),
-    )
     sim.add_argument("--json", action="store_true", help="emit machine-readable result JSON")
     sim.add_argument("--save-spec", default=None, help="also write the resolved spec JSON here")
 
@@ -294,7 +285,7 @@ def _run_one(experiment_id: str, scale: str, seed: int, csv_dir: str | None) -> 
 
 
 def _apply_observation_flags(spec, args: argparse.Namespace):
-    """Fold --record/--record-every/--counts-table-cap into the spec.
+    """Fold --record/--record-every into the spec.
 
     These are run-shaping overrides (like --seed), accepted both inline
     and on top of a scenario file.
@@ -309,10 +300,6 @@ def _apply_observation_flags(spec, args: argparse.Namespace):
         if spec.record is None:
             raise SystemExit("--record-every needs --record or a record in the scenario file")
         spec = spec.with_overrides(record={**spec.record, "every": args.record_every})
-    if args.counts_table_cap is not None:
-        spec = spec.with_overrides(
-            dynamics_params={**spec.dynamics_params, "counts_table_cap": args.counts_table_cap}
-        )
     return spec
 
 
@@ -350,7 +337,7 @@ def _spec_from_args(args: argparse.Namespace):
             raise SystemExit(
                 f"{flags} cannot be combined with a scenario file; "
                 "edit the file or drop the flags (only --replicas/--max-rounds/--seed/"
-                "--engine/--record/--record-every/--counts-table-cap override a file)"
+                "--engine/--record/--record-every override a file)"
             )
         spec = spec.with_overrides(**overrides) if overrides else spec
         return _apply_observation_flags(spec, args)

@@ -25,7 +25,7 @@ import abc
 
 import numpy as np
 
-from .registry import ADVERSARIES
+from .registry import ADVERSARIES, checked_int
 
 __all__ = [
     "Adversary",
@@ -51,9 +51,7 @@ class Adversary(abc.ABC):
     support_preserving: bool = False
 
     def __init__(self, budget: int):
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative, got {budget}")
-        self.budget = int(budget)
+        self.budget = checked_int("budget", budget, 0)
 
     @abc.abstractmethod
     def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -40,11 +40,10 @@ The engines never ask what type a dynamics is.  Each dynamics declares,
 next to its law:
 
 * :meth:`Dynamics.resolved_engine` — ``"counts"`` (the default) or
-  ``"agent"`` at ``k`` colors.  The 3-majority and 3-input rules take an
-  ``engine=`` keyword (``"counts"``, ``"agent"`` or ``"auto"`` = counts);
-  h-plurality's ``"auto"`` resolves to counts while its composition
-  table stays small (C(k+h−1, h) ≤ ``counts_table_cap`` rows, h ≤ 5) and
-  to agent otherwise.
+  ``"agent"`` at ``k`` colors.  The 3-majority, h-plurality and 3-input
+  rules take an ``engine=`` keyword (``"counts"``, ``"agent"`` or
+  ``"auto"`` = counts): each has an exact law at every ``k`` (and
+  h-plurality at every ``h``).
 * :meth:`Dynamics.agent_rule` — the per-agent :class:`GraphKernel`: how
   many neighbour colors an agent samples (``h``), how it reduces its own
   color and those samples to its next color, and whether that draws
@@ -56,7 +55,8 @@ dynamics            ``resolved_engine(k)``    ``agent_rule(k)``: h, draws
 ==================  ========================  ==============================
 3-majority          counts; ``engine=``       3; draws iff
                     picks agent               ``tie_break="uniform"``
-h-plurality         table-size rule above     1, no at h = 1; else h, yes
+h-plurality         counts; ``engine=``       1, no at h = 1; else h, yes
+                    picks agent
 3-input rules       counts; ``engine=``       3; draws iff the distinct
                     picks agent               choice is ``"uniform"``
 2-sample-uniform    counts                    2, yes
@@ -70,8 +70,9 @@ undecided-state     counts (two draws)        none: extra state
 
 :meth:`CountsDynamics.step_many` is the one clique batch entry.  On the
 **counts** engine it steps the rows of positive mass in one law draw —
-``Multinomial(n, color_law(c))`` over the batch, O(k) per row, unless the
-dynamics brings its own sampler (two-choices: movers ``Bin(c_i, S)``
+``Multinomial(n, color_law(c))`` over the batch, O(k) per row (h-plurality
+at h ≥ 4 evaluates its law in O(k h³ log h)), unless the dynamics brings
+its own sampler (two-choices: movers ``Bin(c_i, S)``
 then one multinomial; median: one class-wise multinomial per chunk of
 rows, O(k²)).  On the **agent** engine it draws every agent's ``h``
 samples and reduces them with the agent rule through
@@ -103,9 +104,9 @@ selects an **ensemble layout** via its own ``engine=`` keyword:
   Both law engines ride it unchanged: a support-closed law evaluated on
   the sorted compacted axis equals the dense law restricted to the
   support, and the agent-level samplers only ever draw supported colors.
-  For :class:`~repro.core.majority.HPlurality` the compaction also
-  shrinks the composition table from C(k+h−1, h) to C(s+h−1, h) rows,
-  re-enabling the exact law at ``k`` far beyond the dense auto cutoff;
+  Every law costs O(s) or more per row on it, not O(k): for
+  :class:`~repro.core.majority.HPlurality` at ``h >= 4`` that is
+  O(s h³ log h) instead of O(k h³ log h);
 * ``"auto"`` — sparse once ``k`` is large (and the dynamics / adversary /
   stopping rule are all sparse-eligible), dense otherwise.
 
@@ -271,9 +272,9 @@ class Dynamics(abc.ABC):
 
         Resolved *structurally* — the method is overridden somewhere below
         :class:`Dynamics` — and cached per instance, so no throwaway
-        configuration is ever evaluated.  Dynamics whose law exists only for
-        part of their parameter space (:class:`~repro.core.majority.HPlurality`)
-        override this with the precise predicate.
+        configuration is ever evaluated.  A dynamics whose law exists only
+        for part of its parameter space would override this with the
+        precise predicate.
         """
         cached = getattr(self, "_supports_exact_law", None)
         if cached is None:

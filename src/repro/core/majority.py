@@ -11,17 +11,16 @@
   exact counts-level engine.  The per-agent rule (explicit triples) is
   kept for cross-validation, for the tie-break ablation and for graphs.
 
-* :class:`HPlurality` — the h-sample plurality rule of Section 4.3.  For
-  ``h <= 5`` the per-agent law *is* tractable: the sample histogram is one
-  of the ``C(k+h-1, h)`` weak compositions of ``h`` into ``k`` colors, each
-  with multinomial probability, and uniform tie-splitting distributes each
-  composition's mass over its maximal colors.  We enumerate the
-  compositions once per ``(h, k)`` (cached) and evaluate the law as two
-  dense matrix products — the exact counts-level engine.  For larger ``h``
-  (or ``k`` so large the table would not fit) stepping falls back to the
-  agent-level engine: ``h`` categorical samples per agent reduced
-  row-wise with uniform tie-breaking.  ``HPlurality(3)`` with uniform
-  tie-break has the same marginal law as :class:`ThreeMajority`.
+* :class:`HPlurality` — the h-sample plurality rule of Section 4.3, ties
+  split uniformly at random.  Its per-agent law is exact at every ``h``:
+  ``c/n`` at ``h <= 2``, Lemma 1 at ``h = 3``, and above that
+  :func:`plurality_law`, a generating function over the sample counts
+  whose tie split is an integral evaluated by exact Gauss–Legendre
+  quadrature, O(k h³ log h) per configuration.  So h-plurality steps on
+  the counts engine at every ``(h, k)``; its agent engine (``h`` samples
+  per agent, reduced row-wise with uniform tie-breaking) is the
+  statistical ground truth.  ``HPlurality(3)`` with uniform tie-break has
+  the same marginal law as :class:`ThreeMajority`.
 
 * :class:`TwoSampleUniform` — two samples, ties broken uniformly.  Its law
   collapses to ``p_j = c_j / n`` (the polling/voter process), which is the
@@ -30,17 +29,16 @@
 
 from __future__ import annotations
 
-import itertools
-import math
+import functools
 
 import numpy as np
 
 from .dynamics import CountsDynamics, GraphKernel, validate_engine
-from .registry import DYNAMICS
+from .registry import DYNAMICS, checked_int
 from .samplers import row_plurality
 from .voter import COPY_FIRST
 
-__all__ = ["ThreeMajority", "HPlurality", "TwoSampleUniform", "three_majority_law"]
+__all__ = ["ThreeMajority", "HPlurality", "TwoSampleUniform", "plurality_law", "three_majority_law"]
 
 
 def three_majority_law(counts: np.ndarray) -> np.ndarray:
@@ -122,59 +120,123 @@ class ThreeMajority(CountsDynamics):
         return GraphKernel(h=3, reduce=_majority_first, consumes_rng=False)
 
 
-class _CompositionTable:
-    """Exact-law machinery for one block of h-plurality sample multisets.
+#: Cells of one polynomial array in a row chunk of :func:`plurality_law`
+#: (coefficients × quadrature nodes × rows × padded colors, 8 MiB of
+#: float64).  The product tree holds a few such arrays at once, so peak
+#: memory stays flat in the replica count.
+_LAW_CHUNK_CELLS = 2**20
 
-    ``rows`` enumerates multisets of ``h`` samples over ``k`` colors (weak
-    compositions of ``h``), each row sorted ascending.  For a probability
-    vector ``p`` the block's law contribution is
 
-        ``law = (coeff * prod(p[sup_idx] ** sup_exp, axis=1)) @ winners``
+@functools.lru_cache(maxsize=None)
+def _law_plan(h: int) -> tuple[np.ndarray, ...]:
+    """The quadrature pairs of :func:`plurality_law` at sample size ``h``.
 
-    where ``coeff`` is the multinomial coefficient, ``sup_idx``/``sup_exp``
-    the ≤ h support colors with their multiplicities (padding exponent 0,
-    exploiting ``0.0 ** 0 == 1.0``), and ``winners[r]`` splits row ``r``'s
-    mass uniformly over its maximal colors.
+    One pair ``q`` per (winning count ``m``, Gauss–Legendre node ``y`` on
+    ``[0, 1]``), sorted by ``m``: at ``m`` the tie-split integrand has
+    degree at most ``(h - m) // m`` in ``y``, so ``(h - m) // m // 2 + 1``
+    nodes integrate it exactly.  Returns ``m``, the weights, the factor
+    table ``scale[t, q]`` (1 below ``m``, ``y`` at ``m``, 0 above, and a
+    zero row ``t = h``) that turns a Poisson pmf into a pair's per-color
+    polynomial, ``needed[t]`` (pairs ``q < needed[t]`` still need
+    coefficient ``t``: pair ``q`` stops at degree ``h - m``) and
+    ``mirror[t, q] = h - m - t``, the coefficient that meets ``t`` in
+    degree ``h - m`` (the zero row ``h`` when negative).
     """
-
-    def __init__(self, h: int, k: int, rows: np.ndarray | None = None):
-        if rows is None:
-            rows = np.array(
-                list(itertools.combinations_with_replacement(range(k), h)), dtype=np.int64
-            )
-        mult = (rows[:, :, None] == rows[:, None, :]).sum(axis=2)  # multiplicity per slot
-        first = np.ones_like(rows, dtype=bool)
-        first[:, 1:] = rows[:, 1:] != rows[:, :-1]  # first slot of each distinct color
-        fact = np.array([math.factorial(i) for i in range(h + 1)], dtype=np.float64)
-        self.coeff = fact[h] / np.where(first, fact[mult], 1.0).prod(axis=1)
-        self.sup_idx = rows
-        self.sup_exp = np.where(first, mult, 0).astype(np.float64)
-        top = mult.max(axis=1, keepdims=True)
-        win = first & (mult == top)
-        weights = win / win.sum(axis=1, keepdims=True)
-        self.winners = np.zeros((rows.shape[0], k))
-        np.add.at(self.winners, (np.arange(rows.shape[0])[:, None], rows), weights)
-
-    def law(self, p: np.ndarray) -> np.ndarray:
-        """Exact law for ``p`` of shape ``(k,)`` or a batch ``(R, k)``."""
-        probs = self.coeff * np.prod(p[..., self.sup_idx] ** self.sup_exp, axis=-1)
-        return probs @ self.winners
+    counts, nodes, weights = [], [], []
+    for m in range(1, h + 1):
+        y, w = np.polynomial.legendre.leggauss((h - m) // m // 2 + 1)
+        counts += [m] * y.size
+        nodes += list((y + 1) / 2)
+        weights += list(w / 2)
+    m, y, w = np.array(counts), np.array(nodes), np.array(weights)
+    t = np.arange(h + 1)[:, None]
+    scale = np.where(t < m, 1.0, np.where(t == m, y, 0.0))
+    scale[h] = 0.0
+    needed = np.searchsorted(m, h - np.arange(h), side="right")
+    mirror = np.where(t[:h] <= h - m, h - m - t[:h], h)
+    return m, w, scale, needed, mirror
 
 
-def _streamed_composition_law(h: int, k: int, p: np.ndarray, block_rows: int) -> np.ndarray:
-    """Composition law evaluated in bounded-memory blocks.
+def _truncated_product(a: np.ndarray, b: np.ndarray, needed: np.ndarray) -> np.ndarray:
+    """``a · b`` as polynomials along axis 0, truncated to ``len(a)`` coefficients.
 
-    Used when the full ``(C, k)`` winner table would be too large to cache:
-    enumerate compositions in blocks, accumulate each block's contribution,
-    never materialising more than ``block_rows`` rows at once.
+    Pair ``q`` (axis 1) gets coefficient ``t`` only while ``q < needed[t]``;
+    the rest hold partial sums that no needed coefficient reads.
     """
-    law = np.zeros(p.shape, dtype=np.float64)
-    stream = itertools.combinations_with_replacement(range(k), h)
-    while True:
-        block = list(itertools.islice(stream, block_rows))
-        if not block:
-            return law
-        law += _CompositionTable(h, k, np.array(block, dtype=np.int64)).law(p)
+    degree = a.shape[0]
+    out = a[0] * b[:degree]
+    for s in range(1, degree):
+        q = needed[s]
+        out[s:, :q] += a[s, :q] * b[: degree - s, :q]
+    return out
+
+
+def _plurality_law_rows(p: np.ndarray, h: int, width: int) -> np.ndarray:
+    m, w, scale, needed, mirror = _law_plan(h)
+    rows, k = p.shape
+    # Poisson pmfs e^{-q} q^t / t! (t = 0..h) of the sample counts; the
+    # padding colors have q = 0, whose polynomial is the constant 1.
+    q = np.zeros((rows, width))
+    q[:, :k] = h * p
+    pmf = np.empty((h + 1, rows, width))
+    pmf[0] = np.exp(-q)
+    pmf[1:] = q / np.arange(1, h + 1)[:, None, None]
+    np.cumprod(pmf, axis=0, out=pmf)
+    # Product tree over the colors: node i of a level is the product of
+    # nodes i and i + half below it.
+    leaves = scale[:, :, None, None] * pmf[:, None]  # (coefficient, pair, row, color)
+    levels = [leaves]
+    while levels[-1].shape[-1] > 2:
+        level, half = levels[-1], levels[-1].shape[-1] // 2
+        levels.append(_truncated_product(level[:h, ..., :half], level[..., half:], needed))
+    # Down the tree: the product of everything outside a node is its
+    # parent's outside times its sibling's product.
+    outside = levels[-1][..., ::-1]
+    for level in levels[-2::-1]:
+        nodes = np.arange(level.shape[-1])
+        half = nodes.size // 2
+        outside = outside[..., nodes % half]
+        sibling = level[..., (nodes + half) % nodes.size]
+        if level is not leaves:
+            outside = _truncated_product(outside, sibling, needed)
+    # [x^(h-m)] of the product over every other color, for each color j.
+    others = (outside * sibling[mirror, np.arange(m.size)]).sum(axis=0)
+    joint = (w[:, None, None] * pmf[m] * others).sum(axis=0)[:, :k]
+    return joint / joint.sum(axis=1, keepdims=True)
+
+
+def plurality_law(p: np.ndarray, h: int) -> np.ndarray:
+    """Exact next-color law of h-plurality for rows of color fractions ``p``.
+
+    Draw the ``h`` samples as independent ``Poisson(h p_i)`` counts ``N_i``
+    conditioned on ``sum N = h`` (the multinomial).  Color ``j`` wins with
+    count ``m`` when every other count is at most ``m``; with ``T`` others
+    tied at ``m`` it wins the uniform split with ``1/(1+T) = ∫₀¹ y^T dy``.
+    So ``P(j wins, sum N = h)`` is
+
+        ``sum_m Pois(N_j = m) ∫₀¹ [x^(h-m)] prod_{i≠j} g_i(x, y) dy``,
+        ``g_i = e^{-h p_i} (sum_{t<m} (h p_i x)^t / t! + y (h p_i x)^m / m!)``,
+
+    and dividing each row by its sum, ``P(sum N = h)``, conditions on the
+    total.  Up to that normalisation this is
+    ``h! sum_m (p_j^m/m!) ∫₀¹ [x^(h-m)] prod_{i≠j} (...) dy`` in ``p``
+    itself; the Poisson weights keep every coefficient a probability, so
+    nothing overflows at large ``h``.  The ``y`` integral is exact
+    Gauss–Legendre quadrature (see :func:`_law_plan`), and the products
+    over ``i ≠ j`` come from a product tree over the colors — no division
+    and no cancellation, since every coefficient is non-negative.  Cost
+    O(k h³ log h) per row, in row chunks of at most
+    :data:`_LAW_CHUNK_CELLS` cells per array.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    rows, k = p.shape
+    width = max(4, 1 << (k - 1).bit_length())
+    chunk = max(1, _LAW_CHUNK_CELLS // (h * _law_plan(h)[0].size * width))
+    if rows <= chunk:
+        return _plurality_law_rows(p, h, width)
+    return np.concatenate(
+        [_plurality_law_rows(p[i : i + chunk], h, width) for i in range(0, rows, chunk)]
+    )
 
 
 @DYNAMICS.register("h-plurality", summary="plurality of h uniform samples (Section 4.3)")
@@ -182,141 +244,51 @@ class HPlurality(CountsDynamics):
     """h-plurality dynamics: adopt the plurality of ``h`` uniform samples.
 
     Ties among maximal sample colors are broken uniformly at random
-    (Section 4.3 of the paper).
+    (Section 4.3 of the paper).  The exact law exists at every ``h``:
+    ``c/n`` at ``h <= 2``, Lemma 1 at ``h = 3`` and :func:`plurality_law`
+    above, so the counts engine steps it at any ``(h, k)``.
 
     Parameters
     ----------
     h:
-        Sample size.
+        Sample size, an integer ``>= 1``.
     engine:
-        ``"counts"`` — exact multinomial stepping from the closed-form law
-        (``h <= 3``) or the composition-enumeration law (``h <= 5``, any
-        ``k``: oversized tables are evaluated in streamed blocks, correct
-        but slow — raises only for ``h > 5``); ``"agent"`` — explicit
-        per-agent sampling, O(n·h) per round; ``"auto"`` (default) — counts
-        whenever the composition table is comfortably small
-        (``counts_table_cap`` rows), agent-level otherwise.
-    counts_table_cap:
-        Row budget the ``"auto"`` engine allows the composition table
-        before falling back to agent-level stepping.  Defaults to
-        :attr:`_MAX_AUTO_COMPOSITIONS` (100k rows); raise it to keep large
-        ``(h, k)`` points on the exact counts engine (correct at any size
-        — oversized tables stream in blocks, trading memory for time).
-        Travels through a :class:`~repro.scenario.ScenarioSpec` as
-        ``dynamics_params={"h": ..., "counts_table_cap": ...}`` or via
-        ``repro simulate --counts-table-cap``.
+        ``"counts"`` / ``"auto"`` (= counts) — exact multinomial stepping
+        from the law; ``"agent"`` — explicit per-agent sampling, O(n·h)
+        per round, the statistical ground truth the law is checked
+        against.
     """
 
     name = "h-plurality"
     color_law_broadcasts = True
     support_closed = True  # the plurality of a sample is one of the samples
 
-    #: largest h with a counts-level engine (composition enumeration).
-    _MAX_COUNTS_H = 5
-    #: auto engine switches to agent-level above this many table rows.
-    _MAX_AUTO_COMPOSITIONS = 100_000
-    #: tables up to this many cells (rows × k) are built whole and cached;
-    #: larger laws are evaluated by streaming composition blocks instead.
-    _MAX_TABLE_CELLS = 2**24
-
-    def __init__(self, h: int, engine: str = "auto", counts_table_cap: int | None = None):
-        if h < 1:
-            raise ValueError(f"h must be >= 1, got {h}")
-        self.h = int(h)
+    def __init__(self, h: int, engine: str = "auto"):
+        self.h = checked_int("h", h, 1)
         self.sample_size = self.h
-        self.name = f"{h}-plurality"
+        self.name = f"{self.h}-plurality"
         self.engine = validate_engine(engine)
-        if counts_table_cap is not None:
-            counts_table_cap = int(counts_table_cap)
-            if counts_table_cap < 1:
-                raise ValueError(f"counts_table_cap must be >= 1, got {counts_table_cap}")
-        self.counts_table_cap = counts_table_cap
-        self._tables: dict[int, _CompositionTable] = {}
-
-    # -- engine selection ------------------------------------------------------
-
-    @staticmethod
-    def composition_count(h: int, k: int) -> int:
-        """Number of weak compositions of ``h`` into ``k`` parts."""
-        return math.comb(k + h - 1, h)
-
-    def counts_engine_available(self, k: int) -> bool:
-        """Whether the exact counts-level law exists at all (any ``k``)."""
-        return self.h <= self._MAX_COUNTS_H
-
-    def resolved_engine(self, k: int) -> str:
-        """The engine :meth:`step_many` runs at this ``k``: the table-size rule."""
-        if self.engine == "agent":
-            return "agent"
-        if self.engine == "counts":
-            if not self.counts_engine_available(k):
-                raise ValueError(
-                    f"engine='counts' unavailable for {self.name} (h > {self._MAX_COUNTS_H})"
-                )
-            return "counts"
-        if self.h <= 3:
-            return "counts"
-        cap = self.counts_table_cap if self.counts_table_cap is not None else self._MAX_AUTO_COMPOSITIONS
-        if self.h <= self._MAX_COUNTS_H and self.composition_count(self.h, k) <= cap:
-            return "counts"
-        return "agent"
-
-    def _table(self, k: int) -> _CompositionTable:
-        table = self._tables.get(k)
-        if table is None:
-            table = self._tables[k] = _CompositionTable(self.h, k)
-        return table
-
-    # -- dynamics interface ----------------------------------------------------
-
-    def supports_exact_law(self) -> bool:
-        return self.h <= self._MAX_COUNTS_H
 
     def agent_rule(self, k: int) -> GraphKernel:
         return COPY_FIRST if self.h == 1 else _plurality_rule(self.h, k)
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
-        """Exact law: closed forms for ``h <= 3``, compositions for ``h <= 5``.
+        """Exact law: closed forms for ``h <= 3``, :func:`plurality_law` above.
 
-        Broadcasts over leading axes (the composition path vectorizes over
-        replica batches through the same cached table).  When the full
-        composition table would exceed :attr:`_MAX_TABLE_CELLS` the law is
-        evaluated by streaming blocks — same result, bounded memory, O(C·h)
-        time (so very large ``k`` is slow but never wrong, keeping the
-        :meth:`supports_exact_law` contract exact for every ``h <= 5``).
+        Broadcasts over leading axes.
         """
         c = np.asarray(counts, dtype=np.float64)
         n = c.sum(axis=-1, keepdims=True)
         if np.any(n <= 0):
             raise ValueError("empty configuration has no color law")
-        k = c.shape[-1]
         if self.h <= 2:
             # h = 1 is the voter model; h = 2 with uniform tie-split also
             # collapses to polling: p² + 2·p(1-p)/2 = p.
             return c / n
         if self.h == 3:
             return three_majority_law(c)
-        if self.h > self._MAX_COUNTS_H:
-            raise NotImplementedError(
-                f"no tractable color law for {self.name}; use the agent-level engine"
-            )
-        p = c / n
-        replicas = p.shape[0] if p.ndim == 2 else 1
-        ncomp = self.composition_count(self.h, k)
-        if ncomp * k > self._MAX_TABLE_CELLS:
-            # Composition stream sized so each (R, block, h) intermediate
-            # stays within the cell budget.
-            block_rows = max(1, self._MAX_TABLE_CELLS // (k * replicas))
-            return _streamed_composition_law(self.h, k, p, block_rows)
-        table = self._table(k)
-        if p.ndim == 2 and replicas * ncomp * self.h > self._MAX_TABLE_CELLS:
-            # Large replica batches: evaluate in replica blocks so the
-            # (R, C, h) power intermediate stays bounded.
-            rows_per_block = max(1, self._MAX_TABLE_CELLS // (ncomp * self.h))
-            return np.concatenate(
-                [table.law(p[i : i + rows_per_block]) for i in range(0, replicas, rows_per_block)]
-            )
-        return table.law(p)
+        p = (c / n).reshape(-1, c.shape[-1])
+        return plurality_law(p, self.h).reshape(c.shape)
 
 
 @DYNAMICS.register("2-sample-uniform", summary="two samples, uniform tie-break (= polling)")

@@ -100,7 +100,15 @@ __all__ = [
 #: they land; undecided-state: colored survivors, then undecided pulls),
 #: so both consume randomness differently at equal seed.  Every other
 #: dynamics, layout and the graph engine draw exactly as under 3.
-ENGINE_SCHEMA_VERSION = 4
+#: 5 = one exact h-plurality law at every h >= 4 (a generating function,
+#: ``majority.plurality_law``) replaces the composition tables, and
+#: ``"auto"`` steps it on the counts engine at every (h, k): h >= 4
+#: counts draws move by ulp-level law differences, and the shapes that
+#: ran agent-level (h > 5, or large tables) now draw multinomials.  It
+#: also retires schema-4 entries of ``HPlurality(1, engine="agent")``,
+#: whose draws moved under 4 when a tie-break jitter that cannot change
+#: its result was dropped.  h <= 3 and every other dynamics draw as under 4.
+ENGINE_SCHEMA_VERSION = 5
 
 #: Recognised values of :func:`run_ensemble`'s ``engine=`` keyword (the
 #: *ensemble layout*, orthogonal to each dynamics' own counts/agent law
@@ -432,8 +440,9 @@ def run_ensemble(
     ``engine`` selects the batched layout: ``"dense"`` steps the full
     ``(R, k)`` matrix (the historical layout; bit-identical to previous
     releases at equal seed for counts-engine dynamics — agent-level
-    engines batch their draws differently since schema version 3, and
-    two-choices and undecided-state since schema version 4);
+    engines batch their draws differently since schema version 3,
+    two-choices and undecided-state since schema version 4, and
+    h-plurality at h >= 4 since schema version 5);
     ``"sparse"`` steps the union-live-support compacted ``(R, s)`` columns
     — O(support) per round, the large-``k`` mode — and requires a
     sparse-eligible scenario (see :func:`sparse_ineligibility`);
@@ -537,8 +546,8 @@ def _run_ensemble_batched(
     ``support`` given (the sorted union-live-support map of the sparse
     clique layout), the working set is the compacted ``(L, s)`` columns:
     the dynamics' law sees width ``s`` (so e.g.
-    :class:`~repro.core.majority.HPlurality`'s auto engine sizes its
-    composition table by ``s``, not ``k``), metrics record through the
+    :class:`~repro.core.majority.HPlurality`'s law costs O(s), not O(k)),
+    metrics record through the
     compaction-aware :meth:`~repro.core.metrics.TraceRecorder.observe`,
     and winners / final counts scatter back through ``support`` only at
     retirement boundaries.  When the union support has shrunk past the

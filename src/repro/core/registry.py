@@ -37,6 +37,8 @@ import inspect
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Registry",
     "RegistryEntry",
@@ -46,6 +48,7 @@ __all__ = [
     "STOPPING",
     "METRICS",
     "TOPOLOGIES",
+    "checked_int",
 ]
 
 
@@ -75,6 +78,22 @@ class RegistryEntry:
             elif param.kind is not inspect.Parameter.VAR_POSITIONAL:
                 out.append(param.name)
         return out
+
+
+def checked_int(name: str, value: object, minimum: int | None = None) -> int:
+    """``value`` as an ``int``, or a :class:`ValueError` naming ``name``.
+
+    For the integer parameters of specs and registered factories: a bool,
+    a float (even ``4.0``) or a string is rejected rather than truncated
+    or coerced, so ``{"h": 4.5}`` cannot run as ``h = 4`` under a cache
+    key of its own.  NumPy integers are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _first_doc_line(factory: Callable[..., object]) -> str:

@@ -8,11 +8,11 @@ Two execution engines are built on these kernels:
   (:func:`multinomial_step_batch`, one broadcasting NumPy call for a
   whole replica batch);
 
-* the **agent-level engine** for rules without a tractable closed-form law
-  (h-plurality for general ``h``) and for cross-validation: draw ``h``
-  categorical samples per agent and reduce each agent's row with the
-  dynamics' per-agent rule (:func:`batched_agent_step`; e.g.
-  :func:`row_plurality`, uniform tie-breaking).
+* the **agent-level engine**, the ground truth the laws are
+  cross-validated against: draw ``h`` categorical samples per agent and
+  reduce each agent's row with the dynamics' per-agent rule
+  (:func:`batched_agent_step`; e.g. :func:`row_plurality`, uniform
+  tie-breaking).
 
 Per the HPC guides the hot paths are loop-free; the only Python-level loop
 is row chunking to bound the transient memory of the one-hot count matrix.
@@ -24,14 +24,10 @@ import numpy as np
 
 __all__ = [
     "multinomial_step_batch",
-    "categorical_sample",
-    "categorical_matrix",
-    "categorical_matrix_batch",
     "batched_agent_step",
     "equal_totals",
     "row_plurality",
     "row_counts_dense",
-    "top_two",
 ]
 
 #: cells allowed in a transient (rows x k) one-hot count block (~256 MiB of
@@ -43,26 +39,6 @@ _DENSE_BLOCK_CELLS = 32 * 1024 * 1024
 #: searchsorted and reduction, so the peak stays within ~100 MiB, the same
 #: order as the per-replica path's row_plurality histogram blocks).
 _SAMPLE_BLOCK_CELLS = 4 * 1024 * 1024
-
-
-def top_two(counts: np.ndarray) -> tuple[int, int]:
-    """Largest and second-largest entries of a count vector in O(k).
-
-    Replaces the ``np.sort(...)[::-1][:2]`` idiom on per-round snapshot
-    paths — two linear scans instead of an O(k log k) sort and a full copy.
-    For ``k == 1`` the runner-up is 0 (the bias convention of the paper's
-    ``s(c) = c_1 - c_2``).
-    """
-    c = np.asarray(counts)
-    top = int(np.argmax(c))
-    first = int(c[top])
-    if c.size <= 1:
-        return first, 0
-    second = max(
-        int(c[:top].max(initial=-1)),
-        int(c[top + 1 :].max(initial=-1)),
-    )
-    return first, second
 
 
 def multinomial_step_batch(
@@ -93,36 +69,6 @@ def multinomial_step_batch(
     return rng.multinomial(n, p / sums[:, None])
 
 
-def categorical_sample(
-    counts: np.ndarray, size: int | tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Sample colors i.i.d. with ``P(color j) = counts[j] / sum(counts)``.
-
-    Implemented by inverse-CDF (``searchsorted`` on the cumulative count
-    vector over uniform integers in ``[0, n)``), which is exact in integer
-    arithmetic — no floating-point probability round-off — and an order of
-    magnitude faster than ``Generator.choice`` for large draws.
-    """
-    c = np.asarray(counts, dtype=np.int64)
-    if c.ndim != 1 or np.any(c < 0):
-        raise ValueError("counts must be a 1-D non-negative vector")
-    n = int(c.sum())
-    if n <= 0:
-        raise ValueError("counts must sum to a positive total")
-    cdf = np.cumsum(c)
-    u = rng.integers(0, n, size=size, dtype=np.int64)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def categorical_matrix(
-    counts: np.ndarray, rows: int, h: int, rng: np.random.Generator
-) -> np.ndarray:
-    """An ``(rows, h)`` matrix of i.i.d. color samples from ``counts``."""
-    if rows < 0 or h <= 0:
-        raise ValueError(f"need rows >= 0 and h >= 1, got rows={rows}, h={h}")
-    return categorical_sample(counts, (rows, h), rng)
-
-
 def equal_totals(counts: np.ndarray) -> bool:
     """True when every replica row carries the same positive agent mass.
 
@@ -143,8 +89,8 @@ def _categorical_block(
     One uniform draw and one ``searchsorted`` over the *offset-flattened*
     CDFs: row ``r``'s CDF and queries are both shifted by ``r·n``, so the
     concatenated CDF stays non-decreasing and every query lands inside its
-    own row's segment.  Exact in integer arithmetic, like the single-row
-    kernel.
+    own row's segment.  Uniform integers in ``[0, n)`` against the integer
+    CDF: exact, with no floating-point probability round-off.
     """
     rows, k = cdf.shape
     offsets = np.arange(rows, dtype=np.int64) * n
@@ -168,29 +114,6 @@ def _checked_batch_cdf(counts: np.ndarray, h: int) -> tuple[np.ndarray, int]:
         raise ValueError("all rows must share the same positive total")
     n = int(c[0].sum()) if c.shape[0] else 0
     return np.cumsum(c, axis=1), n
-
-
-def categorical_matrix_batch(
-    counts: np.ndarray, h: int, rng: np.random.Generator
-) -> np.ndarray:
-    """An ``(R, n, h)`` block of i.i.d. color samples, row ``r`` drawn from
-    ``counts[r]`` — the replica-batched sibling of :func:`categorical_matrix`.
-
-    NOTE: this materialises the *whole* ``R·n·h`` block.  Step kernels
-    must not call it directly — :func:`batched_agent_step` draws and
-    reduces chunk by chunk instead, keeping peak memory at the per-chunk
-    budget regardless of the replica count.
-    """
-    cdf, n = _checked_batch_cdf(counts, h)
-    replicas, _ = cdf.shape
-    if replicas == 0:
-        return np.zeros((0, 0, h), dtype=np.int64)
-    out = np.empty((replicas, n, h), dtype=np.int64)
-    chunk = max(1, _SAMPLE_BLOCK_CELLS // max(n * h, 1))
-    for start in range(0, replicas, chunk):
-        stop = min(start + chunk, replicas)
-        out[start:stop] = _categorical_block(cdf[start:stop], n, h, rng)
-    return out
 
 
 def batched_agent_step(

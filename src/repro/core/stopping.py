@@ -48,7 +48,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .metrics import Metric
-from .registry import METRICS, STOPPING
+from .registry import METRICS, STOPPING, checked_int
 
 __all__ = [
     "StoppingRule",
@@ -214,10 +214,7 @@ class BiasThresholdStop(MetricThresholdStop):
     metric_name = "bias"
 
     def __init__(self, threshold: int):
-        threshold = int(threshold)
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
+        self.threshold = checked_int("threshold", threshold, 1)
 
     def threshold_for(self, n: int) -> int:
         return self.threshold
@@ -233,10 +230,7 @@ class RoundBudgetStop(StoppingRule):
     rule = "round-budget"
 
     def __init__(self, rounds: int):
-        rounds = int(rounds)
-        if rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {rounds}")
-        self.rounds = rounds
+        self.rounds = checked_int("rounds", rounds, 0)
 
     @property
     def sparse_invariant(self) -> bool:

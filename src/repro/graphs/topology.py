@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.registry import TOPOLOGIES
+from ..core.registry import TOPOLOGIES, checked_int
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -336,16 +336,14 @@ def _topology_cycle(n: int) -> Topology:
 
 @TOPOLOGIES.register("torus", summary="periodic rows x cols grid (near-square by default)")
 def _topology_torus(n: int, rows: int | None = None, cols: int | None = None) -> Topology:
-    for side, value in (("rows", rows), ("cols", cols)):
-        if value is not None and int(value) < 1:
-            raise ValueError(f"torus needs {side} >= 1, got {side}={value}")
+    rows = None if rows is None else checked_int("rows", rows, 1)
+    cols = None if cols is None else checked_int("cols", cols, 1)
     if rows is None and cols is None:
         rows, cols = _near_square(n)
     elif rows is None:
-        rows = n // int(cols)
+        rows = n // cols
     elif cols is None:
-        cols = n // int(rows)
-    rows, cols = int(rows), int(cols)
+        cols = n // rows
     if rows < 1 or cols < 1 or rows * cols != n:
         raise ValueError(f"torus needs rows*cols == n, got {rows}x{cols} != {n}")
     return torus(rows, cols)
@@ -353,19 +351,19 @@ def _topology_torus(n: int, rows: int | None = None, cols: int | None = None) ->
 
 @TOPOLOGIES.register("random-regular", summary="uniform random d-regular graph (expander w.h.p.)")
 def _topology_random_regular(n: int, d: int = 8, seed: int = 0) -> Topology:
-    return random_regular(n, int(d), seed=int(seed))
+    return random_regular(n, checked_int("d", d, 0), seed=checked_int("seed", seed))
 
 
 @TOPOLOGIES.register("erdos-renyi", summary="G(n, p); p defaults to 2 ln(n)/n, near the connectivity threshold")
 def _topology_erdos_renyi(n: int, p: float | None = None, seed: int = 0) -> Topology:
     if p is None:
         p = min(1.0, 2.0 * np.log(max(n, 2)) / n)
-    return erdos_renyi(n, float(p), seed=int(seed))
+    return erdos_renyi(n, float(p), seed=checked_int("seed", seed))
 
 
 @TOPOLOGIES.register("complete-bipartite", summary="complete bipartite K_{a,n-a} (a = n//2 by default)")
 def _topology_complete_bipartite(n: int, a: int | None = None) -> Topology:
-    a = n // 2 if a is None else int(a)
+    a = n // 2 if a is None else checked_int("a", a)
     if not 0 < a < n:
         raise ValueError(f"complete-bipartite needs 0 < a < n, got a={a}, n={n}")
     return complete_bipartite(a, n - a)
@@ -373,7 +371,7 @@ def _topology_complete_bipartite(n: int, a: int | None = None) -> Topology:
 
 @TOPOLOGIES.register("barbell", summary="two m-cliques joined by a path (worst-case bottleneck)")
 def _topology_barbell(n: int, path: int = 0) -> Topology:
-    path = int(path)
+    path = checked_int("path", path)
     body = n - path
     if path < 0 or body < 6 or body % 2:
         raise ValueError(

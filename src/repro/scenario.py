@@ -58,7 +58,15 @@ from .core.process import (
     run_ensemble,
     run_process,
 )
-from .core.registry import ADVERSARIES, DYNAMICS, METRICS, STOPPING, TOPOLOGIES, WORKLOADS
+from .core.registry import (
+    ADVERSARIES,
+    DYNAMICS,
+    METRICS,
+    STOPPING,
+    TOPOLOGIES,
+    WORKLOADS,
+    checked_int,
+)
 from .core.stopping import StoppingRule, stopping_from_dict
 from .experiments import workloads  # noqa: F401 — import registers WORKLOADS
 from .graphs.topology import Topology  # import registers TOPOLOGIES
@@ -72,15 +80,6 @@ def _checked_params(name: str, value: object) -> dict[str, Any]:
     if not all(isinstance(key, str) for key in value):
         raise ValueError(f"{name} keys must be strings")
     return dict(value)
-
-
-def _checked_int(name: str, value: object, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,10 @@ class ScenarioSpec:
             raise ValueError(f"initial must be a registry name, got {self.initial!r}")
         if self.adversary is not None and not isinstance(self.adversary, str):
             raise ValueError(f"adversary must be a registry name or None, got {self.adversary!r}")
-        object.__setattr__(self, "n", _checked_int("n", self.n, 1))
-        object.__setattr__(self, "k", _checked_int("k", self.k, 1))
-        object.__setattr__(self, "replicas", _checked_int("replicas", self.replicas, 1))
-        object.__setattr__(self, "max_rounds", _checked_int("max_rounds", self.max_rounds, 0))
+        object.__setattr__(self, "n", checked_int("n", self.n, 1))
+        object.__setattr__(self, "k", checked_int("k", self.k, 1))
+        object.__setattr__(self, "replicas", checked_int("replicas", self.replicas, 1))
+        object.__setattr__(self, "max_rounds", checked_int("max_rounds", self.max_rounds, 0))
         for name in ("dynamics_params", "initial_params", "adversary_params"):
             object.__setattr__(self, name, _checked_params(name, getattr(self, name)))
         stopping = self.stopping

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -31,3 +33,32 @@ def rng_factory():
         return np.random.default_rng(seed)
 
     return make
+
+
+def enumerated_law(dynamics, counts) -> np.ndarray:
+    """One agent's next-color law, enumerated through the declared agent rule.
+
+    Every tuple of ``h`` samples (all ``k**h`` of them, each with
+    probability ``prod c_s / n``) goes through ``agent_rule(k).reduce``.
+    The rule must return one of the tuple's most frequent colors; the
+    reference itself splits each tuple's mass uniformly over them, so it
+    is the law of a plurality rule with uniform tie-breaking, computed
+    without any closed form.  Sums are exactly rounded (``math.fsum``).
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    k = c.size
+    rule = dynamics.agent_rule(k)
+    seen = np.indices((k,) * rule.h).reshape(rule.h, -1).T
+    prob = np.prod(c[seen] / c.sum(), axis=1)
+    hist = (seen[:, :, None] == np.arange(k)).sum(axis=1)
+    tied = hist == hist.max(axis=1, keepdims=True)
+    chosen = rule.reduce(None, seen, np.random.default_rng(0) if rule.consumes_rng else None)
+    assert tied[np.arange(seen.shape[0]), chosen].all(), "reduce left the tied set"
+    share = prob[:, None] * tied / tied.sum(axis=1, keepdims=True)
+    return np.array([math.fsum(column) for column in share.T])
+
+
+@pytest.fixture
+def reference_law():
+    """:func:`enumerated_law`, the enumeration reference for plurality rules."""
+    return enumerated_law

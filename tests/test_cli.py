@@ -172,12 +172,12 @@ class TestScenarioCommands:
 
     def test_save_spec_is_skipped_when_the_run_fails(self, tmp_path):
         out_path = tmp_path / "saved.json"
-        with pytest.raises(ValueError, match="unavailable"):
+        with pytest.raises(ValueError, match="h must be an integer"):
             main(
                 [
                     "simulate",
                     "--dynamics", "h-plurality",
-                    "--dynamics-params", '{"h": 6, "engine": "counts"}',
+                    "--dynamics-params", '{"h": 4.5}',
                     "--n", "500",
                     "--k", "3",
                     "--save-spec", str(out_path),
@@ -243,25 +243,26 @@ class TestMetricsCommands:
             main(["simulate", str(path), "--record-every", "3"])
 
     def test_counts_table_cap_flag_merges_into_dynamics_params(self, capsys):
-        assert (
-            main(
-                [
-                    "simulate",
-                    "--dynamics", "h-plurality",
-                    "--dynamics-params", '{"h": 4}',
-                    "--counts-table-cap", "500",
-                    "--initial", "paper-biased",
-                    "--n", "2000",
-                    "--k", "4",
-                    "--replicas", "2",
-                    "--seed", "1",
-                    "--json",
-                ]
-            )
-            == 0
-        )
+        # --counts-table-cap went with the composition tables: the parser
+        # rejects it, and h = 4 runs without any cap in dynamics_params.
+        args = [
+            "simulate",
+            "--dynamics", "h-plurality",
+            "--dynamics-params", '{"h": 4}',
+            "--initial", "paper-biased",
+            "--n", "2000",
+            "--k", "4",
+            "--replicas", "2",
+            "--seed", "1",
+            "--json",
+        ]
+        with pytest.raises(SystemExit) as err:
+            main([*args, "--counts-table-cap", "500"])
+        assert err.value.code == 2
+        assert "--counts-table-cap" in capsys.readouterr().err
+        assert main(args) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["spec"]["dynamics_params"] == {"h": 4, "counts_table_cap": 500}
+        assert record["spec"]["dynamics_params"] == {"h": 4}
 
 
 class TestTopologyCommands:
@@ -401,7 +402,7 @@ class TestBatchCommand:
         # (the only place a spec is resolved); its siblings are served.
         bad = [
             self._spec(1, engine="sparse", adversary="targeted", adversary_params={"budget": 10}),
-            self._spec(1, dynamics="h-plurality", dynamics_params={"h": 6, "engine": "counts"}),
+            self._spec(1, dynamics="h-plurality", dynamics_params={"h": 4.5}),
             self._spec(1, dynamics="no-such-dynamics"),
         ]
         path = tmp_path / "batch.json"

@@ -6,13 +6,15 @@ marginals:
 * **exactness** — the O(k) pattern-decomposed :meth:`ThreeInputRule.color_law`
   must match the brute-force O(k³) sum over all ordered triples
   (:meth:`~repro.core.threeinput.ThreeInputRule.color_law_reference`) to
-  floating-point precision, and the h-plurality composition law must
-  reproduce Lemma 1 exactly at ``h = 3`` and the voter law at ``h ∈ {1, 2}``;
+  floating-point precision, and the h-plurality generating-function law
+  must reproduce Lemma 1 exactly at ``h = 3`` and the voter law at
+  ``h ∈ {1, 2}`` (``tests/test_reference_laws.py`` checks it against an
+  enumeration at every small ``h``);
 
 * **statistics** — aggregated agent-level steps must be consistent with the
   law under a chi-square goodness-of-fit test and a total-variation
   tolerance, for 3-majority, median, min/max, skewed and uniform-distinct
-  rules across k ∈ {2, 3, 5, 8}, and for h-plurality with h ∈ {2, 4, 5}.
+  rules across k ∈ {2, 3, 5, 8}, and for h-plurality with h ∈ {2, 4, 5, 7, 9}.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro import (
     skewed_rule,
     three_majority_law,
 )
-from repro.core.majority import _CompositionTable
+from repro.core.majority import plurality_law
 from repro.core.threeinput import DISTINCT_PATTERNS, PAIR_PATTERNS
 
 KS = (2, 3, 5, 8)
@@ -154,15 +156,16 @@ class TestThreeInputStatistical:
 class TestHPluralityExactness:
     @pytest.mark.parametrize("k", KS)
     def test_h3_composition_table_is_lemma1(self, k):
+        # The composition table is gone; the generating-function law that
+        # replaced it must reproduce Lemma 1 at h = 3.
         p = COUNTS[k] / COUNTS[k].sum()
-        table = _CompositionTable(3, k)
-        assert np.allclose(table.law(p), three_majority_law(COUNTS[k]), atol=1e-12)
+        assert np.allclose(plurality_law(p[None, :], 3)[0], three_majority_law(COUNTS[k]), atol=1e-12)
 
     @pytest.mark.parametrize("h", (1, 2))
     def test_small_h_collapses_to_voter(self, h):
         counts = COUNTS[5]
         assert np.allclose(HPlurality(h).color_law(counts), counts / counts.sum())
-        assert np.allclose(_CompositionTable(h, 5).law(counts / counts.sum()),
+        assert np.allclose(plurality_law((counts / counts.sum())[None, :], h)[0],
                            counts / counts.sum(), atol=1e-12)
 
     @pytest.mark.parametrize("h", (4, 5))
@@ -184,21 +187,21 @@ class TestHPluralityExactness:
             dyn.color_law_batch(batch), np.stack([dyn.color_law(row) for row in batch])
         )
 
-    def test_batch_law_chunked_paths_match(self, rng):
-        # Shrinking the cell budget forces the replica-block and streamed
-        # paths; both must agree with the unchunked evaluation exactly.
+    def test_batch_law_chunked_paths_match(self, rng, monkeypatch):
+        # Shrinking the cell budget splits the batch into row chunks (down
+        # to one row each); every row's law is computed alone, so the
+        # chunked evaluation equals the unchunked one bit for bit.
+        import repro.core.majority as majority
+
         batch = rng.integers(1, 50, size=(13, 5))
         reference = HPlurality(5).color_law_batch(batch)
-        replica_blocked = HPlurality(5)
-        replica_blocked._MAX_TABLE_CELLS = HPlurality.composition_count(5, 5) * 5  # table ok, batch not
-        streamed = HPlurality(5)
-        streamed._MAX_TABLE_CELLS = 32  # even the table must stream
-        for dyn in (replica_blocked, streamed):
-            assert np.allclose(dyn.color_law_batch(batch), reference, atol=1e-12)
+        for cells in (5 * 7 * 8 * 3, 1):  # three rows per chunk; one
+            monkeypatch.setattr(majority, "_LAW_CHUNK_CELLS", cells)
+            np.testing.assert_array_equal(HPlurality(5).color_law_batch(batch), reference)
 
 
 class TestHPluralityStatistical:
-    @pytest.mark.parametrize("h", (2, 4, 5))
+    @pytest.mark.parametrize("h", (2, 4, 5, 7, 9))
     @pytest.mark.parametrize("k", KS)
     def test_agent_engine_matches_composition_law(self, h, k):
         counts = COUNTS[k]
@@ -231,15 +234,21 @@ class TestEngineSelection:
             ThreeInputRule({p: "major" for p in PAIR_PATTERNS}, "uniform", engine="fast")
 
     def test_hplurality_auto_resolution(self):
-        assert HPlurality(3).resolved_engine(1_000) == "counts"  # closed form, any k
-        assert HPlurality(5).resolved_engine(16) == "counts"  # small table
-        assert HPlurality(5).resolved_engine(64) == "agent"  # table too large for auto
-        assert HPlurality(8).resolved_engine(4) == "agent"  # no law beyond h=5
+        # The law exists at every (h, k), so auto is counts everywhere (it
+        # fell back to agent for large tables and for every h > 5).
+        for h, k in ((3, 1_000), (5, 16), (5, 64), (8, 4), (16, 64), (32, 4096)):
+            assert HPlurality(h).resolved_engine(k) == "counts", (h, k)
+            assert HPlurality(h, engine="agent").resolved_engine(k) == "agent", (h, k)
 
     def test_hplurality_forced_counts_validates(self):
+        # engine="counts" no longer raises above h = 5; it steps the law.
         assert HPlurality(5, engine="counts").resolved_engine(8) == "counts"
-        with pytest.raises(ValueError, match="unavailable"):
-            HPlurality(8, engine="counts").resolved_engine(4)
+        dyn = HPlurality(8, engine="counts")
+        assert dyn.resolved_engine(4) == "counts"
+        out = dyn.step_many(np.tile([40, 30, 20, 10], (3, 1)), np.random.default_rng(5))
+        assert (out.sum(axis=1) == 100).all()
+        with pytest.raises(ValueError, match="unknown engine"):
+            HPlurality(8, engine="fast")
 
     def test_three_majority_engine_kwarg(self):
         assert ThreeMajority(engine="agent").resolved_engine(3) == "agent"
@@ -273,16 +282,16 @@ class TestEngineSelection:
         assert (out.sum(axis=1) == 100).all()
 
     def test_hplurality_streamed_law_matches_table(self):
-        # Force the streaming path by shrinking the cache cap; the law must
-        # be identical to the whole-table evaluation.
+        # The streamed composition blocks are gone.  What replaced them
+        # pads the colors to a power-of-two product tree: appending extinct
+        # colors (k = 8 -> 13, a wider tree) must leave the law unchanged.
         dyn = HPlurality(5)
         counts = np.array([22, 18, 15, 13, 11, 9, 7, 5])
         whole = dyn.color_law(counts)
-        small_cap = HPlurality(5)
-        small_cap._MAX_TABLE_CELLS = 64  # instance override: stream in tiny blocks
-        streamed = small_cap.color_law(counts)
-        assert np.allclose(streamed, whole, atol=1e-12)
-        assert streamed.sum() == pytest.approx(1.0)
+        padded = dyn.color_law(np.concatenate([counts, np.zeros(5, dtype=np.int64)]))
+        assert np.allclose(padded[:8], whole, atol=1e-12)
+        assert (padded[8:] == 0.0).all()
+        assert whole.sum() == pytest.approx(1.0)
 
     def test_empty_batches_round_trip(self, rng):
         # (0, k) batches must come back as (0, k) on every engine path.
@@ -299,15 +308,15 @@ class TestEngineSelection:
             assert out.shape == (0, 3), dyn.name
 
     def test_hplurality_law_exists_whenever_supported(self):
-        # supports_exact_law() == True must guarantee color_law computes,
-        # even at a k where the composition table exceeds the cache cap.
-        dyn = HPlurality(4)
-        assert dyn.supports_exact_law()
-        k = 70  # C(73, 4) * 70 cells > _MAX_TABLE_CELLS
-        assert dyn.composition_count(4, k) * k > dyn._MAX_TABLE_CELLS
-        law = dyn.color_law(np.arange(1, k + 1))
-        assert law.sum() == pytest.approx(1.0)
-        assert (law >= 0).all()
+        # supports_exact_law() == True must guarantee color_law computes:
+        # now at every h, including k = 70 (whose h = 4 composition table
+        # used to stream) and h = 6, 9 (which had no law).
+        for h in (4, 6, 9):
+            dyn = HPlurality(h)
+            assert dyn.supports_exact_law()
+            law = dyn.color_law(np.arange(1, 71))
+            assert law.sum() == pytest.approx(1.0)
+            assert (law >= 0).all()
 
     def test_supports_exact_law_is_cached_and_structural(self):
         dyn = ThreeMajority()
@@ -327,7 +336,7 @@ class TestEngineSelection:
         # Overriding color_law means "has a law"; incidental exceptions from a
         # probe can no longer be misread because no probe is ever made.
         assert RaisingLaw().supports_exact_law()
-        assert not HPlurality(6).supports_exact_law()
+        assert HPlurality(6).supports_exact_law()
         assert HPlurality(4).supports_exact_law()
 
 
@@ -383,14 +392,15 @@ class TestSparseEnsembleCrossValidation:
             _chi_square_ok(observed[positions], law, n * replicas)
 
     def test_hplurality_sparse_reenables_exact_law_and_matches_it(self):
-        # Dense auto at k = 4096 would step agent-level (table too large);
-        # compacted to s = 5 the composition law is back — and must still
-        # agree with the law computed on the dense embedding.
+        # Dense auto at k = 4096 used to step agent-level (table too
+        # large); now the law runs at any width, and compacted to s = 5 it
+        # must agree with the law computed on the dense embedding.
         dyn = HPlurality(5)
         dense0, positions = self._embed(COUNTS[5])
-        assert dyn.resolved_engine(self.BIG_K) == "agent"
+        assert dyn.resolved_engine(self.BIG_K) == "counts"
         assert dyn.resolved_engine(COUNTS[5].size) == "counts"
         law = dyn.color_law(COUNTS[5] * 40)  # compacted-axis law == dense restricted
+        assert np.allclose(dyn.color_law(dense0)[positions], law, atol=1e-12)
         observed, replicas = self._one_round_counts(dyn, dense0, "sparse", 19)
         _chi_square_ok(observed[positions], law, int(dense0.sum()) * replicas)
 
@@ -455,24 +465,32 @@ class TestBatchedAgentEngines:
             assert (out.sum(axis=1) == ragged.sum(axis=1)).all(), dyn.name
 
     def test_batched_categorical_distribution(self, rng):
-        from repro.core.samplers import categorical_matrix_batch
+        # The categorical blocks batched_agent_step draws and hands to the
+        # rule: one (rows·n, h) block per replica chunk.
+        from repro.core.samplers import batched_agent_step
 
+        blocks = []
         counts = np.tile([50, 30, 20], (40, 1))
-        samples = categorical_matrix_batch(counts, 4, rng)
-        assert samples.shape == (40, 100, 4)
+        out = batched_agent_step(counts, 4, rng, lambda seen, r: blocks.append(seen) or seen[:, 0])
+        samples = np.concatenate(blocks)
+        assert samples.shape == (40 * 100, 4)
         freq = np.bincount(samples.ravel(), minlength=3) / samples.size
         assert np.abs(freq - np.array([0.5, 0.3, 0.2])).max() < 0.02
+        assert (out.sum(axis=1) == 100).all()
 
     def test_batched_categorical_rejects_bad_input(self, rng):
-        from repro.core.samplers import categorical_matrix_batch
+        from repro.core.samplers import batched_agent_step
+
+        def step(counts, h):
+            return batched_agent_step(counts, h, rng, lambda seen, r: seen[:, 0])
 
         with pytest.raises(ValueError, match="same positive total"):
-            categorical_matrix_batch(np.array([[2, 1], [1, 1]]), 3, rng)
+            step(np.array([[2, 1], [1, 1]]), 3)
         with pytest.raises(ValueError, match="batch"):
-            categorical_matrix_batch(np.array([2, 1]), 3, rng)
+            step(np.array([2, 1]), 3)
         with pytest.raises(ValueError, match="h >= 1"):
-            categorical_matrix_batch(np.array([[2, 1]]), 0, rng)
-        assert categorical_matrix_batch(np.zeros((0, 3), dtype=np.int64), 2, rng).shape == (0, 0, 2)
+            step(np.array([[2, 1]]), 0)
+        assert step(np.zeros((0, 3), dtype=np.int64), 2).shape == (0, 3)
 
 
 class TestGraphCliqueCrossValidation:

@@ -160,11 +160,15 @@ class TestHPlurality:
         counts = np.array([5, 3, 2])
         assert np.allclose(HPlurality(3).color_law(counts), three_majority_law(counts))
 
-    def test_no_law_for_general_h(self):
-        # h <= 5 now has the exact composition law; h = 6 is beyond it.
-        with pytest.raises(NotImplementedError):
-            HPlurality(6).color_law(np.array([5, 5]))
-        assert not HPlurality(6).supports_exact_law()
+    def test_no_law_for_general_h(self, reference_law):
+        # h = 6 had no law when the composition tables stopped at h = 5;
+        # the generating-function law covers it and equals the enumeration.
+        for counts in ([5, 5], [5, 3, 2], [4, 3, 2, 1]):
+            law = HPlurality(6).color_law(np.array(counts))
+            np.testing.assert_allclose(
+                law, reference_law(HPlurality(6), counts), rtol=0, atol=1e-12
+            )
+        assert HPlurality(6).supports_exact_law()
         assert HPlurality(5).supports_exact_law()
 
     def test_h5_law_is_distribution(self):
@@ -173,21 +177,16 @@ class TestHPlurality:
         assert (law >= 0).all()
 
     def test_counts_table_cap_overrides_auto_fallback(self):
-        # C(k+h-1, h) at h=5, k=64 is ~10M rows: over the default 100k cap
-        # the auto engine falls back to agent-level, but an explicit
-        # counts_table_cap keeps (or forces off) the exact counts engine.
-        k = 64
-        rows = HPlurality.composition_count(5, k)
-        assert rows > HPlurality._MAX_AUTO_COMPOSITIONS
-        assert HPlurality(5).resolved_engine(k) == "agent"
-        assert HPlurality(5, counts_table_cap=rows).resolved_engine(k) == "counts"
-        assert HPlurality(5, counts_table_cap=10).resolved_engine(8) == "agent"
-        # h <= 3 has closed-form laws; the cap never matters there.
-        assert HPlurality(3, counts_table_cap=1).resolved_engine(100) == "counts"
+        # There is no table, so no cap and no fallback: auto is the exact
+        # counts engine at h = 5, k = 64 (~10M compositions) and beyond.
+        for h, k in ((5, 64), (5, 8), (3, 100), (16, 64)):
+            assert HPlurality(h).resolved_engine(k) == "counts", (h, k)
+        with pytest.raises(TypeError):
+            HPlurality(5, counts_table_cap=10)
 
     def test_counts_table_cap_validated_and_spec_reachable(self):
-        with pytest.raises(ValueError, match="counts_table_cap"):
-            HPlurality(4, counts_table_cap=0)
+        # counts_table_cap is gone: a spec that still names it is rejected
+        # when it resolves, naming the parameters h-plurality accepts.
         from repro import ScenarioSpec
 
         spec = ScenarioSpec(
@@ -196,9 +195,8 @@ class TestHPlurality:
             n=1_000,
             k=6,
         )
-        dyn = spec.resolve().dynamics
-        assert dyn.counts_table_cap == 10
-        assert dyn.resolved_engine(6) == "agent"  # C(9,4)=126 > 10
+        with pytest.raises(ValueError, match="counts_table_cap.*accepted: h, engine"):
+            spec.resolve()
 
     def test_step_conserves_mass(self, rng):
         for h in (1, 2, 3, 5, 9):

@@ -2,7 +2,7 @@
 
 One small case per runner path, each folded into a sha256 over rounds,
 winners, converged, final counts, stop labels and the trace digest.  The
-pinned values belong to ``ENGINE_SCHEMA_VERSION`` 4: cached results are
+pinned values belong to ``ENGINE_SCHEMA_VERSION`` 5: cached results are
 keyed by that version, so a change that moves any of these values must
 bump it (and re-pin), or the cache would serve stale results as fresh.
 """
@@ -34,7 +34,7 @@ from repro.core.process import ENGINE_SCHEMA_VERSION
 from repro.core.threeinput import PAIR_PATTERNS
 from repro.graphs import run_graph_ensemble, run_graph_process, torus
 
-PINNED_SCHEMA = 4
+PINNED_SCHEMA = 5
 
 #: Hand-placed colors for the vector-initial graph case: three contiguous
 #: blocks on a 6x10 torus (60 agents, counts 30/20/10).
@@ -182,6 +182,12 @@ CASES = {
 #: schema 4 computes: h-plurality's composition-table law at h = 4 and 5,
 #: its agent fallback at h = 7 and at h = 5, k = 64, the agent engine at
 #: h = 1, the voter, 2-sample-uniform, and one 3-input rule on each engine.
+#: Schema 5 re-pinned ``h7-plurality-auto`` and ``h5-plurality-k64-auto``:
+#: ``auto`` now steps the generating-function law there instead of the
+#: agent engine.  The h = 4 and 5 counts cases kept their values (the new
+#: law differs from the tables by ulps, which moved no draw of theirs), as
+#: did ``h1-plurality-agent`` (its bump retires stale schema-4 cache
+#: entries; its draws did not move here).
 PINNED = {
     "run_process": "e86869f2de977c3a973c95d6ce1428a6093ec5a218a0689e7222fe8edd8181a8",
     "dense-stop-record": "65a0b207cdd33de534121892d13a717004a8c5036fa0c36c95ec64f3f4b1f0d6",
@@ -196,8 +202,8 @@ PINNED = {
     "graph-process-vector": "d9dcc919070bf3982ca9067a374b23a51a64def70f19e74b9d18d22ebb712885",
     "h4-plurality-counts": "d20202b590aada399e3822e1f21c73f752d6a78e3f69d6eb5692e12cc181a029",
     "h5-plurality-counts": "51a081ef3214a79ea4d3ff04250a5266c493bbea075ac6117aee144f43f05ebf",
-    "h7-plurality-auto": "8d5511fc8357d3c5008df6a59d7cd859da4eae6788023f8b493f94da56ef165f",
-    "h5-plurality-k64-auto": "d20ee9506d7967caeb277b7730463d02ccc2cd1ed75ce0c88f64cebca0586c9d",
+    "h7-plurality-auto": "e50fb749d6e533757b15c901a73ff7659fcc12125f1952d637070ca780b8e270",
+    "h5-plurality-k64-auto": "78481ecaef8f5eb76e83187223a82b2dd8332cd080b4a15daa9ca466bc834131",
     "h1-plurality-agent": "e390116856d0fa5b35bd47242a61964cf55dd3087e5b8ca3c1babef077afff2f",
     "voter": "df5d16550af1e54fde24e73fe571da79ecdc5e3b25063f0797cd02a0c218147e",
     "2-sample-uniform": "fc5905e0ce0e23eaa81f3938d5c09167e9c931d85b9c4f93d57380ddf3cea92f",

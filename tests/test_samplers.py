@@ -7,19 +7,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import Configuration
 from repro.core.samplers import (
-    categorical_matrix,
-    categorical_sample,
+    batched_agent_step,
     multinomial_step_batch,
     row_counts_dense,
     row_plurality,
-    top_two,
 )
 
 
 def multinomial_row(n: int, pvals, rng) -> np.ndarray:
     """One configuration's update: the one-row :func:`multinomial_step_batch`."""
     return multinomial_step_batch(np.array([n]), np.asarray(pvals)[None, :], rng)[0]
+
+
+def agent_samples(counts, h: int, rng) -> np.ndarray:
+    """The ``(n, h)`` color samples one agent-engine round draws from ``counts``.
+
+    :func:`batched_agent_step` hands each replica chunk's samples to the
+    rule; this rule keeps them (and adopts the first).
+    """
+    blocks = []
+    batched_agent_step(
+        np.asarray(counts)[None, :], h, rng, lambda seen, r: blocks.append(seen) or seen[:, 0]
+    )
+    return blocks[0]
 
 
 class TestMultinomialStep:
@@ -100,36 +112,38 @@ class TestMultinomialStepBatch:
 
 
 class TestCategoricalSample:
+    """The agent engine's inverse-CDF categorical draws."""
+
     def test_range_and_shape(self, rng):
-        out = categorical_sample(np.array([5, 0, 5]), (100,), rng)
-        assert out.shape == (100,)
+        out = agent_samples(np.array([5, 0, 5]), 10, rng)
+        assert out.shape == (10, 10)
         assert set(np.unique(out)) <= {0, 2}
 
     def test_never_samples_zero_count_color(self, rng):
-        out = categorical_sample(np.array([0, 10, 0]), 1000, rng)
+        out = agent_samples(np.array([0, 10, 0]), 100, rng)
         assert (out == 1).all()
 
     def test_frequencies(self, rng):
         counts = np.array([700, 200, 100])
-        out = categorical_sample(counts, 200_000, rng)
-        freqs = np.bincount(out, minlength=3) / 200_000
+        out = agent_samples(counts, 200, rng)
+        freqs = np.bincount(out.ravel(), minlength=3) / 200_000
         assert np.allclose(freqs, counts / 1000, atol=0.01)
 
     def test_rejects_empty(self, rng):
         with pytest.raises(ValueError, match="positive total"):
-            categorical_sample(np.array([0, 0]), 10, rng)
+            agent_samples(np.array([0, 0]), 10, rng)
 
     def test_rejects_negative(self, rng):
         with pytest.raises(ValueError):
-            categorical_sample(np.array([-1, 2]), 10, rng)
+            agent_samples(np.array([-1, 2]), 10, rng)
 
     def test_matrix_shape(self, rng):
-        out = categorical_matrix(np.array([1, 1]), 7, 3, rng)
+        out = agent_samples(np.array([3, 4]), 3, rng)
         assert out.shape == (7, 3)
 
     def test_matrix_rejects_bad_h(self, rng):
         with pytest.raises(ValueError):
-            categorical_matrix(np.array([1, 1]), 7, 0, rng)
+            agent_samples(np.array([1, 1]), 0, rng)
 
 
 class TestRowCounts:
@@ -203,7 +217,7 @@ class TestRowPlurality:
 )
 def test_row_plurality_winner_always_present(counts, h):
     rng = np.random.default_rng(42)
-    samples = categorical_matrix(np.array(counts), 50, h, rng)
+    samples = agent_samples(np.array(counts), h, rng)
     winners = row_plurality(samples, len(counts), rng)
     # Each winner must occur in its own row (f(x) ∈ {x} requirement).
     present = (samples == winners[:, None]).any(axis=1)
@@ -220,8 +234,10 @@ def test_multinomial_step_mass(total):
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=12))
 def test_top_two_matches_sort(counts):
+    # The largest and second-largest counts, as Configuration reports them.
     arr = np.array(counts, dtype=np.int64)
-    c1, c2 = top_two(arr)
+    config = Configuration(arr)
+    c1, c2 = config.plurality_count, config.runner_up_count
     ordered = np.sort(arr)[::-1]
     assert c1 == ordered[0]
     assert c2 == (ordered[1] if arr.size > 1 else 0)

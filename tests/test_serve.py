@@ -166,10 +166,11 @@ class TestResultCache:
         assert_results_identical(direct, warm)
 
     def test_engine_schema_version_is_4(self):
-        # The two-draw two-choices and undecided-state samplers consume
-        # randomness differently from schema 3 (which keyed the sparse
-        # layout's draws), so older entries must be unaddressable.
-        assert ENGINE_SCHEMA_VERSION == 4
+        # Schema 5: h-plurality at h >= 4 steps one generating-function law
+        # on the counts engine at every (h, k), so its draws moved (schema 4
+        # moved two-choices and undecided-state); older entries must be
+        # unaddressable.
+        assert ENGINE_SCHEMA_VERSION == 5
 
     def test_engine_field_separates_cache_entries(self, tmp_path):
         keys = {cache_key(small_spec(engine=engine)) for engine in ("auto", "dense", "sparse")}

@@ -87,8 +87,8 @@ UNRUNNABLE = {
     "sparse-engine-with-targeted-adversary": dict(
         engine="sparse", adversary="targeted", adversary_params={"budget": 10}
     ),
-    "h6-plurality-on-counts-engine": dict(
-        dynamics="h-plurality", dynamics_params={"h": 6, "engine": "counts"}
+    "h6-plurality-on-unknown-engine": dict(
+        dynamics="h-plurality", dynamics_params={"h": 6, "engine": "fast"}
     ),
     "negative-seed": dict(seed=-1),
 }
@@ -250,6 +250,32 @@ class TestEndpoints:
             client.simulate(spec)
         assert err.value.status == 400
         assert err.value.body["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [
+            ("h", dict(dynamics="h-plurality", dynamics_params={"h": 4.5})),
+            ("h", dict(dynamics="h-plurality", dynamics_params={"h": True})),
+            ("h", dict(dynamics="h-plurality", dynamics_params={"h": "3"})),
+            ("budget", dict(adversary="targeted", adversary_params={"budget": 2.5})),
+            ("budget", dict(adversary="targeted", adversary_params={"budget": True})),
+            ("rounds", dict(stopping={"rule": "round-budget", "rounds": 2.5})),
+            ("threshold", dict(stopping={"rule": "bias-threshold", "threshold": 2.5})),
+            ("d", dict(n=120, topology="random-regular", topology_params={"d": 4.5})),
+        ],
+        ids=[
+            "h-float", "h-bool", "h-string", "budget-float", "budget-bool",
+            "rounds-float", "threshold-float", "d-float",
+        ],
+    )
+    def test_non_integer_parameters_are_400(self, client, name, overrides):
+        # Truncating 4.5 to 4 (or True to 1) would run another scenario
+        # under this spec's cache key; every integer parameter rejects it.
+        with pytest.raises(ServiceError) as err:
+            client.simulate(spec_dict(seed=62, **overrides))
+        assert err.value.status == 400
+        assert err.value.body["error"]["type"] == "ValueError"
+        assert f"{name} must be an integer" in err.value.body["error"]["message"]
 
     def test_unseeded_spec_is_rejected(self, client):
         with pytest.raises(ServiceError) as err:

@@ -214,14 +214,20 @@ class TestSparseSemantics:
         assert set(np.unique(ens.winners)) <= set(range(0, 512, 16))
 
     def test_hplurality_auto_law_reactivates_on_compacted_width(self):
-        # At k = 4096 the h = 5 composition table is impossibly large, so
-        # dense auto steps agent-level; compacted to s = 3 the exact
-        # counts law comes back.  Both must run; sparse must agree with a
-        # small dense-k control in distribution (checked elsewhere) — here
-        # we assert the engine resolution itself.
+        # Dense auto at k = 4096 used to step agent-level (the h = 5
+        # composition table was impossibly large); the generating-function
+        # law runs at any width, so both widths resolve to counts, and the
+        # compacted (s = 3) law is the dense law restricted to the support.
+        # Sparse must agree with a small dense-k control in distribution
+        # (checked elsewhere).
         dyn = HPlurality(5)
-        assert dyn.resolved_engine(4096) == "agent"
+        assert dyn.resolved_engine(4096) == "counts"
         assert dyn.resolved_engine(3) == "counts"
+        dense = _sparse_config().counts
+        assert np.allclose(
+            dyn.color_law(dense)[[7, 900, 4000]], dyn.color_law(np.array([600, 300, 100])),
+            atol=1e-12,
+        )
         ens = run_ensemble(dyn, _sparse_config(), 8, rng=6, engine="sparse", max_rounds=2_000)
         assert ens.convergence_rate == 1.0
 

@@ -103,7 +103,7 @@ def _dynamics_panel():
         HPlurality(2),
         HPlurality(4),
         HPlurality(4, engine="agent"),
-        HPlurality(6),  # no exact law: agent engine
+        HPlurality(6),  # generating-function law, beyond the old h <= 5 tables
         TwoSampleUniform(),
         Voter(),
         TwoChoices(),
