@@ -174,35 +174,37 @@ def _truncated_product(a: np.ndarray, b: np.ndarray, needed: np.ndarray) -> np.n
 def _plurality_law_rows(p: np.ndarray, h: int, width: int) -> np.ndarray:
     m, w, scale, needed, mirror = _law_plan(h)
     rows, k = p.shape
-    # Poisson pmfs e^{-q} q^t / t! (t = 0..h) of the sample counts; the
-    # padding colors have q = 0, whose polynomial is the constant 1.
-    q = np.zeros((rows, width))
-    q[:, :k] = h * p
-    pmf = np.empty((h + 1, rows, width))
-    pmf[0] = np.exp(-q)
-    pmf[1:] = q / np.arange(1, h + 1)[:, None, None]
+    # Poisson pmfs e^{-q} q^t / t! (t = 0..h) of the sample counts, on one
+    # color-major axis (color · rows + row); the padding colors have
+    # q = 0, whose polynomial is the constant 1.
+    q = np.zeros((width, rows))
+    q[:k] = h * p.T
+    pmf = np.empty((h + 1, width * rows))
+    pmf[0] = np.exp(-q).ravel()
+    pmf[1:] = q.ravel() / np.arange(1, h + 1)[:, None]
     np.cumprod(pmf, axis=0, out=pmf)
     # Product tree over the colors: node i of a level is the product of
-    # nodes i and i + half below it.
-    leaves = scale[:, :, None, None] * pmf[:, None]  # (coefficient, pair, row, color)
+    # nodes i and i + half below it, so each level splits into halves.
+    leaves = scale[:, :, None] * pmf[:, None]  # (coefficient, pair, color · row)
     levels = [leaves]
-    while levels[-1].shape[-1] > 2:
-        level, half = levels[-1], levels[-1].shape[-1] // 2
-        levels.append(_truncated_product(level[:h, ..., :half], level[..., half:], needed))
+    while levels[-1].shape[-1] > 2 * rows:
+        level = levels[-1]
+        half = level.shape[-1] // 2
+        levels.append(_truncated_product(level[:h, :, :half], level[:, :, half:], needed))
     # Down the tree: the product of everything outside a node is its
     # parent's outside times its sibling's product.
-    outside = levels[-1][..., ::-1]
+    top = levels[-1]
+    outside = np.concatenate([top[..., rows:], top[..., :rows]], axis=-1)
     for level in levels[-2::-1]:
-        nodes = np.arange(level.shape[-1])
-        half = nodes.size // 2
-        outside = outside[..., nodes % half]
-        sibling = level[..., (nodes + half) % nodes.size]
+        half = level.shape[-1] // 2
+        outside = np.concatenate([outside, outside], axis=-1)
+        sibling = np.concatenate([level[..., half:], level[..., :half]], axis=-1)
         if level is not leaves:
             outside = _truncated_product(outside, sibling, needed)
     # [x^(h-m)] of the product over every other color, for each color j.
     others = (outside * sibling[mirror, np.arange(m.size)]).sum(axis=0)
-    joint = (w[:, None, None] * pmf[m] * others).sum(axis=0)[:, :k]
-    return joint / joint.sum(axis=1, keepdims=True)
+    joint = (w[:, None] * pmf[m] * others).sum(axis=0).reshape(width, rows)[:k]
+    return (joint / joint.sum(axis=0)).T.copy()
 
 
 def plurality_law(p: np.ndarray, h: int) -> np.ndarray:

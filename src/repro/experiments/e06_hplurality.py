@@ -110,8 +110,9 @@ def run(scale: str, seed: int) -> ResultTable:
         )
     table.add_note("rounds_x_h2_over_k should stay bounded away from 0 (Ω(k/h²) floor)")
     table.add_note(
-        "engine column: 'counts' rows step through the exact composition-enumeration "
-        "law (h <= 5, small table); 'agent' rows pay O(n·h) per round"
+        "engine column: 'counts' rows step through the exact h-plurality law "
+        "(closed forms at h <= 3, the generating-function law above, "
+        "O(k h³ log h) per round); 'agent' rows would pay O(n·h)"
     )
     return table
 
