@@ -127,7 +127,7 @@ class ThreeMajority(CountsDynamics):
 _LAW_CHUNK_CELLS = 2**20
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _law_plan(h: int) -> tuple[np.ndarray, ...]:
     """The quadrature pairs of :func:`plurality_law` at sample size ``h``.
 

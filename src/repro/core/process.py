@@ -103,7 +103,7 @@ __all__ = [
 #: 5 = one exact h-plurality law at every h >= 4 (a generating function,
 #: ``majority.plurality_law``) replaces the composition tables, and
 #: ``"auto"`` steps it on the counts engine at every (h, k): h >= 4
-#: counts draws move by ulp-level law differences, and the shapes that
+#: counts draws can move by ulp-level law differences, and the shapes that
 #: ran agent-level (h > 5, or large tables) now draw multinomials.  It
 #: also retires schema-4 entries of ``HPlurality(1, engine="agent")``,
 #: whose draws moved under 4 when a tie-break jitter that cannot change

@@ -46,17 +46,6 @@ def test_two_sample_uniform_law_matches_enumeration(reference_law, k):
         )
 
 
-@pytest.mark.parametrize("k", (3, 4))
-@pytest.mark.parametrize("h", (4, 5, 6))
-def test_generating_function_law_matches_enumeration_directly(reference_law, h, k):
-    # The generating function at h <= 3 is not what the engine samples
-    # (closed forms are), so check plurality_law itself as well, in batch.
-    counts = np.array(STARTS[k])
-    law = plurality_law(counts / counts.sum(axis=1, keepdims=True), h)
-    reference = np.stack([reference_law(HPlurality(h), row) for row in counts])
-    np.testing.assert_allclose(law, reference, rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("k", (32, 64))
 @pytest.mark.parametrize("h", (16, 24, 32))
 def test_law_is_stable_at_large_h(h, k):
