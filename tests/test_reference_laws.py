@@ -30,11 +30,14 @@ STARTS = {
     "k,h", [(3, h) for h in range(1, 10)] + [(4, h) for h in range(1, 6)]
 )
 def test_hplurality_law_matches_enumeration(reference_law, k, h):
+    # The law the engine samples (closed forms at h <= 3) and the
+    # generating function itself, at every h.
     dyn = HPlurality(h)
     for counts in STARTS[k]:
-        np.testing.assert_allclose(
-            dyn.color_law(np.array(counts)), reference_law(dyn, counts), rtol=0, atol=1e-12
-        )
+        reference = reference_law(dyn, counts)
+        p = np.array(counts) / sum(counts)
+        np.testing.assert_allclose(dyn.color_law(np.array(counts)), reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plurality_law(p[None, :], h)[0], reference, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", sorted(STARTS))
