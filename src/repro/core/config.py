@@ -209,15 +209,11 @@ class Configuration:
         x = -((-(n - bias)) // k)  # ceil((n - bias) / k)
         c1 = min(x + bias, n)
         rest = n - c1
-        rivals = np.zeros(k - 1, dtype=_COUNT_DTYPE)
-        for i in range(k - 1):
-            take = min(x, rest)
-            rivals[i] = take
-            rest -= take
-        counts = np.empty(k, dtype=_COUNT_DTYPE)
-        counts[plurality] = c1
-        counts[[j for j in range(k) if j != plurality]] = rivals
-        return Configuration(counts)
+        # Rival i takes x, or what the i rivals before it left.  (np.clip
+        # and np.insert would cost more than the old loop at small k.)
+        left = rest - x * np.arange(k - 1, dtype=_COUNT_DTYPE)
+        rivals = np.minimum(np.maximum(left, 0), x)
+        return Configuration(np.concatenate((rivals[:plurality], [c1], rivals[plurality:])))
 
     @staticmethod
     def two_color(n: int, majority_fraction: float = 0.5, bias: int | None = None) -> "Configuration":

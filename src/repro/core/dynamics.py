@@ -10,7 +10,9 @@ Implementations provide at least one of:
 
 * :meth:`Dynamics.color_law` — the exact per-agent distribution of the next
   color given the configuration (when a closed form exists; enables the
-  exact multinomial engine and the exact Markov-chain analysis);
+  exact multinomial engine and the exact Markov-chain analysis).  A law
+  the counts engine samples broadcasts over leading axes: it is evaluated
+  once on the whole ``(R, k)`` batch;
 
 * :meth:`Dynamics.step` — one sampled round.  :class:`CountsDynamics`
   defines it as the one-row case of :meth:`~CountsDynamics.step_many`,
@@ -20,7 +22,8 @@ Implementations provide at least one of:
 
 Dynamics that carry extra per-agent state beyond the color (the
 undecided-state protocol) extend the state vector with additional slots and
-document the convention; see :mod:`repro.core.undecided`.
+document the convention; see :mod:`repro.core.undecided`.  They still step
+through :class:`CountsDynamics`, with a sampler of their own.
 
 Registry names
 --------------
@@ -72,10 +75,11 @@ undecided-state     counts (two draws)        none: extra state
 **counts** engine it steps the rows of positive mass in one law draw —
 ``Multinomial(n, color_law(c))`` over the batch, O(k) per row (h-plurality
 at h ≥ 4 evaluates its law in O(k h³ log h)), unless the dynamics brings
-its own sampler (two-choices: movers ``Bin(c_i, S)``
-then one multinomial; median: one class-wise multinomial per chunk of
-rows, O(k²)).  On the **agent** engine it draws every agent's ``h``
-samples and reduces them with the agent rule through
+its own sampler (two-choices: movers ``Bin(c_i, S)`` then one
+multinomial; undecided-state: survivors ``Bin(c_j, (c_j + q)/n)`` then
+one multinomial of the undecided pulls; median: one class-wise
+multinomial per chunk of rows, O(k²)).  On the **agent** engine it draws
+every agent's ``h`` samples and reduces them with the agent rule through
 :func:`~repro.core.samplers.batched_agent_step`, O(n·h) per row.
 :meth:`Dynamics.step` is its one-row case.
 
@@ -165,25 +169,6 @@ class GraphKernel:
     consumes_rng: bool
 
 
-def step_live_rows(step_rows, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``step_rows(live, totals, rng)`` applied to the rows of positive mass.
-
-    Rows of zero mass draw nothing and come back unchanged.  A batch
-    whose rows are all live is handed over whole, without a copy, so the
-    ensemble runners (which never step an empty replica) take one path.
-    """
-    if counts.shape[0] == 0:
-        return counts.copy()
-    totals = counts.sum(axis=1)
-    if totals.all():
-        return step_rows(counts, totals, rng)
-    out = counts.copy()
-    live = np.flatnonzero(totals)
-    if live.size:
-        out[live] = step_rows(counts[live], totals[live], rng)
-    return out
-
-
 def validate_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -195,10 +180,6 @@ class Dynamics(abc.ABC):
 
     #: Human-readable identifier used in result tables.
     name: str = "dynamics"
-
-    #: Number of neighbor samples each agent draws per round (h of the
-    #: paper's h-dynamics classification); informational.
-    sample_size: int = 1
 
     #: Whether the rule uses any per-agent state beyond the current color.
     uses_extra_state: bool = False
@@ -214,12 +195,6 @@ class Dynamics(abc.ABC):
     #: noise keeps ``engine="auto"`` dense and makes an explicit
     #: ``"sparse"`` request fail loudly instead of silently never reviving.
     support_closed: bool = False
-
-    #: Whether :meth:`color_law` accepts ``(..., k)`` stacked configurations
-    #: and broadcasts over the leading axes (reductions written with
-    #: ``axis=-1``).  Enables the loop-free :meth:`CountsDynamics.color_law_batch`
-    #: default; laws that reduce over the whole array must leave this False.
-    color_law_broadcasts: bool = False
 
     #: The ``engine=`` keyword (see :data:`ENGINES`) of dynamics that take
     #: one; the rest step on their law.
@@ -267,21 +242,6 @@ class Dynamics(abc.ABC):
         """
         raise NotImplementedError(f"{self.name} has no closed-form color law")
 
-    def supports_exact_law(self) -> bool:
-        """True when :meth:`color_law` is implemented.
-
-        Resolved *structurally* — the method is overridden somewhere below
-        :class:`Dynamics` — and cached per instance, so no throwaway
-        configuration is ever evaluated.  A dynamics whose law exists only
-        for part of its parameter space would override this with the
-        precise predicate.
-        """
-        cached = getattr(self, "_supports_exact_law", None)
-        if cached is None:
-            cached = type(self).color_law is not Dynamics.color_law
-            self._supports_exact_law = cached
-        return cached
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -291,21 +251,12 @@ class CountsDynamics(Dynamics):
 
     :meth:`step_many` is the one batch entry and :meth:`step` its one-row
     case.  On the counts engine the rows of positive mass take one draw
-    of :meth:`_step_rows` — ``Multinomial(n, color_law(c))`` unless a
-    subclass brings its own sampler; on the agent engine they run
-    :meth:`~Dynamics.agent_rule`.  Laws written with ``axis=-1``
-    reductions should set :attr:`~Dynamics.color_law_broadcasts` so the
-    law is one broadcasted call instead of a Python loop over replicas.
+    of :meth:`_step_rows`: ``Multinomial(n, color_law(c))`` with the law
+    evaluated once on the ``(R, k)`` batch, so :meth:`~Dynamics.color_law`
+    must broadcast over leading axes (reduce along ``axis=-1``), unless a
+    subclass brings its own sampler.  On the agent engine they run
+    :meth:`~Dynamics.agent_rule`.
     """
-
-    def color_law_batch(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`color_law` over an ``(R, k)`` batch."""
-        counts = np.asarray(counts)
-        if counts.ndim != 2:
-            raise ValueError("color_law_batch expects (R, k) counts")
-        if self.color_law_broadcasts:
-            return np.asarray(self.color_law(counts), dtype=np.float64)
-        return np.stack([self.color_law(row) for row in counts])
 
     def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One round for one configuration: the one-row :meth:`step_many`."""
@@ -320,7 +271,16 @@ class CountsDynamics(Dynamics):
             return counts.copy()
         k = counts.shape[1]
         if self.resolved_engine(k) == "counts":
-            return step_live_rows(self._step_rows, counts, rng)
+            # Zero-mass rows draw nothing, so dropping them never moves the
+            # other rows' draws; an all-live batch goes over whole, uncopied.
+            totals = counts.sum(axis=1)
+            if totals.all():
+                return self._step_rows(counts, totals, rng)
+            out = counts.copy()
+            live = np.flatnonzero(totals)
+            if live.size:
+                out[live] = self._step_rows(counts[live], totals[live], rng)
+            return out
         if not equal_totals(counts):
             # Ragged or zero-mass rows step one by one; a zero row draws nothing.
             return np.stack([self.step(row, rng) if row.any() else row.copy() for row in counts])
@@ -331,4 +291,4 @@ class CountsDynamics(Dynamics):
         self, counts: np.ndarray, totals: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """One counts-engine round for rows that all carry positive mass ``totals``."""
-        return multinomial_step_batch(totals, self.color_law_batch(counts), rng)
+        return multinomial_step_batch(totals, self.color_law(counts), rng)

@@ -101,8 +101,6 @@ class ThreeMajority(CountsDynamics):
     """
 
     name = "3-majority"
-    sample_size = 3
-    color_law_broadcasts = True
     support_closed = True  # agents adopt a sampled color
 
     def __init__(self, tie_break: str = "first", engine: str = "auto"):
@@ -262,12 +260,10 @@ class HPlurality(CountsDynamics):
     """
 
     name = "h-plurality"
-    color_law_broadcasts = True
     support_closed = True  # the plurality of a sample is one of the samples
 
     def __init__(self, h: int, engine: str = "auto"):
         self.h = checked_int("h", h, 1)
-        self.sample_size = self.h
         self.name = f"{self.h}-plurality"
         self.engine = validate_engine(engine)
 
@@ -303,8 +299,6 @@ class TwoSampleUniform(CountsDynamics):
     """
 
     name = "2-sample-uniform"
-    sample_size = 2
-    color_law_broadcasts = True
     support_closed = True  # law collapses to c/n
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:

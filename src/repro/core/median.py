@@ -49,7 +49,6 @@ class MedianDynamics(CountsDynamics):
     """Doerr et al.'s median rule: own value + two uniform samples."""
 
     name = "median"
-    sample_size = 3  # own value counts as one of the three inputs
     support_closed = True  # the median of three values is one of them
 
     def agent_rule(self, k: int) -> GraphKernel:

@@ -117,8 +117,6 @@ class ThreeInputRule(CountsDynamics):
         the family.
     """
 
-    sample_size = 3
-    color_law_broadcasts = True
     support_closed = True  # f(x1, x2, x3) is one of its inputs
 
     def __init__(

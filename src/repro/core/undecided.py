@@ -17,29 +17,30 @@ Experiment E9 reproduces both sides of this comparison.
 State convention: a length ``k+1`` vector, entries ``0..k-1`` the color
 counts and entry ``k`` the undecided count.  The exact engine is O(k) per
 round: each colored class survives by an independent binomial and the
-undecided mass recolors by one multinomial.  A replica batch makes two
-NumPy calls whatever its size: one binomial over every colored class of
-every row, then one multinomial over every row's undecided agents.  So
-it draws every binomial before any multinomial and is *not* the per-row
-loop's stream; a one-row batch is :meth:`UndecidedState.step`.
+undecided mass recolors by one multinomial.  That is the ``_step_rows``
+sampler :meth:`~repro.core.dynamics.CountsDynamics.step_many` calls, so a
+replica batch makes two NumPy calls whatever its size: one binomial over
+every colored class of every row, then one multinomial over every row's
+undecided agents.  So it draws every binomial before any multinomial and
+is *not* the per-row loop's stream; a one-row batch is
+:meth:`UndecidedState.step`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Dynamics, step_live_rows
+from .dynamics import CountsDynamics
 from .registry import DYNAMICS
 
 __all__ = ["UndecidedState"]
 
 
 @DYNAMICS.register("undecided-state", summary="undecided-state protocol (SODA'15 comparison)")
-class UndecidedState(Dynamics):
+class UndecidedState(CountsDynamics):
     """Undecided-state plurality protocol (synchronous pull model)."""
 
     name = "undecided-state"
-    sample_size = 1
     uses_extra_state = True
 
     # -- state helpers ---------------------------------------------------
@@ -65,25 +66,12 @@ class UndecidedState(Dynamics):
 
     # -- dynamics ----------------------------------------------------------
 
-    def step(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One synchronous round on a (k+1)-slot state vector."""
-        state = np.asarray(counts, dtype=np.int64)
-        if state.ndim != 1 or state.size < 2:
-            raise ValueError("undecided-state expects a (k+1)-slot state vector")
-        return self.step_many(state[None, :], rng)[0]
-
-    def step_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One round for an ``(R, k+1)`` batch; rows of zero mass come back unchanged."""
-        states = np.asarray(counts, dtype=np.int64)
-        if states.ndim != 2 or states.shape[1] < 2:
-            raise ValueError("step_many expects (R, k+1) states")
-        return step_live_rows(self._step_rows, states, rng)
-
-    @staticmethod
     def _step_rows(
-        states: np.ndarray, totals: np.ndarray, rng: np.random.Generator
+        self, states: np.ndarray, totals: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Two draws for all rows: the colored survivors, then the undecided pulls."""
+        if states.shape[1] < 2:
+            raise ValueError("undecided-state expects a (k+1)-slot state vector")
         n = totals[:, None]
         c = states[:, :-1]
         q = states[:, -1]

@@ -42,8 +42,6 @@ class Voter(CountsDynamics):
     """Polling dynamics: adopt the color of one uniform sample."""
 
     name = "voter"
-    sample_size = 1
-    color_law_broadcasts = True
     support_closed = True  # copies a sampled color
 
     def agent_rule(self, k: int) -> GraphKernel:
@@ -72,7 +70,6 @@ class TwoChoices(CountsDynamics):
     """
 
     name = "two-choices"
-    sample_size = 2
     support_closed = True  # adopts a sampled color or keeps its own
 
     def agent_rule(self, k: int) -> GraphKernel:

@@ -16,9 +16,7 @@ pair or a declarative :class:`~repro.scenario.ScenarioSpec` — specs are
 resolved through the registries and run via
 :func:`~repro.scenario.simulate_ensemble`, with the sweep's
 ``replicas``/``max_rounds``/derived-seed discipline overriding the
-spec's own run knobs so scale presets stay authoritative.  With a
-``cache``, spec points go through the one execution core
-(:class:`~repro.serve.executor.Executor`) keyed on the derived stream.
+spec's own run knobs so scale presets stay authoritative.
 """
 
 from __future__ import annotations
@@ -26,20 +24,13 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ..core.adversary import Adversary
 from ..core.config import Configuration
 from ..core.dynamics import Dynamics
 from ..core.process import EnsembleResult, run_ensemble
 from ..core.rng import derive_seed, make_rng
 from ..scenario import ScenarioSpec, simulate_ensemble
 from .results import ResultTable
-
-if TYPE_CHECKING:  # serve is imported lazily, by cached sweeps only
-    from ..serve.cache import ResultCache
 
 __all__ = [
     "SCALES",
@@ -86,7 +77,6 @@ def ensemble_at(
     replicas: int,
     max_rounds: int,
     seed,
-    adversary: Adversary | None = None,
 ) -> EnsembleResult:
     """Run one replica ensemble on its own derived stream."""
     rng = make_rng(seed)
@@ -95,7 +85,6 @@ def ensemble_at(
         initial,
         replicas,
         max_rounds=max_rounds,
-        adversary=adversary,
         rng=rng,
     )
 
@@ -108,8 +97,6 @@ def sweep(
     max_rounds: int,
     seed: int,
     experiment_id: str,
-    adversary_for: Callable[[Mapping[str, object]], Adversary | None] | None = None,
-    cache: ResultCache | None = None,
 ) -> list[SweepPoint]:
     """Measure an ensemble at every parameter point.
 
@@ -121,63 +108,34 @@ def sweep(
         Maps a parameter point to ``(dynamics, initial_configuration)``
         or to a :class:`~repro.scenario.ScenarioSpec` (whose
         replicas/max_rounds/seed are overridden by the sweep's own).
-    adversary_for:
-        Optional per-point adversary factory (classic builds only; spec
-        builds carry their adversary in the spec).
     seed / experiment_id:
         Combined through :func:`~repro.core.rng.derive_seed` with the point
         index, so each point gets an independent, reproducible stream.
-    cache:
-        Optional :class:`~repro.serve.cache.ResultCache`: spec-built points
-        are submitted to an :class:`~repro.serve.executor.Executor` with
-        the derived stream seed, so they are keyed by (spec, stream) and
-        served warm on repeat sweeps, bit-identical to a cold run.
-        Classic ``(dynamics, initial)`` pairs have no content address and
-        always execute.
     """
-    executor = None
-    if cache is not None:
-        from ..serve.executor import Executor
-
-        executor = Executor(cache)
     out: list[SweepPoint] = []
-    try:
-        for idx, params in enumerate(points):
-            built = build(params)
-            adversary = adversary_for(params) if adversary_for is not None else None
-            stream_seed = derive_seed(seed, experiment_id, idx)
-            start = time.perf_counter()
-            if isinstance(built, ScenarioSpec):
-                if adversary is not None:
-                    raise ValueError(
-                        "adversary_for cannot be combined with ScenarioSpec builds; "
-                        "declare the adversary inside the spec"
-                    )
-                spec = built.with_overrides(replicas=replicas, max_rounds=max_rounds)
-                if executor is not None:
-                    ens = executor.submit(spec, seed=stream_seed).result()[2]
-                else:
-                    ens = simulate_ensemble(spec, rng=make_rng(stream_seed))
-            else:
-                dynamics, initial = built
-                ens = ensemble_at(
-                    dynamics,
-                    initial,
-                    replicas=replicas,
-                    max_rounds=max_rounds,
-                    seed=stream_seed,
-                    adversary=adversary,
-                )
-            out.append(
-                SweepPoint(
-                    params=dict(params),
-                    ensemble=ens,
-                    wall_seconds=time.perf_counter() - start,
-                )
+    for idx, params in enumerate(points):
+        built = build(params)
+        stream_seed = derive_seed(seed, experiment_id, idx)
+        start = time.perf_counter()
+        if isinstance(built, ScenarioSpec):
+            spec = built.with_overrides(replicas=replicas, max_rounds=max_rounds)
+            ens = simulate_ensemble(spec, rng=make_rng(stream_seed))
+        else:
+            dynamics, initial = built
+            ens = ensemble_at(
+                dynamics,
+                initial,
+                replicas=replicas,
+                max_rounds=max_rounds,
+                seed=stream_seed,
             )
-    finally:
-        if executor is not None:
-            executor.close()
+        out.append(
+            SweepPoint(
+                params=dict(params),
+                ensemble=ens,
+                wall_seconds=time.perf_counter() - start,
+            )
+        )
     return out
 
 

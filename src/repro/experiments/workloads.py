@@ -123,7 +123,6 @@ def soda15_gap(n: int, k: int, heavy_colors: int = 2, heavy_fraction: float = 0.
     heavy_total = int(round(n * heavy_fraction))
     light_total = n - heavy_total
     heavy = Configuration.balanced(heavy_total, heavy_colors).counts.copy()
-    heavy[0] += 0  # already +1 remainder-biased towards color 0
     if heavy_colors > 1 and heavy[0] == heavy[1]:
         # guarantee a strict plurality among the heavy block
         if heavy[1] > 0:

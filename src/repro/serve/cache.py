@@ -129,12 +129,11 @@ def cache_key(
     """Content-addressed key of one ensemble request (a sha256 hex digest).
 
     The key hashes the spec's canonical JSON, the *effective* seed and the
-    engine schema version.  ``seed`` overrides the spec's own seed — this is
-    the hook for the sweep harness, which threads derived
-    :class:`~numpy.random.SeedSequence` streams instead of the spec seed;
-    the spec's ``seed`` field is excluded from the hash in that case, so a
-    sweep point caches identically whatever throwaway seed the builder put
-    in the spec.
+    engine schema version.  ``seed`` overrides the spec's own seed, for a
+    caller that threads derived :class:`~numpy.random.SeedSequence` streams
+    instead of the spec seed; the spec's ``seed`` field is excluded from
+    the hash in that case, so a derived stream caches identically whatever
+    throwaway seed the spec carries.
     """
     scenario = spec.to_dict()
     if seed is not None:

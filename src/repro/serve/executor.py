@@ -4,10 +4,9 @@ On the clique each of the paper's dynamics is a finite Markov chain driven
 by the spec's seed, so an ensemble result is a pure function of (spec,
 seed, engine schema).  That is what makes dedup, coalescing, caching and
 crash retry sound, and :class:`Executor` is the one place that does them.
-``run_batch`` / ``repro batch``, the service's ``/v1/simulate`` and
-``/v1/batch``, and ``sweep(cache=)`` all go through :meth:`Executor.submit`,
-which returns a per-caller :class:`~concurrent.futures.Future` of
-``(key, source, result)``:
+``run_batch`` / ``repro batch`` and the service's ``/v1/simulate`` and
+``/v1/batch`` all go through :meth:`Executor.submit`, which returns a
+per-caller :class:`~concurrent.futures.Future` of ``(key, source, result)``:
 
 * **coalescing** — one lock-guarded in-flight table: while a key runs,
   later submits of it wait on that run (source ``"coalesced"``);
@@ -189,9 +188,9 @@ class Executor:
     def submit(self, spec: ScenarioSpec, seed=None) -> Future:
         """A new future of ``(key, source, result)`` for ``spec``.
 
-        ``seed`` overrides the spec's own seed, as in :func:`cache_key`
-        (sweeps pass their derived stream).  Cancelling the returned future
-        only drops this caller; the run goes on for the others.
+        ``seed`` overrides the spec's own seed, as in :func:`cache_key`.
+        Cancelling the returned future only drops this caller; the run
+        goes on for the others.
         """
         return self._submit(self.key_for(spec, seed), spec, seed)
 

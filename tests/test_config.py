@@ -128,6 +128,38 @@ class TestFactories:
         with pytest.raises(ValueError):
             Configuration.biased(10, 3, 11)
 
+    def test_biased_equals_the_rival_loop(self):
+        # The reference is the loop biased() used to run: rivals take
+        # x = ceil((n - s)/k) each, in order, until the rest runs out, and
+        # fill every slot but the plurality's.
+        def looped(n, k, bias, plurality):
+            if k == 1:
+                return [n]
+            x = -((-(n - bias)) // k)
+            c1 = min(x + bias, n)
+            rest = n - c1
+            rivals = np.zeros(k - 1, dtype=np.int64)
+            for i in range(k - 1):
+                take = min(x, rest)
+                rivals[i] = take
+                rest -= take
+            counts = np.empty(k, dtype=np.int64)
+            counts[plurality] = c1
+            counts[[j for j in range(k) if j != plurality]] = rivals
+            return counts.tolist()
+
+        for n in (0, 1, 2, 3, 7, 10, 31, 100, 1001):
+            for k in (1, 2, 3, 4, 7, 16, 50):  # k > n for the small n
+                for bias in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                    if not 0 <= bias <= n:
+                        continue
+                    for plurality in sorted({0, k // 2, k - 1}):
+                        counts = Configuration.biased(n, k, bias, plurality).counts
+                        assert counts.dtype == np.int64
+                        assert counts.tolist() == looped(n, k, bias, plurality), (
+                            n, k, bias, plurality
+                        )
+
     def test_two_color_by_bias(self):
         cfg = Configuration.two_color(100, bias=20)
         assert cfg.counts.tolist() == [60, 40]

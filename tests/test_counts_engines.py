@@ -116,7 +116,7 @@ class TestThreeInputLawExactness:
         rule = skewed_rule((0, 4, 2))
         batch = rng.integers(1, 50, size=(9, 6))
         assert np.allclose(
-            rule.color_law_batch(batch), np.stack([rule.color_law(row) for row in batch])
+            rule.color_law(batch), np.stack([rule.color_law(row) for row in batch])
         )
 
 
@@ -184,7 +184,7 @@ class TestHPluralityExactness:
         dyn = HPlurality(5)
         batch = rng.integers(1, 50, size=(7, 4))
         assert np.allclose(
-            dyn.color_law_batch(batch), np.stack([dyn.color_law(row) for row in batch])
+            dyn.color_law(batch), np.stack([dyn.color_law(row) for row in batch])
         )
 
     def test_batch_law_chunked_paths_match(self, rng, monkeypatch):
@@ -194,10 +194,10 @@ class TestHPluralityExactness:
         import repro.core.majority as majority
 
         batch = rng.integers(1, 50, size=(13, 5))
-        reference = HPlurality(5).color_law_batch(batch)
+        reference = HPlurality(5).color_law(batch)
         for cells in (5 * 7 * 8 * 3, 1):  # three rows per chunk; one
             monkeypatch.setattr(majority, "_LAW_CHUNK_CELLS", cells)
-            np.testing.assert_array_equal(HPlurality(5).color_law_batch(batch), reference)
+            np.testing.assert_array_equal(HPlurality(5).color_law(batch), reference)
 
 
 class TestHPluralityStatistical:
@@ -308,36 +308,24 @@ class TestEngineSelection:
             assert out.shape == (0, 3), dyn.name
 
     def test_hplurality_law_exists_whenever_supported(self):
-        # supports_exact_law() == True must guarantee color_law computes:
-        # now at every h, including k = 70 (whose h = 4 composition table
-        # used to stream) and h = 6, 9 (which had no law).
+        # color_law computes at every h, including k = 70 (whose h = 4
+        # composition table used to stream) and h = 6, 9 (which had no law).
         for h in (4, 6, 9):
             dyn = HPlurality(h)
-            assert dyn.supports_exact_law()
             law = dyn.color_law(np.arange(1, 71))
             assert law.sum() == pytest.approx(1.0)
             assert (law >= 0).all()
 
     def test_supports_exact_law_is_cached_and_structural(self):
-        dyn = ThreeMajority()
-        assert dyn.supports_exact_law()
-        assert dyn._supports_exact_law is True  # cached, no throwaway call
+        # A dynamics that declares no law says so when asked for one.
         from repro.core.dynamics import Dynamics
 
         class NoLaw(Dynamics):
             def step(self, counts, rng):
                 return counts
 
-        class RaisingLaw(NoLaw):
-            def color_law(self, counts):
-                raise RuntimeError("arbitrary failure must not mean 'supported'")
-
-        assert not NoLaw().supports_exact_law()
-        # Overriding color_law means "has a law"; incidental exceptions from a
-        # probe can no longer be misread because no probe is ever made.
-        assert RaisingLaw().supports_exact_law()
-        assert HPlurality(6).supports_exact_law()
-        assert HPlurality(4).supports_exact_law()
+        with pytest.raises(NotImplementedError, match="no closed-form color law"):
+            NoLaw().color_law(np.array([3, 2, 1]))
 
 
 class TestSparseEnsembleCrossValidation:

@@ -8,7 +8,10 @@ engine of the three rules that take ``engine=``) this checks that
 * ``step`` is the one-row ``step_many``, draw for draw, and leaves the
   generator where the batch call leaves it;
 * the declared per-agent rule samples the right number of neighbours and
-  draws randomness exactly when the rule breaks ties at random.
+  draws randomness exactly when the rule breaks ties at random;
+* every name is a ``CountsDynamics``, and every law the counts engine
+  samples accepts an ``(R, k)`` batch: ``color_law`` on the batch is the
+  row-by-row stack, exactly.
 
 A dynamics that defines only ``step`` still runs, through the row-loop
 ``Dynamics.step_many``.
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import Configuration, Dynamics, run_ensemble, run_process
+from repro.core.dynamics import CountsDynamics
 from repro.core.registry import DYNAMICS
 
 #: Constructor keywords for registered dynamics that need some.
@@ -118,6 +122,38 @@ def test_agent_rule_declares_samples_and_draws(name, params, expected):
     assert ((out[:, None] == seen).any(axis=1) | (out == own)).all()
     if not rule.consumes_rng:
         assert rng.bit_generator.state == before
+
+
+#: Positive-mass batches the counts engine hands a law: extinct colors, a
+#: single agent, and a one-column batch.
+LAW_BATCHES = [ROWS[ROWS.sum(axis=1) > 0], np.array([[7], [1], [30]], dtype=np.int64)]
+
+#: The names that draw with a ``_step_rows`` of their own, not from their law.
+OWN_SAMPLERS = {"two-choices", "median", "undecided-state"}
+
+#: Every registered name, plus h-plurality's generating-function law (h >= 4).
+LAW_CASES = [(name, BUILD_PARAMS.get(name, {})) for name in DYNAMICS.names()] + [
+    ("h-plurality", {"h": 5})
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    LAW_CASES,
+    ids=[f"{name}/h{params['h']}" if "h" in params else name for name, params in LAW_CASES],
+)
+def test_every_sampled_law_accepts_a_batch(name, params):
+    dynamics = DYNAMICS.build(name, **params)
+    # One clique batch entry for every name, undecided-state included.
+    assert isinstance(dynamics, CountsDynamics)
+    if type(dynamics)._step_rows is not CountsDynamics._step_rows:
+        assert name in OWN_SAMPLERS
+        return
+    assert name not in OWN_SAMPLERS
+    for batch in LAW_BATCHES:
+        law = dynamics.color_law(batch)
+        assert law.shape == batch.shape
+        np.testing.assert_array_equal(law, np.stack([dynamics.color_law(row) for row in batch]))
 
 
 def test_every_registered_name_is_in_the_rule_table():

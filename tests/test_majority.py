@@ -141,7 +141,9 @@ class TestThreeMajorityDynamics:
             ThreeMajority(tie_break="nope")
 
     def test_supports_exact_law(self):
-        assert ThreeMajority().supports_exact_law()
+        law = ThreeMajority().color_law(np.array([5, 3, 2, 0]))
+        assert law.sum() == pytest.approx(1.0)
+        assert (law >= 0).all() and law[3] == 0.0
 
 
 class TestHPlurality:
@@ -168,8 +170,6 @@ class TestHPlurality:
             np.testing.assert_allclose(
                 law, reference_law(HPlurality(6), counts), rtol=0, atol=1e-12
             )
-        assert HPlurality(6).supports_exact_law()
-        assert HPlurality(5).supports_exact_law()
 
     def test_h5_law_is_distribution(self):
         law = HPlurality(5).color_law(np.array([5, 3, 2]))
@@ -232,7 +232,7 @@ class TestTwoSampleUniform:
         assert np.allclose(law, [0.3, 0.7])
 
     def test_batch_law(self):
-        laws = TwoSampleUniform().color_law_batch(np.array([[3, 7], [5, 5]]))
+        laws = TwoSampleUniform().color_law(np.array([[3, 7], [5, 5]]))
         assert np.allclose(laws, [[0.3, 0.7], [0.5, 0.5]])
 
     def test_no_drift_two_color(self, rng):

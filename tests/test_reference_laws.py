@@ -58,7 +58,7 @@ def test_law_is_stable_at_large_h(h, k):
     dominated = np.ones(k, dtype=np.int64)
     dominated[0] = n - (k - 1)
     counts = np.stack([theorem4_start(n, k).counts, dominated])
-    law = HPlurality(h).color_law_batch(counts)
+    law = HPlurality(h).color_law(counts)
     assert np.abs(law.sum(axis=1) - 1.0).max() <= 1e-12
     assert law.min() >= -1e-15
     # The plurality color gains: the Theorem 4 start's top count, and the

@@ -314,20 +314,6 @@ class TestSweepSpecBuilds:
             assert np.array_equal(a.ensemble.rounds, b.ensemble.rounds)
             assert np.array_equal(a.ensemble.winners, b.ensemble.winners)
 
-    def test_spec_build_rejects_adversary_for(self):
-        with pytest.raises(ValueError, match="adversary_for"):
-            sweep(
-                self.POINTS[:1],
-                lambda p: ScenarioSpec(
-                    dynamics="3-majority", initial="paper-biased", n=p["n"], k=p["k"]
-                ),
-                replicas=2,
-                max_rounds=100,
-                seed=0,
-                experiment_id="TST",
-                adversary_for=lambda p: TargetedAdversary(1),
-            )
-
 
 class TestEveryDynamicsSimulates:
     @pytest.mark.parametrize("name", sorted(DYNAMICS_EXAMPLES))

@@ -13,7 +13,6 @@ import repro.serve.executor as executor_module
 from repro import ResultCache, ScenarioSpec, cache_key, faults, run_batch, simulate_ensemble
 from repro.core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
 from repro.core.rng import derive_seed
-from repro.experiments.harness import grid, sweep
 from repro.serve.cache import _seed_token
 from repro.serve.executor import Executor
 
@@ -352,49 +351,6 @@ class TestRunBatch:
             run_batch([small_spec(seed=None)], processes=1)
         with pytest.raises(TypeError, match="ScenarioSpec"):
             run_batch(["not a spec"], processes=1)
-
-
-def build_cached_sweep_spec(params):
-    """Sweep builder: one small clique spec per grid point."""
-    return ScenarioSpec(
-        dynamics="3-majority",
-        initial="paper-biased",
-        n=int(params["n"]),
-        k=4,
-        replicas=2,
-        seed=0,
-        stopping={"rule": "plurality-fraction", "fraction": 0.9},
-    )
-
-
-class TestSweepCacheWiring:
-    KW = dict(replicas=5, max_rounds=400, seed=11, experiment_id="cache-wire")
-
-    def test_sweep_warm_equals_cold_equals_uncached(self, tmp_path):
-        points = grid(n=[2_000, 4_000])
-        cache = ResultCache(tmp_path)
-        base = sweep(points, build_cached_sweep_spec, **self.KW)
-        cold = sweep(points, build_cached_sweep_spec, cache=cache, **self.KW)
-        warm = sweep(points, build_cached_sweep_spec, cache=cache, **self.KW)
-        assert cache.misses == 2 and cache.hits == 2
-        for b, c, w in zip(base, cold, warm):
-            assert_results_identical(b.ensemble, c.ensemble)
-            assert_results_identical(b.ensemble, w.ensemble)
-
-    def test_cache_hit_cannot_bypass_adversary_guard(self, tmp_path):
-        from repro import TargetedAdversary
-
-        points = grid(n=[2_000])
-        cache = ResultCache(tmp_path)
-        sweep(points, build_cached_sweep_spec, cache=cache, **self.KW)
-        with pytest.raises(ValueError, match="adversary_for"):
-            sweep(
-                points,
-                build_cached_sweep_spec,
-                cache=cache,
-                adversary_for=lambda p: TargetedAdversary(5),
-                **self.KW,
-            )
 
 
 class TestGraphSpecServing:
