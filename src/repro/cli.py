@@ -426,7 +426,7 @@ def _open_cache(cache_dir: str | None):
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .serve.envelope import finite_or_none, prepare_specs, trace_summary
+    from .serve.envelope import finite_or_none, trace_summary
     from .serve.executor import run_batch
 
     with open(args.specs, encoding="utf-8") as handle:
@@ -438,43 +438,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"{args.specs} must hold a non-empty JSON array of scenario objects "
             '(or {"scenarios": [...]})'
         )
-    # Parse every item up front: a malformed spec gets a per-item error
-    # envelope (same shape the service wire format uses) instead of
-    # aborting the batch before any valid item runs.
-    prepared = prepare_specs(payload)
-    valid = [(position, spec) for position, (spec, error) in enumerate(prepared) if spec]
     cache = None if args.no_cache else _open_cache(args.cache_dir)
-    if valid:
-        report = run_batch(
-            [spec for _, spec in valid], cache=cache, processes=args.processes
-        )
-        by_position = {
-            position: (result, key, source, run_error)
-            for (position, _), result, key, source, run_error in zip(
-                valid, report.results, report.keys, report.sources, report.errors
-            )
-        }
-        summary = report.summary()
-    else:
-        by_position = {}
-        summary = {
-            "requests": 0, "unique": 0, "hits": 0, "misses": 0,
-            "deduped": 0, "failed": 0, "retries": 0, "wall_seconds": 0.0,
-        }
-
+    # A malformed or unrunnable item comes back as its own error envelope
+    # (the shape the service wire format uses); its siblings still run.
+    report = run_batch(payload, cache=cache, processes=args.processes)
     items = []
-    errors = 0
-    for position, (spec, error) in enumerate(prepared):
+    for spec, key, source, result, error in zip(
+        report.specs, report.keys, report.sources, report.results, report.errors
+    ):
         if error is not None:
-            errors += 1
-            items.append({"key": None, "source": "error", "error": error})
-            continue
-        result, key, source, run_error = by_position[position]
-        if run_error is not None:
-            # The spec parsed but failed to resolve or to run: same envelope
-            # shape, but keyed — siblings in the batch were unaffected.
-            errors += 1
-            items.append({"key": key, "source": source, "error": run_error})
+            items.append({"key": key, "source": source, "error": error})
             continue
         items.append(
             {
@@ -495,7 +468,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 "trace": trace_summary(result.trace),
             }
         )
-    summary = {**summary, "requests": len(items), "errors": errors}
+    errors = sum(1 for error in report.errors if error is not None)
+    summary = {**report.summary(), "errors": errors}
     exit_code = 0 if errors == 0 else 1
     if args.json:
         print(json.dumps({**summary, "items": items}, indent=2, sort_keys=True))
@@ -511,7 +485,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             f"win={item['plurality_win_rate']:.3f} "
             f"rounds_mean={'n/a' if mean is None else format(mean, '.1f')}"
         )
-    retries = summary.get("retries", 0)
+    retries = summary["retries"]
     retry_note = f", {retries} worker retries" if retries else ""
     print(
         f"{summary['requests']} requests ({summary['unique']} unique): "

@@ -99,8 +99,8 @@ class MedianDynamics(CountsDynamics):
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         """Marginal next-value law of a uniformly random agent."""
         c = np.asarray(counts, dtype=np.float64)
-        n = c.sum()
-        if n <= 0:
+        n = c.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty configuration has no color law")
         mat = self.class_transition_matrix(counts)
-        return (c / n) @ mat
+        return ((c / n)[..., None, :] @ mat)[..., 0, :]

@@ -87,29 +87,26 @@ class UndecidedState(CountsDynamics):
         return out
 
     def class_transition_matrix(self, state: np.ndarray) -> np.ndarray:
-        """``M[i, j]`` over the k+1 slots (undecided = last row/column)."""
+        """``M[..., i, j]`` over the k+1 slots (undecided = last row/column)."""
         state = np.asarray(state, dtype=np.float64)
-        n = state.sum()
-        if n <= 0:
+        n = state.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty state has no transition matrix")
-        kp1 = state.size
-        c = state[:-1]
-        q = state[-1]
-        mat = np.zeros((kp1, kp1))
-        # colored classes
-        for i in range(kp1 - 1):
-            stay = (c[i] + q) / n
-            mat[i, i] = stay
-            mat[i, -1] = 1.0 - stay
-        # undecided class
-        mat[-1, :-1] = c / n
-        mat[-1, -1] = q / n
+        kp1 = state.shape[-1]
+        colored = np.arange(kp1 - 1)
+        # A colored agent keeps its color when it pulls it or an undecided one.
+        stay = (state[..., :-1] + state[..., -1:]) / n
+        mat = np.zeros(state.shape + (kp1,))
+        mat[..., colored, colored] = stay
+        mat[..., colored, -1] = 1.0 - stay
+        # An undecided agent takes whatever state it pulls.
+        mat[..., -1, :] = state / n
         return mat
 
     def color_law(self, counts: np.ndarray) -> np.ndarray:
         """Marginal next-state law of a uniformly random agent."""
         state = np.asarray(counts, dtype=np.float64)
-        n = state.sum()
-        if n <= 0:
+        n = state.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty state has no color law")
-        return (state / n) @ self.class_transition_matrix(state)
+        return ((state / n)[..., None, :] @ self.class_transition_matrix(state))[..., 0, :]

@@ -93,12 +93,12 @@ class TwoChoices(CountsDynamics):
         # class sizes.  Note the *joint* step is NOT multinomial in this
         # law; _step_rows() draws the exact two-draw sampler instead.
         c = np.asarray(counts, dtype=np.float64)
-        n = c.sum()
-        if n <= 0:
+        n = c.sum(axis=-1, keepdims=True)
+        if np.any(n <= 0):
             raise ValueError("empty configuration has no color law")
         f = c / n
         sq = f * f
-        stay_extra = 1.0 - sq.sum()
+        stay_extra = 1.0 - sq.sum(axis=-1, keepdims=True)
         # P(agent ends j) = P(start j) * (stay) + P(any start) * (c_j/n)^2
         return f * stay_extra + sq
 

@@ -4,10 +4,13 @@
 something that can absorb heavy repeated traffic: :class:`ResultCache`
 memoises :func:`~repro.scenario.simulate_ensemble` results under a
 content-addressed key (canonical scenario JSON + seed + engine schema
-version), :class:`Executor` is the one execution core (coalescing, cache
-probe, process pool or threads, bounded retry) behind every caller, and
-:func:`run_batch` executes many specs at once through it — deduping
-identical requests — while preserving request order.
+version, so a function of the spec alone), :class:`Executor` is the one
+execution core (coalescing, cache probe, process pool or threads,
+bounded retry) behind every caller, and :func:`run_batch` executes many
+specs at once through it — parsing each raw entry, deduping identical
+requests, and answering each in request order — on the same per-item
+path (:class:`~repro.serve.executor.Batch`) as the service's
+``/v1/batch``.
 
 Results served from the cache are bit-identical to a direct
 ``simulate_ensemble`` call at equal seed, and cache entries written by an
@@ -16,7 +19,7 @@ invalidated instead of served.
 """
 
 from .cache import DEFAULT_MEMORY_ENTRIES, ResultCache, cache_key, default_cache_dir
-from .envelope import error_envelope, prepare_spec, prepare_specs
+from .envelope import error_envelope, prepare_spec
 from .executor import BatchReport, Executor, run_batch
 
 __all__ = [
@@ -28,6 +31,5 @@ __all__ = [
     "default_cache_dir",
     "error_envelope",
     "prepare_spec",
-    "prepare_specs",
     "run_batch",
 ]

@@ -1,7 +1,7 @@
 """Content-addressed cache for :class:`~repro.core.process.EnsembleResult`.
 
-A scenario is plain data (PR 2), so its simulation result is a pure
-function of ``(canonical scenario JSON, effective seed, engine schema
+A scenario is plain data carrying its own seed, so its simulation result
+is a pure function of ``(canonical scenario JSON, seed, engine schema
 version)``.  :func:`cache_key` hashes exactly that triple;
 :class:`ResultCache` stores results under the key in a small in-memory LRU
 backed by an on-disk store (one ``.npz`` of arrays plus one ``.json``
@@ -91,57 +91,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _seed_token(seed) -> object:
-    """JSON-able canonical form of an effective seed.
-
-    Accepts an ``int`` or a :class:`numpy.random.SeedSequence` (the form
-    :func:`~repro.core.rng.derive_seed` produces, which is how sweeps name
-    their per-point streams).  Generators are rejected: their future output
-    depends on hidden state, so a result keyed on one would not be
-    reproducible.
-    """
-    if isinstance(seed, bool) or seed is None:
-        raise ValueError(f"seed {seed!r} is not cacheable (need an int or SeedSequence)")
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        if entropy is None:
-            raise ValueError("cannot cache a SeedSequence with OS entropy")
-        if isinstance(entropy, (int, np.integer)):
-            entropy = [int(entropy)]
-        else:
-            entropy = [int(word) for word in entropy]
-        return {
-            "entropy": entropy,
-            "spawn_key": [int(word) for word in seed.spawn_key],
-            "pool_size": int(seed.pool_size),
-        }
-    raise ValueError(f"seed {seed!r} is not cacheable (need an int or SeedSequence)")
-
-
-def cache_key(
-    spec: ScenarioSpec,
-    *,
-    seed=None,
-    schema_version: int = ENGINE_SCHEMA_VERSION,
-) -> str:
+def cache_key(spec: ScenarioSpec, *, schema_version: int = ENGINE_SCHEMA_VERSION) -> str:
     """Content-addressed key of one ensemble request (a sha256 hex digest).
 
-    The key hashes the spec's canonical JSON, the *effective* seed and the
-    engine schema version.  ``seed`` overrides the spec's own seed, for a
-    caller that threads derived :class:`~numpy.random.SeedSequence` streams
-    instead of the spec seed; the spec's ``seed`` field is excluded from
-    the hash in that case, so a derived stream caches identically whatever
-    throwaway seed the spec carries.
+    The key hashes the spec's canonical JSON, its seed and the engine
+    schema version, so it is a function of the spec alone.  A spec with
+    ``seed=None`` (OS entropy) has no reproducible result to key.
     """
-    scenario = spec.to_dict()
-    if seed is not None:
-        scenario["seed"] = None
-        effective = _seed_token(seed)
-    else:
-        effective = _seed_token(spec.seed)
-    payload = {"schema": int(schema_version), "scenario": scenario, "seed": effective}
+    if spec.seed is None:
+        raise ValueError("seed None is not cacheable (need an int)")
+    # The seed is hashed twice, inside the scenario and on its own: that
+    # is the payload every key on disk was written under.
+    payload = {"schema": int(schema_version), "scenario": spec.to_dict(), "seed": spec.seed}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -317,8 +278,8 @@ class ResultCache:
 
     # -- keying --------------------------------------------------------------
 
-    def key_for(self, spec: ScenarioSpec, *, seed=None) -> str:
-        return cache_key(spec, seed=seed, schema_version=self.schema_version)
+    def key_for(self, spec: ScenarioSpec) -> str:
+        return cache_key(spec, schema_version=self.schema_version)
 
     # -- lookup / store ------------------------------------------------------
 

@@ -1,14 +1,14 @@
 """Per-item spec parsing and the JSON shapes both front ends emit.
 
-``repro batch`` and the network service both accept *lists* of scenario
-objects from untrusted input, and both need the same failure semantics:
-one malformed item must not abort the valid ones.  :func:`prepare_specs`
-parses every item — strict :meth:`ScenarioSpec.from_dict` structure and
-a concrete seed (reproducibility is what makes dedup and caching sound)
-— and returns one ``(spec, error)`` pair per item in request order.
-Exactly one of the pair is ``None``; errors are JSON-able ``{"type",
-"message"}`` envelopes, the shape both the CLI output and the service
-wire format embed.
+``repro batch`` and the network service both accept scenario objects
+from untrusted input, and both need the same failure semantics: one
+malformed item must not abort the valid ones.  :func:`prepare_spec`
+parses one item — strict :meth:`ScenarioSpec.from_dict` structure and a
+concrete seed (reproducibility is what makes dedup and caching sound) —
+into a ``(spec, error)`` pair; :class:`~repro.serve.executor.Batch`
+calls it on every entry of a batch.  Exactly one of the pair is
+``None``; errors are JSON-able ``{"type", "message"}`` envelopes, the
+shape both the CLI output and the service wire format embed.
 
 Parsing resolves no registry name.  A spec is resolved in one place,
 the run (:func:`~repro.scenario.simulate_ensemble` inside the
@@ -24,7 +24,7 @@ that ``repro simulate --json``, ``repro batch --json`` and the service's
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from ..scenario import ScenarioSpec
 
@@ -33,7 +33,6 @@ __all__ = [
     "error_envelope",
     "finite_or_none",
     "prepare_spec",
-    "prepare_specs",
     "trace_summary",
 ]
 
@@ -82,13 +81,6 @@ def prepare_spec(entry) -> tuple[ScenarioSpec | None, dict[str, str] | None]:
         return spec, None
     except Exception as exc:  # noqa: BLE001 — any failure becomes the item's envelope
         return None, error_envelope(exc)
-
-
-def prepare_specs(
-    entries: Sequence,
-) -> list[tuple[ScenarioSpec | None, dict[str, str] | None]]:
-    """Parse every item (request order preserved, no early abort)."""
-    return [prepare_spec(entry) for entry in entries]
 
 
 def finite_or_none(value: float) -> float | None:

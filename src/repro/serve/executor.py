@@ -2,11 +2,11 @@
 
 On the clique each of the paper's dynamics is a finite Markov chain driven
 by the spec's seed, so an ensemble result is a pure function of (spec,
-seed, engine schema).  That is what makes dedup, coalescing, caching and
-crash retry sound, and :class:`Executor` is the one place that does them.
-``run_batch`` / ``repro batch`` and the service's ``/v1/simulate`` and
-``/v1/batch`` all go through :meth:`Executor.submit`, which returns a
-per-caller :class:`~concurrent.futures.Future` of ``(key, source, result)``:
+seed, engine schema), and a key is a function of the spec alone.  That is
+what makes dedup, coalescing, caching and crash retry sound, and
+:class:`Executor` is the one place that does them.  The service's
+``/v1/simulate`` calls :meth:`Executor.submit`, which returns a per-caller
+:class:`~concurrent.futures.Future` of ``(key, source, result)``:
 
 * **coalescing** — one lock-guarded in-flight table: while a key runs,
   later submits of it wait on that run (source ``"coalesced"``);
@@ -27,11 +27,18 @@ The executor, not a caller, owns each run.  A caller that stops waiting
 (the service's request deadline) drops only its own future; the run
 finishes, is cached, and every coalesced caller gets it.
 
+A batch has one path, :class:`Batch`, which :func:`run_batch` (and so
+``repro batch``) and the service's ``/v1/batch`` share: it parses and
+keys each raw entry once, submits the first occurrence of each key, and
+answers one :class:`BatchItem` per entry in request order.  The front
+ends keep only their rendering and their summary counters.
+
 Failure semantics (tested in ``tests/test_serve.py``): a spec that raises
 inside a worker is a deterministic item failure — it never retries, is
 never cached, and every waiter gets :class:`~repro.serve.envelope.EnvelopeError`
-carrying its ``{"type", "message"}`` envelope; a run still failing after
-:data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.  Both worker faults
+carrying its ``{"type", "message"}`` envelope, which a batch puts in that
+item; a run still failing after :data:`MAX_ATTEMPTS` raises
+:class:`WorkerPoolError`, which fails a whole batch.  Both worker faults
 are injectable through :mod:`repro.faults` (``executor.worker-crash`` /
 ``executor.worker-stall``), which is how the chaos suite exercises them.
 """
@@ -45,7 +52,7 @@ import random
 import threading
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -56,15 +63,15 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import faults
 from ..core.process import EnsembleResult
-from ..core.rng import make_rng
 from ..scenario import ScenarioSpec, simulate_ensemble
 from .cache import ResultCache, cache_key
-from .envelope import EnvelopeError, error_envelope
+from .envelope import EnvelopeError, error_envelope, prepare_spec
 
-__all__ = ["BatchReport", "Executor", "WorkerPoolError", "run_batch"]
+__all__ = ["Batch", "BatchItem", "BatchReport", "Executor", "WorkerPoolError", "run_batch"]
 
 #: Provenance labels (``source``) of a result.
 FROM_CACHE = "cache"
@@ -101,11 +108,11 @@ def backoff_delay(attempt: int, jitter: random.Random) -> float:
     return nominal * (0.5 + jitter.random())
 
 
-def _run_task(spec_json: str, seed) -> EnsembleResult | dict:
+def _run_task(spec_json: str) -> EnsembleResult | dict:
     """Worker: run one spec; the result, or an error envelope for an item failure.
 
-    Module-level (picklable) and stateless; the spec JSON and the seed are
-    the entire task.  Injected faults fire before the per-item catch: they
+    Module-level (picklable) and stateless; the spec JSON is the entire
+    task.  Injected faults fire before the per-item catch: they
     model *infrastructure* failures, which are retryable, unlike a spec
     that fails the same way on every attempt.
     """
@@ -121,7 +128,7 @@ def _run_task(spec_json: str, seed) -> EnsembleResult | dict:
         time.sleep(float(rule.params.get("seconds", 30.0)))
     try:
         spec = ScenarioSpec.from_json(spec_json)
-        return simulate_ensemble(spec, rng=None if seed is None else make_rng(seed))
+        return simulate_ensemble(spec)
     except Exception as exc:  # noqa: BLE001 — becomes the item's envelope
         return error_envelope(exc)
 
@@ -180,21 +187,20 @@ class Executor:
             max_workers=self.workers, mp_context=mp.get_context("spawn")
         )
 
-    def key_for(self, spec: ScenarioSpec, seed=None) -> str:
+    def key_for(self, spec: ScenarioSpec) -> str:
         if self.cache is not None:
-            return self.cache.key_for(spec, seed=seed)
-        return cache_key(spec, seed=seed)
+            return self.cache.key_for(spec)
+        return cache_key(spec)
 
-    def submit(self, spec: ScenarioSpec, seed=None) -> Future:
+    def submit(self, spec: ScenarioSpec) -> Future:
         """A new future of ``(key, source, result)`` for ``spec``.
 
-        ``seed`` overrides the spec's own seed, as in :func:`cache_key`.
         Cancelling the returned future only drops this caller; the run
         goes on for the others.
         """
-        return self._submit(self.key_for(spec, seed), spec, seed)
+        return self._submit(self.key_for(spec), spec)
 
-    def _submit(self, key: str, spec: ScenarioSpec, seed) -> Future:
+    def _submit(self, key: str, spec: ScenarioSpec) -> Future:
         future: Future = Future()
         with self._lock:
             waiters = self._inflight.get(key)
@@ -204,22 +210,10 @@ class Executor:
                 return future
             self._inflight[key] = [future]
         try:
-            self._owners.submit(self._own, key, spec.to_json(indent=None), seed)
+            self._owners.submit(self._own, key, spec.to_json(indent=None))
         except RuntimeError as exc:  # closed
             self._settle(key, error=exc)
         return future
-
-    def submit_unique(
-        self, specs: Sequence[ScenarioSpec]
-    ) -> tuple[list[str], list[Future | None]]:
-        """Submit the first occurrence of each key; later duplicates get None."""
-        keys = [self.key_for(spec) for spec in specs]
-        first: set[str] = set()
-        futures: list[Future | None] = []
-        for key, spec in zip(keys, specs):
-            futures.append(None if key in first else self._submit(key, spec, None))
-            first.add(key)
-        return keys, futures
 
     def close(self) -> None:
         """Stop taking work.  Runs already started finish in the background;
@@ -242,14 +236,14 @@ class Executor:
 
     # -- one run ---------------------------------------------------------------
 
-    def _own(self, key: str, spec_json: str, seed) -> None:
+    def _own(self, key: str, spec_json: str) -> None:
         """Own one key's run: cache probe, run, store, then wake every waiter."""
         try:
             source, result = FROM_CACHE, None
             if self.cache is not None:
                 result = self.cache.get(key)
             if result is None:
-                source, result = FROM_RUN, self._run(key, spec_json, seed)
+                source, result = FROM_RUN, self._run(key, spec_json)
                 if self.cache is not None:
                     self.cache.put(key, result)
                 with self._lock:
@@ -259,7 +253,7 @@ class Executor:
             raise
         self._settle(key, (source, result))
 
-    def _run(self, key: str, spec_json: str, seed) -> EnsembleResult:
+    def _run(self, key: str, spec_json: str) -> EnsembleResult:
         """The retry loop: the one place a run is attempted."""
         # Deterministic jitter keyed on the content address: replayable
         # schedules, uncorrelated across concurrent runs.
@@ -273,13 +267,13 @@ class Executor:
             pool = None
             try:
                 if not self.workers:
-                    payload = _run_task(spec_json, seed)
+                    payload = _run_task(spec_json)
                 else:
                     with self._lock:
                         pool = self._pool
                         if pool is None:
                             raise RuntimeError("executor is closed")
-                        task = pool.submit(_run_task, spec_json, seed)
+                        task = pool.submit(_run_task, spec_json)
                     payload = task.result(self.worker_timeout)
             except faults.InjectedFault as exc:
                 error = exc  # the worker raised and lives: same pool
@@ -327,28 +321,94 @@ class Executor:
                 pass  # that caller cancelled its own future
 
 
+class BatchItem(NamedTuple):
+    """One batch entry's answer: exactly one of ``result`` and ``error`` is None."""
+
+    key: str | None  # None where the entry did not parse
+    source: str  # FROM_CACHE, FROM_RUN, FROM_COALESCED, FROM_DEDUP or FROM_ERROR
+    result: EnsembleResult | None
+    error: dict[str, str] | None  # the entry failed to parse, resolve or run
+
+
+class Batch:
+    """One batch of raw entries on its way through an :class:`Executor`.
+
+    Construction parses each entry with
+    :func:`~repro.serve.envelope.prepare_spec` and keys each spec once with
+    ``key_for`` (the executor's :meth:`Executor.key_for`); :meth:`submit`
+    submits the first occurrence of each key; once every future it
+    returned is done, :meth:`items` answers each entry in request order.
+    """
+
+    def __init__(self, entries: Sequence, key_for: Callable[[ScenarioSpec], str]):
+        prepared = [prepare_spec(entry) for entry in entries]
+        #: The parsed spec per entry, None where it did not parse.
+        self.specs = [spec for spec, _ in prepared]
+        self.keys = [None if spec is None else key_for(spec) for spec in self.specs]
+        self._errors = [error for _, error in prepared]
+        #: The first occurrence of each key, in request order.
+        self.unique: dict[str, ScenarioSpec] = {}
+        for key, spec in zip(self.keys, self.specs):
+            if key is not None:
+                self.unique.setdefault(key, spec)
+        self._futures: dict[str, Future] = {}
+
+    def submit(self, executor: Executor) -> list[Future]:
+        """Submit each unique spec; the futures to wait on before :meth:`items`."""
+        self._futures = {key: executor._submit(key, spec) for key, spec in self.unique.items()}
+        return list(self._futures.values())
+
+    def items(self) -> list[BatchItem]:
+        """One item per entry, in request order, under one rule.
+
+        A spec that fails to parse, resolve or run gets its error envelope
+        in its own item, and so does each duplicate of it; a run the
+        executor could not finish raises its :class:`WorkerPoolError`,
+        failing the whole batch.
+        """
+        answers: dict[str, BatchItem] = {}
+        for key, future in self._futures.items():
+            try:
+                answers[key] = BatchItem(*future.result(), None)
+            except EnvelopeError as exc:  # this spec failed; its siblings did not
+                answers[key] = BatchItem(key, FROM_ERROR, None, exc.envelope)
+        items = []
+        for key, error in zip(self.keys, self._errors):
+            if key is None:
+                items.append(BatchItem(None, FROM_ERROR, None, error))
+                continue
+            items.append(answers[key])
+            if answers[key].error is None:  # later occurrences are duplicates
+                answers[key] = answers[key]._replace(source=FROM_DEDUP)
+        return items
+
+
 @dataclass
 class BatchReport:
     """Outcome of one :func:`run_batch` call, in request order."""
 
     results: list[EnsembleResult | None]
-    keys: list[str]
+    #: Per-request content address; None where the entry did not parse.
+    keys: list[str | None]
     #: Per-request provenance: ``"cache"`` (served from the cache), ``"run"``
     #: (freshly executed), ``"dedup"`` (duplicate of an earlier request in
-    #: the same batch), or ``"error"`` (the item failed inside a worker;
-    #: see :attr:`errors`).
+    #: the same batch), or ``"error"`` (see :attr:`errors`).
     sources: list[str] = field(repr=False)
-    #: Per-request ``{"type", "message"}`` envelope where the item failed
-    #: in a worker, None elsewhere — aligned with :attr:`results`, which
-    #: holds None at the same positions.
+    #: Per-request ``{"type", "message"}`` envelope where the entry failed
+    #: to parse, resolve or run, None elsewhere — aligned with
+    #: :attr:`results`, which holds None at the same positions.
     errors: list[dict | None] = field(default_factory=list, repr=False)
     #: Per-key retry counts for runs a worker crash or stall interrupted.
     retries: dict[str, int] = field(default_factory=dict, repr=False)
     hits: int = 0
+    #: Unique specs executed, including those that failed in the run.
     misses: int = 0
     deduped: int = 0
+    #: Requests that parsed but failed to resolve or to run.
     failed: int = 0
     wall_seconds: float = 0.0
+    #: Per-request parsed spec; None where the entry did not parse.
+    specs: list[ScenarioSpec | None] = field(default_factory=list, repr=False)
 
     @property
     def requests(self) -> int:
@@ -358,7 +418,7 @@ class BatchReport:
         """JSON-able batch-level counters (what ``repro batch`` prints)."""
         return {
             "requests": self.requests,
-            "unique": self.requests - self.deduped,
+            "unique": len({key for key in self.keys if key is not None}),
             "hits": self.hits,
             "misses": self.misses,
             "deduped": self.deduped,
@@ -369,7 +429,7 @@ class BatchReport:
 
 
 def run_batch(
-    specs: Sequence[ScenarioSpec],
+    specs: Sequence,
     *,
     cache: ResultCache | None = None,
     processes: int | None = None,
@@ -377,58 +437,38 @@ def run_batch(
 ) -> BatchReport:
     """Execute ``specs`` through one :class:`Executor`, in request order.
 
-    Every spec must have a concrete ``seed``.  Duplicates are deduped by
-    key, then each unique spec is submitted.  ``processes`` is the pool
-    width (``None``: one per CPU, at most one per unique spec); a width of
-    1 runs on in-process threads.  A worker failure becomes that item's
-    ``"error"`` envelope; a run still crashing or stalling after
-    :data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.  Duplicate
-    requests share one ``EnsembleResult`` object; treat results as
-    read-only.
+    Each entry is a :class:`~repro.scenario.ScenarioSpec` or its dict form
+    with a concrete ``seed``; the entries go through one :class:`Batch`.
+    ``processes`` is the pool width (``None``: one per CPU, at most one per
+    unique spec); a width of 1 runs on in-process threads.  An entry that
+    fails to parse, resolve or run becomes that item's ``"error"``
+    envelope, and its siblings still run; a run still crashing or
+    stalling after :data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.
+    Duplicate requests share one ``EnsembleResult`` object; treat results
+    as read-only.
     """
-    specs = list(specs)
-    for position, spec in enumerate(specs):
-        if not isinstance(spec, ScenarioSpec):
-            raise TypeError(f"specs[{position}] is not a ScenarioSpec: {spec!r}")
-        if spec.seed is None:
-            raise ValueError(
-                f"specs[{position}] has seed=None; batch execution needs concrete "
-                "seeds so results are reproducible and cacheable"
-            )
     start = time.perf_counter()
+    batch = Batch(specs, cache_key if cache is None else cache.key_for)
     width = processes if processes is not None else os.cpu_count() or 1
-    if width > 1:  # a pool needs no more workers than unique specs
-        width = min(width, len({cache_key(spec) for spec in specs}))
+    width = min(width, len(batch.unique))  # a pool needs no more workers than unique specs
     with Executor(
         cache, workers=width if width > 1 else 0, worker_timeout=worker_timeout
     ) as executor:
-        keys, futures = executor.submit_unique(specs)
-        wait([future for future in futures if future is not None])
+        wait(batch.submit(executor))
         retries = dict(executor.retries)
-
-    outcome: dict[str, tuple[str, EnsembleResult | None, dict | None]] = {}
-    for key, future in zip(keys, futures):
-        if future is None:
-            continue
-        try:
-            _key, source, result = future.result()
-            outcome[key] = (source, result, None)
-        except EnvelopeError as exc:  # one poisoned spec; siblings unaffected
-            outcome[key] = (FROM_ERROR, None, exc.envelope)
-    sources = [
-        FROM_DEDUP if future is None else outcome[key][0]
-        for key, future in zip(keys, futures)
-    ]
-    errors = [outcome[key][2] for key in keys]
+    items = batch.items()
+    sources = [item.source for item in items]
+    failed_keys = [item.key for item in items if item.key is not None and item.error is not None]
     return BatchReport(
-        results=[outcome[key][1] for key in keys],
-        keys=keys,
+        results=[item.result for item in items],
+        keys=[item.key for item in items],
         sources=sources,
-        errors=errors,
+        errors=[item.error for item in items],
         retries=retries,
         hits=sources.count(FROM_CACHE),
-        misses=sources.count(FROM_RUN) + sources.count(FROM_ERROR),
+        misses=sources.count(FROM_RUN) + len(set(failed_keys)),
         deduped=sources.count(FROM_DEDUP),
-        failed=sum(1 for envelope in errors if envelope is not None),
+        failed=len(failed_keys),
         wall_seconds=time.perf_counter() - start,
+        specs=batch.specs,
     )

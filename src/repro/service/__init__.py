@@ -29,7 +29,8 @@ per-item envelope ``repro batch --json`` reports.
 a registry name or parameter the run's resolve rejects, and a spec that
 fails while it runs.  Its envelope carries the exception the library
 raises for that spec.  500 means the executor could not finish a run
-(``WorkerPoolError``: every bounded retry crashed or stalled).
+(``WorkerPoolError``: every bounded retry crashed or stalled); that
+holds for ``/v1/batch`` too, where such a run fails the whole batch.
 
 ``POST /v1/simulate`` — body: one scenario object (exactly the
 ``ScenarioSpec.to_dict()`` schema; unknown keys are rejected, the seed
@@ -56,8 +57,8 @@ on all of them at equal seed.
 ``POST /v1/batch`` — body: an array of scenario objects (or
 ``{"scenarios": [...]}``).  Invalid items do **not** abort the batch:
 every item is parsed up front and answered positionally.  An item that
-does not parse answers ``"key": null``; one that fails in the run
-carries its ``key``.  Response 200::
+does not parse answers ``"key": null``; one that fails to resolve or to
+run carries its ``key``.  Response 200::
 
     {"requests": N, "unique": U, "hits": h, "misses": m, "deduped": d,
      "coalesced": c, "errors": e, "wall_seconds": s,
@@ -65,10 +66,11 @@ carries its ``key``.  Response 200::
                 | {"key": <hex>|null, "source": "error",
                    "error": {"type": ..., "message": ...}}, ... ]}
 
-Duplicate items within one batch report ``"source": "dedup"`` and share
-the first occurrence's execution, exactly like
-:func:`repro.serve.executor.run_batch` (both dedup through
-:meth:`~repro.serve.executor.Executor.submit_unique`).
+Duplicate items within one batch share the first occurrence's
+execution and report ``"source": "dedup"``, or its error envelope when
+it failed.  :func:`repro.serve.executor.run_batch` (so ``repro batch``)
+answers every item the same way: both go through
+:class:`~repro.serve.executor.Batch`.
 
 ``GET /v1/result/{key}`` — content-addressed lookup of a previously
 computed result (``key`` is the 64-hex-digit cache key).  200 with the

@@ -10,9 +10,10 @@ Request handling is a straight pipeline::
 
 The service resolves no registry name itself: the run does, once, inside
 the executor, and a spec that fails to resolve or to run comes back as
-its :class:`~repro.serve.envelope.EnvelopeError` and answers 400 (a
-keyed per-item error in ``/v1/batch``).  A warm request is a parse, a
-key and a cache hit.
+its :class:`~repro.serve.envelope.EnvelopeError` and answers 400.
+``/v1/batch`` answers through :class:`~repro.serve.executor.Batch`, the
+path ``repro batch`` takes too: there such a spec is a keyed per-item
+error.  A warm request is a parse, a key and a cache hit.
 
 Two concurrent requests for the same key run the simulation **once**
 (the second reports ``source: "coalesced"``, counted in ``/v1/stats``).
@@ -60,7 +61,6 @@ from ..serve.envelope import (
     error_envelope,
     finite_or_none,
     prepare_spec,
-    prepare_specs,
     trace_summary,
 )
 from ..serve.executor import (
@@ -70,6 +70,7 @@ from ..serve.executor import (
     FROM_ERROR,
     FROM_RUN,
     MAX_ATTEMPTS,
+    Batch,
     Executor,
 )
 from .http import HttpError, Request, encode_response, read_request
@@ -493,48 +494,24 @@ class ScenarioService:
                 400, 'batch body must be a non-empty JSON array (or {"scenarios": [...]})'
             )
         start = time.perf_counter()
-        prepared = await asyncio.to_thread(prepare_specs, body)
-
-        keys, futures = self.executor.submit_unique(
-            [spec for spec, error in prepared if error is None]
-        )
-        owned = {
-            key: asyncio.wrap_future(future)
-            for key, future in zip(keys, futures)
-            if future is not None
-        }
-        await asyncio.gather(*owned.values(), return_exceptions=True)
-
-        items: list[dict] = []
-        counters = {FROM_CACHE: 0, FROM_RUN: 0, FROM_DEDUP: 0, FROM_COALESCED: 0}
-        errors = 0
-        answers = iter(zip(keys, futures))
-        for _spec, error in prepared:
-            if error is not None:
-                errors += 1
-                items.append({"key": None, "source": FROM_ERROR, "error": error})
-                continue
-            key, future = next(answers)
-            failure = owned[key].exception()
-            if failure is not None:
-                errors += 1
-                items.append({"key": key, "source": FROM_ERROR, "error": error_envelope(failure)})
-                continue
-            _key, source, result = owned[key].result()
-            if future is None:
-                source = FROM_DEDUP
-            counters[source] += 1
-            item = result_payload(key, source, result)
-            item["error"] = None
-            items.append(item)
+        batch = await asyncio.to_thread(Batch, body, self.executor.key_for)
+        runs = [asyncio.wrap_future(future) for future in batch.submit(self.executor)]
+        await asyncio.gather(*runs, return_exceptions=True)
+        items = [
+            {"key": key, "source": source, "error": error}
+            if error is not None
+            else {**result_payload(key, source, result), "error": None}
+            for key, source, result, error in batch.items()
+        ]
+        sources = [item["source"] for item in items]
         return 200, {
             "requests": len(items),
-            "unique": len(owned),
-            "hits": counters[FROM_CACHE],
-            "misses": counters[FROM_RUN],
-            "deduped": counters[FROM_DEDUP],
-            "coalesced": counters[FROM_COALESCED],
-            "errors": errors,
+            "unique": len(batch.unique),
+            "hits": sources.count(FROM_CACHE),
+            "misses": sources.count(FROM_RUN),
+            "deduped": sources.count(FROM_DEDUP),
+            "coalesced": sources.count(FROM_COALESCED),
+            "errors": sources.count(FROM_ERROR),
             "wall_seconds": round(time.perf_counter() - start, 6),
             "items": items,
         }

@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 __all__ = ["HttpError", "Request", "encode_response", "read_request"]
 
@@ -50,11 +50,10 @@ class HttpError(Exception):
 
 @dataclass
 class Request:
-    """One parsed request: method, split target, lower-cased headers, raw body."""
+    """One parsed request: method, target path, lower-cased headers, raw body."""
 
     method: str
     path: str
-    query: dict[str, str]
     headers: dict[str, str]
     body: bytes
 
@@ -79,7 +78,6 @@ async def read_request(reader: asyncio.StreamReader, *, max_body: int) -> Reques
     if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
         raise HttpError(400, f"malformed request line: {line.decode('latin-1')!r}")
     method, target, _version = parts
-    split = urlsplit(target)
     headers: dict[str, str] = {}
     for _ in range(_MAX_HEADERS):
         line = await reader.readline()
@@ -109,8 +107,7 @@ async def read_request(reader: asyncio.StreamReader, *, max_body: int) -> Reques
             return None  # peer hung up mid-body; nothing to answer
     return Request(
         method=method.upper(),
-        path=split.path,
-        query=dict(parse_qsl(split.query)),
+        path=urlsplit(target).path,
         headers=headers,
         body=body,
     )

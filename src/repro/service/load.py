@@ -118,13 +118,11 @@ def corpus_json(seed: int = 0, unique: int = 24, duplicates: int | None = None) 
 
 
 def write_corpus(path, seed: int = 0, unique: int = 24, duplicates: int | None = None) -> int:
-    """Write the corpus to ``path``; returns the number of entries."""
-    entries = generate_corpus(seed=seed, unique=unique, duplicates=duplicates)
+    """Write :func:`corpus_json` to ``path``; returns the number of entries."""
+    text = corpus_json(seed=seed, unique=unique, duplicates=duplicates)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return len(entries)
+    Path(path).write_text(text, encoding="utf-8")
+    return len(json.loads(text))
 
 
 # -- replay driver -----------------------------------------------------------
@@ -155,8 +153,6 @@ async def _replay_phase(
     port: int,
     requests: list[tuple[str, str, dict | None]],
     concurrency: int,
-    *,
-    retry_attempts: int = REPLAY_RETRY_ATTEMPTS,
 ) -> tuple[list[dict], list[float], float, dict]:
     """Drive ``requests`` (method, path, payload) through N user connections.
 
@@ -175,7 +171,7 @@ async def _replay_phase(
     payloads: list[dict | None] = [None] * len(requests)
     latencies: list[float] = []
     counters = {"statuses": {}, "retried": 0, "unavailable": 0, "reconnects": 0}
-    policy = RetryPolicy(attempts=retry_attempts, rng=random.Random(0))
+    policy = RetryPolicy(attempts=REPLAY_RETRY_ATTEMPTS, rng=random.Random(0))
 
     async def _one(conn: AsyncConnection, method, path, payload) -> dict:
         for attempt in range(policy.attempts):
@@ -223,7 +219,7 @@ async def _replay_phase(
 
 
 def _phase_summary(
-    payloads: list[dict], latencies: list[float], wall: float, counters: dict | None = None
+    payloads: list[dict], latencies: list[float], wall: float, counters: dict
 ) -> dict:
     sources: dict[str, int] = {}
     for payload in payloads:
@@ -231,7 +227,7 @@ def _phase_summary(
         sources[source] = sources.get(source, 0) + 1
     samples = np.asarray(latencies) * 1e3
     p50, p95, p99 = (float(v) for v in np.percentile(samples, [50, 95, 99]))
-    summary = {
+    return {
         "requests": len(payloads),
         "wall_seconds": round(wall, 4),
         "rps": round(len(payloads) / wall, 2) if wall > 0 else None,
@@ -243,12 +239,10 @@ def _phase_summary(
             "max": round(float(samples.max()), 3),
         },
         "sources": sources,
+        "statuses": {str(k): v for k, v in sorted(counters["statuses"].items())},
+        "retried": counters["retried"],
+        "reconnects": counters["reconnects"],
     }
-    if counters is not None:
-        summary["statuses"] = {str(k): v for k, v in sorted(counters["statuses"].items())}
-        summary["retried"] = counters["retried"]
-        summary["reconnects"] = counters["reconnects"]
-    return summary
 
 
 async def run_load(host: str, port: int, specs: list[dict], *, concurrency: int = 4) -> dict:

@@ -156,6 +156,26 @@ def test_every_sampled_law_accepts_a_batch(name, params):
         np.testing.assert_array_equal(law, np.stack([dynamics.color_law(row) for row in batch]))
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    LAW_CASES,
+    ids=[f"{name}/h{params['h']}" if "h" in params else name for name, params in LAW_CASES],
+)
+def test_every_color_law_is_the_row_stack_on_a_batch(name, params):
+    # The own samplers' laws too: nothing samples them, but the exact chain
+    # and the mean-field flow read them, and a law must not depend on the
+    # rows it is evaluated beside.
+    dynamics = DYNAMICS.build(name, **params)
+    for batch in LAW_BATCHES:
+        law = dynamics.color_law(batch)
+        assert law.shape == batch.shape
+        np.testing.assert_array_equal(law, np.stack([dynamics.color_law(row) for row in batch]))
+        if hasattr(dynamics, "class_transition_matrix"):
+            matrices = dynamics.class_transition_matrix(batch)
+            rows = [dynamics.class_transition_matrix(row) for row in batch]
+            np.testing.assert_array_equal(matrices, np.stack(rows))
+
+
 def test_every_registered_name_is_in_the_rule_table():
     assert {name for name, _, _ in RULE_TABLE} == set(DYNAMICS.names())
 

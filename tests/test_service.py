@@ -19,7 +19,7 @@ import pytest
 
 import repro
 import repro.serve.executor as executor_module
-from repro import ResultCache, ScenarioSpec, cache_key, faults, simulate_ensemble
+from repro import ResultCache, ScenarioSpec, cache_key, faults, run_batch, simulate_ensemble
 from repro.service import (
     BackgroundServer,
     ScenarioService,
@@ -584,6 +584,43 @@ class TestUnrunnableSpecs:
             assert item["error"] == run_failure(raw)
 
 
+class TestOneBatchPath:
+    """``run_batch`` (so ``repro batch``) and ``/v1/batch`` answer a batch alike."""
+
+    def test_library_and_wire_items_agree_in_order(self):
+        good = spec_dict(seed=62)
+        unrunnable = spec_dict(**{"seed": 62, **UNRUNNABLE["negative-seed"]})
+        batch = [
+            good,
+            spec_dict(seed=62, n="nope"),  # does not parse
+            spec_dict(seed=None),  # no seed
+            unrunnable,
+            good,  # a duplicate of a served spec
+            unrunnable,  # a duplicate of a failed one
+        ]
+        report = run_batch(batch, processes=1)
+        service = ScenarioService(cache=ResultCache(None), workers=0)
+        with BackgroundServer(service) as srv:
+            with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as c:
+                wire = c.batch(batch)
+        library = [
+            (key, source, error, None if result is None else result.trace.digest())
+            for key, source, result, error in zip(
+                report.keys, report.sources, report.results, report.errors
+            )
+        ]
+        over_the_wire = [
+            (item["key"], item["source"], item["error"], item.get("trace", {}).get("digest"))
+            for item in wire["items"]
+        ]
+        assert over_the_wire == library
+        assert [source for _, source, _, _ in library] == [
+            "run", "error", "error", "error", "dedup", "error"
+        ]
+        assert library[3][2] == run_failure(unrunnable)
+        assert wire["unique"] == report.summary()["unique"] == 2
+
+
 class TestServiceResilience:
     """Deadlines, backpressure, drain, worker recovery — under injected faults."""
 
@@ -631,6 +668,21 @@ class TestServiceResilience:
         assert outcomes[0][1]["type"] == "WorkerPoolError"
         assert service.executor._inflight == {}
 
+    def test_exhausted_batch_run_answers_500(self, monkeypatch):
+        # A run the executor could not finish fails the whole batch, as it
+        # fails /v1/simulate and run_batch; it is no spec's item error.
+        monkeypatch.setattr(executor_module, "MAX_ATTEMPTS", 2)
+        faults.arm({"rules": [{"point": "executor.worker-crash", "probability": 1.0}]})
+        service = ScenarioService(cache=ResultCache(None), workers=0)
+        with BackgroundServer(service) as srv:
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                with pytest.raises(ServiceError) as err:
+                    c.batch([spec_dict(seed=43), spec_dict(seed=43, n="nope")])
+        assert err.value.status == 500
+        assert err.value.body["error"]["type"] == "WorkerPoolError"
+        assert "after 2 attempts" in err.value.body["error"]["message"]
+        assert service.executor._inflight == {}
+
     def test_worker_crash_recovers_transparently(self):
         # A sub-certain crash probability: retries absorb every crash and
         # the client never sees a failure.
@@ -661,6 +713,39 @@ class TestServiceResilience:
             # The deadline bounded the wait, not the run: it still finishes.
             release.set()
             wait_until(lambda: service.executor.runs == 1)
+        assert service.executor._inflight == {}
+
+    def test_batch_waits_on_the_loop_and_its_deadline_spares_the_runs(self, gate):
+        # While a batch's runs are held, the event loop still answers; past
+        # the deadline the batch answers 504, and its runs finish and are
+        # cached all the same.
+        cache = ResultCache(None)
+        service = ScenarioService(cache=cache, workers=0, deadline_seconds=1.0)
+        batch = [spec_dict(seed=44), spec_dict(seed=45), spec_dict(seed=44)]
+        outcome: list[int] = []
+
+        def post_batch():
+            with ServiceClient("127.0.0.1", srv.port, timeout=60.0) as c:
+                try:
+                    c.batch(batch)
+                    outcome.append(200)
+                except ServiceError as exc:
+                    outcome.append(exc.status)
+
+        started, release = gate
+        with BackgroundServer(service) as srv:
+            poster = threading.Thread(target=post_batch)
+            poster.start()
+            assert started.wait(30)
+            with ServiceClient("127.0.0.1", srv.port, timeout=5.0) as probe:
+                assert probe.health()["status"] == "ok"  # answered with the runs held
+            poster.join(timeout=60)
+            assert not poster.is_alive()
+            assert outcome == [504] and service.deadline_hits == 1
+            release.set()
+            wait_until(lambda: service.executor.runs == 2)
+        keys = [cache_key(ScenarioSpec.from_dict(raw)) for raw in batch[:2]]
+        assert all(cache.get(key) is not None for key in keys)
         assert service.executor._inflight == {}
 
     def test_header_deadline_overrides_config(self, gate):
