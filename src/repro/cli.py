@@ -363,7 +363,9 @@ def _spec_from_args(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .scenario import simulate_ensemble
-    from .serve.envelope import finite_or_none, trace_summary
+    from .serve.cache import cache_key
+    from .serve.envelope import simulate_payload
+    from .serve.executor import FROM_RUN
 
     spec = _spec_from_args(args)
     start = time.perf_counter()
@@ -371,20 +373,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     if args.save_spec:
         spec.save(args.save_spec)
-    summary = ens.rounds_summary()
     if args.json:
-        record = {
-            "spec": spec.to_dict(),
-            "replicas": ens.replicas,
-            "plurality_color": ens.plurality_color,
-            "plurality_win_rate": finite_or_none(ens.plurality_win_rate),
-            "convergence_rate": finite_or_none(ens.convergence_rate),
-            "rounds": {name: finite_or_none(value) for name, value in summary.items()},
-            "stop_reasons": ens.stop_reasons(),
-            "trace": trace_summary(ens.trace),
-            "wall_seconds": elapsed,
-        }
-        print(json.dumps(record, indent=2, sort_keys=True, allow_nan=False))
+        # The /v1/simulate body for this spec; an unseeded spec has no key.
+        key = None if spec.seed is None else cache_key(spec)
+        document = {**simulate_payload(key, FROM_RUN, ens, spec), "wall_seconds": elapsed}
+        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
         return 0
     engine_note = "" if spec.engine == "auto" else f", engine={spec.engine}"
     print(
@@ -404,7 +397,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(
         "rounds: "
-        + ", ".join(f"{key}={value:.1f}" for key, value in summary.items())
+        + ", ".join(f"{key}={value:.1f}" for key, value in ens.rounds_summary().items())
     )
     reasons = ", ".join(f"{name}×{count}" for name, count in sorted(ens.stop_reasons().items()))
     print(f"stopped by: {reasons}")
@@ -426,72 +419,41 @@ def _open_cache(cache_dir: str | None):
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from .serve.envelope import finite_or_none, trace_summary
-    from .serve.executor import run_batch
+    from .serve.executor import batch_document, batch_entries, run_batch
 
     with open(args.specs, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict) and "scenarios" in payload:
-        payload = payload["scenarios"]
-    if not isinstance(payload, list) or not payload:
-        raise SystemExit(
-            f"{args.specs} must hold a non-empty JSON array of scenario objects "
-            '(or {"scenarios": [...]})'
-        )
+        body = json.load(handle)
+    try:
+        entries = batch_entries(body)
+    except ValueError as exc:
+        raise SystemExit(f"{args.specs}: {exc}") from None
     cache = None if args.no_cache else _open_cache(args.cache_dir)
     # A malformed or unrunnable item comes back as its own error envelope
     # (the shape the service wire format uses); its siblings still run.
-    report = run_batch(payload, cache=cache, processes=args.processes)
-    items = []
-    for spec, key, source, result, error in zip(
-        report.specs, report.keys, report.sources, report.results, report.errors
-    ):
-        if error is not None:
-            items.append({"key": key, "source": source, "error": error})
-            continue
-        items.append(
-            {
-                "key": key,
-                "source": source,
-                "error": None,
-                "dynamics": spec.dynamics,
-                "n": spec.n,
-                "k": spec.k,
-                "replicas": result.replicas,
-                "plurality_win_rate": finite_or_none(result.plurality_win_rate),
-                "convergence_rate": finite_or_none(result.convergence_rate),
-                "rounds": {
-                    name: finite_or_none(value)
-                    for name, value in result.rounds_summary().items()
-                },
-                "stop_reasons": result.stop_reasons(),
-                "trace": trace_summary(result.trace),
-            }
-        )
-    errors = sum(1 for error in report.errors if error is not None)
-    summary = {**report.summary(), "errors": errors}
-    exit_code = 0 if errors == 0 else 1
+    report = run_batch(entries, cache=cache, processes=args.processes)
+    document = batch_document(report.items, report.wall_seconds)
+    exit_code = 0 if document["errors"] == 0 else 1
     if args.json:
-        print(json.dumps({**summary, "items": items}, indent=2, sort_keys=True))
+        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
         return exit_code
-    for item in items:
+    for spec, item in zip(report.specs, document["items"]):
         if item["error"] is not None:
             print(f"[error] {item['error']['type']}: {item['error']['message']}")
             continue
-        mean = item["rounds"]["mean"]
+        mean = item["rounds_summary"]["mean"]
         print(
             f"[{item['source']:5s}] {item['key'][:12]}  "
-            f"{item['dynamics']} n={item['n']} k={item['k']} "
+            f"{spec.dynamics} n={spec.n} k={spec.k} "
             f"win={item['plurality_win_rate']:.3f} "
             f"rounds_mean={'n/a' if mean is None else format(mean, '.1f')}"
         )
-    retries = summary["retries"]
+    retries = sum(report.retries.values())
     retry_note = f", {retries} worker retries" if retries else ""
     print(
-        f"{summary['requests']} requests ({summary['unique']} unique): "
-        f"{summary['hits']} cache hits, {summary['misses']} executed, "
-        f"{summary['deduped']} deduped, {summary['errors']} failed{retry_note} "
-        f"in {summary['wall_seconds']:.2f}s"
+        f"{document['requests']} requests ({document['unique']} unique): "
+        f"{document['hits']} cache hits, {document['misses']} executed, "
+        f"{document['deduped']} deduped, {document['errors']} failed{retry_note} "
+        f"in {document['wall_seconds']:.2f}s"
     )
     return exit_code
 

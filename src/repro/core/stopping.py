@@ -33,11 +33,14 @@ The configuration-dependent rules are thresholds over the same
 :class:`~repro.core.metrics.Metric` objects the trace recorder uses
 (``monochromatic`` and ``plurality-fraction`` over ``plurality-count``,
 ``bias-threshold`` over ``bias``), via the shared
-:class:`MetricThresholdStop` base: one vectorized evaluation path serves
-both the scalar :meth:`StoppingRule.met` and the batched
-:meth:`StoppingRule.met_many`, so the two can never disagree.  The
-``stopped_by`` label vocabulary is unchanged from the pre-metric
-implementation (asserted in ``tests/test_stopping.py``).
+:class:`MetricThresholdStop` base.  Every rule has one evaluation path:
+it implements the batched :meth:`StoppingRule.met_many` (and
+:meth:`StoppingRule.fired_many` where it reports a member's name), and
+the scalar :meth:`StoppingRule.met` and :meth:`StoppingRule.fired` are
+their one-row case, as :meth:`Metric.compute` is ``compute_many``'s, so
+the two can never disagree.  The ``stopped_by`` label vocabulary is
+unchanged from the pre-metric implementation (asserted in
+``tests/test_stopping.py``).
 """
 
 from __future__ import annotations
@@ -69,25 +72,23 @@ BUDGET_EXHAUSTED = "max-rounds"
 
 
 class StoppingRule(abc.ABC):
-    """Base class: a pure predicate over (color counts, n, round index)."""
+    """Base class: a pure predicate over (color counts, n, round index).
+
+    A rule implements :meth:`met_many` on an ``(R, k)`` batch; the runners
+    call only the batch methods, and :meth:`met`/:meth:`fired` are their
+    one-row case.
+    """
 
     #: Registry name; also the label recorded in ``stopped_by``.
     rule: str = "stopping-rule"
 
     @abc.abstractmethod
-    def met(self, counts: np.ndarray, n: int, t: int) -> bool:
-        """True iff the rule fires on this configuration at round ``t``."""
-
     def met_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
-        """Vectorized :meth:`met` over an ``(R, k)`` batch of counts.
+        """Per-replica verdicts on an ``(R, k)`` batch of counts at round ``t``."""
 
-        Built-in rules get a loop-free version through
-        :class:`MetricThresholdStop`; the default exists so third-party
-        rules only need :meth:`met`.
-        """
-        return np.fromiter(
-            (self.met(row, n, t) for row in counts), dtype=bool, count=counts.shape[0]
-        )
+    def met(self, counts: np.ndarray, n: int, t: int) -> bool:
+        """True iff the rule fires on one configuration: the one-row :meth:`met_many`."""
+        return bool(self.met_many(np.asarray(counts)[None, :], n, t)[0])
 
     @property
     def sparse_invariant(self) -> bool:
@@ -104,8 +105,8 @@ class StoppingRule(abc.ABC):
         return False
 
     def fired(self, counts: np.ndarray, n: int, t: int) -> str | None:
-        """Name of the (sub-)rule that fired, or None."""
-        return self.rule if self.met(counts, n, t) else None
+        """Name of the (sub-)rule that fired, or None: the one-row :meth:`fired_many`."""
+        return self.fired_many(np.asarray(counts)[None, :], n, t)[0]
 
     def fired_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
         """Per-replica fired-rule names (object array of str | None)."""
@@ -138,9 +139,8 @@ class MetricThresholdStop(StoppingRule):
 
     Subclasses name a registered metric via :attr:`metric_name` and return
     the (possibly ``n``-dependent) threshold from :meth:`threshold_for`.
-    Both :meth:`met` and :meth:`met_many` run through the metric's single
-    vectorized ``compute_many`` — the scalar path is the batch path on one
-    row, so there is exactly one evaluation path to validate.
+    :meth:`met_many` runs through the metric's single vectorized
+    ``compute_many``.
     """
 
     #: Name of the metric (in :data:`repro.core.registry.METRICS`) compared
@@ -167,9 +167,6 @@ class MetricThresholdStop(StoppingRule):
     def met_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
         values = self.metric.compute_many(np.asarray(counts), n)
         return values >= self.threshold_for(n)
-
-    def met(self, counts: np.ndarray, n: int, t: int) -> bool:
-        return bool(self.met_many(np.asarray(counts)[None, :], n, t)[0])
 
 
 @STOPPING.register("monochromatic")
@@ -236,9 +233,6 @@ class RoundBudgetStop(StoppingRule):
     def sparse_invariant(self) -> bool:
         return True  # never inspects the counts
 
-    def met(self, counts: np.ndarray, n: int, t: int) -> bool:
-        return t >= self.rounds
-
     def met_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
         return np.full(counts.shape[0], t >= self.rounds, dtype=bool)
 
@@ -268,21 +262,11 @@ class AnyOfStop(StoppingRule):
     def sparse_invariant(self) -> bool:
         return all(rule.sparse_invariant for rule in self.rules)
 
-    def met(self, counts: np.ndarray, n: int, t: int) -> bool:
-        return any(rule.met(counts, n, t) for rule in self.rules)
-
     def met_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
         out = np.zeros(counts.shape[0], dtype=bool)
         for rule in self.rules:
             out |= rule.met_many(counts, n, t)
         return out
-
-    def fired(self, counts: np.ndarray, n: int, t: int) -> str | None:
-        for rule in self.rules:
-            name = rule.fired(counts, n, t)
-            if name is not None:
-                return name
-        return None
 
     def fired_many(self, counts: np.ndarray, n: int, t: int) -> np.ndarray:
         out = np.full(counts.shape[0], None, dtype=object)

@@ -20,7 +20,6 @@ _EXPORTS = {
     "SweepPoint": "harness",
     "ascii_plot": "plotting",
     "corollary3_start": "workloads",
-    "ensemble_at": "harness",
     "experiment_ids": "registry",
     "figure_ids": "figures",
     "geometric_tail": "workloads",

@@ -37,7 +37,6 @@ __all__ = [
     "ExperimentSpec",
     "SweepPoint",
     "sweep",
-    "ensemble_at",
     "grid",
 ]
 
@@ -68,25 +67,6 @@ class SweepPoint:
     params: dict[str, object]
     ensemble: EnsembleResult
     wall_seconds: float
-
-
-def ensemble_at(
-    dynamics: Dynamics,
-    initial: Configuration,
-    *,
-    replicas: int,
-    max_rounds: int,
-    seed,
-) -> EnsembleResult:
-    """Run one replica ensemble on its own derived stream."""
-    rng = make_rng(seed)
-    return run_ensemble(
-        dynamics,
-        initial,
-        replicas,
-        max_rounds=max_rounds,
-        rng=rng,
-    )
 
 
 def sweep(
@@ -122,12 +102,8 @@ def sweep(
             ens = simulate_ensemble(spec, rng=make_rng(stream_seed))
         else:
             dynamics, initial = built
-            ens = ensemble_at(
-                dynamics,
-                initial,
-                replicas=replicas,
-                max_rounds=max_rounds,
-                seed=stream_seed,
+            ens = run_ensemble(
+                dynamics, initial, replicas, max_rounds=max_rounds, rng=make_rng(stream_seed)
             )
         out.append(
             SweepPoint(

@@ -10,7 +10,10 @@ bounded retry) behind every caller, and :func:`run_batch` executes many
 specs at once through it — parsing each raw entry, deduping identical
 requests, and answering each in request order — on the same per-item
 path (:class:`~repro.serve.executor.Batch`) as the service's
-``/v1/batch``.
+``/v1/batch``.  The JSON form of a result
+(:func:`~repro.serve.envelope.result_payload`) and of a batch
+(:func:`~repro.serve.executor.batch_document`) live here too, so the
+CLI prints what the service answers.
 
 Results served from the cache are bit-identical to a direct
 ``simulate_ensemble`` call at equal seed, and cache entries written by an

@@ -1,4 +1,4 @@
-"""Per-item spec parsing and the JSON shapes both front ends emit.
+"""Per-item spec parsing and the one JSON form of a result.
 
 ``repro batch`` and the network service both accept scenario objects
 from untrusted input, and both need the same failure semantics: one
@@ -16,9 +16,11 @@ the run (:func:`~repro.scenario.simulate_ensemble` inside the
 or to run comes back from there as an :class:`EnvelopeError` carrying
 the same envelope shape.
 
-:func:`finite_or_none` and :func:`trace_summary` are the result fields
-that ``repro simulate --json``, ``repro batch --json`` and the service's
-``result_payload`` share.
+:func:`result_payload` is the one JSON form of a result: the
+``/v1/result`` body, each served item of a batch document
+(:func:`~repro.serve.executor.batch_document`), and, with the spec
+echoed by :func:`simulate_payload`, the ``/v1/simulate`` body that
+``repro simulate --json`` prints too.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
+from ..core.process import EnsembleResult
 from ..scenario import ScenarioSpec
 
 __all__ = [
@@ -33,6 +36,8 @@ __all__ = [
     "error_envelope",
     "finite_or_none",
     "prepare_spec",
+    "result_payload",
+    "simulate_payload",
     "trace_summary",
 ]
 
@@ -100,3 +105,36 @@ def trace_summary(trace) -> dict | None:
         "replicas": trace.replicas,
         "digest": trace.digest(),
     }
+
+
+def result_payload(key: str | None, source: str, result: EnsembleResult) -> dict[str, object]:
+    """JSON-able result envelope: every front end's one form of a result.
+
+    Carries enough to check end-to-end bit-identity from the client side:
+    the full per-replica ``winners``/``rounds``/``converged`` vectors plus
+    the :meth:`TraceSet.digest` (which covers dtypes, shapes and raw
+    bytes of every recorded column).
+    """
+    return {
+        "key": key,
+        "source": source,
+        "replicas": result.replicas,
+        "plurality_color": int(result.plurality_color),
+        "plurality_win_rate": finite_or_none(result.plurality_win_rate),
+        "convergence_rate": finite_or_none(result.convergence_rate),
+        "winners": [int(w) for w in result.winners],
+        "rounds": [int(r) for r in result.rounds],
+        "converged": [bool(c) for c in result.converged],
+        "rounds_summary": {
+            name: finite_or_none(value) for name, value in result.rounds_summary().items()
+        },
+        "stop_reasons": result.stop_reasons(),
+        "trace": trace_summary(result.trace),
+    }
+
+
+def simulate_payload(
+    key: str | None, source: str, result: EnsembleResult, spec: ScenarioSpec
+) -> dict[str, object]:
+    """The ``/v1/simulate`` body: :func:`result_payload` plus the spec echoed."""
+    return {**result_payload(key, source, result), "spec": spec.to_dict()}

@@ -30,8 +30,11 @@ finishes, is cached, and every coalesced caller gets it.
 A batch has one path, :class:`Batch`, which :func:`run_batch` (and so
 ``repro batch``) and the service's ``/v1/batch`` share: it parses and
 keys each raw entry once, submits the first occurrence of each key, and
-answers one :class:`BatchItem` per entry in request order.  The front
-ends keep only their rendering and their summary counters.
+answers one :class:`BatchItem` per entry in request order.  One rule
+says what a batch body is (:func:`batch_entries`), and one function
+renders the answer (:func:`batch_document`): ``/v1/batch`` answers that
+document, ``repro batch --json`` prints it, and
+:meth:`BatchReport.summary` returns its counters (:func:`batch_counters`).
 
 Failure semantics (tested in ``tests/test_serve.py``): a spec that raises
 inside a worker is a deterministic item failure — it never retries, is
@@ -69,9 +72,19 @@ from .. import faults
 from ..core.process import EnsembleResult
 from ..scenario import ScenarioSpec, simulate_ensemble
 from .cache import ResultCache, cache_key
-from .envelope import EnvelopeError, error_envelope, prepare_spec
+from .envelope import EnvelopeError, error_envelope, prepare_spec, result_payload
 
-__all__ = ["Batch", "BatchItem", "BatchReport", "Executor", "WorkerPoolError", "run_batch"]
+__all__ = [
+    "Batch",
+    "BatchItem",
+    "BatchReport",
+    "Executor",
+    "WorkerPoolError",
+    "batch_counters",
+    "batch_document",
+    "batch_entries",
+    "run_batch",
+]
 
 #: Provenance labels (``source``) of a result.
 FROM_CACHE = "cache"
@@ -330,6 +343,18 @@ class BatchItem(NamedTuple):
     error: dict[str, str] | None  # the entry failed to parse, resolve or run
 
 
+def batch_entries(body) -> list:
+    """The entries of a batch body: a non-empty JSON array, or ``{"scenarios": [...]}`` holding one.
+
+    Raises ``ValueError`` for any other body.
+    """
+    if isinstance(body, dict) and "scenarios" in body:
+        body = body["scenarios"]
+    if not isinstance(body, list) or not body:
+        raise ValueError('batch body must be a non-empty JSON array (or {"scenarios": [...]})')
+    return body
+
+
 class Batch:
     """One batch of raw entries on its way through an :class:`Executor`.
 
@@ -383,49 +408,84 @@ class Batch:
         return items
 
 
+def batch_counters(items: Sequence[BatchItem]) -> dict[str, int]:
+    """A batch's counters: ``requests``, ``unique`` keys, and the items by source.
+
+    ``hits``, ``misses``, ``deduped``, ``coalesced`` and ``errors`` count
+    the items whose source is ``cache``, ``run``, ``dedup``, ``coalesced``
+    and ``error``: a run that failed is an error, not a miss.
+    """
+    sources = Counter(item.source for item in items)
+    return {
+        "requests": len(items),
+        "unique": len({item.key for item in items if item.key is not None}),
+        "hits": sources[FROM_CACHE],
+        "misses": sources[FROM_RUN],
+        "deduped": sources[FROM_DEDUP],
+        "coalesced": sources[FROM_COALESCED],
+        "errors": sources[FROM_ERROR],
+    }
+
+
+def batch_document(items: Sequence[BatchItem], wall_seconds: float) -> dict[str, object]:
+    """The JSON form of a batch: the ``/v1/batch`` body, and ``repro batch --json``.
+
+    Its :func:`batch_counters`, ``wall_seconds``, and one item per entry:
+    the entry's :func:`~repro.serve.envelope.result_payload` with
+    ``"error": None``, or ``{"key", "source", "error"}`` where it failed.
+    """
+    return {
+        **batch_counters(items),
+        "wall_seconds": round(wall_seconds, 6),
+        "items": [
+            {"key": key, "source": source, "error": error}
+            if error is not None
+            else {**result_payload(key, source, result), "error": None}
+            for key, source, result, error in items
+        ],
+    }
+
+
 @dataclass
 class BatchReport:
     """Outcome of one :func:`run_batch` call, in request order."""
 
-    results: list[EnsembleResult | None]
-    #: Per-request content address; None where the entry did not parse.
-    keys: list[str | None]
-    #: Per-request provenance: ``"cache"`` (served from the cache), ``"run"``
-    #: (freshly executed), ``"dedup"`` (duplicate of an earlier request in
-    #: the same batch), or ``"error"`` (see :attr:`errors`).
-    sources: list[str] = field(repr=False)
-    #: Per-request ``{"type", "message"}`` envelope where the entry failed
-    #: to parse, resolve or run, None elsewhere — aligned with
-    #: :attr:`results`, which holds None at the same positions.
-    errors: list[dict | None] = field(default_factory=list, repr=False)
+    #: One answer per request; :func:`batch_document` renders them.
+    items: list[BatchItem]
+    #: Per-request parsed spec; None where the entry did not parse.
+    specs: list[ScenarioSpec | None] = field(repr=False)
     #: Per-key retry counts for runs a worker crash or stall interrupted.
     retries: dict[str, int] = field(default_factory=dict, repr=False)
-    hits: int = 0
-    #: Unique specs executed, including those that failed in the run.
-    misses: int = 0
-    deduped: int = 0
-    #: Requests that parsed but failed to resolve or to run.
-    failed: int = 0
     wall_seconds: float = 0.0
-    #: Per-request parsed spec; None where the entry did not parse.
-    specs: list[ScenarioSpec | None] = field(default_factory=list, repr=False)
+
+    @property
+    def results(self) -> list[EnsembleResult | None]:
+        """Per-request result; None where the entry failed (see :attr:`errors`)."""
+        return [item.result for item in self.items]
+
+    @property
+    def keys(self) -> list[str | None]:
+        """Per-request content address; None where the entry did not parse."""
+        return [item.key for item in self.items]
+
+    @property
+    def sources(self) -> list[str]:
+        """Per-request provenance: ``"cache"``, ``"run"``, ``"dedup"`` or ``"error"``."""
+        return [item.source for item in self.items]
+
+    @property
+    def errors(self) -> list[dict | None]:
+        """Per-request ``{"type", "message"}`` envelope where the entry failed
+        to parse, resolve or run; None elsewhere."""
+        return [item.error for item in self.items]
 
     @property
     def requests(self) -> int:
-        return len(self.results)
+        return len(self.items)
 
     def summary(self) -> dict[str, object]:
-        """JSON-able batch-level counters (what ``repro batch`` prints)."""
-        return {
-            "requests": self.requests,
-            "unique": len({key for key in self.keys if key is not None}),
-            "hits": self.hits,
-            "misses": self.misses,
-            "deduped": self.deduped,
-            "failed": self.failed,
-            "retries": int(sum(self.retries.values())),
-            "wall_seconds": self.wall_seconds,
-        }
+        """The batch document's counters, plus ``wall_seconds``."""
+        return {**batch_counters(self.items), "wall_seconds": self.wall_seconds}
 
 
 def run_batch(
@@ -456,19 +516,9 @@ def run_batch(
     ) as executor:
         wait(batch.submit(executor))
         retries = dict(executor.retries)
-    items = batch.items()
-    sources = [item.source for item in items]
-    failed_keys = [item.key for item in items if item.key is not None and item.error is not None]
     return BatchReport(
-        results=[item.result for item in items],
-        keys=[item.key for item in items],
-        sources=sources,
-        errors=[item.error for item in items],
-        retries=retries,
-        hits=sources.count(FROM_CACHE),
-        misses=sources.count(FROM_RUN) + len(set(failed_keys)),
-        deduped=sources.count(FROM_DEDUP),
-        failed=len(failed_keys),
-        wall_seconds=time.perf_counter() - start,
+        items=batch.items(),
         specs=batch.specs,
+        retries=retries,
+        wall_seconds=time.perf_counter() - start,
     )

@@ -52,7 +52,9 @@ must be concrete).  Response 200::
 The ``winners``/``rounds``/``converged`` vectors plus ``trace.digest``
 make end-to-end bit-identity checkable from the client side; cold run,
 warm replay and a direct :func:`~repro.scenario.simulate_ensemble` agree
-on all of them at equal seed.
+on all of them at equal seed.  ``repro simulate --json`` prints this
+body for its spec (``source: "run"``, ``key: null`` when the spec has
+no seed), plus ``wall_seconds``.
 
 ``POST /v1/batch`` — body: an array of scenario objects (or
 ``{"scenarios": [...]}``).  Invalid items do **not** abort the batch:
@@ -68,9 +70,14 @@ run carries its ``key``.  Response 200::
 
 Duplicate items within one batch share the first occurrence's
 execution and report ``"source": "dedup"``, or its error envelope when
-it failed.  :func:`repro.serve.executor.run_batch` (so ``repro batch``)
-answers every item the same way: both go through
-:class:`~repro.serve.executor.Batch`.
+it failed.  The counters count the items by source: ``hits`` (cache),
+``misses`` (the items that ran), ``deduped``, ``coalesced`` and
+``errors``, so a run that failed counts in ``errors``; ``unique`` is
+the number of distinct keys.  ``repro batch --json`` prints this same
+document, and :meth:`repro.serve.executor.BatchReport.summary` returns
+its counters: :func:`~repro.serve.executor.run_batch` and ``/v1/batch``
+both go through :class:`~repro.serve.executor.Batch` and
+:func:`~repro.serve.executor.batch_document`.
 
 ``GET /v1/result/{key}`` — content-addressed lookup of a previously
 computed result (``key`` is the 64-hex-digit cache key).  200 with the

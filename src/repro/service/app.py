@@ -15,6 +15,11 @@ its :class:`~repro.serve.envelope.EnvelopeError` and answers 400.
 path ``repro batch`` takes too: there such a spec is a keyed per-item
 error.  A warm request is a parse, a key and a cache hit.
 
+The handlers build no body: :mod:`repro.serve` renders each one
+(``result_payload``, ``simulate_payload``, ``batch_document``), and
+``repro simulate --json`` and ``repro batch --json`` print the same
+documents.
+
 Two concurrent requests for the same key run the simulation **once**
 (the second reports ``source: "coalesced"``, counted in ``/v1/stats``).
 ``workers=0`` executes misses on in-process threads (the
@@ -54,24 +59,22 @@ import time
 from bisect import bisect_left
 
 from .. import __version__, faults
-from ..core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
+from ..core.process import ENGINE_SCHEMA_VERSION
 from ..serve.cache import ResultCache
 from ..serve.envelope import (
     EnvelopeError,
     error_envelope,
-    finite_or_none,
     prepare_spec,
-    trace_summary,
+    result_payload,
+    simulate_payload,
 )
 from ..serve.executor import (
     FROM_CACHE,
-    FROM_COALESCED,
-    FROM_DEDUP,
-    FROM_ERROR,
-    FROM_RUN,
     MAX_ATTEMPTS,
     Batch,
     Executor,
+    batch_document,
+    batch_entries,
 )
 from .http import HttpError, Request, encode_response, read_request
 
@@ -91,32 +94,6 @@ _IDLE_CLOSE_SECONDS = 1.0
 _WORK_LABELS = frozenset({"POST /v1/simulate", "POST /v1/batch"})
 
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-
-def result_payload(key: str, source: str, result: EnsembleResult) -> dict[str, object]:
-    """JSON-able result envelope shared by simulate/batch/result endpoints.
-
-    Carries enough to check end-to-end bit-identity from the client side:
-    the full per-replica ``winners``/``rounds``/``converged`` vectors plus
-    the :meth:`TraceSet.digest` (which covers dtypes, shapes and raw
-    bytes of every recorded column).
-    """
-    return {
-        "key": key,
-        "source": source,
-        "replicas": result.replicas,
-        "plurality_color": int(result.plurality_color),
-        "plurality_win_rate": finite_or_none(result.plurality_win_rate),
-        "convergence_rate": finite_or_none(result.convergence_rate),
-        "winners": [int(w) for w in result.winners],
-        "rounds": [int(r) for r in result.rounds],
-        "converged": [bool(c) for c in result.converged],
-        "rounds_summary": {
-            name: finite_or_none(value) for name, value in result.rounds_summary().items()
-        },
-        "stop_reasons": result.stop_reasons(),
-        "trace": trace_summary(result.trace),
-    }
 
 
 class LatencyHistogram:
@@ -481,40 +458,18 @@ class ScenarioService:
         if error is not None:
             return 400, {"error": error}
         key, source, result = await asyncio.wrap_future(self.executor.submit(spec))
-        payload = result_payload(key, source, result)
-        payload["spec"] = spec.to_dict()
-        return 200, payload
+        return 200, simulate_payload(key, source, result, spec)
 
     async def _handle_batch(self, request: Request, _argument) -> tuple[int, dict]:
-        body = request.json()
-        if isinstance(body, dict) and "scenarios" in body:
-            body = body["scenarios"]
-        if not isinstance(body, list) or not body:
-            raise HttpError(
-                400, 'batch body must be a non-empty JSON array (or {"scenarios": [...]})'
-            )
+        try:
+            entries = batch_entries(request.json())
+        except ValueError as exc:
+            raise HttpError(400, str(exc)) from None
         start = time.perf_counter()
-        batch = await asyncio.to_thread(Batch, body, self.executor.key_for)
+        batch = await asyncio.to_thread(Batch, entries, self.executor.key_for)
         runs = [asyncio.wrap_future(future) for future in batch.submit(self.executor)]
         await asyncio.gather(*runs, return_exceptions=True)
-        items = [
-            {"key": key, "source": source, "error": error}
-            if error is not None
-            else {**result_payload(key, source, result), "error": None}
-            for key, source, result, error in batch.items()
-        ]
-        sources = [item["source"] for item in items]
-        return 200, {
-            "requests": len(items),
-            "unique": len(batch.unique),
-            "hits": sources.count(FROM_CACHE),
-            "misses": sources.count(FROM_RUN),
-            "deduped": sources.count(FROM_DEDUP),
-            "coalesced": sources.count(FROM_COALESCED),
-            "errors": sources.count(FROM_ERROR),
-            "wall_seconds": round(time.perf_counter() - start, 6),
-            "items": items,
-        }
+        return 200, batch_document(batch.items(), time.perf_counter() - start)
 
     async def _handle_result(self, request: Request, key: str) -> tuple[int, dict]:
         if not _KEY_RE.match(key):

@@ -67,22 +67,29 @@ class Request:
             raise HttpError(400, f"request body is not valid JSON: {exc}") from exc
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line off ``reader``; :class:`HttpError` 400 from ``_MAX_LINE`` bytes on."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the stream's own buffer limit (64 KiB by default)
+        raise HttpError(400, f"{what} too long") from None
+    if len(line) >= _MAX_LINE:
+        raise HttpError(400, f"{what} too long")
+    return line
+
+
 async def read_request(reader: asyncio.StreamReader, *, max_body: int) -> Request | None:
     """Parse one request off ``reader``; ``None`` on a clean end-of-stream."""
-    line = await reader.readline()
+    line = await _read_line(reader, "request line")
     if not line:
         return None  # connection closed between requests: normal keep-alive end
-    if len(line) >= _MAX_LINE:
-        raise HttpError(400, "request line too long")
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
         raise HttpError(400, f"malformed request line: {line.decode('latin-1')!r}")
     method, target, _version = parts
     headers: dict[str, str] = {}
     for _ in range(_MAX_HEADERS):
-        line = await reader.readline()
-        if len(line) >= _MAX_LINE:
-            raise HttpError(400, "header line too long")
+        line = await _read_line(reader, "header line")
         if line in (b"\r\n", b"\n", b""):
             break
         name, sep, value = line.decode("latin-1").partition(":")

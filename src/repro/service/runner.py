@@ -37,11 +37,6 @@ class BackgroundServer:
         self._ready = threading.Event()
         self._startup_error: BaseException | None = None
 
-    @property
-    def base_url(self) -> str:
-        assert self.port is not None, "server not started"
-        return f"http://{self.host}:{self.port}"
-
     def start(self) -> "BackgroundServer":
         assert self._thread is None, "server already started"
         self._thread = threading.Thread(

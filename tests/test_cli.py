@@ -119,7 +119,7 @@ class TestScenarioCommands:
         record = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert record["stop_reasons"] == {"plurality-fraction": 4}
         assert record["convergence_rate"] == 0.0
-        assert record["rounds"] == {"mean": None, "median": None, "p90": None, "max": None}
+        assert record["rounds_summary"] == {"mean": None, "median": None, "p90": None, "max": None}
 
     def test_simulate_file_overrides(self, capsys, tmp_path):
         spec = ScenarioSpec(dynamics="3-majority", initial="paper-biased", n=5_000, k=3)
@@ -428,6 +428,36 @@ class TestBatchCommand:
         assert report["items"][0]["source"] == "error"
         assert "seed" in report["items"][0]["error"]["message"]
         assert report["items"][1]["source"] == "run"
+
+    def test_json_documents_are_the_wire_bodies(self, capsys, tmp_path):
+        # repro batch --json prints the /v1/batch body and repro simulate
+        # --json the /v1/simulate body, wall clock apart.
+        from repro import ResultCache
+        from repro.service import BackgroundServer, ScenarioService, ServiceClient
+
+        good = self._spec(7)
+        batch = [good, self._spec(7, n="nope"), self._spec(-1), good]
+        batch_path = tmp_path / "batch.json"
+        batch_path.write_text(json.dumps(batch))
+        assert main(["batch", str(batch_path), "--json", "--no-cache", "--processes", "1"]) == 1
+        printed_batch = json.loads(capsys.readouterr().out)
+        spec_path = tmp_path / "scenario.json"
+        spec_path.write_text(json.dumps(self._spec(8)))
+        assert main(["simulate", str(spec_path), "--json"]) == 0
+        printed_simulate = json.loads(capsys.readouterr().out)
+        with BackgroundServer(ScenarioService(cache=ResultCache(None))) as srv:
+            with ServiceClient("127.0.0.1", srv.port, timeout=120.0) as client:
+                wire_batch = client.batch(batch)
+                wire_simulate = client.simulate(self._spec(8))
+        for printed, wire in ((printed_batch, wire_batch), (printed_simulate, wire_simulate)):
+            assert printed.pop("wall_seconds") >= 0
+            wire.pop("wall_seconds", None)
+            assert printed == wire
+        assert [item["source"] for item in printed_batch["items"]] == [
+            "run", "error", "error", "dedup"
+        ]
+        assert (printed_batch["misses"], printed_batch["errors"]) == (1, 2)
+        assert printed_simulate["key"] == cache_key(ScenarioSpec.from_dict(self._spec(8)))
 
 
 class TestLoadCommand:

@@ -16,7 +16,6 @@ from repro.experiments import (
     ALL_EXPERIMENTS,
     ResultTable,
     ascii_plot,
-    ensemble_at,
     experiment_ids,
     geometric_tail,
     get_experiment,
@@ -195,10 +194,23 @@ class TestHarness:
         assert points[0].wall_seconds >= 0
 
     def test_ensemble_at_reproducible(self):
+        # Each (dynamics, configuration) point runs on a stream derived from
+        # the sweep's seed, so equal seeds give equal sweeps.
         cfg = Configuration.biased(2_000, 3, 400)
-        a = ensemble_at(ThreeMajority(), cfg, replicas=4, max_rounds=1_000, seed=3)
-        b = ensemble_at(ThreeMajority(), cfg, replicas=4, max_rounds=1_000, seed=3)
-        assert (a.rounds == b.rounds).all()
+
+        def run():
+            return sweep(
+                [{"i": 0}, {"i": 1}],
+                lambda params: (ThreeMajority(), cfg),
+                replicas=4,
+                max_rounds=1_000,
+                seed=3,
+                experiment_id="TEST",
+            )
+
+        for a, b in zip(run(), run()):
+            assert (a.ensemble.rounds == b.ensemble.rounds).all()
+            assert (a.ensemble.winners == b.ensemble.winners).all()
 
     def test_spec_rejects_unknown_scale(self):
         spec = get_experiment("E1")

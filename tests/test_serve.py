@@ -342,9 +342,10 @@ class TestRunBatch:
     def test_dedup_counts(self, tmp_path):
         specs = [small_spec(seed=0)] * 3 + [small_spec(seed=1)]
         report = run_batch(specs, cache=ResultCache(tmp_path), processes=1)
-        assert report.misses == 2
-        assert report.deduped == 2
-        assert report.hits == 0
+        summary = report.summary()
+        assert summary["misses"] == 2
+        assert summary["deduped"] == 2
+        assert summary["hits"] == 0
         assert report.sources == ["run", "dedup", "dedup", "run"]
 
     def test_warm_batch_is_all_hits(self, tmp_path):
@@ -352,13 +353,13 @@ class TestRunBatch:
         specs = [small_spec(seed=s) for s in (0, 1)]
         run_batch(specs, cache=cache, processes=1)
         warm = run_batch(specs, cache=cache, processes=1)
-        assert warm.hits == 2 and warm.misses == 0
+        assert warm.summary()["hits"] == 2 and warm.summary()["misses"] == 0
         assert warm.sources == ["cache", "cache"]
         assert warm.summary()["unique"] == 2
 
     def test_without_cache_still_dedups(self):
         report = run_batch([small_spec(), small_spec()], processes=1)
-        assert report.deduped == 1 and report.misses == 1
+        assert report.summary()["deduped"] == 1 and report.summary()["misses"] == 1
 
     def test_rejects_unseeded_specs(self):
         # An entry without a seed, or that is not a spec, is its own
@@ -374,7 +375,7 @@ class TestRunBatch:
         }
         assert report.specs == [None, None, good]
         assert_results_identical(report.results[2], simulate_ensemble(good))
-        assert report.summary()["unique"] == 1 and report.failed == 0
+        assert report.summary()["unique"] == 1 and report.summary()["errors"] == 2
 
 
 class TestGraphSpecServing:
@@ -575,8 +576,8 @@ class TestExecutorResilience:
         assert report.results[1] is None
         assert report.errors[1] == {"type": "RuntimeError", "message": "poisoned spec"}
         assert report.sources[1] == "error"
-        assert report.failed == 1
-        assert report.summary()["failed"] == 1
+        assert report.summary()["errors"] == 1
+        assert report.summary()["misses"] == 1  # the run that answered
 
     def test_failed_items_are_not_cached(self, monkeypatch, tmp_path):
         import repro.serve.executor as executor_module
@@ -589,7 +590,7 @@ class TestExecutorResilience:
         monkeypatch.setattr(executor_module, "simulate_ensemble", explode)
         cache = ResultCache(tmp_path / "cache")
         report = run_batch([spec], cache=cache, processes=1)
-        assert report.failed == 1
+        assert report.summary()["errors"] == 1
         assert cache.key_for(spec) not in cache
 
     def test_injected_fault_is_not_swallowed_as_envelope(self):

@@ -229,6 +229,21 @@ class TestEndpoints:
         assert response.status == 400
         assert payload["error"]["type"] == "HttpError"
 
+    def test_over_long_lines_are_400_and_the_service_lives(self, server, client):
+        # Past the stream's 64 KiB limit a line fails inside asyncio, not in
+        # the framing's own length check; it must still answer a typed 400.
+        import socket
+
+        long_header = b"GET /v1/health HTTP/1.1\r\nx-long: " + b"a" * 70_000 + b"\r\n\r\n"
+        long_target = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        for raw, what in ((long_header, "header line"), (long_target, "request line")):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+                sock.sendall(raw)
+                head, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400"), head
+            assert json.loads(body)["error"] == {"type": "HttpError", "message": f"{what} too long"}
+        assert client.health()["status"] == "ok"
+
     def test_invalid_spec_is_400_with_envelope(self, client):
         with pytest.raises(ServiceError) as err:
             client.simulate(spec_dict(n=-1))
@@ -619,6 +634,13 @@ class TestOneBatchPath:
         ]
         assert library[3][2] == run_failure(unrunnable)
         assert wire["unique"] == report.summary()["unique"] == 2
+        # One counting rule: the library's summary is the wire document's
+        # counters, wall clock apart.
+        summary = report.summary()
+        counters = {name: value for name, value in wire.items() if name != "items"}
+        assert summary.pop("wall_seconds") >= 0 and counters.pop("wall_seconds") >= 0
+        assert summary == counters
+        assert (summary["misses"], summary["deduped"], summary["errors"]) == (1, 1, 4)
 
 
 class TestServiceResilience:
