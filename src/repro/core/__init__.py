@@ -29,7 +29,7 @@ from .process import (
     sparse_ineligibility,
 )
 from .registry import ADVERSARIES, DYNAMICS, METRICS, STOPPING, TOPOLOGIES, WORKLOADS, Registry
-from .rng import derive_seed, make_rng, spawn_streams, stream_iter
+from .rng import derive_seed, make_rng, spawn_streams
 from .stopping import (
     AnyOfStop,
     BiasThresholdStop,
@@ -122,7 +122,6 @@ __all__ = [
     "spawn_streams",
     "stack_traces",
     "stopping_from_dict",
-    "stream_iter",
     "union_support",
     "three_input_rule",
     "three_majority_law",

@@ -46,7 +46,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,12 +250,6 @@ class RecordSpec:
             assert isinstance(metric, Metric)
             built.append(metric)
         return built
-
-    def with_metric(self, name: str) -> "RecordSpec":
-        """A copy that also records ``name`` (no-op when already present)."""
-        if name in self.metrics:
-            return self
-        return replace(self, metrics=self.metrics + (name,))
 
     def to_dict(self) -> dict[str, object]:
         return {"metrics": list(self.metrics), "every": self.every}

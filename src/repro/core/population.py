@@ -71,9 +71,6 @@ class PairwiseProtocol(abc.ABC):
         the paper's related work analyses are one-way).
         """
 
-    def colored_view(self, state: np.ndarray, k: int) -> np.ndarray:
-        return state[:k]
-
 
 class PairwiseVoter(PairwiseProtocol):
     """Sequential polling: the initiator adopts the responder's color."""

@@ -12,14 +12,13 @@ of execution order or batching.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
     "make_rng",
     "spawn_streams",
-    "stream_iter",
     "derive_seed",
 ]
 
@@ -60,18 +59,6 @@ def spawn_streams(
             ) from exc
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(n)]
-
-
-def stream_iter(seed: int | np.random.SeedSequence | None) -> Iterator[np.random.Generator]:
-    """Yield an unbounded sequence of independent generators.
-
-    Useful when the number of work units is not known up front (e.g. an
-    adaptive sweep).  Each ``next()`` spawns one fresh child stream.
-    """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    while True:
-        (child,) = root.spawn(1)
-        yield np.random.default_rng(child)
 
 
 def derive_seed(root_seed: int | None, *path: int | str) -> np.random.SeedSequence:

@@ -53,17 +53,6 @@ class UndecidedState(CountsDynamics):
             raise ValueError("undecided count must be non-negative")
         return np.concatenate([counts, [undecided]])
 
-    @staticmethod
-    def colored_view(state: np.ndarray) -> np.ndarray:
-        """Color counts (drop the trailing undecided slot)."""
-        state = np.asarray(state)
-        return state[..., :-1]
-
-    @staticmethod
-    def undecided_count(state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state)
-        return state[..., -1]
-
     # -- dynamics ----------------------------------------------------------
 
     def _step_rows(

@@ -77,10 +77,6 @@ class Topology:
     def n(self) -> int:
         return int(self.offsets.size - 1)
 
-    @property
-    def is_regular(self) -> bool:
-        return self._regular
-
     @classmethod
     def from_edges(cls, n: int, edges, include_self: bool = True, name: str = "graph") -> "Topology":
         """Pack an undirected edge list over nodes ``0..n-1`` into CSR.

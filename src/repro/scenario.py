@@ -128,8 +128,9 @@ class ScenarioSpec:
     replica-batched engine of :mod:`repro.graphs.ensemble` instead of the
     counts-level clique runners.  ``None`` (default) is the paper's
     clique model, and is omitted from the canonical JSON so every
-    pre-topology cache key is preserved.  ``seed`` is the default stream
-    for the :func:`simulate` facades (overridable per call).
+    pre-topology cache key is preserved.  ``seed`` (a non-negative int, or
+    ``None`` for fresh entropy) is the default stream for the
+    :func:`simulate` facades (overridable per call).
     """
 
     dynamics: str
@@ -193,9 +194,7 @@ class ScenarioSpec:
                 f"when topology is set (got engine={self.engine!r})"
             )
         if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-                raise ValueError(f"seed must be an int or None, got {self.seed!r}")
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
 
     def __hash__(self) -> int:
         # The generated frozen-dataclass hash would choke on the dict

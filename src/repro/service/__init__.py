@@ -15,8 +15,8 @@ misses run on in-process threads or a spawn-context process pool, with
 bounded crash/stall retry.
 
 Run it with ``python -m repro.service`` (or spawn it through ``repro
-load``); drive it with :class:`~repro.service.client.ServiceClient` or
-plain ``curl``.
+load``); drive it with :class:`~repro.service.client.ServiceClient`, the
+program's one HTTP client, or plain ``curl``.
 
 Wire schema
 -----------
@@ -124,11 +124,12 @@ All three are *safe to retry*: results are content-addressed, so a
 resent request either recomputes deterministically or hits the cache.
 
 The load harness (:mod:`.load`) replays the committed seeded corpus
-``benchmarks/load/corpus.json`` against a spawned service — see ``repro
-load --help`` and the README's "Serving over the network" section.  Under
-``--fault-plan`` it doubles as the chaos harness: the report gains a
-``degraded`` verdict asserting nothing worse than 429/504 leaked while
-the injected faults (:mod:`repro.faults`) were firing.
+``benchmarks/load/corpus.json`` against a spawned service, one
+:class:`~repro.service.client.ServiceClient` per virtual-user thread —
+see ``repro load --help`` and the README's "Serving over the network"
+section.  Under ``--fault-plan`` it doubles as the chaos harness: the
+report gains a ``degraded`` verdict asserting nothing worse than 429/504
+leaked while the injected faults (:mod:`repro.faults`) were firing.
 """
 
 import importlib
@@ -137,7 +138,6 @@ import importlib
 #: attribute access, so ``python -m repro.service`` and the ``repro`` CLI
 #: can import the flag definitions in :mod:`.__main__` without the stack.
 _EXPORTS = {
-    "AsyncConnection": "client",
     "BackgroundServer": "runner",
     "LatencyHistogram": "app",
     "RetryPolicy": "client",

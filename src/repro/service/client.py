@@ -1,33 +1,30 @@
-"""Clients for the scenario service (stdlib only).
+"""The client for the scenario service (stdlib only).
 
-:class:`ServiceClient` is the synchronous client — one keep-alive
-:class:`http.client.HTTPConnection` per instance (so it is *not* shared
-across threads; give each thread its own) — used by the tests, the
-benchmark suite and the CLI health poll.  :class:`AsyncConnection` is the
-coroutine-side equivalent used by the load driver: one open socket, one
-request at a time, keep-alive across requests, so a driver worker models
-one persistent user connection.
+:class:`ServiceClient` is the program's one HTTP client: one keep-alive
+:class:`http.client.HTTPConnection` per instance, so it is *not* shared
+across threads (give each thread its own).  The tests, the benchmark
+suite, the CLI health poll and ``repro load`` (one client per virtual
+user) all use it.
 
-Failure semantics (both clients): a dropped keep-alive gets **one**
-explicit reconnect-and-resend attempt — safe because every request is
-idempotent by content address — and exhaustion raises the typed
+Failure semantics: a dropped keep-alive gets **one** explicit
+reconnect-and-resend attempt — safe because every request is idempotent
+by content address — and exhaustion raises the typed
 :class:`ServiceUnavailable` instead of a bare ``OSError``.  On top of
-that, :class:`RetryPolicy` (opt-in for :class:`ServiceClient`, used by
-the load driver) retries 429/5xx/timeout responses with capped
-exponential backoff, honouring ``Retry-After`` on sheds.
+that, :class:`RetryPolicy` (opt-in; ``repro load`` arms it) retries
+429/5xx/timeout responses with capped exponential backoff, honouring
+``Retry-After`` on sheds.
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = [
-    "AsyncConnection",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
@@ -102,8 +99,12 @@ class ServiceClient:
 
     ``retry`` arms the checked methods (:meth:`simulate`, :meth:`batch`,
     …) with a :class:`RetryPolicy`; ``None`` (default) keeps the historic
-    fail-fast behaviour.  :attr:`retried` counts policy retries actually
-    taken — the load driver surfaces it in its ``degraded_ok`` verdict.
+    fail-fast behaviour.  The client counts what the load report reads:
+    :attr:`statuses` (every response status, retried attempts included),
+    :attr:`reconnects` (resends over a fresh connection), :attr:`retried`
+    (policy retries taken), :attr:`unavailable` (:class:`ServiceUnavailable`
+    caught and retried) and :attr:`last_seconds` (the round trip of the
+    last answered request).
     """
 
     def __init__(
@@ -118,7 +119,11 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self.retry = retry
+        self.statuses: Counter[int] = Counter()
+        self.reconnects = 0
         self.retried = 0
+        self.unavailable = 0
+        self.last_seconds: float | None = None
         self.last_retry_after: float | None = None
         self._conn: http.client.HTTPConnection | None = None
 
@@ -139,7 +144,10 @@ class ServiceClient:
         if payload is not None:
             body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
             headers["Content-Type"] = "application/json"
+        start = time.perf_counter()
         for attempt in (0, 1):
+            if attempt:
+                self.reconnects += 1
             conn = self._connection()
             try:
                 conn.request(method, path, body=body, headers=headers)
@@ -152,6 +160,8 @@ class ServiceClient:
                     raise ServiceUnavailable(
                         f"{self.host}:{self.port} unreachable after reconnect: {exc}"
                     ) from exc
+        self.last_seconds = time.perf_counter() - start
+        self.statuses[response.status] += 1
         self.last_retry_after = _parse_retry_after(response.getheader("Retry-After"))
         decoded = json.loads(data.decode("utf-8")) if data else {}
         return response.status, decoded
@@ -168,6 +178,7 @@ class ServiceClient:
             except ServiceUnavailable:
                 if policy is None or attempt == attempts - 1:
                     raise
+                self.unavailable += 1
                 self.last_retry_after = None
                 continue
             if status < 400:
@@ -201,101 +212,3 @@ class ServiceClient:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-class AsyncConnection:
-    """One keep-alive connection for coroutine-side load generation.
-
-    A request that dies mid-flight on a *reused* connection (the server
-    dropped the keep-alive — or the chaos plan did) is resent exactly once
-    over a fresh connection; a second transport failure raises
-    :class:`ServiceUnavailable`.  :attr:`last_headers` holds the response
-    headers of the most recent request (the load driver reads
-    ``retry-after`` from it).
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        host: str | None = None,
-        port: int | None = None,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self._host = host
-        self._port = port
-        self.reconnects = 0
-        self.last_headers: dict[str, str] = {}
-
-    @classmethod
-    async def open(cls, host: str, port: int) -> "AsyncConnection":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, host=host, port=port)
-
-    async def _reconnect(self) -> None:
-        if self._host is None or self._port is None:
-            raise ServiceUnavailable(
-                "connection dropped and no (host, port) to reconnect to"
-            )
-        await self.close()
-        self._reader, self._writer = await asyncio.open_connection(self._host, self._port)
-        self.reconnects += 1
-
-    async def request_json(self, method: str, path: str, payload=None) -> tuple[int, dict]:
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        for attempt in (0, 1):
-            try:
-                return await self._roundtrip(method, path, body)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
-                if attempt:
-                    raise ServiceUnavailable(
-                        f"{self._host}:{self._port} unreachable after reconnect: {exc}"
-                    ) from exc
-                try:
-                    await self._reconnect()
-                except OSError as reconnect_exc:
-                    raise ServiceUnavailable(
-                        f"reconnect to {self._host}:{self._port} failed: {reconnect_exc}"
-                    ) from reconnect_exc
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _roundtrip(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: service\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: keep-alive\r\n"
-            "\r\n"
-        )
-        self._writer.write(head.encode("latin-1") + body)
-        await self._writer.drain()
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("service closed the connection")
-        parts = status_line.decode("latin-1").split(None, 2)
-        status = int(parts[1])
-        length = 0
-        headers: dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        data = await self._reader.readexactly(length) if length else b""
-        self.last_headers = headers
-        return status, json.loads(data.decode("utf-8")) if data else {}
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass

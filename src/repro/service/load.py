@@ -1,4 +1,4 @@
-"""Sustained-load harness: seeded corpus + async replay driver.
+"""Sustained-load harness: seeded corpus + replay on user threads.
 
 Two halves, both deterministic:
 
@@ -11,14 +11,14 @@ Two halves, both deterministic:
   exercises dedup/coalescing the way real repeated traffic would.
 
 * :func:`run_load` replays a corpus against a live service at a target
-  concurrency (one :class:`AsyncConnection` per virtual user, shared
-  work queue), in two passes — **cold** (every unique spec simulates)
-  then **warm** (every request is a cache hit) — followed by a
-  ``/v1/result`` lookup sweep.  The report carries client-observed
-  p50/p95/p99 per phase, requests/sec, per-request provenance counts,
-  the server's ``/v1/stats`` delta (hit rate, coalescing), and a
-  ``replay_identical`` verdict: cold, warm and lookup must agree on
-  winners/rounds and trace digest for every key.
+  concurrency (one thread per virtual user, each with its own
+  :class:`ServiceClient`, over one shared work queue), in two passes —
+  **cold** (every unique spec simulates) then **warm** (every request
+  is a cache hit) — followed by a ``/v1/result`` lookup sweep.  The
+  report carries client-observed p50/p95/p99 per phase, requests/sec,
+  per-request provenance counts, the server's ``/v1/stats`` delta (hit
+  rate, coalescing), and a ``replay_identical`` verdict: cold, warm and
+  lookup must agree on winners/rounds and trace digest for every key.
 
 :func:`drive` is the CLI entry (``repro load``): it optionally spawns a
 fresh service subprocess (``python -m repro.service``) with an empty
@@ -28,22 +28,25 @@ budget, and returns the JSON report.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
+import queue
 import random
 import socket
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .. import faults
 from ..scenario import ScenarioSpec
-from .client import AsyncConnection, RetryPolicy, ServiceClient, ServiceUnavailable
+from .client import RetryPolicy, ServiceClient
 
 __all__ = [
     "corpus_json",
@@ -148,83 +151,70 @@ def _identity_view(payload: dict) -> dict:
 REPLAY_RETRY_ATTEMPTS = 6
 
 
-async def _replay_phase(
+def _replay_phase(
     host: str,
     port: int,
-    requests: list[tuple[str, str, dict | None]],
+    call: Callable[[ServiceClient, object], dict],
+    items: list,
     concurrency: int,
-) -> tuple[list[dict], list[float], float, dict]:
-    """Drive ``requests`` (method, path, payload) through N user connections.
+) -> tuple[list[dict], list[float], float, list[ServiceClient]]:
+    """Answer ``call(client, item)`` for every item through N virtual users.
 
-    Every virtual user retries degraded responses (429/5xx, per
-    :class:`RetryPolicy`) and transport failures with capped backoff —
-    safe because requests are idempotent by content address.  Returns
-    per-request response payloads (request order), per-request
-    client-observed latencies in seconds (successful attempts), the phase
-    wall time, and a degradation counter dict: every status observed
-    (including retried attempts), retries taken, transport failures, and
-    reconnects.
+    Each user is a thread with its own :class:`ServiceClient`, whose
+    :class:`RetryPolicy` retries degraded responses (429/5xx) and
+    transport failures with capped backoff — safe because requests are
+    idempotent by content address.  Users take items off one shared
+    queue; there are at most as many users as items.  Returns the
+    response payloads (item order), the client-observed latency of each
+    answered request in seconds (the attempt that was answered), the
+    phase wall time, and the users' clients, whose counters
+    :func:`_client_counters` sums.
     """
-    queue: asyncio.Queue[tuple[int, tuple[str, str, dict | None]]] = asyncio.Queue()
-    for item in enumerate(requests):
-        queue.put_nowait(item)
-    payloads: list[dict | None] = [None] * len(requests)
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    for entry in enumerate(items):
+        pending.put(entry)
+    payloads: list[dict | None] = [None] * len(items)
     latencies: list[float] = []
-    counters = {"statuses": {}, "retried": 0, "unavailable": 0, "reconnects": 0}
-    policy = RetryPolicy(attempts=REPLAY_RETRY_ATTEMPTS, rng=random.Random(0))
+    clients = [
+        ServiceClient(
+            host, port, retry=RetryPolicy(attempts=REPLAY_RETRY_ATTEMPTS, rng=random.Random(0))
+        )
+        for _ in range(max(1, min(concurrency, len(items))))
+    ]
 
-    async def _one(conn: AsyncConnection, method, path, payload) -> dict:
-        for attempt in range(policy.attempts):
-            if attempt:
-                counters["retried"] += 1
-                retry_after = conn.last_headers.get("retry-after")
-                try:
-                    retry_after = None if retry_after is None else float(retry_after)
-                except ValueError:
-                    retry_after = None
-                await asyncio.sleep(policy.delay(attempt - 1, retry_after))
-            start = time.perf_counter()
-            try:
-                status, body = await conn.request_json(method, path, payload)
-            except ServiceUnavailable:
-                counters["unavailable"] += 1
-                if attempt == policy.attempts - 1:
-                    raise
-                continue
-            counters["statuses"][status] = counters["statuses"].get(status, 0) + 1
-            if status < 400:
-                latencies.append(time.perf_counter() - start)
-                return body
-            if status not in policy.statuses or attempt == policy.attempts - 1:
-                raise RuntimeError(f"{method} {path} failed with {status}: {body}")
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def user() -> None:
-        conn = await AsyncConnection.open(host, port)
-        try:
+    def user(client: ServiceClient) -> None:
+        with client:
             while True:
                 try:
-                    index, (method, path, payload) = queue.get_nowait()
-                except asyncio.QueueEmpty:
+                    index, item = pending.get_nowait()
+                except queue.Empty:
                     return
-                payloads[index] = await _one(conn, method, path, payload)
-        finally:
-            counters["reconnects"] += conn.reconnects
-            await conn.close()
+                payloads[index] = call(client, item)
+                latencies.append(client.last_seconds)
 
     start = time.perf_counter()
-    await asyncio.gather(*(user() for _ in range(max(1, concurrency))))
+    with ThreadPoolExecutor(max_workers=len(clients)) as pool:
+        list(pool.map(user, clients))  # re-raises the first user's failure
     wall = time.perf_counter() - start
-    return payloads, latencies, wall, counters
+    return payloads, latencies, wall, clients
+
+
+def _client_counters(clients: list[ServiceClient]) -> dict:
+    """Every status the clients saw (retried attempts included), and their
+    retries, retried transport failures and reconnects, summed."""
+    return {
+        "statuses": sum((client.statuses for client in clients), Counter()),
+        "retried": sum(client.retried for client in clients),
+        "unavailable": sum(client.unavailable for client in clients),
+        "reconnects": sum(client.reconnects for client in clients),
+    }
 
 
 def _phase_summary(
-    payloads: list[dict], latencies: list[float], wall: float, counters: dict
+    payloads: list[dict], latencies: list[float], wall: float, clients: list[ServiceClient]
 ) -> dict:
-    sources: dict[str, int] = {}
-    for payload in payloads:
-        source = payload.get("source", "?")
-        sources[source] = sources.get(source, 0) + 1
+    sources = Counter(payload.get("source", "?") for payload in payloads)
+    counters = _client_counters(clients)
     samples = np.asarray(latencies) * 1e3
     p50, p95, p99 = (float(v) for v in np.percentile(samples, [50, 95, 99]))
     return {
@@ -238,30 +228,24 @@ def _phase_summary(
             "p99": round(p99, 3),
             "max": round(float(samples.max()), 3),
         },
-        "sources": sources,
+        "sources": dict(sources),
         "statuses": {str(k): v for k, v in sorted(counters["statuses"].items())},
         "retried": counters["retried"],
         "reconnects": counters["reconnects"],
     }
 
 
-async def run_load(host: str, port: int, specs: list[dict], *, concurrency: int = 4) -> dict:
+def run_load(host: str, port: int, specs: list[dict], *, concurrency: int = 4) -> dict:
     """Cold pass → warm pass → lookup sweep; returns the full report dict."""
-    probe = await AsyncConnection.open(host, port)
-    try:
-        status, health = await probe.request_json("GET", "/v1/health")
-        if status != 200:
-            raise RuntimeError(f"/v1/health answered {status}: {health}")
-        _, stats_before = await probe.request_json("GET", "/v1/stats")
-    finally:
-        await probe.close()
+    with ServiceClient(host, port) as probe:
+        health = probe.health()
+        stats_before = probe.stats()
 
-    simulate_requests = [("POST", "/v1/simulate", spec) for spec in specs]
-    cold_payloads, cold_latencies, cold_wall, cold_counters = await _replay_phase(
-        host, port, simulate_requests, concurrency
+    cold_payloads, cold_latencies, cold_wall, cold_clients = _replay_phase(
+        host, port, ServiceClient.simulate, specs, concurrency
     )
-    warm_payloads, warm_latencies, warm_wall, warm_counters = await _replay_phase(
-        host, port, simulate_requests, concurrency
+    warm_payloads, warm_latencies, warm_wall, warm_clients = _replay_phase(
+        host, port, ServiceClient.simulate, specs, concurrency
     )
 
     cold_views = [_identity_view(p) for p in cold_payloads]
@@ -269,20 +253,16 @@ async def run_load(host: str, port: int, specs: list[dict], *, concurrency: int 
     identical = cold_views == warm_views
 
     unique_keys = sorted({view["key"] for view in cold_views})
-    lookup_requests = [("GET", f"/v1/result/{key}", None) for key in unique_keys]
-    lookup_payloads, lookup_latencies, lookup_wall, lookup_counters = await _replay_phase(
-        host, port, lookup_requests, concurrency
+    lookup_payloads, lookup_latencies, lookup_wall, lookup_clients = _replay_phase(
+        host, port, ServiceClient.result, unique_keys, concurrency
     )
     by_key = {view["key"]: view for view in cold_views}
     identical = identical and all(
         _identity_view(payload) == by_key[payload["key"]] for payload in lookup_payloads
     )
 
-    probe = await AsyncConnection.open(host, port)
-    try:
-        _, stats_after = await probe.request_json("GET", "/v1/stats")
-    finally:
-        await probe.close()
+    with ServiceClient(host, port) as probe:
+        stats_after = probe.stats()
 
     return {
         "health": health,
@@ -290,22 +270,24 @@ async def run_load(host: str, port: int, specs: list[dict], *, concurrency: int 
         "corpus_requests": len(specs),
         "unique_keys": len(unique_keys),
         "phases": {
-            "cold": _phase_summary(cold_payloads, cold_latencies, cold_wall, cold_counters),
-            "warm": _phase_summary(warm_payloads, warm_latencies, warm_wall, warm_counters),
+            "cold": _phase_summary(cold_payloads, cold_latencies, cold_wall, cold_clients),
+            "warm": _phase_summary(warm_payloads, warm_latencies, warm_wall, warm_clients),
             "lookup": _phase_summary(
-                lookup_payloads, lookup_latencies, lookup_wall, lookup_counters
+                lookup_payloads, lookup_latencies, lookup_wall, lookup_clients
             ),
         },
         "replay_identical": identical,
         "degraded": _degraded_verdict(
-            [cold_counters, warm_counters, lookup_counters], stats_before, stats_after
+            cold_clients + warm_clients + lookup_clients, stats_before, stats_after
         ),
         "server_stats": stats_after,
         "server_stats_before": stats_before,
     }
 
 
-def _degraded_verdict(phase_counters: list[dict], stats_before: dict, stats_after: dict) -> dict:
+def _degraded_verdict(
+    clients: list[ServiceClient], stats_before: dict, stats_after: dict
+) -> dict:
     """Aggregate degradation report + the ``ok`` verdict.
 
     ``ok`` means every request ultimately succeeded with only *survivable*
@@ -314,28 +296,17 @@ def _degraded_verdict(phase_counters: list[dict], stats_before: dict, stats_afte
     5xx is a real failure.  Counts are per-run deltas so a long-lived
     server can be load-tested repeatedly.
     """
-    statuses: dict[int, int] = {}
-    retried = unavailable = reconnects = 0
-    for counters in phase_counters:
-        for status, count in counters["statuses"].items():
-            statuses[status] = statuses.get(status, 0) + count
-        retried += counters["retried"]
-        unavailable += counters["unavailable"]
-        reconnects += counters["reconnects"]
+    counters = _client_counters(clients)
+    statuses = counters["statuses"]
 
-    def _delta(field: str) -> int | None:
-        before, after = stats_before.get(field), stats_after.get(field)
+    def _delta(before: dict, after: dict, field: str) -> int | None:
+        before, after = before.get(field), after.get(field)
         if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
             return None
         return int(after - before)
 
-    def _cache_delta(field: str) -> int | None:
-        before = (stats_before.get("cache") or {}).get(field)
-        after = (stats_after.get("cache") or {}).get(field)
-        if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
-            return None
-        return int(after - before)
-
+    cache_before = stats_before.get("cache") or {}
+    cache_after = stats_after.get("cache") or {}
     disallowed = {
         str(status): count
         for status, count in sorted(statuses.items())
@@ -345,15 +316,15 @@ def _degraded_verdict(phase_counters: list[dict], stats_before: dict, stats_afte
         "ok": not disallowed,
         "statuses": {str(status): count for status, count in sorted(statuses.items())},
         "disallowed_statuses": disallowed,
-        "retried": retried,
-        "unavailable": unavailable,
-        "reconnects": reconnects,
-        "shed": _delta("shed"),
-        "deadline_hits": _delta("deadline_hits"),
-        "worker_retries": _delta("worker_retries"),
-        "dropped_connections": _delta("dropped_connections"),
-        "cache_quarantined": _cache_delta("quarantined"),
-        "cache_read_errors": _cache_delta("read_errors"),
+        "retried": counters["retried"],
+        "unavailable": counters["unavailable"],
+        "reconnects": counters["reconnects"],
+        "shed": _delta(stats_before, stats_after, "shed"),
+        "deadline_hits": _delta(stats_before, stats_after, "deadline_hits"),
+        "worker_retries": _delta(stats_before, stats_after, "worker_retries"),
+        "dropped_connections": _delta(stats_before, stats_after, "dropped_connections"),
+        "cache_quarantined": _delta(cache_before, cache_after, "quarantined"),
+        "cache_read_errors": _delta(cache_before, cache_after, "read_errors"),
         "faults": stats_after.get("faults"),
     }
 
@@ -477,7 +448,7 @@ def drive(
     else:
         host, port = server
     try:
-        report = asyncio.run(run_load(host, port, specs, concurrency=concurrency))
+        report = run_load(host, port, specs, concurrency=concurrency)
     finally:
         if process is not None:
             process.terminate()

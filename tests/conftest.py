@@ -19,6 +19,10 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a long-running test; deselect with -m 'not slow'")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""

@@ -33,8 +33,7 @@ class TestTopology:
     def test_clique_structure(self):
         topo = clique(5)
         assert topo.n == 5
-        assert topo.is_regular
-        assert (topo.degrees == 5).all()  # self-loops included
+        assert (topo.degrees == 5).all()  # regular, self-loops included
 
     def test_cycle_structure(self):
         topo = cycle(6)
@@ -269,7 +268,7 @@ class TestSampleNeighborsUnbiased:
 
     def test_regular_fast_path_matches_pool(self):
         topo = clique(7)
-        assert topo.is_regular
+        assert (topo.degrees == topo.degrees[0]).all()
         picks = topo.sample_neighbors(5, np.random.default_rng(3))
         assert picks.min() >= 0 and picks.max() < 7
 

@@ -262,11 +262,6 @@ class TestRecordSpec:
         with pytest.raises(KeyError, match="unknown metric"):
             RecordSpec(("nope",)).resolve()
 
-    def test_with_metric_idempotent(self):
-        spec = RecordSpec(("bias",))
-        assert spec.with_metric("bias") is spec
-        assert spec.with_metric("counts").metrics == ("bias", "counts")
-
 
 class TestTraceRecorderInternals:
     def test_zero_metric_record_tracks_rounds_only(self):

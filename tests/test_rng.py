@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.rng import derive_seed, make_rng, spawn_streams, stream_iter
+from repro.core.rng import derive_seed, make_rng, spawn_streams
 
 
 class TestMakeRng:
@@ -46,13 +46,6 @@ class TestSpawnStreams:
 
     def test_zero_streams(self):
         assert spawn_streams(0, 0) == []
-
-
-class TestStreamIter:
-    def test_yields_distinct(self):
-        it = stream_iter(9)
-        g1, g2 = next(it), next(it)
-        assert g1.integers(0, 10**12) != g2.integers(0, 10**12)
 
 
 class TestDeriveSeed:

@@ -199,6 +199,8 @@ class TestSpecValidation:
             ScenarioSpec(dynamics="voter", n=10, k=2, stopping={"fraction": 0.5})
         with pytest.raises(ValueError, match="seed"):
             ScenarioSpec(dynamics="voter", n=10, k=2, seed=1.5)
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioSpec(dynamics="voter", n=10, k=2, seed=-1)
 
     def test_unknown_names_rejected_at_resolve(self):
         with pytest.raises(KeyError, match="unknown dynamics"):

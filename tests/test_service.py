@@ -90,7 +90,6 @@ UNRUNNABLE = {
     "h6-plurality-on-unknown-engine": dict(
         dynamics="h-plurality", dynamics_params={"h": 6, "engine": "fast"}
     ),
-    "negative-seed": dict(seed=-1),
 }
 
 
@@ -249,6 +248,11 @@ class TestEndpoints:
             client.simulate(spec_dict(n=-1))
         assert err.value.status == 400
         assert err.value.body["error"]["type"] == "ValueError"
+        with pytest.raises(ServiceError) as err:
+            client.simulate(spec_dict(seed=-1))
+        assert err.value.status == 400
+        assert err.value.body["error"]["type"] == "ValueError"
+        assert "seed" in err.value.body["error"]["message"]
 
     @pytest.mark.parametrize(
         "topology,params",
@@ -502,11 +506,25 @@ class TestCorpus:
 class TestLoadDriver:
     def test_run_load_smoke_replays_identically(self, server):
         specs = generate_corpus(seed=0, unique=4, duplicates=2)[:SMOKE_ENTRIES]
-        report = asyncio.run(
-            run_load("127.0.0.1", server.port, specs, concurrency=2)
-        )
+        report = run_load("127.0.0.1", server.port, specs, concurrency=2)
         assert report["health"]["status"] == "ok"
         assert report["replay_identical"] is True
+        degraded = report["degraded"]
+        assert degraded["ok"] is True
+        assert degraded["statuses"] == {"200": 2 * len(specs) + report["unique_keys"]}
+        # The clients' counters, then the server's per-run deltas.
+        names = (
+            "retried",
+            "unavailable",
+            "reconnects",
+            "shed",
+            "deadline_hits",
+            "worker_retries",
+            "dropped_connections",
+            "cache_quarantined",
+            "cache_read_errors",
+        )
+        assert {name: degraded[name] for name in names} == dict.fromkeys(names, 0)
         phases = report["phases"]
         assert phases["cold"]["requests"] == len(specs)
         assert phases["warm"]["requests"] == len(specs)
@@ -517,6 +535,20 @@ class TestLoadDriver:
         for phase in phases.values():
             latency = phase["latency_ms"]
             assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
+
+    def test_more_users_than_cores_answer_every_request_once(self, server):
+        # Eight user threads share one queue and one payload list; a short
+        # switch interval makes a lost or doubled item likely if either
+        # were unsafe.
+        specs = generate_corpus(seed=0, unique=8, duplicates=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_load("127.0.0.1", server.port, specs, concurrency=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report["replay_identical"] is True
+        assert report["degraded"]["statuses"] == {"200": 2 * len(specs) + report["unique_keys"]}
 
 
 class TestValidationMemo:
@@ -604,7 +636,7 @@ class TestOneBatchPath:
 
     def test_library_and_wire_items_agree_in_order(self):
         good = spec_dict(seed=62)
-        unrunnable = spec_dict(**{"seed": 62, **UNRUNNABLE["negative-seed"]})
+        unrunnable = spec_dict(**{"seed": 62, **UNRUNNABLE["sparse-engine-with-targeted-adversary"]})
         batch = [
             good,
             spec_dict(seed=62, n="nope"),  # does not parse
@@ -1096,44 +1128,25 @@ class TestClientResilience:
                 payload = c.simulate(spec_dict(seed=51))  # dropped once, resent
         assert payload["source"] in ("run", "cache")
         assert service.dropped_connections == 1
+        assert c.reconnects == 1
 
-    def test_async_connection_resends_over_dropped_connection(self):
+    def test_run_load_resends_a_dropped_response(self):
         from repro import faults
-        from repro.service.client import AsyncConnection
 
+        specs = generate_corpus(seed=0, unique=4, duplicates=2)
         service = ScenarioService(cache=ResultCache(None), workers=0)
         with BackgroundServer(service) as srv:
-            port = srv.port
-
-            async def scenario():
-                conn = await AsyncConnection.open("127.0.0.1", port)
-                try:
-                    status, _ = await conn.request_json("GET", "/v1/health")
-                    assert status == 200
-                    faults.arm(
-                        {
-                            "rules": [
-                                {
-                                    "point": "service.connection-drop",
-                                    "nth": 1,
-                                    "times": 1,
-                                }
-                            ]
-                        }
-                    )
-                    status, body = await conn.request_json(
-                        "POST", "/v1/simulate", spec_dict(seed=52)
-                    )
-                    return status, body, conn.reconnects
-                finally:
-                    await conn.close()
-
-            status, body, reconnects = asyncio.run(scenario())
-        assert status == 200
-        # The drop happens after dispatch, so the first attempt may have
-        # already populated the cache — the resend is idempotent either way.
-        assert body["source"] in ("run", "cache")
-        assert reconnects == 1
+            # The run's health and stats probes are answered first, so the
+            # third response is the first cold one.
+            faults.arm(
+                {"rules": [{"point": "service.connection-drop", "nth": 3, "times": 1}]}
+            )
+            report = run_load("127.0.0.1", srv.port, specs, concurrency=2)
+        assert report["replay_identical"] is True
+        degraded = report["degraded"]
+        assert set(degraded["statuses"]) == {"200"}
+        assert degraded["reconnects"] == degraded["dropped_connections"] == 1
+        assert service.dropped_connections == 1
 
     def test_unreachable_raises_typed_service_unavailable(self):
         import socket
@@ -1182,6 +1195,8 @@ class TestClientResilience:
             thread.join(timeout=60)
         assert payload["source"] == "run"
         assert retry_client.retried >= 1
+        # Every retry followed a shed, and each 429 is counted.
+        assert retry_client.statuses == {429: retry_client.retried, 200: 1}
         assert service.shed >= 1
 
     def test_retry_policy_validates(self):

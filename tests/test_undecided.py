@@ -14,8 +14,8 @@ class TestStateHelpers:
     def test_extend_and_views(self):
         state = UndecidedState.extend_counts(np.array([3, 2]), undecided=5)
         assert state.tolist() == [3, 2, 5]
-        assert UndecidedState.colored_view(state).tolist() == [3, 2]
-        assert UndecidedState.undecided_count(state) == 5
+        assert state[:-1].tolist() == [3, 2]
+        assert state[-1] == 5
 
     def test_extend_rejects_negative(self):
         with pytest.raises(ValueError):
