@@ -21,6 +21,7 @@ from repro import (
     MedianDynamics,
     PluralityFractionStop,
     ProcessResult,
+    RandomAdversary,
     ThreeMajority,
     TwoChoices,
     TwoSampleUniform,
@@ -64,6 +65,22 @@ def fingerprint(result) -> str:
 
 CASES = {
     "run_process": lambda: run_process(ThreeMajority(), Configuration([70, 50, 30]), rng=11),
+    "process-balancing": lambda: run_process(
+        ThreeMajority(),
+        Configuration([60, 50, 40, 30]),
+        adversary=BalancingAdversary(3),
+        record=["bias"],
+        max_rounds=200,
+        rng=31,
+    ),
+    "process-random": lambda: run_process(
+        ThreeMajority(),
+        Configuration([60, 50, 40, 30]),
+        adversary=RandomAdversary(3),
+        record=["bias"],
+        max_rounds=200,
+        rng=32,
+    ),
     "dense-stop-record": lambda: run_ensemble(
         ThreeMajority(),
         Configuration([400, 300, 200, 100]),
@@ -187,9 +204,14 @@ CASES = {
 #: agent engine.  The h = 4 and 5 counts cases kept their values (the new
 #: law differs from the tables by ulps, which moved no draw of theirs), as
 #: did ``h1-plurality-agent`` (its bump retires stale schema-4 cache
-#: entries; its draws did not move here).
+#: entries; its draws did not move here).  ``process-balancing`` and
+#: ``process-random`` were added at schema 5 with the values it computes:
+#: the one-trajectory runner's adversary path for the greedy and the
+#: random strategy.
 PINNED = {
     "run_process": "e86869f2de977c3a973c95d6ce1428a6093ec5a218a0689e7222fe8edd8181a8",
+    "process-balancing": "761aa623203be4771f3657ed5e0d4184bfd408655b4685acc6bc0eb16d272dca",
+    "process-random": "691141b5f365b364492cae5ea575ca0a42fc46ba2d78ea3e8d82f0475ee7a60e",
     "dense-stop-record": "65a0b207cdd33de534121892d13a717004a8c5036fa0c36c95ec64f3f4b1f0d6",
     "sparse-balancing": "95714469adafd5812892b8ac4b899c2d9184d02291300c70a74b14543cea3fa6",
     "undecided-state": "c17a43252e20e8014c32717dd6d1dbb00a48d18933fbbc40bf8adb3d382bb0cc",
