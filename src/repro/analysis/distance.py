@@ -1,7 +1,5 @@
 """Configuration distances and trajectory phase analysis.
 
-* :func:`monochromatic_distance` — the SODA'15 quantity ``md(c)`` that
-  governs the undecided-state dynamics (experiment E9's gap workloads);
 * :func:`total_variation` — TV distance between configurations viewed as
   distributions over colors;
 * :func:`classify_phase` / :func:`phase_segments` — decompose a 3-majority
@@ -17,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "monochromatic_distance",
     "total_variation",
-    "bias_series",
     "classify_phase",
     "phase_segments",
     "PhaseSegment",
@@ -35,21 +31,6 @@ PHASE_LAST_STEP = "last-step"  # c1 > n - L                    (Lemma 5)
 PHASE_DONE = "monochromatic"
 
 
-def monochromatic_distance(counts: np.ndarray) -> float:
-    """``md(c) = sum_i (c_i / c_max)^2`` (Becchetti et al., SODA'15).
-
-    Ranges from 1 (monochromatic) to k (perfectly balanced); the
-    undecided-state dynamics converges in time ~ md(c) while 3-majority
-    needs ~ c_max-relative time — the source of the exponential gap.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    cmax = c.max()
-    if cmax <= 0:
-        raise ValueError("monochromatic distance undefined for empty configuration")
-    f = c / cmax
-    return float(np.dot(f, f))
-
-
 def total_variation(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     """TV distance between the color distributions of two configurations."""
     a = np.asarray(counts_a, dtype=np.float64)
@@ -61,17 +42,6 @@ def total_variation(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     if pa.size != pb.size:
         raise ValueError("configurations must have the same number of colors")
     return 0.5 * float(np.abs(pa - pb).sum())
-
-
-def bias_series(trajectory: np.ndarray) -> np.ndarray:
-    """Per-round bias ``s(c) = c_(1) - c_(2)`` of a ``(T, k)`` trajectory."""
-    traj = np.asarray(trajectory, dtype=np.int64)
-    if traj.ndim != 2:
-        raise ValueError("trajectory must be (rounds, k)")
-    if traj.shape[1] == 1:
-        return traj[:, 0].astype(np.int64)
-    part = np.partition(traj, traj.shape[1] - 2, axis=1)
-    return (part[:, -1] - part[:, -2]).astype(np.int64)
 
 
 def classify_phase(counts: np.ndarray, last_step_threshold: float | None = None) -> str:

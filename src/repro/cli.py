@@ -218,41 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="host:port of a running service (default: spawn a fresh cold one)",
     )
-    load.add_argument(
-        "--service-workers",
-        type=int,
-        default=0,
-        help="worker-pool width for the spawned service",
-    )
-    load.add_argument(
-        "--fault-plan",
-        default=None,
-        help=(
-            "arm a repro.faults plan in the spawned service: inline JSON or "
-            "@path/to/plan.json (the chaos smoke's switch)"
-        ),
-    )
-    load.add_argument(
-        "--service-deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline for the spawned service's work endpoints",
-    )
-    load.add_argument(
-        "--service-max-in-flight",
-        type=int,
-        default=0,
-        help="in-flight cap for the spawned service (429 sheds past it)",
-    )
-    load.add_argument(
-        "--service-memory-entries",
-        type=int,
-        default=None,
-        help=(
-            "in-memory LRU capacity of the spawned service's cache; 1 forces "
-            "disk reads so cache fault points can fire"
-        ),
-    )
     load.add_argument("--report", default=None, help="write the full JSON report here")
     load.add_argument("--json", action="store_true", help="print the full JSON report")
     load.add_argument(
@@ -263,6 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--seed", type=int, default=0, help="corpus generation seed")
     load.add_argument(
         "--unique", type=int, default=24, help="unique specs when generating"
+    )
+    load.add_argument(
+        "service_args",
+        nargs=argparse.REMAINDER,
+        help=(
+            "after --: flags of python -m repro.service for the spawned service, "
+            "e.g. -- --workers 1 --deadline-ms 1500"
+        ),
     )
     return parser
 
@@ -487,16 +460,15 @@ def _cmd_load(args: argparse.Namespace) -> int:
         concurrency = min(concurrency, SMOKE_CONCURRENCY)
         if budget is None:
             budget = 2000.0
+    service_args = args.service_args
+    if service_args[:1] == ["--"]:  # argparse keeps the separator before a REMAINDER
+        service_args = service_args[1:]
     report = drive(
         specs,
         concurrency=concurrency,
         server=None if args.server is None else _parse_server(args.server),
-        service_workers=args.service_workers,
         p95_budget_ms=budget,
-        fault_plan=args.fault_plan,
-        deadline_ms=args.service_deadline_ms,
-        max_in_flight=args.service_max_in_flight,
-        memory_entries=args.service_memory_entries,
+        service_args=service_args,
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:

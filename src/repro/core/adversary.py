@@ -7,16 +7,14 @@ next round begins.  Corollary 4 shows 3-majority still reaches
 
 Adversaries here operate on count vectors (the clique is anonymous, so a
 count-level action is fully general) and must satisfy two contracts,
-enforced by :meth:`Adversary.corrupt` and :meth:`Adversary.corrupt_many`:
+enforced by :meth:`Adversary.corrupt_many`:
 
 * total mass is preserved;
 * at most ``budget`` agents change color (L1 distance ≤ 2·budget).
 
-Replica ensembles corrupt all rows in one call through
-:meth:`Adversary.corrupt_many`; strategies whose action is a per-row
-argmax/argmin arithmetic (targeted, revive) override :meth:`Adversary._act_many`
-with fully broadcast implementations, so the ensemble hot path has no
-Python-level loop over replicas.
+A strategy implements one method, :meth:`Adversary._act_many`, on an
+``(R, k)`` batch: replica ensembles corrupt all rows in one call, and
+:meth:`Adversary.corrupt` (one trajectory) is its one-row case.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ __all__ = [
 
 
 class Adversary(abc.ABC):
-    """Base class; subclasses implement :meth:`_act` on a copy of counts."""
+    """Base class; subclasses implement :meth:`_act_many` on a copy of a batch."""
 
     #: True when the strategy never moves mass onto a color whose count is
     #: zero *and* its action depends only on the supported counts — so
@@ -54,25 +52,12 @@ class Adversary(abc.ABC):
         self.budget = checked_int("budget", budget, 0)
 
     @abc.abstractmethod
-    def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return the corrupted counts; may assume a private mutable copy."""
-
     def _act_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Corrupt an ``(R, k)`` batch; may assume a private mutable copy.
-
-        The default applies :meth:`_act` row by row; strategies with
-        broadcastable actions override it.
-        """
-        if counts.shape[0] == 0:
-            return counts
-        return np.stack([self._act(row, rng) for row in counts])
+        """Corrupt an ``(R, k)`` batch; may assume a private mutable copy."""
 
     def corrupt(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Apply the adversary to one configuration, validating its contract."""
-        counts = np.asarray(counts, dtype=np.int64)
-        out = np.asarray(self._act(counts.copy(), rng), dtype=np.int64)
-        self._validate(counts[None, :], out[None, :])
-        return out
+        """Apply the adversary to one configuration: the one-row :meth:`corrupt_many`."""
+        return self.corrupt_many(np.asarray(counts)[None, :], rng)[0]
 
     def corrupt_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Apply the adversary to every row of an ``(R, k)`` batch.
@@ -112,9 +97,6 @@ class TargetedAdversary(Adversary):
     round — the strategy against which Corollary 4's bound is stated.
     """
 
-    def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._act_many(counts[None, :], rng)[0]
-
     def _act_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if counts.shape[0] == 0:
             return counts
@@ -139,9 +121,9 @@ class BalancingAdversary(Adversary):
     stronger bias-reduction than :class:`TargetedAdversary` when several
     colors are close to the top.  Extinct (count-0) colors are never fed:
     this adversary attacks the bias, not Lemma 5's extinction argument, so
-    dead colors stay dead.  The batch path runs the same greedy schedule for
-    all rows in lock-step (each iteration is one broadcast argmax/argmin
-    pass over the still-active rows), bit-identical to the per-row loop.
+    dead colors stay dead.  All rows run the greedy schedule in lock-step
+    (each iteration is one broadcast argmax/argmin pass over the
+    still-active rows), bit-identical to a per-row loop.
 
     Because it only ever looks at and feeds supported colors, this is the
     one built-in strategy with :attr:`~Adversary.support_preserving` set:
@@ -150,24 +132,6 @@ class BalancingAdversary(Adversary):
     """
 
     support_preserving = True
-
-    def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        remaining = self.budget
-        while remaining > 0:
-            supported = np.nonzero(counts > 0)[0]
-            if supported.size <= 1:
-                break
-            top = int(np.argmax(counts))  # the max is always supported
-            low = int(supported[np.argmin(counts[supported])])
-            gap = int(counts[top] - counts[low])
-            if gap <= 1:
-                break
-            # Move just enough to level, bounded by the budget.
-            move = min(remaining, gap // 2)
-            counts[top] -= move
-            counts[low] += move
-            remaining -= move
-        return counts
 
     def _act_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if counts.shape[0] == 0 or self.budget == 0:
@@ -211,9 +175,6 @@ class RandomAdversary(Adversary):
     multinomial.
     """
 
-    def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._act_many(counts[None, :], rng)[0]
-
     def _act_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if counts.shape[0] == 0:
             return counts
@@ -236,9 +197,6 @@ class ReviveAdversary(Adversary):
     Moves agents from the plurality to the globally smallest count; against
     3-majority this maximally delays Lemma 5's final extinction step.
     """
-
-    def _act(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self._act_many(counts[None, :], rng)[0]
 
     def _act_many(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if counts.shape[0] == 0:

@@ -203,12 +203,11 @@ class EnsembleResult:
     converged: np.ndarray
     plurality_color: int
     max_rounds: int
-    #: Per-replica final configurations; None when the producer did not
-    #: record them (consumers must check before use).
-    final_counts: np.ndarray | None = field(repr=False, default=None)
+    #: Per-replica final configurations, shape ``(replicas, k)``.
+    final_counts: np.ndarray = field(repr=False)
     #: Per-replica stop labels (object array of str, same vocabulary as
-    #: ``ProcessResult.stopped_by``); None when the producer predates them.
-    stopped_by: np.ndarray | None = field(repr=False, default=None)
+    #: ``ProcessResult.stopped_by``).
+    stopped_by: np.ndarray = field(repr=False)
     #: Columnar metric traces across all replicas (see
     #: :class:`~repro.core.metrics.TraceSet`); None unless ``record=`` was
     #: passed — the un-recorded hot path allocates nothing.
@@ -220,8 +219,6 @@ class EnsembleResult:
 
     def stop_reasons(self) -> dict[str, int]:
         """Histogram of ``stopped_by`` labels over the replicas."""
-        if self.stopped_by is None:
-            return {}
         labels, counts = np.unique(self.stopped_by.astype(str), return_counts=True)
         return {str(label): int(count) for label, count in zip(labels, counts)}
 

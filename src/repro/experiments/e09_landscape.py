@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from ..analysis.distance import monochromatic_distance
 from ..analysis.fitting import wilson_interval
 from ..core.config import Configuration
 from ..core.majority import ThreeMajority
@@ -134,7 +133,7 @@ def run(scale: str, seed: int) -> ResultTable:
     # (c) the SODA'15 exponential gap.
     for n in cfg["gap_ns"]:
         config = gap_config(n)
-        md = monochromatic_distance(config.counts)
+        md = config.monochromatic_distance()
         for name, dyn in (("3-majority", ThreeMajority()), ("undecided", UndecidedState())):
             ens = run_ensemble(
                 dyn,

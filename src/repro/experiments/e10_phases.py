@@ -29,10 +29,10 @@ from ..analysis.distance import (
     PHASE_LAST_STEP,
     PHASE_MAJORITY,
     PHASE_PLURALITY,
-    bias_series,
     phase_segments,
 )
 from ..core.majority import ThreeMajority
+from ..core.metrics import BiasMetric
 from ..core.process import run_process
 from ..core.rng import derive_seed
 from .harness import ExperimentSpec
@@ -51,8 +51,8 @@ _SCALE = {
 def _phase_stats(trajectory: np.ndarray) -> dict[str, dict[str, float]]:
     """Per-phase rounds, bias growth factors and minority decay ratios."""
     segments = phase_segments(trajectory)
-    biases = bias_series(trajectory).astype(float)
     n = float(trajectory[0].sum())
+    biases = BiasMetric().compute_many(trajectory, n).astype(float)
     minority = n - trajectory.max(axis=1).astype(float)
     stats: dict[str, dict[str, float]] = {}
     for seg in segments:

@@ -112,21 +112,17 @@ def _encode(result: EnsembleResult) -> tuple[dict, dict[str, np.ndarray]]:
     manifest = {
         "plurality_color": int(result.plurality_color),
         "max_rounds": int(result.max_rounds),
-        "has_final_counts": result.final_counts is not None,
-        "has_stopped_by": result.stopped_by is not None,
         "trace": None,
     }
     arrays: dict[str, np.ndarray] = {
         "rounds": result.rounds,
         "winners": result.winners,
         "converged": result.converged,
-    }
-    if result.final_counts is not None:
-        arrays["final_counts"] = result.final_counts
-    if result.stopped_by is not None:
+        "final_counts": result.final_counts,
         # Object arrays don't npz-save without pickle; str labels round-trip
         # exactly through a fixed-width unicode array.
-        arrays["stopped_by"] = np.asarray(result.stopped_by, dtype=str)
+        "stopped_by": np.asarray(result.stopped_by, dtype=str),
+    }
     trace = result.trace
     if trace is not None:
         # Metric columns are stored by position (names in the manifest): the
@@ -151,9 +147,6 @@ def _encode(result: EnsembleResult) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def _decode(manifest: dict, arrays) -> EnsembleResult:
-    stopped_by = None
-    if manifest["has_stopped_by"]:
-        stopped_by = np.array([str(label) for label in arrays["stopped_by"]], dtype=object)
     trace = None
     trace_meta = manifest.get("trace")
     if trace_meta is not None:
@@ -185,8 +178,8 @@ def _decode(manifest: dict, arrays) -> EnsembleResult:
         converged=np.asarray(arrays["converged"]),
         plurality_color=int(manifest["plurality_color"]),
         max_rounds=int(manifest["max_rounds"]),
-        final_counts=np.asarray(arrays["final_counts"]) if manifest["has_final_counts"] else None,
-        stopped_by=stopped_by,
+        final_counts=np.asarray(arrays["final_counts"]),
+        stopped_by=np.array([str(label) for label in arrays["stopped_by"]], dtype=object),
         trace=trace,
     )
 
@@ -199,8 +192,8 @@ def _copy_result(result: EnsembleResult) -> EnsembleResult:
         converged=result.converged.copy(),
         plurality_color=result.plurality_color,
         max_rounds=result.max_rounds,
-        final_counts=None if result.final_counts is None else result.final_counts.copy(),
-        stopped_by=None if result.stopped_by is None else result.stopped_by.copy(),
+        final_counts=result.final_counts.copy(),
+        stopped_by=result.stopped_by.copy(),
         trace=None if result.trace is None else result.trace.copy(),
     )
 

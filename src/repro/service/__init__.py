@@ -23,7 +23,9 @@ Wire schema
 All bodies are strict JSON (``NaN``/``Infinity`` never appear; they are
 serialized as ``null``).  Every error, at any status, is the envelope
 ``{"error": {"type": <exception class>, "message": <text>}}`` — the same
-per-item envelope ``repro batch --json`` reports.
+per-item envelope ``repro batch --json`` reports.  A request whose
+``Content-Length`` exceeds :data:`~repro.service.http.MAX_BODY` (8 MiB)
+answers 413 before its body is read, and its connection closes.
 
 400 covers every deterministic spec failure: a body that does not parse,
 a registry name or parameter the run's resolve rejects, and a spec that
@@ -127,9 +129,11 @@ The load harness (:mod:`.load`) replays the committed seeded corpus
 ``benchmarks/load/corpus.json`` against a spawned service, one
 :class:`~repro.service.client.ServiceClient` per virtual-user thread —
 see ``repro load --help`` and the README's "Serving over the network"
-section.  Under ``--fault-plan`` it doubles as the chaos harness: the
-report gains a ``degraded`` verdict asserting nothing worse than 429/504
-leaked while the injected faults (:mod:`repro.faults`) were firing.
+section.  Every argument after ``--`` goes to the spawned
+``python -m repro.service`` verbatim; with ``-- --fault-plan @plan.json``
+it doubles as the chaos harness: the report's ``degraded`` verdict
+asserts nothing worse than 429/504 leaked while the injected faults
+(:mod:`repro.faults`) were firing.
 """
 
 import importlib

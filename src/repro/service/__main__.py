@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import signal
 import sys
 
@@ -96,8 +97,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--fault-plan",
         default=None,
         help=(
-            "arm a repro.faults plan: inline JSON or @path/to/plan.json "
-            "(also honoured from $REPRO_FAULT_PLAN)"
+            "arm a repro.faults plan in the service and its pool workers: inline "
+            "JSON or @path/to/plan.json (sets $REPRO_FAULT_PLAN, which also arms it)"
         ),
     )
 
@@ -108,7 +109,10 @@ async def _serve(args: argparse.Namespace) -> int:
     from .app import ScenarioService
 
     if args.fault_plan:
-        faults.arm(faults.FaultPlan.parse(args.fault_plan))
+        # One carrier for the plan: the variable arms this process now and
+        # every pool worker the executor spawns later.
+        os.environ[faults.ENV_VAR] = args.fault_plan
+        faults.arm_from_env()
     cache = None
     if not args.no_cache:
         cache = ResultCache(

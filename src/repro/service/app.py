@@ -80,9 +80,6 @@ from .http import HttpError, Request, encode_response, read_request
 
 __all__ = ["LatencyHistogram", "ScenarioService", "result_payload"]
 
-#: Request body cap: a batch of a few thousand specs fits comfortably.
-DEFAULT_MAX_BODY = 8 << 20
-
 #: How long closing waits for the handlers of the idle connections it
 #: closed.  Their end-of-stream arrives within a few loop iterations
 #: unless a peer stopped reading the previous response.
@@ -186,7 +183,6 @@ class ScenarioService:
         cache: ResultCache | None = None,
         *,
         workers: int = 0,
-        max_body: int = DEFAULT_MAX_BODY,
         deadline_seconds: float | None = None,
         max_in_flight: int = 0,
         worker_timeout: float | None = None,
@@ -197,7 +193,6 @@ class ScenarioService:
             raise ValueError(f"max_in_flight must be >= 0, got {max_in_flight}")
         self.executor = Executor(cache, workers=workers, worker_timeout=worker_timeout)
         self.cache = cache
-        self.max_body = int(max_body)
         self.deadline_seconds = None if deadline_seconds is None else float(deadline_seconds)
         self.max_in_flight = int(max_in_flight)
         self._server: asyncio.AbstractServer | None = None
@@ -307,7 +302,7 @@ class ScenarioService:
         """The connection's next request; while waiting for it the connection is idle."""
         self._idle[writer] = asyncio.current_task()
         try:
-            return await read_request(reader, max_body=self.max_body)
+            return await read_request(reader)
         finally:
             del self._idle[writer]
 

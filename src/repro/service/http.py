@@ -25,6 +25,8 @@ __all__ = ["HttpError", "Request", "encode_response", "read_request"]
 
 _MAX_LINE = 8192
 _MAX_HEADERS = 64
+#: Request body cap: a batch of a few thousand specs fits comfortably.
+MAX_BODY = 8 << 20
 
 _REASONS = {
     200: "OK",
@@ -78,8 +80,12 @@ async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
     return line
 
 
-async def read_request(reader: asyncio.StreamReader, *, max_body: int) -> Request | None:
-    """Parse one request off ``reader``; ``None`` on a clean end-of-stream."""
+async def read_request(reader: asyncio.StreamReader) -> Request | None:
+    """Parse one request off ``reader``; ``None`` on a clean end-of-stream.
+
+    A ``Content-Length`` past :data:`MAX_BODY` is :class:`HttpError` 413,
+    raised before the body is read.
+    """
     line = await _read_line(reader, "request line")
     if not line:
         return None  # connection closed between requests: normal keep-alive end
@@ -104,8 +110,8 @@ async def read_request(reader: asyncio.StreamReader, *, max_body: int) -> Reques
         raise HttpError(400, "Content-Length is not an integer") from None
     if length < 0:
         raise HttpError(400, "Content-Length is negative")
-    if length > max_body:
-        raise HttpError(413, f"request body of {length} bytes exceeds the {max_body}-byte cap")
+    if length > MAX_BODY:
+        raise HttpError(413, f"request body of {length} bytes exceeds the {MAX_BODY}-byte cap")
     body = b""
     if length:
         try:

@@ -20,10 +20,13 @@ Two halves, both deterministic:
   rate, coalescing), and a ``replay_identical`` verdict: cold, warm and
   lookup must agree on winners/rounds and trace digest for every key.
 
-:func:`drive` is the CLI entry (``repro load``): it optionally spawns a
-fresh service subprocess (``python -m repro.service``) with an empty
-cache so the cold pass is genuinely cold, replays, applies the p95
-budget, and returns the JSON report.
+:func:`drive` is the CLI entry (``repro load``): unless given a running
+server, it spawns ``python -m repro.service`` through
+:func:`spawn_service` on an empty temporary cache, so the cold pass is
+genuinely cold, with the service's own flags passed through verbatim
+(``repro load --smoke -- --workers 1 --fault-plan @plan.json``); it
+replays, applies the p95 budget, removes the cache once the service has
+exited, and returns the JSON report.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ import json
 import os
 import queue
 import random
-import socket
+import selectors
 import subprocess
 import sys
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -46,6 +49,7 @@ import numpy as np
 
 from .. import faults
 from ..scenario import ScenarioSpec
+from .__main__ import build_parser
 from .client import RetryPolicy, ServiceClient
 
 __all__ = [
@@ -295,6 +299,11 @@ def _degraded_verdict(
     allowed — they are the resilience layer doing its job — but any other
     5xx is a real failure.  Counts are per-run deltas so a long-lived
     server can be load-tested repeatedly.
+
+    ``faults`` is ``/v1/stats``' fault state, which counts the server
+    process's own hits only: on a process pool the ``executor.*`` points
+    fire in the workers and read 0 here, and ``worker_retries`` is where
+    their crashes and stalls show.
     """
     counters = _client_counters(clients)
     statuses = counters["statuses"]
@@ -331,85 +340,53 @@ def _degraded_verdict(
 
 # -- service spawning / CLI orchestration ------------------------------------
 
-
-def _free_port(host: str) -> int:
-    with socket.socket() as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
+#: Seconds a spawned service has to print its ``listening on`` banner.
+STARTUP_TIMEOUT = 60.0
 
 
 def spawn_service(
-    *,
-    cache_dir: str,
-    workers: int = 0,
-    host: str = "127.0.0.1",
-    timeout: float = 60.0,
-    fault_plan: str | None = None,
-    deadline_ms: float | None = None,
-    max_in_flight: int = 0,
-    memory_entries: int | None = None,
+    cache_dir: str, service_args: Sequence[str] = ()
 ) -> tuple[subprocess.Popen, str, int]:
-    """Start ``python -m repro.service`` and wait for ``/v1/health``.
+    """Start ``python -m repro.service`` and read the address off its banner.
 
-    ``fault_plan`` (inline JSON or ``@path``) arms :mod:`repro.faults` in
-    the child — and, via ``$REPRO_FAULT_PLAN``, in every worker the child
-    spawns.  ``memory_entries`` shrinks the cache's in-memory LRU; the
-    chaos smoke sets 1 so warm traffic actually reads disk, which is the
-    only way the corruption-quarantine path can fire under load.
+    The service runs with ``--host 127.0.0.1 --port 0 --cache-dir
+    cache_dir`` followed by ``service_args`` verbatim, so any flag of
+    ``python -m repro.service`` configures it (``--workers 1``,
+    ``--fault-plan @plan.json``, ...).  Returns the process and the host
+    and port named by the ``listening on http://host:port`` line it
+    prints once it accepts connections; a service that exits, or prints
+    no banner within :data:`STARTUP_TIMEOUT` seconds, raises
+    ``RuntimeError``.
     """
-    port = _free_port(host)
     package_root = str(Path(__file__).resolve().parents[2])  # .../src
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    argv = [
-        sys.executable,
-        "-m",
-        "repro.service",
-        "--host",
-        host,
-        "--port",
-        str(port),
-        "--workers",
-        str(workers),
-        "--cache-dir",
-        cache_dir,
-    ]
-    if fault_plan:
-        env[faults.ENV_VAR] = fault_plan
-    if deadline_ms is not None:
-        argv += ["--deadline-ms", str(deadline_ms)]
-    if max_in_flight:
-        argv += ["--max-in-flight", str(max_in_flight)]
-    if memory_entries is not None:
-        argv += ["--memory-entries", str(memory_entries)]
-    process = subprocess.Popen(
-        argv,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    client = ServiceClient(host, port, timeout=5.0)
-    deadline = time.perf_counter() + timeout
-    try:
-        while True:
-            if process.poll() is not None:
-                output = process.stdout.read() if process.stdout else ""
-                raise RuntimeError(
-                    f"service exited with {process.returncode} before serving:\n{output}"
-                )
-            try:
-                client.health()
-                return process, host, port
-            except Exception:
-                if time.perf_counter() > deadline:
-                    process.terminate()
-                    raise RuntimeError(f"service did not answer /v1/health in {timeout}s")
-                time.sleep(0.1)
-    finally:
-        client.close()
+    argv = [sys.executable, "-m", "repro.service", "--host", "127.0.0.1", "--port", "0"]
+    argv += ["--cache-dir", cache_dir, *service_args]
+    process = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    with selectors.DefaultSelector() as selector:
+        selector.register(process.stdout, selectors.EVENT_READ)
+        banner = process.stdout.readline() if selector.select(STARTUP_TIMEOUT) else ""
+    if "listening on http://" not in banner:
+        _stop(process)
+        raise RuntimeError(
+            f"service printed no banner within {STARTUP_TIMEOUT}s "
+            f"(exit code {process.returncode}): {banner!r}"
+        )
+    host, port = banner.rsplit("http://", 1)[1].strip().rsplit(":", 1)
+    return process, host, int(port)
+
+
+def _stop(process: subprocess.Popen) -> None:
+    """SIGTERM (the service drains), SIGKILL after 10 s; close its stdout."""
+    with process:
+        process.terminate()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            process.kill()
 
 
 def drive(
@@ -417,47 +394,38 @@ def drive(
     *,
     concurrency: int = 4,
     server: tuple[str, int] | None = None,
-    service_workers: int = 0,
     p95_budget_ms: float | None = None,
-    fault_plan: str | None = None,
-    deadline_ms: float | None = None,
-    max_in_flight: int = 0,
-    memory_entries: int | None = None,
+    service_args: Sequence[str] = (),
 ) -> dict:
     """Replay ``specs``; spawn a fresh cold service unless ``server`` is given.
+
+    ``service_args`` are flags of ``python -m repro.service`` for the
+    spawned service (the chaos smoke passes ``--fault-plan``,
+    ``--deadline-ms`` and ``--memory-entries``).  They are parsed before
+    anything starts: a mistyped flag, or any flag together with
+    ``server``, is an argparse usage error (``SystemExit``).  The spawned
+    service caches into a temporary directory that is removed once it
+    has exited.
 
     The budget (when set) applies to the **warm** ``/v1/simulate`` p95 —
     the steady-state read path the service exists for.  The verdict lands
     in the report under ``budget``; callers decide the exit code.
-    ``fault_plan``/``deadline_ms``/``max_in_flight``/``memory_entries``
-    configure the spawned service (ignored with an external ``server``) —
-    the chaos smoke's knobs.
     """
-    process = None
-    tmp_cache = None
-    if server is None:
-        tmp_cache = tempfile.mkdtemp(prefix="repro-load-cache-")
-        process, host, port = spawn_service(
-            cache_dir=tmp_cache,
-            workers=service_workers,
-            fault_plan=fault_plan,
-            deadline_ms=deadline_ms,
-            max_in_flight=max_in_flight,
-            memory_entries=memory_entries,
-        )
+    parser = build_parser()
+    options = parser.parse_args(list(service_args))
+    if server is not None:
+        if service_args:
+            parser.error("service flags configure a spawned service, not a running --server")
+        report = run_load(*server, specs, concurrency=concurrency)
     else:
-        host, port = server
-    try:
-        report = run_load(host, port, specs, concurrency=concurrency)
-    finally:
-        if process is not None:
-            process.terminate()
+        with tempfile.TemporaryDirectory(prefix="repro-load-cache-") as cache_dir:
+            process, host, port = spawn_service(cache_dir, service_args)
             try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-    report["spawned_service"] = process is not None
-    plan = faults.FaultPlan.parse(fault_plan) if fault_plan else None
+                report = run_load(host, port, specs, concurrency=concurrency)
+            finally:
+                _stop(process)
+    report["spawned_service"] = server is None
+    plan = faults.FaultPlan.parse(options.fault_plan) if options.fault_plan else None
     report["fault_plan"] = None if plan is None else plan.to_dict()
     if p95_budget_ms is not None:
         warm_p95 = report["phases"]["warm"]["latency_ms"]["p95"]

@@ -19,6 +19,27 @@ from repro import (
 from repro.core.adversary import Adversary
 
 
+def greedy_balance(counts: np.ndarray, budget: int) -> np.ndarray:
+    """The balancing strategy on one row: level the max and the smallest
+    supported color, one greedy block at a time (the batch reference)."""
+    remaining = budget
+    while remaining > 0:
+        supported = np.nonzero(counts > 0)[0]
+        if supported.size <= 1:
+            break
+        top = int(np.argmax(counts))  # the max is always supported
+        low = int(supported[np.argmin(counts[supported])])
+        gap = int(counts[top] - counts[low])
+        if gap <= 1:
+            break
+        # Move just enough to level, bounded by the budget.
+        move = min(remaining, gap // 2)
+        counts[top] -= move
+        counts[low] += move
+        remaining -= move
+    return counts
+
+
 class TestContract:
     def test_rejects_negative_budget(self):
         with pytest.raises(ValueError):
@@ -26,8 +47,8 @@ class TestContract:
 
     def test_cheating_adversary_is_caught(self, rng):
         class Cheater(Adversary):
-            def _act(self, counts, rng):
-                counts[0] += 100  # creates agents
+            def _act_many(self, counts, rng):
+                counts[:, 0] += 100  # creates agents
                 return counts
 
         with pytest.raises(RuntimeError, match="number of agents"):
@@ -35,9 +56,9 @@ class TestContract:
 
     def test_over_budget_is_caught(self, rng):
         class OverBudget(Adversary):
-            def _act(self, counts, rng):
-                counts[0] -= 10
-                counts[1] += 10
+            def _act_many(self, counts, rng):
+                counts[:, 0] -= 10
+                counts[:, 1] += 10
                 return counts
 
         with pytest.raises(RuntimeError, match="budget"):
@@ -45,9 +66,9 @@ class TestContract:
 
     def test_negative_counts_are_caught(self, rng):
         class Negative(Adversary):
-            def _act(self, counts, rng):
-                counts[0] -= counts[0] + 1
-                counts[1] += counts[0] + 1
+            def _act_many(self, counts, rng):
+                counts[:, 0] -= counts[:, 0] + 1
+                counts[:, 1] += counts[:, 0] + 1
                 return counts
 
         with pytest.raises(RuntimeError):
@@ -115,7 +136,7 @@ class TestBalancing:
         rng = np.random.default_rng(3)
         batch = np.array(rows, dtype=np.int64)
         many = adv._act_many(batch.copy(), rng)
-        single = np.stack([adv._act(row.copy(), rng) for row in batch])
+        single = np.stack([greedy_balance(row.copy(), budget) for row in batch])
         assert np.array_equal(many, single)
         # Dead colors stay dead, row by row.
         assert not np.any((batch == 0) & (many > 0))

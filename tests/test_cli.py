@@ -481,6 +481,29 @@ class TestLoadCommand:
         assert args.corpus == "benchmarks/load/corpus.json"
         assert args.smoke is True
         assert args.concurrency == 4
+        assert args.service_args == []
+
+    def test_flags_after_separator_go_to_the_service(self, monkeypatch, tmp_path):
+        import repro.service.load as load
+
+        corpus = tmp_path / "corpus.json"
+        load.write_corpus(corpus, unique=2)
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_drive(specs, **kwargs):
+            seen.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(load, "drive", fake_drive)
+        argv = ["load", "--corpus", str(corpus), "--", "--workers", "1", "--deadline-ms", "1500"]
+        with pytest.raises(Stop):
+            main(argv)
+        assert seen["service_args"] == ["--workers", "1", "--deadline-ms", "1500"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["load", "--service-workers", "1"])
 
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--port", "0"])

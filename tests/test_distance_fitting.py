@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import Configuration
 from repro.analysis.distance import (
     PHASE_DONE,
     PHASE_LAST_STEP,
     PHASE_MAJORITY,
     PHASE_PLURALITY,
-    bias_series,
     classify_phase,
-    monochromatic_distance,
     phase_segments,
     total_variation,
 )
@@ -24,16 +23,17 @@ from repro.analysis.fitting import (
     power_law_fit,
     wilson_interval,
 )
+from repro.core.metrics import BiasMetric
 
 
 class TestDistances:
     def test_md_extremes(self):
-        assert monochromatic_distance(np.array([10, 0, 0])) == pytest.approx(1.0)
-        assert monochromatic_distance(np.array([4, 4, 4])) == pytest.approx(3.0)
+        assert Configuration([10, 0, 0]).monochromatic_distance() == pytest.approx(1.0)
+        assert Configuration([4, 4, 4]).monochromatic_distance() == pytest.approx(3.0)
 
     def test_md_rejects_empty(self):
         with pytest.raises(ValueError):
-            monochromatic_distance(np.array([0, 0]))
+            Configuration([0, 0]).monochromatic_distance()
 
     def test_tv_identical(self):
         assert total_variation(np.array([3, 2]), np.array([6, 4])) == pytest.approx(0.0)
@@ -62,14 +62,18 @@ class TestDistances:
 class TestBiasSeries:
     def test_matches_configuration_bias(self):
         traj = np.array([[5, 3, 2], [8, 1, 1], [10, 0, 0]])
-        assert bias_series(traj).tolist() == [2, 7, 10]
+        biases = BiasMetric().compute_many(traj, 10)
+        assert biases.tolist() == [2, 7, 10]
+        assert biases.tolist() == [Configuration(row).bias for row in traj]
 
     def test_single_color(self):
-        assert bias_series(np.array([[5], [5]])).tolist() == [5, 5]
+        assert BiasMetric().compute_many(np.array([[5], [5]]), 5).tolist() == [5, 5]
 
     def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            bias_series(np.array([1, 2, 3]))
+        # The batch path needs (rounds, k); one configuration goes to compute.
+        with pytest.raises(IndexError):
+            BiasMetric().compute_many(np.array([1, 2, 3]), 6)
+        assert BiasMetric().compute(np.array([1, 2, 3]), 6) == 1
 
 
 class TestPhases:

@@ -164,15 +164,22 @@ class TestRunEnsemble:
         assert summary["max"] >= summary["median"] >= 0
 
     def test_ensemble_result_empty_properties(self):
-        ens = EnsembleResult(
+        fields = dict(
             rounds=np.array([], dtype=np.int64),
             winners=np.array([], dtype=np.int64),
             converged=np.array([], dtype=bool),
             plurality_color=0,
             max_rounds=10,
         )
+        # Final counts and stop labels are part of every result.
+        with pytest.raises(TypeError, match="final_counts"):
+            EnsembleResult(**fields)
+        ens = EnsembleResult(
+            **fields,
+            final_counts=np.zeros((0, 3), dtype=np.int64),
+            stopped_by=np.array([], dtype=object),
+        )
         assert np.isnan(ens.plurality_win_rate)
         assert ens.replicas == 0
-        # final_counts is optional: absent here, and rounds_summary still works.
-        assert ens.final_counts is None
+        assert ens.stop_reasons() == {}
         assert np.isnan(ens.rounds_summary()["median"])

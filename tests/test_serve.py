@@ -43,13 +43,9 @@ def assert_results_identical(a: EnsembleResult, b: EnsembleResult) -> None:
         assert np.array_equal(left, right)
     assert a.plurality_color == b.plurality_color
     assert a.max_rounds == b.max_rounds
-    assert (a.final_counts is None) == (b.final_counts is None)
-    if a.final_counts is not None:
-        assert a.final_counts.dtype == b.final_counts.dtype
-        assert np.array_equal(a.final_counts, b.final_counts)
-    assert (a.stopped_by is None) == (b.stopped_by is None)
-    if a.stopped_by is not None:
-        assert list(a.stopped_by) == list(b.stopped_by)
+    assert a.final_counts.dtype == b.final_counts.dtype
+    assert np.array_equal(a.final_counts, b.final_counts)
+    assert list(a.stopped_by) == list(b.stopped_by)
     assert (a.trace is None) == (b.trace is None)
     if a.trace is not None:
         assert a.trace == b.trace
@@ -840,6 +836,21 @@ class TestCacheQuarantine:
         cache._memory.clear()
         served = cache.get(key)
         assert_results_identical(served, original)
+
+    def test_entry_with_presence_flags_still_serves(self, tmp_path):
+        # Schema-5 manifests written before final counts and stop labels
+        # became required carry two presence flags; they still decode.
+        spec = small_spec(record={"metrics": ["bias"], "every": 1})
+        cache = ResultCache(tmp_path / "cache")
+        original = fetch(cache, spec)
+        key = cache.key_for(spec)
+        manifest_path = cache._paths(key)[0]
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest.update(has_final_counts=True, has_stopped_by=True)
+        manifest_path.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
+        cache._memory.clear()
+        assert_results_identical(cache.get(key), original)
+        assert cache.quarantined == 0
 
     def test_clear_also_empties_quarantine(self, tmp_path):
         spec = small_spec()

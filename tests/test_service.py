@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -27,12 +28,14 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.app import LatencyHistogram
-from repro.service.http import HttpError, encode_response
+from repro.service.http import MAX_BODY, HttpError, encode_response
 from repro.service.load import (
     SMOKE_ENTRIES,
     corpus_json,
+    drive,
     generate_corpus,
     run_load,
+    spawn_service,
 )
 
 
@@ -242,6 +245,27 @@ class TestEndpoints:
             assert head.startswith(b"HTTP/1.1 400"), head
             assert json.loads(body)["error"] == {"type": "HttpError", "message": f"{what} too long"}
         assert client.health()["status"] == "ok"
+
+    def test_body_past_the_cap_is_413_and_the_service_lives(self, server):
+        # The cap is read off Content-Length before any body byte arrives;
+        # the service answers a typed 413 and closes that connection.
+        import socket
+
+        head = (
+            b"POST /v1/batch HTTP/1.1\r\ncontent-type: application/json\r\n"
+            b"content-length: " + str(MAX_BODY + 1).encode() + b"\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            sock.sendall(head)
+            status_line, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+        assert status_line.startswith(b"HTTP/1.1 413"), status_line
+        assert json.loads(body)["error"] == {
+            "type": "HttpError",
+            "message": f"request body of {MAX_BODY + 1} bytes exceeds the {MAX_BODY}-byte cap",
+        }
+        with ServiceClient("127.0.0.1", server.port) as fresh:
+            status, payload = fresh.request_json("GET", "/v1/health")
+        assert (status, payload["status"]) == (200, "ok")
 
     def test_invalid_spec_is_400_with_envelope(self, client):
         with pytest.raises(ServiceError) as err:
@@ -549,6 +573,47 @@ class TestLoadDriver:
             sys.setswitchinterval(interval)
         assert report["replay_identical"] is True
         assert report["degraded"]["statuses"] == {"200": 2 * len(specs) + report["unique_keys"]}
+
+
+class TestSpawnedService:
+    """``repro load``'s launcher: ``python -m repro.service`` plus verbatim flags."""
+
+    def test_drive_replays_and_leaves_no_cache_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = drive(generate_corpus(seed=0, unique=2, duplicates=0), concurrency=1)
+        assert report["replay_identical"] is True
+        assert report["spawned_service"] is True
+        assert report["fault_plan"] is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fault_plan_flag_arms_the_pool_worker(self, tmp_path):
+        plan = json.dumps({"rules": [{"point": "executor.worker-crash", "nth": 1, "times": 1}]})
+        process, host, port = spawn_service(
+            str(tmp_path), ["--workers", "1", "--fault-plan", plan]
+        )
+        with process:
+            try:
+                with ServiceClient(host, port, timeout=120.0) as c:
+                    status, payload = c.request_json(
+                        "POST", "/v1/simulate", spec_dict(seed=21, n=2_000, replicas=4)
+                    )
+                    stats = c.stats()
+            finally:
+                process.terminate()
+        assert (status, payload["source"]) == (200, "run")
+        assert stats["worker_retries"] == 1
+
+    def test_service_flags_are_checked_before_anything_starts(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no process may start")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        specs = generate_corpus(seed=0, unique=1, duplicates=0)
+        with pytest.raises(SystemExit):
+            drive(specs, service_args=["--wokers", "1"])
+        with pytest.raises(SystemExit):
+            drive(specs, server=("127.0.0.1", 1), service_args=["--workers", "1"])
+        assert "not a running --server" in capsys.readouterr().err
 
 
 class TestValidationMemo:
