@@ -215,7 +215,7 @@ class TestTracePackingOnDisk:
 
             def store():
                 cache.put(key, result)
-                return os.path.getsize(os.path.join(root, key + ".npz"))
+                return os.path.getsize(os.path.join(root, key + ".entry"))
 
             packed_bytes = benchmark(store)
             replay = ResultCache(root).get(key)

@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_clear = cache_sub.add_parser("clear", help="remove every cached result")
     cache_clear.add_argument("--cache-dir", default=None)
     cache_purge = cache_sub.add_parser(
-        "purge", help="remove only entries from other engine schema versions"
+        "purge", help="remove only entries from other engine schema versions or cache layouts"
     )
     cache_purge.add_argument("--cache-dir", default=None)
 
@@ -523,8 +523,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "purge":
         removed = cache.purge_stale()
         print(
-            f"removed {removed} stale results (schema != {cache.schema_version}) "
-            f"from {cache.root}"
+            f"removed {removed} stale results (schema != {cache.schema_version}, "
+            f"or an older layout) from {cache.root}"
         )
         return 0
     stats = cache.stats()

@@ -40,7 +40,7 @@ from .stopping import (
     StoppingRule,
     stopping_from_dict,
 )
-from .support import compact_counts, scatter_counts, union_support
+from .support import scatter_counts
 from .threeinput import (
     DISTINCT_PATTERNS,
     PAIR_PATTERNS,
@@ -105,7 +105,6 @@ __all__ = [
     "Voter",
     "all_position_rules",
     "as_record_spec",
-    "compact_counts",
     "derive_seed",
     "first_rule",
     "majority_rule",
@@ -122,7 +121,6 @@ __all__ = [
     "spawn_streams",
     "stack_traces",
     "stopping_from_dict",
-    "union_support",
     "three_input_rule",
     "three_majority_law",
 ]

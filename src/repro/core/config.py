@@ -77,11 +77,6 @@ class Configuration:
         """Number of color slots (including extinct colors)."""
         return int(self.counts.size)
 
-    @property
-    def support_size(self) -> int:
-        """Number of colors with at least one supporter."""
-        return int(np.count_nonzero(self.counts))
-
     def sorted_counts(self) -> np.ndarray:
         """Counts in non-increasing order (the paper's canonical form)."""
         return np.sort(self.counts)[::-1].copy()
@@ -111,27 +106,9 @@ class Configuration:
         """Additive bias ``s(c) = c_(1) - c_(2)`` of the paper."""
         return self.plurality_count - self.runner_up_count
 
-    @property
-    def is_monochromatic(self) -> bool:
-        """True iff some color is supported by every agent."""
-        return self.plurality_count == self.n
-
-    def has_unique_plurality(self) -> bool:
-        """True iff exactly one color attains the maximum count."""
-        return int(np.count_nonzero(self.counts == self.counts.max())) == 1
-
-    def minority_mass(self) -> int:
-        """Number of agents *not* supporting the plurality color."""
-        return self.n - self.plurality_count
-
     def fractions(self) -> np.ndarray:
         """Counts normalised to a probability vector ``c / n``."""
         return self.counts / self.n
-
-    def sum_of_squares(self) -> int:
-        """``sum_h c_h^2`` — the quadratic term of Lemma 1."""
-        c = self.counts
-        return int(np.dot(c, c))
 
     def monochromatic_distance(self) -> float:
         """``md(c) = sum_i (c_i / c_max)^2`` (Becchetti et al., SODA'15).
@@ -146,17 +123,6 @@ class Configuration:
         return float(np.dot(f, f))
 
     # -- manipulation --------------------------------------------------------
-
-    def with_counts(self, counts: np.ndarray) -> "Configuration":
-        """Return a new configuration with the same k and new counts."""
-        cfg = Configuration(counts)
-        if cfg.k != self.k:
-            raise ValueError(f"expected {self.k} colors, got {cfg.k}")
-        return cfg
-
-    def relabel_sorted(self) -> "Configuration":
-        """Canonical copy with counts sorted non-increasingly."""
-        return Configuration(self.sorted_counts())
 
     def permuted(self, perm: Sequence[int] | np.ndarray) -> "Configuration":
         """Apply a color permutation: ``new[j] = old[perm[j]]``."""

@@ -20,54 +20,23 @@ Two invariants make this exact rather than approximate:
   (:attr:`~repro.core.dynamics.Dynamics.support_closed`): a color with
   count zero is assigned probability zero by the law (and can never be
   sampled by an agent-level engine), so dropped columns would have stayed
-  exactly zero — ``scatter_counts(compact_counts(c)) == c`` round-trips
+  exactly zero — scattering the compacted columns back restores ``c``
   losslessly at every round, not just at t = 0.
 
-These helpers are deliberately tiny and allocation-transparent; the
-compaction *lifecycle* (hysteresis, re-compaction, result scatter) lives
-in :mod:`repro.core.process`.
+The compaction *lifecycle* (hysteresis, re-compaction, result scatter)
+lives in :mod:`repro.core.process`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["union_support", "compact_counts", "scatter_counts"]
-
-
-def union_support(counts: np.ndarray) -> np.ndarray:
-    """Sorted original color indices with a nonzero count in any row.
-
-    Accepts a single ``(k,)`` configuration or an ``(R, k)`` batch.
-    """
-    counts = np.asarray(counts)
-    if counts.ndim == 1:
-        return np.flatnonzero(counts).astype(np.int64)
-    if counts.ndim != 2:
-        raise ValueError(f"counts must be (k,) or (R, k), got shape {counts.shape}")
-    return np.flatnonzero(counts.any(axis=0)).astype(np.int64)
-
-
-def compact_counts(counts: np.ndarray, support: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the supported columns: ``(R, k)`` → ``((R, s), support)``.
-
-    ``support`` defaults to :func:`union_support` of ``counts``; passing an
-    explicit (sorted) map lets callers compact several arrays consistently.
-    Returns a fresh contiguous array — the compacted batch is the sparse
-    engine's working set, so it must not alias the dense source.
-    """
-    counts = np.asarray(counts)
-    if support is None:
-        support = union_support(counts)
-    else:
-        support = np.asarray(support, dtype=np.int64)
-    compacted = np.ascontiguousarray(counts[..., support])
-    return compacted, support
+__all__ = ["scatter_counts"]
 
 
 def scatter_counts(compacted: np.ndarray, support: np.ndarray, k: int) -> np.ndarray:
     """Scatter compacted columns back to dense ``k``: the inverse of
-    :func:`compact_counts` for support-closed processes (dropped columns
+    ``counts[..., support]`` for support-closed processes (dropped columns
     are exactly zero).  Accepts ``(s,)`` or ``(R, s)``; trailing shape
     beyond the color axis is not supported.
     """

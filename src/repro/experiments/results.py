@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,20 +100,6 @@ class ResultTable:
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
-
-    @classmethod
-    def from_rows(
-        cls, title: str, rows: Iterable[Mapping[str, object]], columns: Sequence[str] | None = None
-    ) -> "ResultTable":
-        rows = [dict(r) for r in rows]
-        if columns is None:
-            if not rows:
-                raise ValueError("cannot infer columns from no rows")
-            columns = list(rows[0].keys())
-        table = cls(title=title, columns=list(columns))
-        for row in rows:
-            table.add_row(**row)
-        return table
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -64,7 +64,6 @@ __all__ = [
     "InjectedFault",
     "InjectedWorkerCrash",
     "POINTS",
-    "active_plan",
     "arm",
     "arm_from_env",
     "describe",
@@ -267,11 +266,6 @@ def disarm() -> None:
     """Drop the armed plan; every point goes back to off-path free."""
     global _armed
     _armed = None
-
-
-def active_plan() -> FaultPlan | None:
-    """The armed plan, or None."""
-    return None if _armed is None else _armed.plan
 
 
 def fire(point: str) -> FaultRule | None:

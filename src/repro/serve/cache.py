@@ -4,15 +4,18 @@ A scenario is plain data carrying its own seed, so its simulation result
 is a pure function of ``(canonical scenario JSON, seed, engine schema
 version)``.  :func:`cache_key` hashes exactly that triple;
 :class:`ResultCache` stores results under the key in a small in-memory LRU
-backed by an on-disk store (one ``.npz`` of arrays plus one ``.json``
-manifest per entry), so warm lookups cost a dict probe and cold processes
-can still reuse results written by earlier runs.  Recorded
-:class:`~repro.core.metrics.TraceSet` columns are stored *packed* — only
-each replica's valid prefix, deflate-compressed via
-``np.savez_compressed`` — and unpacked to the bit-identical zero-padded
-columnar layout on read; with heterogeneous stopping the dense blocks
-are mostly padding, so trace-bearing entries shrink by an integer factor
-(measured in ``benchmarks/test_bench_sparse.py``).
+backed by an on-disk store, so warm lookups cost a dict probe and cold
+processes can still reuse results written by earlier runs.  A disk entry
+is one ``<key>.entry`` file, built in memory and published by a single
+``os.replace``: a sha256 hex line, then the manifest JSON line (schema,
+``plurality_color``, ``max_rounds``, trace ``n``/``every``/metric names),
+then the npz payload.  Recorded :class:`~repro.core.metrics.TraceSet`
+columns are stored *packed* — only each replica's valid prefix,
+deflate-compressed via ``np.savez_compressed`` — and unpacked to the
+bit-identical zero-padded columnar layout on read; with heterogeneous
+stopping the dense blocks are mostly padding, so trace-bearing entries
+shrink by an integer factor (measured in
+``benchmarks/test_bench_sparse.py``).
 
 Correctness contract (asserted in ``tests/test_serve.py``):
 
@@ -26,14 +29,17 @@ Correctness contract (asserted in ``tests/test_serve.py``):
   :data:`~repro.core.process.ENGINE_SCHEMA_VERSION` are never served:
   the version is part of the key, so a new engine simply cannot address
   old entries (plus a manifest check as defence in depth for an entry
-  that somehow lands under the right key).  Orphaned old-version files
+  that somehow lands under the right key).  Orphaned old-version entries
   are reclaimed by :meth:`ResultCache.purge_stale` (``repro cache
-  purge``) or wholesale by :meth:`ResultCache.clear`;
+  purge``) or wholesale by :meth:`ResultCache.clear`, and so are the
+  ``<key>.json`` + ``<key>.npz`` pairs of the earlier two-file layout,
+  which are never read (a lookup misses and rewrites the entry).  Both
+  touch only files named ``<64 hex digits>.<suffix>``;
 * scenarios with ``seed=None`` (OS entropy) are not cacheable and are
   rejected at key time;
 * a corrupted disk entry degrades to a recomputable **miss**, never to an
-  unpickling crash or a wrong-bits hit: every ``.npz`` payload is
-  checksummed (sha256, recorded in the manifest) at write time and
+  unpickling crash or a wrong-bits hit: the sha256 line covers every
+  value a hit serves (the manifest line and the npz payload) and is
   verified on every disk read.  An entry that fails verification — or
   fails to decode — is moved aside into ``quarantine/`` (counted in
   :meth:`ResultCache.stats` under ``quarantined``) so operators can
@@ -50,10 +56,12 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +82,16 @@ __all__ = [
 #: Default capacity of the in-memory LRU layer (entries, not bytes).
 DEFAULT_MEMORY_ENTRIES = 256
 
-_MANIFEST_SUFFIX = ".json"
-_ARRAYS_SUFFIX = ".npz"
+_ENTRY_SUFFIX = ".entry"
+
+#: The files the cache owns in its root: ``<key>.<suffix>``.  Current
+#: entries end in ``.entry``; any other suffix (the ``.json``/``.npz``
+#: pairs of the two-file layout) is never read and only purged.
+_KEY_NAMED = re.compile(r"[0-9a-f]{64}\.[a-z]+")
 
 #: Subdirectory (under the cache root) where corrupt entries are moved.
-#: Out of the ``*.json`` glob namespace, so stats()/clear()/purge_stale()
-#: never mistake a quarantined file for a live entry.
+#: Not key-named, so stats()/clear()/purge_stale() never mistake a
+#: quarantined file for a live entry.
 QUARANTINE_DIR = "quarantine"
 
 
@@ -107,9 +119,10 @@ def cache_key(spec: ScenarioSpec, *, schema_version: int = ENGINE_SCHEMA_VERSION
     return hashlib.sha256(blob).hexdigest()
 
 
-def _encode(result: EnsembleResult) -> tuple[dict, dict[str, np.ndarray]]:
-    """Split a result into a JSON-able manifest + an array payload."""
+def _encode(result: EnsembleResult, schema_version: int) -> bytes:
+    """One entry file: the checksum line, the manifest line, the npz payload."""
     manifest = {
+        "schema": int(schema_version),
         "plurality_color": int(result.plurality_color),
         "max_rounds": int(result.max_rounds),
         "trace": None,
@@ -136,19 +149,31 @@ def _encode(result: EnsembleResult) -> tuple[dict, dict[str, np.ndarray]]:
             "n": int(trace.n),
             "every": int(trace.every),
             "metrics": list(trace.metrics),
-            "packed": True,
         }
         arrays["trace_rounds"] = trace.rounds
         arrays["trace_n_recorded"] = trace.n_recorded
         valid = trace.valid_mask()
         for position, name in enumerate(trace.metrics):
             arrays[f"trace_values_{position}"] = trace.data[name][valid]
-    return manifest, arrays
+    # Trace-bearing entries are the heavy ones (per-round columns); the
+    # zlib pass typically shrinks their zero-padding-free prefixes by a
+    # further integer factor.  Trace-less entries stay uncompressed — they
+    # are a handful of per-replica scalars, not worth the CPU.  The buffer
+    # is sized up front (raw bytes plus headers bound the npz) and cut to
+    # length after: grown write by write, it fragments a long-running
+    # service's heap (about 0.9 MB more peak RSS over 3,500 puts).
+    payload = io.BytesIO(bytes(sum(array.nbytes for array in arrays.values()) + 512 * len(arrays)))
+    (np.savez_compressed if trace is not None else np.savez)(payload, **arrays)
+    payload.truncate()
+    # json.dumps escapes every newline, so the manifest is exactly one line.
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body += b"\n" + payload.getvalue()
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
 
 
 def _decode(manifest: dict, arrays) -> EnsembleResult:
     trace = None
-    trace_meta = manifest.get("trace")
+    trace_meta = manifest["trace"]
     if trace_meta is not None:
         rounds = np.asarray(arrays["trace_rounds"])
         n_recorded = np.asarray(arrays["trace_n_recorded"])
@@ -202,7 +227,7 @@ def _corrupt_file(path: Path, n_bytes: int = 16) -> None:
     """Flip ``n_bytes`` mid-file, in place (the corrupt-payload injection).
 
     Deterministic damage: inverts bytes starting at the file's midpoint, so
-    the payload sha256 can no longer match the manifest checksum.
+    the entry's content can no longer match its checksum line.
     """
     try:
         with open(path, "r+b") as handle:
@@ -219,16 +244,56 @@ def _corrupt_file(path: Path, n_bytes: int = 16) -> None:
         pass
 
 
+def _key_named(root: Path | None) -> Iterator[os.DirEntry]:
+    """The ``<key>.<suffix>`` files in ``root``, streamed from its listing.
+
+    Collecting the listing would cost memory in proportion to the entries
+    on disk, and the service answers /v1/stats from here.
+    """
+    if root is None:
+        return
+    try:
+        listing = os.scandir(root)
+    except OSError:
+        return  # no root yet, or removed
+    with listing:
+        for entry in listing:
+            if _KEY_NAMED.fullmatch(entry.name):
+                yield entry
+
+
+def _unlink(path: str | Path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _entry_schema(path: str) -> object:
+    """The ``schema`` of an entry file's manifest line, or None if unreadable."""
+    try:
+        with open(path, "rb") as handle:
+            handle.readline()
+            return json.loads(handle.readline())["schema"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 class ResultCache:
     """LRU-over-disk store of ensemble results, keyed by :func:`cache_key`.
+
+    A disk entry is one ``<key>.entry`` file: a sha256 line over the
+    manifest line and the npz payload that follow it.  The ``.json`` +
+    ``.npz`` pairs of the two-file layout are never read;
+    ``purge_stale()`` and ``clear()`` reclaim them.
 
     Thread-safe: every public operation serializes on one reentrant lock
     (the network service hammers a single cache from many threads), and
     hits hand out defensive copies, so concurrent readers can never
     observe each other's mutations.  Cross-*process* races on the disk
     layer (a ``repro cache clear`` against a running service) degrade to
-    misses, never to corrupt hits: the atomic manifest-last write order
-    plus best-effort ``_disk_put`` guarantee an entry on disk is complete.
+    misses, never to corrupt hits: one ``os.replace`` publishes a whole
+    entry, and ``_disk_put`` is best-effort.
 
     Parameters
     ----------
@@ -305,25 +370,20 @@ class ResultCache:
     # -- maintenance ---------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        """Counters + layer sizes, JSON-able (what ``repro cache stats`` prints)."""
+        """Counters + layer sizes, JSON-able (what ``repro cache stats`` prints).
+
+        ``disk_entries``/``disk_bytes`` count the ``<key>.entry`` files."""
         disk_entries = 0
         disk_bytes = 0
         with self._lock:
-            if self.root is not None and self.root.is_dir():
-                # Stream the listing: collecting it first (as Path.glob
-                # does) costs memory in proportion to the entries on disk,
-                # and the service answers /v1/stats from here.
-                with os.scandir(self.root) as listing:
-                    for entry in listing:
-                        if not entry.name.endswith(_MANIFEST_SUFFIX):
-                            continue
-                        try:
-                            disk_bytes += entry.stat().st_size
-                            disk_entries += 1
-                            stem = entry.name[: -len(_MANIFEST_SUFFIX)]
-                            disk_bytes += os.stat(self.root / (stem + _ARRAYS_SUFFIX)).st_size
-                        except OSError:
-                            continue  # arrays missing, or entry removed mid-scan
+            for entry in _key_named(self.root):
+                if not entry.name.endswith(_ENTRY_SUFFIX):
+                    continue
+                try:
+                    disk_bytes += entry.stat().st_size
+                except OSError:
+                    continue  # removed mid-scan
+                disk_entries += 1
             return {
                 "root": None if self.root is None else str(self.root),
                 "schema_version": self.schema_version,
@@ -340,43 +400,39 @@ class ResultCache:
             }
 
     def purge_stale(self) -> int:
-        """Delete disk entries recorded under another engine schema version.
+        """Delete every key-named file that is not a current-schema entry.
 
         Old-version entries can never be *served* (the version is hashed
-        into the key), but they would otherwise sit on disk forever after a
-        version bump; this reclaims them without touching current entries.
-        Returns the number of entries removed.
+        into the key), and neither can the ``.json``/``.npz`` pairs of the
+        two-file layout, but both would otherwise sit on disk forever; this
+        reclaims them without touching current entries.  Returns the number
+        of distinct keys removed.
         """
-        removed = 0
+        removed = set()
         with self._lock:
-            if self.root is not None and self.root.is_dir():
-                for manifest_path in self.root.glob("*" + _MANIFEST_SUFFIX):
-                    try:
-                        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-                    except (OSError, json.JSONDecodeError):
-                        manifest = {}
-                    if manifest.get("schema") != self.schema_version:
-                        self._remove_entry(manifest_path)
-                        removed += 1
-        return removed
+            for entry in list(_key_named(self.root)):
+                if (
+                    entry.name.endswith(_ENTRY_SUFFIX)
+                    and _entry_schema(entry.path) == self.schema_version
+                ):
+                    continue
+                _unlink(entry.path)
+                removed.add(entry.name[:64])
+        return len(removed)
 
     def clear(self) -> int:
-        """Drop every entry in both layers; returns the number of distinct
-        keys removed (an entry resident in memory *and* on disk counts once)."""
+        """Drop every entry in both layers and empty the quarantine; returns
+        the number of distinct keys removed (an entry resident in memory
+        *and* on disk counts once)."""
         with self._lock:
             keys = set(self._memory)
             self._memory.clear()
-            if self.root is not None and self.root.is_dir():
-                for manifest in self.root.glob("*" + _MANIFEST_SUFFIX):
-                    keys.add(manifest.stem)
-                    self._remove_entry(manifest)
-                quarantine = self.root / QUARANTINE_DIR
-                if quarantine.is_dir():
-                    for stale in quarantine.iterdir():
-                        try:
-                            stale.unlink()
-                        except OSError:
-                            pass
+            for entry in list(_key_named(self.root)):
+                keys.add(entry.name[:64])
+                _unlink(entry.path)
+            if self.root is not None and (self.root / QUARANTINE_DIR).is_dir():
+                for stale in (self.root / QUARANTINE_DIR).iterdir():
+                    _unlink(stale)
             return len(keys)
 
     # -- internals -----------------------------------------------------------
@@ -387,152 +443,91 @@ class ResultCache:
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
+    def _path(self, key: str) -> Path:
         assert self.root is not None
-        return self.root / (key + _MANIFEST_SUFFIX), self.root / (key + _ARRAYS_SUFFIX)
+        return self.root / (key + _ENTRY_SUFFIX)
 
     def _disk_get(self, key: str) -> EnsembleResult | None:
         if self.root is None:
             return None
-        manifest_path, arrays_path = self._paths(key)
-        if not manifest_path.exists():
+        path = self._path(key)
+        if not path.exists():
             return None
         if faults.fire("cache.read-error") is not None:
             # Injected transient disk I/O failure: a miss, but the entry
             # (which may be perfectly good) stays on disk for the next read.
             self.read_errors += 1
             return None
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            self._quarantine(key)  # corrupt manifest: preserve for inspection
-            return None
-        except OSError:
-            self.read_errors += 1
-            return None
-        if manifest.get("schema") != self.schema_version:
-            # Written by a different engine contract: invalidate, don't serve.
-            self._remove_entry(manifest_path)
-            self.invalidated += 1
-            return None
         rule = faults.fire("cache.corrupt-payload")
         if rule is not None:
-            # Corrupt the *on-disk* payload in place, so the checksum →
+            # Corrupt the *on-disk* entry in place, so the checksum →
             # quarantine → recompute path engages end to end, exactly as it
             # would for real bit rot.
-            _corrupt_file(arrays_path, int(rule.params.get("bytes", 16)))
+            _corrupt_file(path, int(rule.params.get("bytes", 16)))
         try:
-            blob = arrays_path.read_bytes()
+            blob = path.read_bytes()
         except OSError:
             self.read_errors += 1
             return None
-        checksum = manifest.get("checksum")
-        if checksum is not None and hashlib.sha256(blob).hexdigest() != checksum:
-            self._quarantine(key)
+        checksum, _, body = blob.partition(b"\n")
+        if hashlib.sha256(body).hexdigest().encode("ascii") != checksum:
+            self._quarantine(path)
             return None
+        manifest_line, _, payload = body.partition(b"\n")
         try:
-            with np.load(io.BytesIO(blob)) as arrays:
-                return _decode(manifest, arrays)
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-            # Decode failure past the checksum gate (or a legacy entry with
-            # no checksum): corruption either way — quarantine, don't serve.
-            self._quarantine(key)
+            manifest = json.loads(manifest_line)
+            if manifest["schema"] == self.schema_version:
+                with np.load(io.BytesIO(payload)) as arrays:
+                    return _decode(manifest, arrays)
+        except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+            # Checksummed but undecodable: corrupt all the same —
+            # quarantine, don't serve.
+            self._quarantine(path)
             return None
+        # Written by a different engine contract: invalidate, don't serve.
+        _unlink(path)
+        self.invalidated += 1
+        return None
 
     def _disk_put(self, key: str, result: EnsembleResult) -> None:
         if self.root is None:
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        manifest_path, arrays_path = self._paths(key)
-        manifest, arrays = _encode(result)
-        manifest["schema"] = self.schema_version
-        manifest["key"] = key
-        # Write arrays first, manifest last (atomically): a manifest on disk
-        # marks a complete entry, so a crash mid-write leaves a miss, not a
-        # corrupt hit.  The ".tmp" suffix keeps in-flight files out of the
-        # "*.json"/"*.npz" entry namespace that stats()/clear() glob over.
-        # Trace-bearing entries are the heavy ones (per-round columns); the
-        # zlib pass typically shrinks their zero-padding-free prefixes by
-        # a further integer factor.  Trace-less entries stay uncompressed —
-        # they are a handful of per-replica scalars, not worth the CPU.
-        save = np.savez_compressed if manifest.get("trace") else np.savez
-        # A concurrent purge_stale()/clear() from *another process* (in-process
-        # callers serialize on self._lock) can remove the directory entries —
-        # or an operator can delete the root wholesale — while this write is
-        # in flight.  A cache put is best-effort: tolerate the race, drop the
-        # entry, and leave the caller's result untouched.
+        blob = _encode(result, self.schema_version)
+        # One rename publishes the whole entry, so a crash mid-write leaves a
+        # miss; the "tmp…" name is not key-named, so maintenance ignores it.
+        # Another process's clear(), or an operator deleting the root, can
+        # race this write: a put is best-effort, so the entry is dropped.
+        tmp = None
         try:
-            with tempfile.NamedTemporaryFile(
-                dir=self.root, suffix=_ARRAYS_SUFFIX + ".tmp", delete=False
-            ) as handle:
-                save(handle, **arrays)
-                tmp_arrays = handle.name
-            # Checksum the exact bytes that land on disk (np.savez seeks to
-            # patch zip headers, so hashing must read back, not wrap the
-            # stream).  Verified on every disk read; a mismatch quarantines
-            # the entry instead of serving or crashing on rotten bits.
-            manifest["checksum"] = hashlib.sha256(
-                Path(tmp_arrays).read_bytes()
-            ).hexdigest()
+            with tempfile.NamedTemporaryFile(dir=self.root, suffix=".tmp", delete=False) as handle:
+                tmp = handle.name
+                handle.write(blob)
+            os.replace(tmp, self._path(key))
         except OSError:
-            return
-        tmp_manifest = None
-        try:
-            os.replace(tmp_arrays, arrays_path)
-            with tempfile.NamedTemporaryFile(
-                "w",
-                dir=self.root,
-                suffix=_MANIFEST_SUFFIX + ".tmp",
-                delete=False,
-                encoding="utf-8",
-            ) as handle:
-                json.dump(manifest, handle, sort_keys=True)
-                tmp_manifest = handle.name
-            os.replace(tmp_manifest, manifest_path)
-        except OSError:
-            # Never leave a manifest-less or half-renamed entry behind: the
-            # manifest marks completeness, so removing both files restores
-            # "miss", which is always a correct state.
-            for stale in (tmp_arrays, tmp_manifest, arrays_path):
-                if stale is None:
-                    continue
-                try:
-                    os.unlink(stale)
-                except OSError:
-                    pass
+            if tmp is not None:
+                _unlink(tmp)
 
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt entry's files into ``quarantine/`` (fallback: delete).
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt entry into ``quarantine/`` (fallback: delete).
 
         Either way the entry stops being servable — the caller sees a miss
         and recomputes — but quarantining preserves the bad bytes for
         post-mortem instead of destroying the evidence.
         """
-        manifest_path, arrays_path = self._paths(key)
         quarantine = self.root / QUARANTINE_DIR
         try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            for path in (manifest_path, arrays_path):
-                if path.exists():
-                    os.replace(path, quarantine / path.name)
+            quarantine.mkdir(exist_ok=True)
+            os.replace(path, quarantine / path.name)
         except OSError:
-            self._remove_entry(manifest_path)
+            _unlink(path)
         self.quarantined += 1
-
-    def _remove_entry(self, manifest_path: Path) -> None:
-        for path in (manifest_path, manifest_path.with_suffix(_ARRAYS_SUFFIX)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._memory:
                 return True
-            if self.root is None:
-                return False
-            return self._paths(key)[0].exists()
+            return self.root is not None and self._path(key).exists()
 
     def __repr__(self) -> str:
         return (

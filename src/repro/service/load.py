@@ -405,7 +405,9 @@ def drive(
     anything starts: a mistyped flag, or any flag together with
     ``server``, is an argparse usage error (``SystemExit``).  The spawned
     service caches into a temporary directory that is removed once it
-    has exited.
+    has exited.  ``report["fault_plan"]`` is the plan the spawned service
+    armed from: its ``--fault-plan`` flag, else the ``$REPRO_FAULT_PLAN``
+    it inherits; it is null with ``server``, whose plan is not known here.
 
     The budget (when set) applies to the **warm** ``/v1/simulate`` p95 —
     the steady-state read path the service exists for.  The verdict lands
@@ -425,8 +427,8 @@ def drive(
             finally:
                 _stop(process)
     report["spawned_service"] = server is None
-    plan = faults.FaultPlan.parse(options.fault_plan) if options.fault_plan else None
-    report["fault_plan"] = None if plan is None else plan.to_dict()
+    plan = None if server is not None else options.fault_plan or os.environ.get(faults.ENV_VAR)
+    report["fault_plan"] = faults.FaultPlan.parse(plan).to_dict() if plan else None
     if p95_budget_ms is not None:
         warm_p95 = report["phases"]["warm"]["latency_ms"]["p95"]
         report["budget"] = {

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import Configuration
+from repro.core.metrics import METRICS
 
 
 class TestConstruction:
@@ -60,10 +61,12 @@ class TestDerivedQuantities:
     def test_bias_with_tied_plurality(self):
         cfg = Configuration([4, 4, 2])
         assert cfg.bias == 0
-        assert not cfg.has_unique_plurality()
+        assert cfg.plurality_count == cfg.runner_up_count
 
     def test_unique_plurality(self):
-        assert Configuration([5, 4, 1]).has_unique_plurality()
+        cfg = Configuration([5, 4, 1])
+        assert cfg.plurality_count > cfg.runner_up_count
+        assert cfg.bias == 1
 
     def test_single_color_runner_up(self):
         cfg = Configuration([7])
@@ -71,21 +74,27 @@ class TestDerivedQuantities:
         assert cfg.bias == 7
 
     def test_monochromatic(self):
-        assert Configuration([0, 9, 0]).is_monochromatic
-        assert not Configuration([1, 8, 0]).is_monochromatic
+        mono = Configuration.monochromatic(9, 3, color=1)
+        assert mono.counts.tolist() == [0, 9, 0]
+        assert mono.plurality_count == mono.n
+        split = Configuration([1, 8, 0])
+        assert split.plurality_count < split.n
 
     def test_minority_mass(self):
-        assert Configuration([6, 3, 1]).minority_mass() == 4
+        cfg = Configuration([6, 3, 1])
+        assert cfg.n - cfg.plurality_count == 4
 
     def test_support_size(self):
-        assert Configuration([3, 0, 1, 0]).support_size == 2
+        cfg = Configuration([3, 0, 1, 0])
+        assert METRICS.build("support-size").compute_many(cfg.counts[None, :], cfg.n).tolist() == [2]
 
     def test_fractions_sum_to_one(self):
         f = Configuration([1, 2, 3]).fractions()
         assert f.sum() == pytest.approx(1.0)
 
     def test_sum_of_squares(self):
-        assert Configuration([3, 2, 1]).sum_of_squares() == 14
+        # md(c) = sum_i c_i^2 / c_max^2, so sum_i c_i^2 = 14 gives 14/9.
+        assert Configuration([3, 2, 1]).monochromatic_distance() == pytest.approx(14 / 9)
 
     def test_monochromatic_distance_extremes(self):
         assert Configuration([9, 0, 0]).monochromatic_distance() == pytest.approx(1.0)
@@ -201,11 +210,12 @@ class TestManipulation:
             Configuration([5, 3, 1]).permuted([0, 0, 1])
 
     def test_relabel_sorted(self):
-        assert Configuration([1, 5, 3]).relabel_sorted().counts.tolist() == [5, 3, 1]
+        cfg = Configuration([1, 5, 3])
+        assert cfg.permuted(np.argsort(-cfg.counts)).counts.tolist() == [5, 3, 1]
 
     def test_with_counts_checks_k(self):
         with pytest.raises(ValueError):
-            Configuration([1, 2]).with_counts(np.array([1, 2, 3]))
+            Configuration([1, 2]).permuted([0, 1, 2])
 
     def test_equality_and_hash(self):
         a = Configuration([3, 2])
@@ -241,7 +251,7 @@ def test_permutation_invariants(counts):
     permuted = cfg.permuted(perm)
     assert permuted.n == cfg.n
     assert permuted.bias == cfg.bias
-    assert permuted.sum_of_squares() == cfg.sum_of_squares()
+    assert int(np.dot(permuted.counts, permuted.counts)) == int(np.dot(cfg.counts, cfg.counts))
     assert sorted(permuted.counts.tolist()) == sorted(cfg.counts.tolist())
 
 

@@ -128,7 +128,9 @@ class TestResultTable:
         assert "2.5" in text
 
     def test_from_rows(self):
-        t = ResultTable.from_rows("x", [{"a": 1}, {"a": 2}])
+        t = ResultTable(title="x", columns=["a"])
+        for row in ({"a": 1}, {"a": 2}):
+            t.add_row(**row)
         assert len(t) == 2
         assert t.columns == ["a"]
 

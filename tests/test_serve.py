@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -50,6 +53,18 @@ def assert_results_identical(a: EnsembleResult, b: EnsembleResult) -> None:
     if a.trace is not None:
         assert a.trace == b.trace
         assert a.trace.digest() == b.trace.digest()
+
+
+def read_entry(path) -> tuple[bytes, dict, bytes]:
+    """Split a disk entry into its checksum line, manifest and npz payload."""
+    checksum, manifest_line, payload = path.read_bytes().split(b"\n", 2)
+    return checksum, json.loads(manifest_line), payload
+
+
+def write_entry(path, manifest_line: bytes, payload: bytes) -> None:
+    """Write a disk entry whose checksum matches what it holds."""
+    body = manifest_line + b"\n" + payload
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
 
 
 class TestCacheKey:
@@ -218,10 +233,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = cache.key_for(spec)
         cache.put(key, direct)
-        arrays_path = tmp_path / (key + ".npz")
-        manifest = json.loads((tmp_path / (key + ".json")).read_text())
-        assert manifest["trace"]["packed"] is True
-        with np.load(arrays_path) as arrays:
+        _, manifest, payload = read_entry(cache._path(key))
+        assert manifest["trace"] == {"n": spec.n, "every": 1, "metrics": ["counts", "bias"]}
+        with np.load(io.BytesIO(payload)) as arrays:
             packed = arrays["trace_values_0"]
             assert packed.shape == (int(trace.n_recorded.sum()), spec.k)
             assert packed.dtype == trace["counts"].dtype
@@ -242,20 +256,71 @@ class TestResultCache:
         assert new.get(new.key_for(spec)) is None
 
     def test_stale_manifest_is_removed_not_served(self, tmp_path):
-        # Defence in depth: an entry *addressed* by the right key but whose
-        # manifest records another engine version is deleted, not decoded.
+        # Defence in depth: an intact entry *addressed* by the right key but
+        # whose manifest records another engine version is deleted, not
+        # decoded.
         spec = small_spec()
         cache = ResultCache(tmp_path)
         key = cache.key_for(spec)
         fetch(cache, spec)
-        manifest_path = tmp_path / (key + ".json")
-        manifest = json.loads(manifest_path.read_text())
+        entry_path = cache._path(key)
+        _, manifest, payload = read_entry(entry_path)
         manifest["schema"] = ENGINE_SCHEMA_VERSION - 1
-        manifest_path.write_text(json.dumps(manifest))
+        write_entry(entry_path, json.dumps(manifest).encode(), payload)
         fresh = ResultCache(tmp_path)  # bypass the memory layer
         assert fresh.get(key) is None
-        assert fresh.invalidated == 1
-        assert not manifest_path.exists()
+        assert (fresh.invalidated, fresh.quarantined) == (1, 0)
+        assert not entry_path.exists()
+
+    @pytest.mark.parametrize("field", ["plurality_color", "max_rounds", "every"])
+    def test_edited_manifest_value_is_a_quarantined_miss(self, tmp_path, field):
+        # The checksum covers every value a hit serves, manifest included:
+        # an edited value must not come back as a hit.
+        spec = small_spec(record={"metrics": ["bias"], "every": 1})
+        cache = ResultCache(tmp_path)
+        fetch(cache, spec)
+        key = cache.key_for(spec)
+        edited = 0
+        for path in tmp_path.glob(key + ".*"):
+            blob = path.read_bytes()
+            pattern = rb'("%s":\s*)\d+' % field.encode()
+            changed = re.sub(pattern, rb"\g<1>3", blob, count=1)
+            if changed != blob:
+                path.write_bytes(changed)
+                edited += 1
+        assert edited == 1
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(key) is None
+        assert fresh.quarantined == 1
+
+    def test_two_file_pairs_are_never_read_and_purge_reclaims_them(self, tmp_path):
+        # An entry of the earlier layout (a <key>.json manifest next to a
+        # <key>.npz payload) is a miss, not a hit; purge_stale removes it.
+        spec = small_spec()
+        cache = ResultCache(tmp_path)
+        fetch(cache, spec)
+        key = cache.key_for(spec)
+        _, manifest, payload = read_entry(cache._path(key))
+        cache._path(key).unlink()
+        (tmp_path / (key + ".json")).write_text(json.dumps(manifest))
+        (tmp_path / (key + ".npz")).write_bytes(payload)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(key) is None
+        assert fresh.stats()["disk_entries"] == 0
+        assert fresh.purge_stale() == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_cache_files_in_the_root_are_left_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        fetch(cache, small_spec())
+        (tmp_path / "settings.json").write_text('{"theme": "dark"}')
+        (tmp_path / "batch.json").write_text('[{"dynamics": "voter"}]')
+        assert cache.stats()["disk_entries"] == 1
+        assert cache.purge_stale() == 0
+        assert cache.stats()["disk_entries"] == 1
+        assert cache.clear() == 1
+        assert cache.stats()["disk_entries"] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.json", "settings.json"]
 
     def test_returned_arrays_are_defensive_copies(self, tmp_path):
         spec = small_spec()
@@ -310,8 +375,20 @@ class TestResultCache:
         assert current.stats()["disk_entries"] == 1
         assert current.get(current.key_for(small_spec(seed=0))) is not None
 
+    def test_one_rename_publishes_one_entry_file(self, tmp_path, monkeypatch):
+        renames = []
+        real_replace = os.replace
+        monkeypatch.setattr(os, "replace", lambda *args: renames.append(args) or real_replace(*args))
+        spec = small_spec()
+        cache = ResultCache(tmp_path)
+        key = cache.key_for(spec)
+        cache.put(key, simulate_ensemble(spec))
+        assert len(renames) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [key + ".entry"]
+
     def test_in_flight_temp_files_stay_out_of_entry_namespace(self, tmp_path):
-        # stats()/clear() glob "*.json"; writer temp files must not match it.
+        # stats()/clear() act on key-named files only; writer temp files
+        # are not key-named.
         cache = ResultCache(tmp_path)
         fetch(cache, small_spec(seed=0))
         (tmp_path / "tmpabc123.json.tmp").write_text("{}")
@@ -735,12 +812,12 @@ class TestCacheQuarantine:
         faults.disarm()
 
     def _corrupt(self, cache: ResultCache, key: str) -> None:
-        arrays_path = cache._paths(key)[1]
-        blob = bytearray(arrays_path.read_bytes())
+        entry_path = cache._path(key)
+        blob = bytearray(entry_path.read_bytes())
         middle = len(blob) // 2
         for offset in range(middle, min(middle + 16, len(blob))):
             blob[offset] ^= 0xFF
-        arrays_path.write_bytes(bytes(blob))
+        entry_path.write_bytes(bytes(blob))
 
     def test_corrupt_npz_round_trip(self, tmp_path):
         from repro.serve.cache import QUARANTINE_DIR
@@ -757,7 +834,7 @@ class TestCacheQuarantine:
         stats = cache.stats()
         assert stats["quarantined"] == 1
         quarantine = (tmp_path / "cache") / QUARANTINE_DIR
-        assert sorted(p.suffix for p in quarantine.iterdir()) == [".json", ".npz"]
+        assert [p.name for p in quarantine.iterdir()] == [cache._path(key).name]
         # Quarantined files are out of the live-entry namespace.
         assert stats["disk_entries"] == 0
 
@@ -775,7 +852,10 @@ class TestCacheQuarantine:
         cache = ResultCache(tmp_path / "cache")
         fetch(cache, spec)
         key = cache.key_for(spec)
-        cache._paths(key)[0].write_text("{not json", encoding="utf-8")
+        # An intact checksum over a manifest that does not parse: quarantined
+        # all the same.
+        _, _, payload = read_entry(cache._path(key))
+        write_entry(cache._path(key), b"{not json", payload)
         cache._memory.clear()
         assert cache.get(key) is None
         assert cache.quarantined == 1
@@ -785,11 +865,12 @@ class TestCacheQuarantine:
         cache = ResultCache(tmp_path / "cache")
         fetch(cache, spec)
         key = cache.key_for(spec)
-        manifest = json.loads(cache._paths(key)[0].read_text(encoding="utf-8"))
-        import hashlib
-
-        digest = hashlib.sha256(cache._paths(key)[1].read_bytes()).hexdigest()
-        assert manifest["checksum"] == digest
+        # The checksum line covers the manifest line and the npz payload.
+        checksum, body = cache._path(key).read_bytes().split(b"\n", 1)
+        assert checksum.decode("ascii") == hashlib.sha256(body).hexdigest()
+        manifest_line, payload = body.split(b"\n", 1)
+        assert json.loads(manifest_line)["schema"] == ENGINE_SCHEMA_VERSION
+        assert payload.startswith(b"PK")  # the npz (a zip archive)
 
     def test_read_error_fault_is_miss_without_deletion(self, tmp_path):
         from repro import faults
@@ -803,7 +884,7 @@ class TestCacheQuarantine:
         # Transient I/O failure: miss, but the good entry stays on disk.
         assert cache.get(key) is None
         assert cache.read_errors == 1
-        assert cache._paths(key)[0].exists()
+        assert cache._path(key).exists()
         assert cache.get(key) is not None  # next read succeeds
 
     def test_corrupt_payload_fault_engages_quarantine_end_to_end(self, tmp_path):
@@ -823,34 +904,6 @@ class TestCacheQuarantine:
         assert ((tmp_path / "cache") / QUARANTINE_DIR).is_dir()
         recomputed = fetch(cache, spec)
         assert_results_identical(recomputed, original)
-
-    def test_legacy_entry_without_checksum_still_serves(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(tmp_path / "cache")
-        original = fetch(cache, spec)
-        key = cache.key_for(spec)
-        manifest_path = cache._paths(key)[0]
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        del manifest["checksum"]
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
-        cache._memory.clear()
-        served = cache.get(key)
-        assert_results_identical(served, original)
-
-    def test_entry_with_presence_flags_still_serves(self, tmp_path):
-        # Schema-5 manifests written before final counts and stop labels
-        # became required carry two presence flags; they still decode.
-        spec = small_spec(record={"metrics": ["bias"], "every": 1})
-        cache = ResultCache(tmp_path / "cache")
-        original = fetch(cache, spec)
-        key = cache.key_for(spec)
-        manifest_path = cache._paths(key)[0]
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest.update(has_final_counts=True, has_stopped_by=True)
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True), encoding="utf-8")
-        cache._memory.clear()
-        assert_results_identical(cache.get(key), original)
-        assert cache.quarantined == 0
 
     def test_clear_also_empties_quarantine(self, tmp_path):
         spec = small_spec()

@@ -586,6 +586,18 @@ class TestSpawnedService:
         assert report["fault_plan"] is None
         assert list(tmp_path.iterdir()) == []
 
+    def test_drive_reports_the_inherited_fault_plan(self, tmp_path, monkeypatch):
+        # The spawned service inherits the caller's environment, so it arms
+        # from $REPRO_FAULT_PLAN when no --fault-plan flag is given.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        plan = json.dumps({"seed": 7, "rules": [{"point": "cache.read-error", "nth": 1000}]})
+        monkeypatch.setenv(faults.ENV_VAR, plan)
+        report = drive(generate_corpus(seed=0, unique=2, duplicates=0), concurrency=1)
+        assert report["replay_identical"] is True
+        assert report["degraded"]["faults"]["seed"] == 7
+        assert report["fault_plan"] == faults.FaultPlan.parse(plan).to_dict()
+        assert list(tmp_path.iterdir()) == []
+
     def test_fault_plan_flag_arms_the_pool_worker(self, tmp_path):
         plan = json.dumps({"rules": [{"point": "executor.worker-crash", "nth": 1, "times": 1}]})
         process, host, port = spawn_service(

@@ -34,7 +34,18 @@ from repro import (
     min_rule,
     skewed_rule,
 )
-from repro.core.support import compact_counts, scatter_counts, union_support
+from repro.core.support import scatter_counts
+
+
+def union_support(counts: np.ndarray) -> np.ndarray:
+    """Sorted color indices with a nonzero count in any row, as the engine keeps them."""
+    return np.flatnonzero(np.asarray(counts).reshape(-1, counts.shape[-1]).any(axis=0))
+
+
+def compact_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's compaction: the supported columns, as a fresh array."""
+    support = union_support(counts)
+    return np.ascontiguousarray(counts[..., support]), support
 
 batches = hnp.arrays(
     dtype=np.int64,
