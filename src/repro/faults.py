@@ -11,10 +11,10 @@ point                          where it fires
 ``executor.worker-crash``      :func:`repro.serve.executor._run_task`, before a
                                task runs (simulated worker death)
 ``executor.worker-stall``      same place; sleeps ``seconds`` (default 30)
-``cache.read-error``           :meth:`ResultCache._disk_get` manifest/npz read
+``cache.read-error``           :meth:`ResultCache._disk_get` entry read
                                (simulated disk I/O failure)
-``cache.corrupt-payload``      same place; flips bytes of the on-disk npz so the
-                               checksum/quarantine path engages end to end
+``cache.corrupt-payload``      same place; flips bytes of the on-disk entry so
+                               the checksum/quarantine path engages end to end
 ``service.connection-drop``    the service connection loop, before a response
                                is written (peer sees a dropped keep-alive)
 ``service.slow-response``      the service dispatch path; delays the response

@@ -5,17 +5,28 @@ is a pure function of ``(canonical scenario JSON, seed, engine schema
 version)``.  :func:`cache_key` hashes exactly that triple;
 :class:`ResultCache` stores results under the key in a small in-memory LRU
 backed by an on-disk store, so warm lookups cost a dict probe and cold
-processes can still reuse results written by earlier runs.  A disk entry
-is one ``<key>.entry`` file, built in memory and published by a single
-``os.replace``: a sha256 hex line, then the manifest JSON line (schema,
-``plurality_color``, ``max_rounds``, trace ``n``/``every``/metric names),
-then the npz payload.  Recorded :class:`~repro.core.metrics.TraceSet`
-columns are stored *packed* — only each replica's valid prefix,
-deflate-compressed via ``np.savez_compressed`` — and unpacked to the
-bit-identical zero-padded columnar layout on read; with heterogeneous
-stopping the dense blocks are mostly padding, so trace-bearing entries
-shrink by an integer factor (measured in
-``benchmarks/test_bench_sparse.py``).
+processes can still reuse results written by earlier runs.
+
+Who writes each layer: :func:`write_entry` is the one disk writer.  The
+executor's run calls it where the result was computed (in the pool
+worker, or on the owner thread with ``workers=0``), so a serving process
+encodes and writes nothing on a cold request; the run's owner then stores
+the result in the memory layer (:meth:`ResultCache.remember`) before any
+waiter wakes.  :meth:`ResultCache.put` stores in both layers, its disk
+half through the same :func:`write_entry`.
+
+A disk entry is one ``<key>.entry`` file, built in memory and published
+by a single ``os.replace``: a sha256 hex line, then the manifest JSON line
+(schema, ``plurality_color``, ``max_rounds``, ``trace``, and ``arrays``:
+the ``name``, ``dtype`` and ``shape`` of each C-order buffer the payload
+holds, in order), then the payload: those raw buffers, concatenated.  A
+recorded :class:`~repro.core.metrics.TraceSet` adds its ``n``, ``every``
+and metric names as ``trace`` and its columns as ``trace_*`` buffers, and
+deflates the payload as one block.  The columns are stored *packed* —
+only each replica's valid prefix — and unpacked to the bit-identical
+zero-padded columnar layout on read; with heterogeneous stopping the
+dense blocks are mostly padding, so trace-bearing entries shrink by an
+integer factor (measured in ``benchmarks/test_bench_sparse.py``).
 
 Correctness contract (asserted in ``tests/test_serve.py``):
 
@@ -32,16 +43,18 @@ Correctness contract (asserted in ``tests/test_serve.py``):
   that somehow lands under the right key).  Orphaned old-version entries
   are reclaimed by :meth:`ResultCache.purge_stale` (``repro cache
   purge``) or wholesale by :meth:`ResultCache.clear`, and so are the
-  ``<key>.json`` + ``<key>.npz`` pairs of the earlier two-file layout,
-  which are never read (a lookup misses and rewrites the entry).  Both
-  touch only files named ``<64 hex digits>.<suffix>``;
+  entries of earlier layouts (the ``<key>.json`` + ``<key>.npz`` pairs,
+  and ``<key>.entry`` files with an npz payload), which are never read: a
+  lookup misses, counts them ``invalidated`` and rewrites the entry.
+  Both touch only files named ``<64 hex digits>.<suffix>``;
 * scenarios with ``seed=None`` (OS entropy) are not cacheable and are
   rejected at key time;
 * a corrupted disk entry degrades to a recomputable **miss**, never to an
   unpickling crash or a wrong-bits hit: the sha256 line covers every
-  value a hit serves (the manifest line and the npz payload) and is
-  verified on every disk read.  An entry that fails verification — or
-  fails to decode — is moved aside into ``quarantine/`` (counted in
+  value a hit serves (the manifest line and the payload) and is verified
+  on every disk read.  An entry that fails verification — or fails to
+  decode, such as a listing naming a dtype the writer never emits — is
+  moved aside into ``quarantine/`` (counted in
   :meth:`ResultCache.stats` under ``quarantined``) so operators can
   inspect it, while the caller simply recomputes.  A *transient* read
   error (``OSError``) is also a miss but leaves the possibly-good entry
@@ -53,13 +66,12 @@ Correctness contract (asserted in ``tests/test_serve.py``):
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
 import re
-import tempfile
 import threading
-import zipfile
+import zlib
 from collections import OrderedDict
 from collections.abc import Iterator
 from pathlib import Path
@@ -77,6 +89,7 @@ __all__ = [
     "ResultCache",
     "cache_key",
     "default_cache_dir",
+    "write_entry",
 ]
 
 #: Default capacity of the in-memory LRU layer (entries, not bytes).
@@ -88,6 +101,14 @@ _ENTRY_SUFFIX = ".entry"
 #: entries end in ``.entry``; any other suffix (the ``.json``/``.npz``
 #: pairs of the two-file layout) is never read and only purged.
 _KEY_NAMED = re.compile(r"[0-9a-f]{64}\.[a-z]+")
+
+#: The dtype kinds an entry holds: bool, signed and unsigned ints, floats
+#: and fixed-width str.  Anything else has no faithful raw buffer (an
+#: object array), so a listing that names it is corrupt.
+_RAW_KINDS = "biufU"
+
+#: How :func:`write_entry` opens its temporary file: a fresh file or fail.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 #: Subdirectory (under the cache root) where corrupt entries are moved.
 #: Not key-named, so stats()/clear()/purge_stale() never mistake a
@@ -120,28 +141,27 @@ def cache_key(spec: ScenarioSpec, *, schema_version: int = ENGINE_SCHEMA_VERSION
 
 
 def _encode(result: EnsembleResult, schema_version: int) -> bytes:
-    """One entry file: the checksum line, the manifest line, the npz payload."""
+    """One entry file: the checksum line, the manifest line, the payload."""
+    arrays: dict[str, np.ndarray] = {
+        "rounds": result.rounds,
+        "winners": result.winners,
+        "converged": result.converged,
+        "final_counts": result.final_counts,
+        # An object array has no raw buffer; str labels round-trip
+        # exactly through a fixed-width unicode array.
+        "stopped_by": np.asarray(result.stopped_by, dtype=str),
+    }
     manifest = {
         "schema": int(schema_version),
         "plurality_color": int(result.plurality_color),
         "max_rounds": int(result.max_rounds),
         "trace": None,
     }
-    arrays: dict[str, np.ndarray] = {
-        "rounds": result.rounds,
-        "winners": result.winners,
-        "converged": result.converged,
-        "final_counts": result.final_counts,
-        # Object arrays don't npz-save without pickle; str labels round-trip
-        # exactly through a fixed-width unicode array.
-        "stopped_by": np.asarray(result.stopped_by, dtype=str),
-    }
     trace = result.trace
     if trace is not None:
-        # Metric columns are stored by position (names in the manifest): the
-        # names are arbitrary registry strings, not valid npz keys.  They
-        # are *packed*: only each replica's valid prefix is stored (the
-        # padding past a replica's stop round is zero by construction, and
+        # Metric columns are stored by position (names in the manifest) and
+        # *packed*: only each replica's valid prefix is stored (the padding
+        # past a replica's stop round is zero by construction, and
         # ``n_recorded`` + the recorded round count reconstruct it exactly)
         # — with heterogeneous stopping a dense (R, T, ...) block is mostly
         # padding, so this is where the cache's disk weight went.
@@ -155,28 +175,56 @@ def _encode(result: EnsembleResult, schema_version: int) -> bytes:
         valid = trace.valid_mask()
         for position, name in enumerate(trace.metrics):
             arrays[f"trace_values_{position}"] = trace.data[name][valid]
-    # Trace-bearing entries are the heavy ones (per-round columns); the
-    # zlib pass typically shrinks their zero-padding-free prefixes by a
-    # further integer factor.  Trace-less entries stay uncompressed — they
-    # are a handful of per-replica scalars, not worth the CPU.  The buffer
-    # is sized up front (raw bytes plus headers bound the npz) and cut to
-    # length after: grown write by write, it fragments a long-running
-    # service's heap (about 0.9 MB more peak RSS over 3,500 puts).
-    payload = io.BytesIO(bytes(sum(array.nbytes for array in arrays.values()) + 512 * len(arrays)))
-    (np.savez_compressed if trace is not None else np.savez)(payload, **arrays)
-    payload.truncate()
+    manifest["arrays"] = [
+        {"name": name, "dtype": array.dtype.str, "shape": list(array.shape)}
+        for name, array in arrays.items()
+    ]
     # json.dumps escapes every newline, so the manifest is exactly one line.
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body += b"\n" + payload.getvalue()
-    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body
+    parts = [json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"]
+    buffers = [np.ascontiguousarray(array) for array in arrays.values()]
+    if trace is None:
+        parts += buffers
+    else:
+        # Trace-bearing entries are the heavy ones (per-round columns); one
+        # zlib pass typically shrinks them by a further integer factor.
+        # Level 1: on these columns of small integers it stores within a few
+        # percent of level 6's bytes in well under half its time, and the
+        # run that waits for this write is the serving bottleneck.
+        # Trace-less entries stay raw — a handful of per-replica scalars,
+        # not worth the CPU.
+        parts.append(zlib.compress(b"".join(buffers), 1))
+    checksum = hashlib.sha256()
+    for part in parts:
+        checksum.update(part)
+    return b"".join([checksum.hexdigest().encode("ascii"), b"\n", *parts])
 
 
-def _decode(manifest: dict, arrays) -> EnsembleResult:
-    trace = None
+def _unpack(listing: list, buffer: bytes) -> dict[str, np.ndarray]:
+    """The arrays ``listing`` names, copied in order out of ``buffer``,
+    which must hold exactly them."""
+    arrays = {}
+    offset = 0
+    for item in listing:
+        dtype = np.dtype(item["dtype"])
+        if dtype.kind not in _RAW_KINDS:
+            raise ValueError(f"an entry holds no {dtype} arrays")
+        shape = tuple(int(extent) for extent in item["shape"])
+        count = math.prod(shape)
+        arrays[item["name"]] = np.frombuffer(buffer, dtype, count, offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
+    if offset != len(buffer):
+        raise ValueError("entry payload does not match its manifest's listing")
+    return arrays
+
+
+def _decode(manifest: dict, payload: bytes) -> EnsembleResult:
+    """The result an entry's manifest and payload hold; raises on any mismatch."""
     trace_meta = manifest["trace"]
+    arrays = _unpack(manifest["arrays"], payload if trace_meta is None else zlib.decompress(payload))
+    trace = None
     if trace_meta is not None:
-        rounds = np.asarray(arrays["trace_rounds"])
-        n_recorded = np.asarray(arrays["trace_n_recorded"])
+        rounds = arrays["trace_rounds"]
+        n_recorded = arrays["trace_n_recorded"]
         # Unpack the valid prefixes back into the zero-padded columnar
         # layout: bit-identical to the recorded TraceSet (asserted via
         # digest() in the tests and the CI cold/warm smoke).
@@ -184,7 +232,7 @@ def _decode(manifest: dict, arrays) -> EnsembleResult:
         n_rounds = int(rounds.size)
         valid = np.arange(n_rounds)[None, :] < n_recorded[:, None]
         for position, name in enumerate(trace_meta["metrics"]):
-            flat = np.asarray(arrays[f"trace_values_{position}"])
+            flat = arrays[f"trace_values_{position}"]
             column = np.zeros(
                 (int(n_recorded.size), n_rounds) + flat.shape[1:], dtype=flat.dtype
             )
@@ -198,15 +246,50 @@ def _decode(manifest: dict, arrays) -> EnsembleResult:
             data=data,
         )
     return EnsembleResult(
-        rounds=np.asarray(arrays["rounds"]),
-        winners=np.asarray(arrays["winners"]),
-        converged=np.asarray(arrays["converged"]),
+        rounds=arrays["rounds"],
+        winners=arrays["winners"],
+        converged=arrays["converged"],
         plurality_color=int(manifest["plurality_color"]),
         max_rounds=int(manifest["max_rounds"]),
-        final_counts=np.asarray(arrays["final_counts"]),
+        final_counts=arrays["final_counts"],
         stopped_by=np.array([str(label) for label in arrays["stopped_by"]], dtype=object),
         trace=trace,
     )
+
+
+def write_entry(
+    root: str | Path,
+    key: str,
+    result: EnsembleResult,
+    schema_version: int = ENGINE_SCHEMA_VERSION,
+) -> None:
+    """Write ``result`` as ``<root>/<key>.entry``: the one disk writer.
+
+    Needs no lock, so a pool worker calls it as well as
+    :meth:`ResultCache.put`: the entry is built in memory, written to a
+    fresh temporary file (``tmp….tmp``, not key-named, so maintenance
+    ignores it) with one ``os.write``, and published by one ``os.replace``,
+    so a reader, or a crash mid-write, sees a whole entry or none.  The
+    root is created only when it is missing.  Best-effort: an ``OSError``
+    (a full disk, another process's ``clear()`` removing the root) drops
+    the entry, and the next lookup misses and recomputes.
+    """
+    blob = _encode(result, schema_version)
+    tmp = os.path.join(root, f"tmp{os.urandom(8).hex()}.tmp")
+    try:
+        try:
+            handle = os.open(tmp, _CREATE)
+        except FileNotFoundError:
+            os.makedirs(root, exist_ok=True)
+            handle = os.open(tmp, _CREATE)
+        try:
+            if os.write(handle, blob) != len(blob):
+                raise OSError(f"short write to {tmp}")
+        finally:
+            os.close(handle)
+        os.replace(tmp, os.path.join(root, key + _ENTRY_SUFFIX))
+    except OSError:
+        _unlink(tmp)
 
 
 def _copy_result(result: EnsembleResult) -> EnsembleResult:
@@ -269,36 +352,49 @@ def _unlink(path: str | Path) -> None:
         pass
 
 
-def _entry_schema(path: str) -> object:
-    """The ``schema`` of an entry file's manifest line, or None if unreadable."""
+def _is_current(manifest, schema_version: int) -> bool:
+    """Whether a parsed manifest line belongs to a servable entry.
+
+    It must carry ``schema_version`` and this layout's ``arrays`` listing:
+    an entry with an npz payload (the layout before) lists none, and like
+    an entry of another schema it is stale, never read.  Raises
+    ``KeyError``/``TypeError`` for a line that is no manifest at all.
+    """
+    return manifest["schema"] == schema_version and "arrays" in manifest
+
+
+def _is_current_file(path: str, schema_version: int) -> bool:
+    """Whether an entry file's manifest line (only that is read) is current."""
     try:
         with open(path, "rb") as handle:
             handle.readline()
-            return json.loads(handle.readline())["schema"]
+            return _is_current(json.loads(handle.readline()), schema_version)
     except (OSError, ValueError, KeyError, TypeError):
-        return None
+        return False
 
 
 class ResultCache:
     """LRU-over-disk store of ensemble results, keyed by :func:`cache_key`.
 
     A disk entry is one ``<key>.entry`` file: a sha256 line over the
-    manifest line and the npz payload that follow it.  The ``.json`` +
-    ``.npz`` pairs of the two-file layout are never read;
-    ``purge_stale()`` and ``clear()`` reclaim them.
+    manifest line and the raw payload that follow it.  Entries of earlier
+    layouts are never read; ``purge_stale()`` and ``clear()`` reclaim them.
 
-    Thread-safe: every public operation serializes on one reentrant lock
-    (the network service hammers a single cache from many threads), and
-    hits hand out defensive copies, so concurrent readers can never
-    observe each other's mutations.  Cross-*process* races on the disk
-    layer (a ``repro cache clear`` against a running service) degrade to
-    misses, never to corrupt hits: one ``os.replace`` publishes a whole
-    entry, and ``_disk_put`` is best-effort.
+    Thread-safe: the memory layer, the counters and every disk read or
+    removal serialize on one reentrant lock (the network service hammers
+    a single cache from many threads), and hits hand out defensive copies,
+    so concurrent readers can never observe each other's mutations.  Disk
+    writes take no lock: :func:`write_entry` runs in pool workers too.
+    Races on the disk layer, within a process or across processes (a
+    ``repro cache clear`` against a running service), degrade to misses,
+    never to corrupt hits: one ``os.replace`` publishes a whole entry, and
+    a write is best-effort.
 
     Parameters
     ----------
     root:
-        Directory for the on-disk layer; created on first write.  ``None``
+        Directory for the on-disk layer; created when a write finds it
+        missing.  ``None``
         makes the cache memory-only (useful for tests and one-shot sweeps).
     memory_entries:
         Capacity of the in-memory LRU layer.  Disk entries are unbounded;
@@ -322,10 +418,10 @@ class ResultCache:
         self.schema_version = int(schema_version)
         self._memory: OrderedDict[str, EnsembleResult] = OrderedDict()
         # One reentrant lock over the LRU, the counters and the disk
-        # put/remove paths: the service serves many threads off one cache,
+        # read/remove paths: the service serves many threads off one cache,
         # and an OrderedDict move_to_end racing a popitem corrupts the LRU.
-        # Simulation never runs under the lock (callers lock only through
-        # get/put), so contention is bounded by (de)serialization.
+        # Neither simulation nor encoding runs under the lock, so
+        # contention is bounded by disk reads.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -358,13 +454,23 @@ class ResultCache:
             return None
 
     def put(self, key: str, result: EnsembleResult) -> None:
-        """Store ``result`` under ``key`` in both layers."""
+        """Store ``result`` under ``key`` in both layers: :meth:`remember`,
+        then :func:`write_entry` into the disk layer."""
+        self.remember(key, result)
+        if self.root is not None:
+            write_entry(self.root, key, result, self.schema_version)
+
+    def remember(self, key: str, result: EnsembleResult) -> None:
+        """Store ``result`` under ``key`` in the memory layer only.
+
+        For a run whose disk entry is already written: the executor's
+        runs call :func:`write_entry` themselves.
+        """
         if not isinstance(result, EnsembleResult):
             raise TypeError(f"can only cache EnsembleResult, got {type(result).__name__}")
         result = _copy_result(result)
         with self._lock:
             self._memory_put(key, result)
-            self._disk_put(key, result)
             self.stores += 1
 
     # -- maintenance ---------------------------------------------------------
@@ -400,20 +506,20 @@ class ResultCache:
             }
 
     def purge_stale(self) -> int:
-        """Delete every key-named file that is not a current-schema entry.
+        """Delete every key-named file that is not a current entry.
 
         Old-version entries can never be *served* (the version is hashed
-        into the key), and neither can the ``.json``/``.npz`` pairs of the
-        two-file layout, but both would otherwise sit on disk forever; this
-        reclaims them without touching current entries.  Returns the number
-        of distinct keys removed.
+        into the key), and neither can the entries of earlier layouts (the
+        ``.json``/``.npz`` pairs, and ``.entry`` files with an npz payload),
+        but all would otherwise sit on disk forever; this reclaims them
+        without touching current entries.  Returns the number of distinct
+        keys removed.
         """
         removed = set()
         with self._lock:
             for entry in list(_key_named(self.root)):
-                if (
-                    entry.name.endswith(_ENTRY_SUFFIX)
-                    and _entry_schema(entry.path) == self.schema_version
+                if entry.name.endswith(_ENTRY_SUFFIX) and _is_current_file(
+                    entry.path, self.schema_version
                 ):
                     continue
                 _unlink(entry.path)
@@ -476,37 +582,18 @@ class ResultCache:
         manifest_line, _, payload = body.partition(b"\n")
         try:
             manifest = json.loads(manifest_line)
-            if manifest["schema"] == self.schema_version:
-                with np.load(io.BytesIO(payload)) as arrays:
-                    return _decode(manifest, arrays)
-        except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+            if _is_current(manifest, self.schema_version):
+                return _decode(manifest, payload)
+        except (LookupError, TypeError, ValueError, zlib.error):
             # Checksummed but undecodable: corrupt all the same —
             # quarantine, don't serve.
             self._quarantine(path)
             return None
-        # Written by a different engine contract: invalidate, don't serve.
+        # Written by a different engine contract, or in an earlier layout:
+        # invalidate, don't serve.
         _unlink(path)
         self.invalidated += 1
         return None
-
-    def _disk_put(self, key: str, result: EnsembleResult) -> None:
-        if self.root is None:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        blob = _encode(result, self.schema_version)
-        # One rename publishes the whole entry, so a crash mid-write leaves a
-        # miss; the "tmp…" name is not key-named, so maintenance ignores it.
-        # Another process's clear(), or an operator deleting the root, can
-        # race this write: a put is best-effort, so the entry is dropped.
-        tmp = None
-        try:
-            with tempfile.NamedTemporaryFile(dir=self.root, suffix=".tmp", delete=False) as handle:
-                tmp = handle.name
-                handle.write(blob)
-            os.replace(tmp, self._path(key))
-        except OSError:
-            if tmp is not None:
-                _unlink(tmp)
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry into ``quarantine/`` (fallback: delete).

@@ -11,11 +11,15 @@ what makes dedup, coalescing, caching and crash retry sound, and
 * **coalescing** — one lock-guarded in-flight table: while a key runs,
   later submits of it wait on that run (source ``"coalesced"``);
 * **cache** — the run's owner probes the :class:`~repro.serve.cache.ResultCache`
-  (source ``"cache"``), and stores a fresh result (source ``"run"``)
-  before any waiter wakes;
+  (source ``"cache"``).  A fresh result (source ``"run"``) is stored in
+  both layers before any waiter wakes: the run writes its disk entry where
+  it ran (:func:`~repro.serve.cache.write_entry`, in the pool worker or on
+  the owner thread), so the serving process encodes and writes nothing,
+  and the owner then stores the result in the memory layer;
 * **execution** — one persistent spawn-context process pool
   (``workers >= 1``; spawn for BLAS-thread safety, stateless workers,
-  spec JSON in, small arrays back) or in-process threads (``workers = 0``);
+  spec JSON and where to write its cache entry in, small arrays back) or
+  in-process threads (``workers = 0``);
 * **retry** — one loop of up to :data:`MAX_ATTEMPTS` with jittered
   exponential backoff.  A fault the worker *raised* retries on the same
   pool: the worker is alive, and a fresh one would re-arm
@@ -66,12 +70,13 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from .. import faults
-from ..core.process import EnsembleResult
+from ..core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
 from ..scenario import ScenarioSpec, simulate_ensemble
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_key, write_entry
 from .envelope import EnvelopeError, error_envelope, prepare_spec, result_payload
 
 __all__ = [
@@ -121,11 +126,18 @@ def backoff_delay(attempt: int, jitter: random.Random) -> float:
     return nominal * (0.5 + jitter.random())
 
 
-def _run_task(spec_json: str) -> EnsembleResult | dict:
+def _run_task(
+    spec_json: str,
+    root: Path | None = None,
+    key: str = "",
+    schema_version: int = ENGINE_SCHEMA_VERSION,
+) -> EnsembleResult | dict:
     """Worker: run one spec; the result, or an error envelope for an item failure.
 
     Module-level (picklable) and stateless; the spec JSON is the entire
-    task.  Injected faults fire before the per-item catch: they
+    task, plus where its result is cached: with a cache ``root`` a result
+    is written to ``<root>/<key>.entry`` under ``schema_version`` before it
+    is returned.  Injected faults fire before the per-item catch: they
     model *infrastructure* failures, which are retryable, unlike a spec
     that fails the same way on every attempt.
     """
@@ -140,10 +152,12 @@ def _run_task(spec_json: str) -> EnsembleResult | dict:
     if rule is not None:
         time.sleep(float(rule.params.get("seconds", 30.0)))
     try:
-        spec = ScenarioSpec.from_json(spec_json)
-        return simulate_ensemble(spec)
+        result = simulate_ensemble(ScenarioSpec.from_json(spec_json))
     except Exception as exc:  # noqa: BLE001 — becomes the item's envelope
         return error_envelope(exc)
+    if root is not None:
+        write_entry(root, key, result, schema_version)
+    return result
 
 
 class Executor:
@@ -258,7 +272,7 @@ class Executor:
             if result is None:
                 source, result = FROM_RUN, self._run(key, spec_json)
                 if self.cache is not None:
-                    self.cache.put(key, result)
+                    self.cache.remember(key, result)  # the run wrote the disk entry
                 with self._lock:
                     self.runs += 1
         except BaseException as exc:
@@ -271,6 +285,8 @@ class Executor:
         # Deterministic jitter keyed on the content address: replayable
         # schedules, uncorrelated across concurrent runs.
         jitter = random.Random(int(key[:16], 16))
+        cache = self.cache
+        task = (spec_json,) if cache is None else (spec_json, cache.root, key, cache.schema_version)
         error: BaseException | None = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt:
@@ -280,14 +296,14 @@ class Executor:
             pool = None
             try:
                 if not self.workers:
-                    payload = _run_task(spec_json)
+                    payload = _run_task(*task)
                 else:
                     with self._lock:
                         pool = self._pool
                         if pool is None:
                             raise RuntimeError("executor is closed")
-                        task = pool.submit(_run_task, spec_json)
-                    payload = task.result(self.worker_timeout)
+                        running = pool.submit(_run_task, *task)
+                    payload = running.result(self.worker_timeout)
             except faults.InjectedFault as exc:
                 error = exc  # the worker raised and lives: same pool
                 continue

@@ -5,13 +5,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import threading
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.serve.cache as cache_module
 import repro.serve.executor as executor_module
 from repro import ResultCache, ScenarioSpec, cache_key, faults, run_batch, simulate_ensemble
 from repro.core.process import ENGINE_SCHEMA_VERSION, EnsembleResult
@@ -56,7 +60,11 @@ def assert_results_identical(a: EnsembleResult, b: EnsembleResult) -> None:
 
 
 def read_entry(path) -> tuple[bytes, dict, bytes]:
-    """Split a disk entry into its checksum line, manifest and npz payload."""
+    """Split a disk entry into its checksum line, manifest and payload.
+
+    The payload is the C-order buffers the manifest's ``arrays`` lists, in
+    order: raw, or deflated as one block when the manifest has a ``trace``.
+    """
     checksum, manifest_line, payload = path.read_bytes().split(b"\n", 2)
     return checksum, json.loads(manifest_line), payload
 
@@ -65,6 +73,11 @@ def write_entry(path, manifest_line: bytes, payload: bytes) -> None:
     """Write a disk entry whose checksum matches what it holds."""
     body = manifest_line + b"\n" + payload
     path.write_bytes(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
+
+
+def listed_bytes(listing: list) -> int:
+    """The byte count of the raw buffers a manifest listing names."""
+    return sum(np.dtype(item["dtype"]).itemsize * math.prod(item["shape"]) for item in listing)
 
 
 class TestCacheKey:
@@ -224,8 +237,8 @@ class TestResultCache:
     def test_trace_columns_are_packed_and_compressed_on_disk(self, tmp_path):
         # Heterogeneous stopping makes the dense (R, T, k) counts block
         # mostly padding; the disk layer must store only the valid
-        # prefixes (flat, first axis = sum of n_recorded) inside a
-        # compressed npz, and unpack bit-identically.
+        # prefixes (flat, first axis = sum of n_recorded) inside the
+        # deflated payload, and unpack bit-identically.
         spec = small_spec(record={"metrics": ["counts", "bias"], "every": 1})
         direct = simulate_ensemble(spec)
         trace = direct.trace
@@ -235,14 +248,15 @@ class TestResultCache:
         cache.put(key, direct)
         _, manifest, payload = read_entry(cache._path(key))
         assert manifest["trace"] == {"n": spec.n, "every": 1, "metrics": ["counts", "bias"]}
-        with np.load(io.BytesIO(payload)) as arrays:
-            packed = arrays["trace_values_0"]
-            assert packed.shape == (int(trace.n_recorded.sum()), spec.k)
-            assert packed.dtype == trace["counts"].dtype
-            # Strictly fewer stored cells than the dense padded block (the
-            # wall-clock size win at scale is recorded by the benchmark
-            # suite; this fixture is too small for zip overhead to win).
-            assert packed.nbytes < trace["counts"].nbytes
+        buffers = zlib.decompress(payload)
+        assert len(buffers) == listed_bytes(manifest["arrays"])
+        packed = {item["name"]: item for item in manifest["arrays"]}["trace_values_0"]
+        assert tuple(packed["shape"]) == (int(trace.n_recorded.sum()), spec.k)
+        assert np.dtype(packed["dtype"]) == trace["counts"].dtype
+        # Strictly fewer stored cells than the dense padded block (the size
+        # win at scale is recorded by the benchmark suite), and deflated.
+        assert listed_bytes([packed]) < trace["counts"].nbytes
+        assert len(payload) < len(buffers)
         replay = ResultCache(tmp_path).get(key)
         assert replay.trace.digest() == trace.digest()
 
@@ -348,6 +362,75 @@ class TestResultCache:
         assert cache.hits == 1
         assert_results_identical(cold, warm)
         assert cache.stats()["root"] is None
+
+    def test_memory_only_cache_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        encodes = Counter()
+        real_encode = cache_module._encode
+        monkeypatch.setattr(
+            cache_module, "_encode", lambda *args: encodes.update(["encode"]) or real_encode(*args)
+        )
+        cache = ResultCache(None)
+        spec = small_spec()
+        fetch(cache, spec)  # the executor's run
+        cache.put(cache.key_for(spec.with_overrides(seed=1)), simulate_ensemble(spec))
+        assert encodes == Counter()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_npz_entry_of_the_layout_before_is_invalidated_and_purged(self, tmp_path):
+        # An entry with an npz payload and a valid checksum is stale, like
+        # an entry of another schema: a lookup unlinks it and misses, and
+        # purge_stale reclaims it; neither quarantines it.
+        spec = small_spec()
+        result = simulate_ensemble(spec)
+        cache = ResultCache(tmp_path)
+        key = cache.key_for(spec)
+        npz = io.BytesIO()
+        np.savez(
+            npz,
+            rounds=result.rounds,
+            winners=result.winners,
+            converged=result.converged,
+            final_counts=result.final_counts,
+            stopped_by=np.asarray(result.stopped_by, dtype=str),
+        )
+        manifest = {
+            "max_rounds": result.max_rounds,
+            "plurality_color": result.plurality_color,
+            "schema": ENGINE_SCHEMA_VERSION,
+            "trace": None,
+        }
+        manifest_line = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        write_entry(cache._path(key), manifest_line, npz.getvalue())
+        assert cache.get(key) is None
+        assert (cache.invalidated, cache.quarantined) == (1, 0)
+        assert list(tmp_path.iterdir()) == []
+        write_entry(cache._path(key), manifest_line, npz.getvalue())
+        assert cache.stats()["disk_entries"] == 1
+        assert cache.purge_stale() == 1
+        assert list(tmp_path.iterdir()) == []
+        assert cache.quarantined == 0
+
+    def test_one_open_write_and_rename_per_entry(self, tmp_path, monkeypatch):
+        # A put opens one fresh temporary file, writes it once and renames
+        # it; only the write that finds the root missing creates it.
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(os, name)
+            return lambda *args, **kwargs: calls.update([name]) or real(*args, **kwargs)
+
+        for name in ("open", "write", "replace", "mkdir"):
+            monkeypatch.setattr(os, name, counted(name))
+        cache = ResultCache(tmp_path / "cache")
+        results = [simulate_ensemble(small_spec(seed=seed)) for seed in range(4)]
+        cache.put("0" * 64, results[0])
+        assert calls == Counter(open=2, mkdir=1, write=1, replace=1)  # the first open missed the root
+        calls.clear()
+        for seed, result in enumerate(results[1:], start=1):
+            cache.put(f"{seed}" * 64, result)
+        assert calls == Counter(open=3, write=3, replace=3)
+        assert cache.stats()["disk_entries"] == 4
 
     def test_clear_and_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -784,6 +867,30 @@ class TestExecutor:
             executor._replace_pool(lost)
             assert fresh is not lost and executor._pool is fresh
 
+    def test_pooled_run_writes_its_own_entry(self, tmp_path, monkeypatch):
+        # The pool worker writes <key>.entry before it answers, so the
+        # entry is on disk when the future resolves, and this (the serving)
+        # process encodes and writes no entry: it only remembers the result.
+        calls = Counter()
+        real_encode = cache_module._encode
+        monkeypatch.setattr(
+            cache_module, "_encode", lambda *args: calls.update(["encode"]) or real_encode(*args)
+        )
+        for module in (cache_module, executor_module):
+            monkeypatch.setattr(module, "write_entry", lambda *args: calls.update(["write"]))
+        spec = small_spec(record={"metrics": ["bias"], "every": 1})
+        cache = ResultCache(tmp_path)
+        with Executor(cache, workers=1) as executor:
+            key, source, result = executor.submit(spec).result(timeout=120)
+            assert source == "run"
+            assert (tmp_path / (key + ".entry")).is_file()
+        assert calls == Counter()
+        assert (cache.stores, cache.misses) == (1, 1)
+        assert key in cache._memory
+        disk = ResultCache(tmp_path).get(key)
+        for replay in (result, disk):
+            assert_results_identical(replay, simulate_ensemble(spec))
+
     def test_pooled_crash_retries_on_the_same_pool(self, monkeypatch):
         # Spawned workers arm the plan from the environment, so every fresh
         # worker crashes its first task.  Retrying on the same pool reaches
@@ -863,14 +970,36 @@ class TestCacheQuarantine:
     def test_checksum_recorded_at_write_time(self, tmp_path):
         spec = small_spec()
         cache = ResultCache(tmp_path / "cache")
-        fetch(cache, spec)
+        direct = fetch(cache, spec)
         key = cache.key_for(spec)
-        # The checksum line covers the manifest line and the npz payload.
+        # The checksum line covers the manifest line and the raw payload.
         checksum, body = cache._path(key).read_bytes().split(b"\n", 1)
         assert checksum.decode("ascii") == hashlib.sha256(body).hexdigest()
         manifest_line, payload = body.split(b"\n", 1)
-        assert json.loads(manifest_line)["schema"] == ENGINE_SCHEMA_VERSION
-        assert payload.startswith(b"PK")  # the npz (a zip archive)
+        manifest = json.loads(manifest_line)
+        assert manifest["schema"] == ENGINE_SCHEMA_VERSION
+        # The payload is exactly the buffers the manifest lists, rounds first.
+        assert manifest["arrays"][0] == {
+            "name": "rounds", "dtype": direct.rounds.dtype.str, "shape": [spec.replicas],
+        }
+        assert payload.startswith(direct.rounds.tobytes())
+        assert len(payload) == listed_bytes(manifest["arrays"])
+
+    def test_listing_an_object_dtype_is_a_quarantined_miss(self, tmp_path):
+        # The writer emits bool, int, float and fixed-width str buffers
+        # only; a checksummed listing naming any other dtype is corrupt.
+        spec = small_spec()
+        cache = ResultCache(tmp_path / "cache")
+        fetch(cache, spec)
+        key = cache.key_for(spec)
+        _, manifest, payload = read_entry(cache._path(key))
+        rounds = manifest["arrays"][0]
+        assert (rounds["name"], rounds["dtype"]) == ("rounds", "<i8")
+        rounds["dtype"] = "|O"  # same item size: only the kind is wrong
+        write_entry(cache._path(key), json.dumps(manifest).encode(), payload)
+        cache._memory.clear()
+        assert cache.get(key) is None
+        assert (cache.quarantined, cache.invalidated) == (1, 0)
 
     def test_read_error_fault_is_miss_without_deletion(self, tmp_path):
         from repro import faults
