@@ -52,9 +52,9 @@ the color order and ``A1/A2`` the strictly-above suffix sums:
 
 Everything is prefix sums — O(k) per configuration, broadcastable over
 replica batches — which is what lets arbitrary 3-input rules ride the same
-exact multinomial engine as Lemma 1's 3-majority.  The O(k³) sum over all
-ordered triples is kept as :meth:`ThreeInputRule.color_law_reference` and
-cross-checked in the tests.
+exact multinomial engine as Lemma 1's 3-majority.  The tests check it
+against the O(k³) sum over all ordered triples, run through
+:meth:`ThreeInputRule.apply`.
 """
 
 from __future__ import annotations
@@ -289,38 +289,6 @@ class ThreeInputRule(CountsDynamics):
         if np.any(n <= 0):
             raise ValueError("empty configuration has no color law")
         return self._law_from_probs(c / n)
-
-    def color_law_reference(self, counts: np.ndarray) -> np.ndarray:
-        """Exact law by brute-force summation over all k³ ordered triples.
-
-        O(k³) memory and time — the independent oracle the O(k) law is
-        validated against; not used on any hot path.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        k = counts.size
-        n = counts.sum()
-        if n <= 0:
-            raise ValueError("empty configuration has no color law")
-        f = counts / n
-        idx = np.arange(k, dtype=np.int64)
-        A, B, C = np.meshgrid(idx, idx, idx, indexing="ij")
-        prob = f[A] * f[B] * f[C]
-        law = np.zeros(k)
-        if self.distinct_choice == "uniform":
-            # Deterministic part on non-distinct triples, 1/3 each on distinct.
-            a, b, c = A.ravel(), B.ravel(), C.ravel()
-            distinct = (a != b) & (b != c) & (a != c)
-            rng_dummy = np.random.default_rng(0)  # unused on non-distinct triples
-            chosen = self.apply(a, b, c, rng_dummy)
-            p = prob.ravel()
-            np.add.at(law, chosen[~distinct], p[~distinct])
-            for pos, arr in enumerate((a, b, c)):
-                np.add.at(law, arr[distinct], p[distinct] / 3.0)
-        else:
-            rng_dummy = np.random.default_rng(0)  # rule is deterministic
-            chosen = self.apply(A.ravel(), B.ravel(), C.ravel(), rng_dummy)
-            np.add.at(law, chosen, prob.ravel())
-        return law
 
     def __repr__(self) -> str:
         return (

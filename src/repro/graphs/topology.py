@@ -191,6 +191,12 @@ def random_regular(n: int, d: int, seed: int | None = None) -> Topology:
     leftovers can no longer form a new edge starts over.  The draws come
     from ``random.Random(seed)`` (the module-level generator when ``seed``
     is None) in networkx's order, so the graph is networkx's for that seed.
+    That is why the stubs go through :func:`_shuffle` and not a faster or
+    vectorised permutation: any other draw order gives another graph, and
+    so other results under the same spec and cache key.
+
+    An edge ``s1 < s2`` is kept as the int key ``s1 * n + s2``, which hashes
+    and compares faster than a tuple, and the CSR is unpacked from the keys.
     """
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
@@ -199,39 +205,67 @@ def random_regular(n: int, d: int, seed: int | None = None) -> Topology:
     rng = random if seed is None else random.Random(seed)
     edges = None if d else set()  # d = 0: the empty graph, no draws
     while edges is None:
-        edges = _pair_stubs(n, d, rng)
-    return Topology.from_edges(n, _pairs_array(edges), name=f"rr-{d}-{n}")
+        edges = _pair_stubs(n, d, rng.getrandbits)
+    keys = np.fromiter(edges, dtype=np.int64, count=len(edges))
+    return Topology.from_edges(n, np.column_stack(np.divmod(keys, n)), name=f"rr-{d}-{n}")
 
 
-def _pair_stubs(n: int, d: int, rng) -> set | None:
-    """One attempt of the pairing model: its edge set, or None if it failed."""
+def _pair_stubs(n: int, d: int, getrandbits) -> set | None:
+    """One attempt of the pairing model: its edge keys, or None if it failed."""
     edges = set()
     stubs = list(range(n)) * d
     while stubs:
         # Insertion-ordered: the leftover stubs are re-listed in the order
         # their nodes first failed, which fixes what the next shuffle sees.
         leftover = defaultdict(int)
-        rng.shuffle(stubs)
+        _shuffle(stubs, getrandbits)
         pairs = iter(stubs)
         for s1, s2 in zip(pairs, pairs):
             if s1 > s2:
                 s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
+            key = s1 * n + s2
+            if s1 != s2 and key not in edges:
+                edges.add(key)
             else:
                 leftover[s1] += 1
                 leftover[s2] += 1
-        if not _suitable(edges, leftover):
+        if not _suitable(edges, leftover, n):
             return None
         stubs = [node for node, count in leftover.items() for _ in range(count)]
     return edges
 
 
-def _suitable(edges: set, leftover: dict) -> bool:
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle ``x`` in place exactly as ``random.Random.shuffle`` does.
+
+    CPython's shuffle swaps ``x[i]`` with ``x[_randbelow(i + 1)]`` for ``i``
+    from the top down, and ``_randbelow(m)`` draws ``getrandbits(m.bit_length())``
+    until the draw is below ``m``.  Here that call is inlined, and the bit
+    length is computed once for each run of ``i`` that shares it.  The words
+    drawn, and so the permutation and the generator's state afterwards, are
+    the stock shuffle's: :func:`random_regular` must draw as networkx does
+    to build networkx's graph.  The tests check this against the stock
+    shuffle at every length up to 130, so a CPython release that changed
+    ``_randbelow`` would fail there before it moved a graph.
+    """
+    top = len(x) - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        bottom = (1 << (bits - 1)) - 1  # the least i with (i + 1).bit_length() == bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            x[i], x[j] = x[j], x[i]
+        top = bottom - 1
+
+
+def _suitable(edges: set, leftover: dict, n: int) -> bool:
     """networkx's check that the leftover stubs can still form a new edge.
 
-    Kept verbatim, including the swap that rebinds ``s1`` inside the inner
-    loop: it decides when an attempt restarts, and so which draws follow.
+    Kept verbatim but for the int keys, including the swap that rebinds
+    ``s1`` inside the inner loop: it decides when an attempt restarts, and
+    so which draws follow.
     """
     if not leftover:
         return True
@@ -241,7 +275,7 @@ def _suitable(edges: set, leftover: dict) -> bool:
                 break
             if s1 > s2:
                 s1, s2 = s2, s1
-            if (s1, s2) not in edges:
+            if s1 * n + s2 not in edges:
                 return True
     return False
 

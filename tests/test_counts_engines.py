@@ -5,7 +5,7 @@ marginals:
 
 * **exactness** — the O(k) pattern-decomposed :meth:`ThreeInputRule.color_law`
   must match the brute-force O(k³) sum over all ordered triples
-  (:meth:`~repro.core.threeinput.ThreeInputRule.color_law_reference`) to
+  (:func:`_triple_law`, through the rule's own ``apply``) to
   floating-point precision, and the h-plurality generating-function law
   must reproduce Lemma 1 exactly at ``h = 3`` and the voter law at
   ``h ∈ {1, 2}`` (``tests/test_reference_laws.py`` checks it against an
@@ -71,6 +71,29 @@ def _agent_variant(rule: ThreeInputRule) -> ThreeInputRule:
     return ThreeInputRule(rule.pair_choice, rule.distinct_choice, rule.name, engine="agent")
 
 
+def _triple_law(rule: ThreeInputRule, counts) -> np.ndarray:
+    """Exact law by brute-force summation over all k³ ordered triples.
+
+    Every triple goes through ``rule.apply``, so no closed form enters:
+    the O(k³) oracle the O(k) law is checked against.  A uniform distinct
+    choice is the one case that draws; its distinct triples are split 1/3
+    to each position here instead, and ``apply`` sees only the others.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    k = counts.size
+    f = counts / counts.sum()
+    a, b, c = np.indices((k, k, k)).reshape(3, -1)
+    prob = f[a] * f[b] * f[c]
+    law = np.zeros(k)
+    if rule.distinct_choice == "uniform":
+        distinct = (a != b) & (b != c) & (a != c)
+        for column in (a, b, c):
+            np.add.at(law, column[distinct], prob[distinct] / 3.0)
+        a, b, c, prob = a[~distinct], b[~distinct], c[~distinct], prob[~distinct]
+    np.add.at(law, rule.apply(a, b, c, None), prob)  # rng-free on these triples
+    return law
+
+
 def _chi_square_ok(observed: np.ndarray, law: np.ndarray, total: int) -> None:
     """Assert aggregated one-hot draws are consistent with ``law``."""
     expected = law * total
@@ -89,7 +112,7 @@ class TestThreeInputLawExactness:
     def test_fast_law_matches_brute_force(self, k):
         for rule in _rule_panel():
             fast = rule.color_law(COUNTS[k])
-            ref = rule.color_law_reference(COUNTS[k])
+            ref = _triple_law(rule, COUNTS[k])
             assert np.allclose(fast, ref, atol=1e-12), (rule.name, k)
             assert fast.sum() == pytest.approx(1.0)
             assert (fast >= 0).all()
@@ -103,7 +126,7 @@ class TestThreeInputLawExactness:
             rule = ThreeInputRule(pair, distinct, name=f"random-{i}")
             counts = rng.integers(1, 40, size=11)
             assert np.allclose(
-                rule.color_law(counts), rule.color_law_reference(counts), atol=1e-12
+                rule.color_law(counts), _triple_law(rule, counts), atol=1e-12
             )
 
     def test_majority_law_is_lemma1(self):

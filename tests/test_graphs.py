@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from repro.graphs import (
     run_graph_process,
     torus,
 )
+from repro.graphs.topology import _shuffle
 
 
 class TestTopology:
@@ -379,7 +382,9 @@ class TestBuildersMatchNetworkx:
             for path in range(5):
                 self._assert_same(barbell(m, path), nx.barbell_graph(m, path))
 
-    @pytest.mark.parametrize("n,d", [(10, 3), (50, 4), (1000, 8), (7, 6), (9, 0)])
+    @pytest.mark.parametrize(
+        "n,d", [(10, 3), (50, 4), (1000, 8), (7, 6), (9, 0), (1200, 8), (10, 8), (12, 10)]
+    )
     def test_random_regular(self, n, d):
         import networkx as nx
 
@@ -399,8 +404,6 @@ class TestBuildersMatchNetworkx:
 
     @pytest.mark.parametrize("family", ["random-regular", "erdos-renyi"])
     def test_unseeded_draws_from_the_module_generator(self, family):
-        import random
-
         import networkx as nx
 
         ours, theirs = {
@@ -425,6 +428,46 @@ class TestBuildersMatchNetworkx:
     def test_random_regular_parameter_errors_are_value_errors(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             random_regular(seed=0, **kwargs)
+
+
+class TestShuffleMatchesRandom:
+    """``_shuffle`` is ``random.Random.shuffle`` with ``_randbelow`` inlined.
+
+    ``random_regular`` orders its stubs with it, so it must draw the stock
+    shuffle's words: the same permutation, and the generator left in the
+    same state.  Lengths 0..130 cross every bit-length boundary of ``i + 1``
+    through 2**7; 8,000 and 9,600 are the stub counts of ``(1000, 8)`` and
+    ``(1200, 8)``.  A CPython release that changed ``_randbelow`` fails here
+    before it moves a graph.
+    """
+
+    LENGTHS = [*range(131), 8000, 9600]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_shuffle_matches_random_shuffle(self, seed):
+        for length in self.LENGTHS:
+            stock, ours = random.Random(seed), random.Random(seed)
+            expected, got = list(range(length)), list(range(length))
+            stock.shuffle(expected)
+            _shuffle(got, ours.getrandbits)
+            assert got == expected, length
+            assert ours.random() == stock.random(), length
+
+    def test_shuffle_through_the_module_generator(self):
+        state = random.getstate()
+        try:
+            for length in self.LENGTHS:
+                random.seed(length)
+                expected = list(range(length))
+                random.shuffle(expected)
+                next_draw = random.random()
+                random.seed(length)
+                got = list(range(length))
+                _shuffle(got, random.getrandbits)
+                assert got == expected, length
+                assert random.random() == next_draw, length
+        finally:
+            random.setstate(state)
 
 
 class TestGeneratorPins:
