@@ -2,10 +2,11 @@
 
 * :func:`total_variation` — TV distance between configurations viewed as
   distributions over colors;
-* :func:`classify_phase` / :func:`phase_segments` — decompose a 3-majority
-  trajectory into the three phases of the upper-bound proof
-  (Lemma 3: growth to 2n/3; Lemma 4: exponential minority decay to
-  ``n - polylog``; Lemma 5: one-shot extinction), used by E10.
+* :func:`classify_phase` / :func:`phase_segments` / :func:`plurality_phase`
+  — decompose a 3-majority trajectory into the three phases of the
+  upper-bound proof (Lemma 3: growth to 2n/3; Lemma 4: exponential
+  minority decay to ``n - polylog``; Lemma 5: one-shot extinction); E10
+  classifies its recorded plurality counts with :func:`plurality_phase`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "total_variation",
     "classify_phase",
     "phase_segments",
+    "plurality_phase",
     "PhaseSegment",
     "PHASE_PLURALITY",
     "PHASE_MAJORITY",
@@ -54,16 +56,25 @@ def classify_phase(counts: np.ndarray, last_step_threshold: float | None = None)
     n = int(c.sum())
     if n <= 0:
         raise ValueError("empty configuration")
-    c1 = int(c.max())
-    if c1 == n:
-        return PHASE_DONE
+    return str(plurality_phase(c.max(), n, last_step_threshold))
+
+
+def plurality_phase(
+    plurality: np.ndarray | int, n: int, last_step_threshold: float | None = None
+) -> np.ndarray:
+    """:func:`classify_phase` of every plurality count ``c1`` in ``plurality``.
+
+    A phase depends on a configuration only through ``c1`` and ``n``, so a
+    recorded ``plurality-count`` trace classifies in one pass.
+    """
+    c1 = np.asarray(plurality)
     if last_step_threshold is None:
         last_step_threshold = np.log(max(n, 3)) ** 2
-    if c1 <= 2 * n / 3:
-        return PHASE_PLURALITY
-    if c1 > n - last_step_threshold:
-        return PHASE_LAST_STEP
-    return PHASE_MAJORITY
+    return np.select(
+        [c1 == n, c1 <= 2 * n / 3, c1 > n - last_step_threshold],
+        [PHASE_DONE, PHASE_PLURALITY, PHASE_LAST_STEP],
+        PHASE_MAJORITY,
+    )
 
 
 @dataclass

@@ -398,8 +398,10 @@ def skewed_rule(delta: tuple[int, int, int] = (1, 3, 2)) -> ThreeInputRule:
 def all_position_rules() -> list[ThreeInputRule]:
     """Enumerate the 3^6 clear-majority, position-based distinct choices.
 
-    Used by the exhaustive E5 sweep: every clear-majority rule in the
-    order-based family, classified by δ-counters.
+    Every clear-majority rule in the order-based family, for classifying
+    by δ-counters.  No experiment runs them: E5 runs a fixed panel of
+    named rules, and ``tests/test_threeinput.py`` checks the
+    classification over this enumeration.
     """
     rules = []
     for assignment in itertools.product((0, 1, 2), repeat=len(DISTINCT_PATTERNS)):

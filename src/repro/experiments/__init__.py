@@ -17,20 +17,17 @@ _EXPORTS = {
     "FIGURES": "figures",
     "ResultTable": "results",
     "SCALES": "harness",
-    "SweepPoint": "harness",
     "ascii_plot": "plotting",
     "corollary3_start": "workloads",
     "experiment_ids": "registry",
     "figure_ids": "figures",
     "geometric_tail": "workloads",
     "get_experiment": "registry",
-    "grid": "harness",
     "lemma10_start": "workloads",
     "lemma8_start": "workloads",
     "paper_biased": "workloads",
     "render_figure": "figures",
     "soda15_gap": "workloads",
-    "sweep": "harness",
     "theorem1_bias": "workloads",
     "theorem2_start": "workloads",
     "theorem4_start": "workloads",

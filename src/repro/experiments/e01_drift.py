@@ -10,13 +10,12 @@ every non-plurality color.
 Measurement
 -----------
 For a family of configurations (paper-biased, geometric-tail, random,
-near-balanced) we run one-round replica ensembles through the standard
-runner with a declarative ``record=["counts"]`` trace (the metric layer
-of :mod:`repro.core.metrics` — no bespoke stepping loop), compare the
-empirical mean count vector against Lemma 1 (reporting the max deviation
-in units of the per-color CLT standard error) and the empirical mean bias
-against Lemma 2's lower bound.  Agreement within a few standard errors at
-every point reproduces both lemmas.
+near-balanced) we run one-round replica ensembles, one ``max_rounds: 1``
+spec per start recording ``counts``, compare the empirical mean count
+vector against Lemma 1 (reporting the max deviation in units of the
+per-color CLT standard error) and the empirical mean bias against Lemma
+2's lower bound.  Agreement within a few standard errors at every point
+reproduces both lemmas.
 """
 
 from __future__ import annotations
@@ -25,13 +24,9 @@ import numpy as np
 
 from ..analysis.expectations import expected_next_bias_lower_bound, expected_next_counts
 from ..analysis.streaming import trace_moments
-from ..core.config import Configuration
-from ..core.majority import ThreeMajority
-from ..core.process import run_ensemble
-from ..core.rng import derive_seed
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
-from .workloads import geometric_tail, paper_biased
 
 _SCALE = {
     "smoke": dict(ns=[2_000], replicas=400),
@@ -40,17 +35,37 @@ _SCALE = {
 }
 
 
-def _workloads(n: int, rng: np.random.Generator) -> list[tuple[str, Configuration]]:
+#: Table label per workload, where the two differ.
+_LABEL = {"geometric-tail": "geometric", "biased": "near-balanced"}
+
+
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    """One recorded round per replica and start, so the counts trace's
+    round 1 is the one-round sample."""
+    cfg = _SCALE[scale]
     return [
-        ("paper-biased", paper_biased(n, 8)),
-        ("geometric", geometric_tail(n, 12, ratio=0.75)),
-        ("random", Configuration.random(n, 10, rng)),
-        ("near-balanced", Configuration.biased(n, 6, max(2, n // 100))),
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial=workload,
+            initial_params=params,
+            n=n,
+            k=k,
+            replicas=cfg["replicas"],
+            max_rounds=1,
+            record=["counts"],
+            seed=spec_seed(seed, "E1", n, workload),
+        )
+        for n in cfg["ns"]
+        for k, workload, params in (
+            (8, "paper-biased", {}),
+            (12, "geometric-tail", {"ratio": 0.75}),
+            (10, "random", {"seed": spec_seed(seed, "E1-setup", n)}),
+            (6, "biased", {"bias": max(2, n // 100)}),
+        )
     ]
 
 
-def run(scale: str, seed: int) -> ResultTable:
-    cfg = _SCALE[scale]
+def table(scale: str, seed: int, results) -> ResultTable:
     table = ResultTable(
         title="E1: one-round drift vs Lemma 1 / Lemma 2",
         columns=[
@@ -64,47 +79,36 @@ def run(scale: str, seed: int) -> ResultTable:
             "drift_ok",
         ],
     )
-    dyn = ThreeMajority()
-    for n in cfg["ns"]:
-        setup_rng = np.random.default_rng(derive_seed(seed, "e01-setup", n))
-        for name, config in _workloads(n, setup_rng):
-            rng = np.random.default_rng(derive_seed(seed, "e01", n, name))
-            counts = config.counts
-            R = cfg["replicas"]
-            # One recorded round per replica: the ensemble runner draws the
-            # same batched multinomial the old bespoke step_many loop did
-            # (bit-identical at equal seed), and the counts trace is the
-            # one-round sample.
-            ens = run_ensemble(
-                dyn, config, R, max_rounds=1, record=["counts"], rng=rng
-            )
-            nxt = ens.trace["counts"][:, 1, :]
+    for spec, ens in zip(specs(scale, seed), results):
+        n, R = spec.n, ens.replicas
+        counts = ens.trace["counts"][0, 0]  # the start, recorded at round 0
+        nxt = ens.trace["counts"][:, 1, :]
 
-            mu = expected_next_counts(counts)
-            law = mu / n
-            stderr = np.sqrt(np.maximum(n * law * (1 - law), 1e-9) / R)
-            mean_counts = trace_moments(ens.trace, "counts", round_index=1).mean
-            max_dev = float(np.max(np.abs(mean_counts - mu) / stderr))
+        mu = expected_next_counts(counts)
+        law = mu / n
+        stderr = np.sqrt(np.maximum(n * law * (1 - law), 1e-9) / R)
+        mean_counts = trace_moments(ens.trace, "counts", round_index=1).mean
+        max_dev = float(np.max(np.abs(mean_counts - mu) / stderr))
 
-            # Bias drift: empirical mean of (top-initial-color minus each
-            # rival), compared against Lemma 2's bound on mu_1 - mu_j.
-            plur = int(np.argmax(counts))
-            rivals = [j for j in range(counts.size) if j != plur]
-            per_rival = nxt[:, plur][:, None] - nxt[:, rivals]
-            mean_bias_next = float(per_rival.mean(axis=0).min())
-            bound = expected_next_bias_lower_bound(counts)
-            # CLT slack: three stderr units of the bias difference.
-            slack = 3.0 * float(np.sqrt((nxt[:, plur].var() + nxt[:, rivals].var(axis=0).max()) / R))
-            table.add_row(
-                n=n,
-                workload=name,
-                k=config.k,
-                replicas=R,
-                max_dev_stderr=max_dev,
-                mean_bias_next=mean_bias_next,
-                lemma2_bound=bound,
-                drift_ok=mean_bias_next >= bound - slack,
-            )
+        # Bias drift: empirical mean of (top-initial-color minus each
+        # rival), compared against Lemma 2's bound on mu_1 - mu_j.
+        plur = int(np.argmax(counts))
+        rivals = [j for j in range(counts.size) if j != plur]
+        per_rival = nxt[:, plur][:, None] - nxt[:, rivals]
+        mean_bias_next = float(per_rival.mean(axis=0).min())
+        bound = expected_next_bias_lower_bound(counts)
+        # CLT slack: three stderr units of the bias difference.
+        slack = 3.0 * float(np.sqrt((nxt[:, plur].var() + nxt[:, rivals].var(axis=0).max()) / R))
+        table.add_row(
+            n=n,
+            workload=_LABEL.get(spec.initial, spec.initial),
+            k=spec.k,
+            replicas=R,
+            max_dev_stderr=max_dev,
+            mean_bias_next=mean_bias_next,
+            lemma2_bound=bound,
+            drift_ok=mean_bias_next >= bound - slack,
+        )
     table.add_note("max_dev_stderr ~ N(0,1) order statistics; values < ~5 confirm Lemma 1")
     table.add_note("drift_ok: empirical E[C1 - Cj] >= Lemma 2 bound (minus 3 CLT stderr)")
     return table
@@ -117,6 +121,7 @@ SPEC = ExperimentSpec(
         "The expected next configuration follows mu_j = c_j(1 + (n c_j - sum c_h^2)/n^2) "
         "exactly, and the expected bias grows by at least the factor 1 + (c1/n)(1 - c1/n)."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("expectation", "drift"),
 )

@@ -29,7 +29,7 @@ import math
 from ..analysis.bounds import lambda_for, theorem1_rounds
 from ..analysis.fitting import linear_fit_through_predictor, power_law_fit
 from ..scenario import ScenarioSpec
-from .harness import ExperimentSpec, sweep
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
 from .workloads import paper_biased
 
@@ -54,8 +54,25 @@ _SCALE = {
 }
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    """One spec per point: k at fixed n, then n at fixed k."""
     cfg = _SCALE[scale]
+    points = [(cfg["n_fixed"], k) for k in cfg["ks"]] + [(n, cfg["k_fixed"]) for n in cfg["ns"]]
+    return [
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial="paper-biased",
+            n=n,
+            k=k,
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            seed=spec_seed(seed, "E2", index),
+        )
+        for index, (n, k) in enumerate(points)
+    ]
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     table = ResultTable(
         title="E2: 3-majority convergence time vs Theorem 1's λ log n",
         columns=[
@@ -72,55 +89,37 @@ def run(scale: str, seed: int) -> ResultTable:
             "ratio",
         ],
     )
-    def build(params):
-        # Declarative build: the sweep resolves the names through the
-        # registries and overrides replicas/max_rounds/seed itself.
-        return ScenarioSpec(
-            dynamics="3-majority",
-            initial="paper-biased",
-            n=params["n"],
-            k=params["k"],
-        )
-
-    # Sweep 1: k at fixed n.
-    points_k = [{"n": cfg["n_fixed"], "k": k, "sweep": "k"} for k in cfg["ks"]]
-    # Sweep 2: n at fixed k.
-    points_n = [{"n": n, "k": cfg["k_fixed"], "sweep": "n"} for n in cfg["ns"]]
-
+    ks: list[int] = []
     medians_k: list[float] = []
     predictors_k: list[float] = []
-    for point in sweep(
-        points_k + points_n,
-        build,
-        replicas=cfg["replicas"],
-        max_rounds=cfg["max_rounds"],
-        seed=seed,
-        experiment_id="E2",
-    ):
-        n, k = int(point.params["n"]), int(point.params["k"])
+    cfg = _SCALE[scale]
+    sweeps = ["k"] * len(cfg["ks"]) + ["n"] * len(cfg["ns"])
+    for sweep, spec, ens in zip(sweeps, specs(scale, seed), results):
+        n, k = spec.n, spec.k
         lam = lambda_for(n, k)
         pred = theorem1_rounds(n, lam)
-        summary = point.ensemble.rounds_summary()
+        summary = ens.rounds_summary()
         table.add_row(
-            sweep=point.params["sweep"],
+            sweep=sweep,
             n=n,
             k=k,
             **{"lambda": round(lam, 2)},
             bias=paper_biased(n, k).bias,
-            replicas=point.ensemble.replicas,
-            win_rate=point.ensemble.plurality_win_rate,
+            replicas=ens.replicas,
+            win_rate=ens.plurality_win_rate,
             median_rounds=summary["median"],
             p90_rounds=summary["p90"],
             lambda_logn=round(pred, 1),
             ratio=summary["median"] / pred if pred > 0 else float("nan"),
         )
-        if point.params["sweep"] == "k" and not math.isnan(summary["median"]):
+        if sweep == "k" and not math.isnan(summary["median"]):
+            ks.append(k)
             medians_k.append(summary["median"])
             predictors_k.append(pred)
 
     if len(medians_k) >= 3:
         fit = linear_fit_through_predictor(predictors_k, medians_k)
-        pk = power_law_fit([p["k"] for p in points_k][: len(medians_k)], medians_k)
+        pk = power_law_fit(ks, medians_k)
         table.add_note(
             f"k-sweep: rounds ≈ {fit.coefficient:.3f}·λ·log(n) (R²={fit.r_squared:.3f}); "
             f"rounds ~ k^{pk.exponent:.2f} (95% CI {pk.exponent_ci()[0]:.2f}..{pk.exponent_ci()[1]:.2f})"
@@ -139,6 +138,7 @@ SPEC = ExperimentSpec(
         "With bias >= c·sqrt(2λ n log n), 3-majority converges to the plurality in "
         "O(λ log n) rounds w.h.p., λ = min(2k, (n/log n)^{1/3})."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("upper-bound", "scaling"),
 )

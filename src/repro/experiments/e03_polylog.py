@@ -22,7 +22,7 @@ import math
 
 from ..analysis.fitting import linear_fit_through_predictor
 from ..scenario import ScenarioSpec
-from .harness import ExperimentSpec, sweep
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
 from .workloads import corollary3_start
 
@@ -42,7 +42,24 @@ _SCALE = {
 corollary3_config = corollary3_start
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    cfg = _SCALE[scale]
+    return [
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial="corollary3",
+            initial_params={"beta": cfg["beta"]},
+            n=n,
+            k=cfg["k"],
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            seed=spec_seed(seed, "E3", index),
+        )
+        for index, n in enumerate(cfg["ns"])
+    ]
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     cfg = _SCALE[scale]
     table = ResultTable(
         title="E3: logarithmic convergence under c1 >= n/β (Corollary 3)",
@@ -59,29 +76,11 @@ def run(scale: str, seed: int) -> ResultTable:
             "rounds_per_logn",
         ],
     )
-    def build(params):
-        return ScenarioSpec(
-            dynamics="3-majority",
-            initial="corollary3",
-            initial_params={"beta": cfg["beta"]},
-            n=params["n"],
-            k=cfg["k"],
-        )
-
-    points = [{"n": n} for n in cfg["ns"]]
     medians: list[float] = []
     logs: list[float] = []
-    for point in sweep(
-        points,
-        build,
-        replicas=cfg["replicas"],
-        max_rounds=cfg["max_rounds"],
-        seed=seed,
-        experiment_id="E3",
-    ):
-        n = int(point.params["n"])
+    for n, ens in zip(cfg["ns"], results):
         config = corollary3_config(n, cfg["k"], cfg["beta"])
-        summary = point.ensemble.rounds_summary()
+        summary = ens.rounds_summary()
         log_n = math.log(n)
         table.add_row(
             n=n,
@@ -89,8 +88,8 @@ def run(scale: str, seed: int) -> ResultTable:
             beta=cfg["beta"],
             c1_fraction=config.plurality_count / n,
             bias=config.bias,
-            replicas=point.ensemble.replicas,
-            win_rate=point.ensemble.plurality_win_rate,
+            replicas=ens.replicas,
+            win_rate=ens.plurality_win_rate,
             median_rounds=summary["median"],
             log_n=round(log_n, 2),
             rounds_per_logn=summary["median"] / log_n,
@@ -115,6 +114,7 @@ SPEC = ExperimentSpec(
         "When c1 >= n/β for constant β and s >= c·sqrt(2β n log n), 3-majority "
         "converges in O(log n) rounds w.h.p., for any k."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("upper-bound", "polylog"),
 )

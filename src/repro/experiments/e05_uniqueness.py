@@ -29,20 +29,9 @@ skewed) near 0.
 from __future__ import annotations
 
 from ..analysis.fitting import wilson_interval
-from ..core.config import Configuration
-from ..core.threeinput import (
-    ThreeInputRule,
-    first_rule,
-    majority_rule,
-    majority_uniform_rule,
-    max_rule,
-    median_rule,
-    min_rule,
-    skewed_rule,
-)
-from .harness import ExperimentSpec, sweep
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
-from .workloads import lemma8_start
 
 _SCALE = {
     "smoke": dict(n=3_000, replicas=24, max_rounds=3_000),
@@ -50,40 +39,51 @@ _SCALE = {
     "paper": dict(n=100_000, replicas=200, max_rounds=50_000),
 }
 
+#: The rule panel: ``(registry name, params)`` per rule.
+_PANEL = (
+    ("majority-rule", {}),
+    ("majority-uniform-rule", {}),
+    ("median-rule", {}),
+    ("skewed-rule", {"delta": [1, 3, 2]}),
+    ("skewed-rule", {"delta": [0, 4, 2]}),
+    ("first-rule", {}),
+    ("min-rule", {}),
+    ("max-rule", {}),
+)
 
-def _panel() -> list[ThreeInputRule]:
+
+def _start(name: str, n: int) -> dict:
+    """The spec fields of a rule's start: Lemma 7's 2-color start for the
+    first rule (the clear-majority violator), Lemma 8's 3-color start
+    otherwise.
+
+    For the min rule Lemma 8's plurality (color 0 = lowest index) is also
+    the rule's attractor, which would mask the failure; the mirrored start
+    puts the plurality on the *highest* index (the color-symmetric case
+    the lemma invokes).  Symmetrically for max.
+    """
+    if name == "first-rule":
+        return dict(initial="two-color", initial_params={"bias": n // 4}, k=2)
+    return dict(initial="lemma8", initial_params={"mirrored": name == "min-rule"}, k=3)
+
+
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    cfg = _SCALE[scale]
     return [
-        majority_rule(),
-        majority_uniform_rule(),
-        median_rule(),
-        skewed_rule((1, 3, 2)),
-        skewed_rule((0, 4, 2)),
-        first_rule(),
-        min_rule(),
-        max_rule(),
+        ScenarioSpec(
+            dynamics=name,
+            dynamics_params=params,
+            **_start(name, cfg["n"]),
+            n=cfg["n"],
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            seed=spec_seed(seed, "E5", index),
+        )
+        for index, (name, params) in enumerate(_PANEL)
     ]
 
 
-def _workload_for(rule: ThreeInputRule, n: int) -> Configuration:
-    """Lemma 7's 2-color start for clear-majority violators; Lemma 8's
-    3-color start otherwise.
-
-    For the min rule Lemma 8's plurality (color 0 = lowest index) is also
-    the rule's attractor, which would mask the failure; we flip the
-    configuration so the plurality sits on the *highest* index (the
-    color-symmetric case the lemma invokes).  Symmetrically for max.
-    """
-    if not rule.has_clear_majority_property() and rule.name == "first-rule":
-        return Configuration.two_color(n, bias=n // 4)
-    cfg = lemma8_start(n)
-    if rule.name == "min-rule":
-        return cfg.permuted([2, 1, 0])
-    return cfg
-
-
-def run(scale: str, seed: int) -> ResultTable:
-    cfg = _SCALE[scale]
-    n = cfg["n"]
+def table(scale: str, seed: int, results) -> ResultTable:
     table = ResultTable(
         title="E5: only M3 members solve plurality consensus (Theorem 3)",
         columns=[
@@ -102,28 +102,11 @@ def run(scale: str, seed: int) -> ResultTable:
             "is_solver_here",
         ],
     )
-    rules = _panel()
-
-    def build(params):
-        rule = rules[params["idx"]]
-        return rule, _workload_for(rule, n)
-
-    points = [{"idx": i} for i in range(len(rules))]
-    for point, rule in zip(
-        sweep(
-            points,
-            build,
-            replicas=cfg["replicas"],
-            max_rounds=cfg["max_rounds"],
-            seed=seed,
-            experiment_id="E5",
-        ),
-        rules,
-    ):
-        ens = point.ensemble
+    for spec, ens in zip(specs(scale, seed), results):
+        scenario = spec.resolve()
+        rule = scenario.dynamics
         wins = int(ens.plurality_wins.sum())
         lo, hi = wilson_interval(wins, ens.replicas)
-        workload = _workload_for(rule, n)
         table.add_row(
             rule=rule.name,
             engine=rule.resolved_engine(),
@@ -131,7 +114,7 @@ def run(scale: str, seed: int) -> ResultTable:
             clear_majority=rule.has_clear_majority_property(),
             uniform=rule.has_uniform_property(),
             in_M3=rule.is_three_majority(),
-            workload_bias=workload.bias,
+            workload_bias=scenario.initial.bias,
             replicas=ens.replicas,
             win_rate=ens.plurality_win_rate,
             win_ci_low=lo,
@@ -157,6 +140,7 @@ SPEC = ExperimentSpec(
         "Any 3-input dynamics lacking the clear-majority or the uniform property elects "
         "a non-plurality color with probability > 1/4 even from Ω(n)-biased configurations."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("negative-result", "classification"),
 )

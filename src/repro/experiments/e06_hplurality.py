@@ -26,11 +26,9 @@ import numpy as np
 from ..analysis.bounds import theorem4_lower_rounds
 from ..analysis.fitting import power_law_fit
 from ..core.majority import HPlurality
-from ..core.process import run_process
-from ..core.rng import derive_seed
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, first_round_at_least, spec_seed
 from .results import ResultTable
-from .workloads import theorem4_start
 
 _SCALE = {
     "smoke": dict(n=4_000, k=16, hs=[3, 5, 8], replicas=4, max_rounds=4_000),
@@ -39,10 +37,27 @@ _SCALE = {
 }
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    cfg = _SCALE[scale]
+    return [
+        ScenarioSpec(
+            dynamics="h-plurality",
+            dynamics_params={"h": h},
+            initial="theorem4",
+            n=cfg["n"],
+            k=cfg["k"],
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            record=["plurality-count"],
+            seed=spec_seed(seed, "E6", h),
+        )
+        for h in cfg["hs"]
+    ]
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     cfg = _SCALE[scale]
     n, k = cfg["n"], cfg["k"]
-    config = theorem4_start(n, k)
     table = ResultTable(
         title="E6: h-plurality speed-up is bounded by h² (Theorem 4)",
         columns=[
@@ -59,51 +74,28 @@ def run(scale: str, seed: int) -> ResultTable:
             "speedup_vs_h3",
         ],
     )
-    rows: list[tuple[int, float]] = []
-    base_rounds: float | None = None
-    for h in cfg["hs"]:
-        dyn = HPlurality(h)
-        rounds: list[int] = []
-        growth: list[int] = []
-        wins = 0
-        for rep in range(cfg["replicas"]):
-            rng = np.random.default_rng(derive_seed(seed, "E6", h, rep))
-            res = run_process(
-                dyn,
-                config,
-                max_rounds=cfg["max_rounds"],
-                record=["plurality-count"],
-                rng=rng,
-            )
-            rounds.append(res.rounds if res.converged else cfg["max_rounds"])
-            wins += int(res.plurality_won)
-            target = 2 * n / k
-            above = np.nonzero(res.trace.replica(0, "plurality-count") >= target)[0]
-            growth.append(int(above[0]) if above.size else cfg["max_rounds"])
-        med = float(np.median(rounds))
-        med_growth = float(np.median(growth))
-        if base_rounds is None:
-            base_rounds = med
-        pred = theorem4_lower_rounds(k, h)
+    meds: list[float] = []
+    for h, ens in zip(cfg["hs"], results):
+        # A replica that never converged reads the budget.
+        med = float(np.median(ens.rounds))
+        med_growth = float(np.median(first_round_at_least(ens, "plurality-count", 2 * n / k)))
+        meds.append(med)
         table.add_row(
             n=n,
             k=k,
             h=h,
-            engine=dyn.resolved_engine(k),
-            replicas=cfg["replicas"],
-            win_rate=wins / cfg["replicas"],
+            engine=HPlurality(h).resolved_engine(k),
+            replicas=ens.replicas,
+            win_rate=ens.plurality_win_rate,
             median_rounds=med,
             median_growth_rounds=med_growth,
-            k_over_h2=round(pred, 2),
+            k_over_h2=round(theorem4_lower_rounds(k, h), 2),
             rounds_x_h2_over_k=med * h * h / k,
-            speedup_vs_h3=base_rounds / med if med > 0 else float("inf"),
+            speedup_vs_h3=meds[0] / med if med > 0 else float("inf"),
         )
-        rows.append((h, med))
 
-    hs = [r[0] for r in rows]
-    meds = [r[1] for r in rows]
-    if len(rows) >= 3 and min(meds) > 0:
-        fit = power_law_fit(hs, meds)
+    if len(meds) >= 3 and min(meds) > 0:
+        fit = power_law_fit(cfg["hs"], meds)
         table.add_note(
             f"rounds ~ h^{fit.exponent:.2f} (theorem allows no decay faster than h^-2; "
             f"95% CI {fit.exponent_ci()[0]:.2f}..{fit.exponent_ci()[1]:.2f})"
@@ -124,6 +116,7 @@ SPEC = ExperimentSpec(
         "From max_j c_j <= 3n/(2k), the h-plurality dynamics needs Ω(k/h²) rounds; "
         "polylogarithmic samples give at most polylogarithmic speed-up."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("lower-bound", "h-plurality"),
 )

@@ -12,11 +12,10 @@ Measurement
 -----------
 Against the worst-case :class:`TargetedAdversary` (moves F plurality
 supporters to the runner-up each round — exactly the strategy the
-corollary's proof has to beat) we sweep ``F`` as a multiple of ``s/λ``.
-All replicas of a sweep point advance in lock-step through the exact
-counts-level engine (one batched multinomial per round) and one batched
-``corrupt_many`` call — no Python-level loop over replicas.  Each replica
-runs for a ``C·λ log n`` budget plus a holding window; we record whether
+corollary's proof has to beat) we sweep ``F`` as a multiple of ``s/λ``,
+one ``targeted``-adversary spec per point recording ``plurality-count``
+every round.  Each replica runs for a ``C·λ log n`` budget plus a
+holding window (the spec's ``max_rounds``); we record whether
 the initial plurality survived as the top color, the minority mass at the
 end of the budget (the achieved M), and whether the almost-stable phase
 held through the window.  The reproduced shape: for ``F`` well below
@@ -31,12 +30,10 @@ import math
 import numpy as np
 
 from ..analysis.bounds import lambda_for
-from ..core.adversary import TargetedAdversary
-from ..core.majority import ThreeMajority
-from ..core.rng import derive_seed
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
-from .workloads import paper_biased, theorem1_bias
+from .workloads import theorem1_bias
 
 _SCALE = {
     "smoke": dict(n=10_000, k=8, fractions=[0.0, 0.2, 1.0], replicas=4, budget_mult=4.0, hold=30),
@@ -59,15 +56,40 @@ _SCALE = {
 }
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def _setup(scale: str) -> tuple[int, int, float, int]:
+    """``(n, k, s/λ, budget rounds)`` at ``scale``."""
     cfg = _SCALE[scale]
     n, k = cfg["n"], cfg["k"]
     lam = lambda_for(n, k)
-    s = theorem1_bias(n, k)
-    s_over_lambda = s / lam
-    budget_rounds = int(cfg["budget_mult"] * lam * math.log(n))
-    config = paper_biased(n, k)
+    return n, k, theorem1_bias(n, k) / lam, int(cfg["budget_mult"] * lam * math.log(n))
 
+
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    cfg = _SCALE[scale]
+    n, k, s_over_lambda, budget_rounds = _setup(scale)
+    out = []
+    for frac in cfg["fractions"]:
+        F = int(round(frac * s_over_lambda))
+        out.append(
+            ScenarioSpec(
+                dynamics="3-majority",
+                initial="paper-biased",
+                n=n,
+                k=k,
+                adversary="targeted" if F > 0 else None,
+                adversary_params={"budget": F} if F > 0 else {},
+                replicas=cfg["replicas"],
+                max_rounds=budget_rounds + cfg["hold"],
+                record=["plurality-count"],
+                seed=spec_seed(seed, "E8", F),
+            )
+        )
+    return out
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
+    cfg = _SCALE[scale]
+    n, k, s_over_lambda, budget_rounds = _setup(scale)
     table = ResultTable(
         title="E8: 3-majority vs F-bounded dynamic adversary (Corollary 4)",
         columns=[
@@ -83,46 +105,33 @@ def run(scale: str, seed: int) -> ResultTable:
             "budget_rounds",
         ],
     )
-    dyn = ThreeMajority()
-    replicas = cfg["replicas"]
-    plurality_color = int(np.argmax(config.counts))
-    total_rounds = budget_rounds + cfg["hold"]
-    for frac in cfg["fractions"]:
-        F = int(round(frac * s_over_lambda))
-        rng = np.random.default_rng(derive_seed(seed, "E8", F))
-        adversary = TargetedAdversary(F) if F > 0 else None
-        # All replicas advance in lock-step: one batched multinomial step and
-        # one batched corruption per round, with an O(R) top-count snapshot.
-        states = np.tile(config.counts, (replicas, 1))
-        top_hist = np.empty((total_rounds + 1, replicas), dtype=np.int64)
-        top_hist[0] = states.max(axis=1)
-        for t in range(1, total_rounds + 1):
-            states = dyn.step_many(states, rng)
-            if adversary is not None:
-                states = adversary.corrupt_many(states, rng)
-            top_hist[t] = states.max(axis=1)
-        # Per-replica outcomes over the holding window after the budget.
-        window = top_hist[min(budget_rounds, total_rounds) :]  # (W, R)
-        minorities = (n - window[-1]).astype(np.int64)
-        survived = int(np.sum(np.argmax(states, axis=1) == plurality_color))
-        # Held: every round of the window keeps minority mass <= max(4F, s/λ).
+    for frac, spec, ens in zip(cfg["fractions"], specs(scale, seed), results):
+        F = spec.adversary_params.get("budget", 0)
+        minorities = n - ens.final_counts.max(axis=1)
+        survived = np.argmax(ens.final_counts, axis=1) == ens.plurality_color
+        # Held: every round of the window after the budget keeps minority
+        # mass <= max(4F, s/λ).  A replica absorbed before the window's end
+        # (only without an adversary) stays absorbed: minority 0.
+        window = ens.trace["plurality-count"][:, budget_rounds:]
+        recorded = ens.trace.valid_mask()[:, budget_rounds:]
         threshold = max(4 * F, s_over_lambda)
-        held = int(np.sum(np.all(n - window <= threshold, axis=0)))
+        held = np.all((n - window <= threshold) | ~recorded, axis=1)
         table.add_row(
             n=n,
             k=k,
             F=F,
             F_over_s_lambda=frac,
-            replicas=replicas,
-            plurality_survived_rate=survived / replicas,
+            replicas=ens.replicas,
+            plurality_survived_rate=float(survived.mean()),
             median_final_minority=float(np.median(minorities)),
             minority_over_s_lambda=float(np.median(minorities)) / s_over_lambda,
-            held_window_rate=held / replicas,
+            held_window_rate=float(held.mean()),
             budget_rounds=budget_rounds,
         )
+    lam = lambda_for(n, k)
     table.add_note(
-        f"s = {s}, λ = {lam:.1f}, s/λ = {s_over_lambda:.0f}; Corollary 4 needs F = o(s/λ) "
-        "and promises minority mass O(s/λ) held for poly(n) rounds"
+        f"s = {theorem1_bias(n, k)}, λ = {lam:.1f}, s/λ = {s_over_lambda:.0f}; Corollary 4 "
+        "needs F = o(s/λ) and promises minority mass O(s/λ) held for poly(n) rounds"
     )
     return table
 
@@ -134,6 +143,7 @@ SPEC = ExperimentSpec(
         "Against any F-bounded dynamic adversary with F = o(s/λ), 3-majority reaches and "
         "holds O(s/λ)-plurality consensus within O(λ log n) rounds."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("adversary", "self-stabilisation"),
 )

@@ -28,17 +28,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..analysis.fitting import wilson_interval
 from ..core.config import Configuration
-from ..core.majority import ThreeMajority
-from ..core.process import run_ensemble
-from ..core.rng import derive_seed
-from ..core.undecided import UndecidedState
-from ..core.voter import TwoChoices, Voter
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
+from .workloads import soda15_gap
 
 _SCALE = {
     "smoke": dict(
@@ -58,124 +53,145 @@ _SCALE = {
 }
 
 
-def gap_config(n: int) -> Configuration:
-    """Two heavy colors ≈ n^{2/3} (plurality slightly ahead), unit tail.
+def _start(workload: str, n: int, k: int, **params) -> dict:
+    """The spec fields of a start: ``workload`` with ``params`` at ``(n, k)``."""
+    return dict(initial=workload, initial_params=params, n=n, k=k)
+
+
+def _gap_start(n: int) -> dict:
+    """The SODA'15 gap start: two heavy colors ≈ n^{2/3}, the plurality
+    ahead by ≈ 2n^{1/3}, and a unit tail.
 
     ``md(c)`` stays ≈ 2 + o(1) while 3-majority's clock λ = n/c1 ≈ n^{1/3}:
-    the SODA'15 regime where undecided-state wins by an unbounded factor.
+    the regime where undecided-state wins by an unbounded factor.
     """
     heavy = int(round(n ** (2 / 3)))
     gap = max(2, int(2 * math.sqrt(heavy)))
-    tail_n = n - 2 * heavy - gap  # one agent per tail color
-    counts = np.concatenate(
-        [[heavy + gap, heavy], np.ones(tail_n, dtype=np.int64)]
-    )
-    return Configuration(counts)
+    tail = n - 2 * heavy - gap  # one agent per tail color
+    return _start("soda15-gap", n, 2 + tail, heavy_fraction=(2 * heavy + gap) / n, lead=gap)
+
+
+def gap_config(n: int) -> Configuration:
+    """Two heavy colors ≈ n^{2/3} (plurality slightly ahead), unit tail."""
+    start = _gap_start(n)
+    return soda15_gap(n, start["k"], **start["initial_params"])
+
+
+def _danger_start(n: int) -> dict:
+    """A k ≈ 2√n near-balanced start with a √-order bias."""
+    return _start("biased", n, max(4, int(2 * math.sqrt(n))), bias=max(2, int(math.sqrt(n) / 2)))
 
 
 def danger_config(n: int) -> Configuration:
     """k ≈ 2√n near-balanced with a √-order bias: undecided-state risk zone."""
-    k = max(4, int(2 * math.sqrt(n)))
-    s = max(2, int(math.sqrt(n) / 2))
-    return Configuration.biased(n, k, s)
+    start = _danger_start(n)
+    return Configuration.biased(n, start["k"], start["initial_params"]["bias"])
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def _runs(scale: str, seed: int) -> list[tuple[str, str, ScenarioSpec]]:
+    """``(panel, dynamics, spec)`` per run, panel by panel."""
     cfg = _SCALE[scale]
+    pair = ("3-majority", "undecided-state")
+    budget, voter_n, tc_n = cfg["max_rounds"], cfg["voter_n"], cfg["tc_n"]
+    tc_bias = max(4, int(3 * math.sqrt(tc_n * math.log(tc_n))))
+    # (panel, dynamics, start, replicas, max_rounds, record) per run:
+    # (a) the voter martingale: the minority wins with probability c2/n;
+    # (b) two-choices stalls in k; (c) the SODA'15 exponential gap;
+    # (d) the undecided-state danger zone k = ω(√n), one recorded round.
+    runs = [
+        ("a-voter", "voter", _start("two-color", voter_n, 2, bias=max(2, voter_n // 5)),
+         cfg["voter_reps"], budget, None),
+    ]
+    runs += [
+        ("b-two-choices", "two-choices", _start("biased", tc_n, k, bias=tc_bias),
+         cfg["tc_reps"], budget, None)
+        for k in cfg["tc_ks"]
+    ]
+    runs += [
+        ("c-gap", dynamics, _gap_start(n), cfg["gap_reps"], budget, None)
+        for n in cfg["gap_ns"]
+        for dynamics in pair
+    ]
+    runs += [
+        ("d-danger", dynamics, _danger_start(cfg["danger_n"]), cfg["danger_reps"], 1, ["counts"])
+        for dynamics in pair
+    ]
+    return [
+        (
+            panel,
+            dynamics,
+            ScenarioSpec(
+                dynamics=dynamics,
+                **start,
+                replicas=replicas,
+                max_rounds=max_rounds,
+                record=record,
+                seed=spec_seed(seed, "E9", index),
+            ),
+        )
+        for index, (panel, dynamics, start, replicas, max_rounds, record) in enumerate(runs)
+    ]
+
+
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    return [spec for *_, spec in _runs(scale, seed)]
+
+
+#: Table label per dynamics registry name.
+_LABEL = {"undecided-state": "undecided"}
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     table = ResultTable(
         title="E9: dynamics landscape — voter / two-choices / undecided-state",
         columns=["panel", "params", "dynamics", "replicas", "metric", "value", "reference"],
     )
-
-    # (a) voter martingale: minority wins with prob exactly c2/n.
-    n = cfg["voter_n"]
-    config = Configuration.two_color(n, bias=max(2, n // 5))
-    ens = run_ensemble(
-        Voter(),
-        config,
-        cfg["voter_reps"],
-        max_rounds=cfg["max_rounds"],
-        rng=np.random.default_rng(derive_seed(seed, "E9a")),
-    )
-    minority_rate = float((ens.winners == 1).mean())
-    lo, hi = wilson_interval(int((ens.winners == 1).sum()), ens.replicas)
-    table.add_row(
-        panel="a-voter",
-        params=f"n={n}, c=({config[0]},{config[1]})",
-        dynamics="voter",
-        replicas=ens.replicas,
-        metric="minority_win_rate",
-        value=minority_rate,
-        reference=f"c2/n = {config[1] / n:.3f} (CI {lo:.3f}..{hi:.3f})",
-    )
-
-    # (b) two-choices stall in k.
-    for k in cfg["tc_ks"]:
-        n = cfg["tc_n"]
-        config = Configuration.biased(n, k, max(4, int(3 * math.sqrt(n * math.log(n)))))
-        ens = run_ensemble(
-            TwoChoices(),
-            config,
-            cfg["tc_reps"],
-            max_rounds=cfg["max_rounds"],
-            rng=np.random.default_rng(derive_seed(seed, "E9b", k)),
-        )
-        table.add_row(
-            panel="b-two-choices",
-            params=f"n={n}, k={k}",
-            dynamics="two-choices",
-            replicas=ens.replicas,
-            metric="median_rounds",
-            value=ens.rounds_summary()["median"],
-            reference="grows with k (Θ(1/k) per-round agreement mass)",
-        )
-
-    # (c) the SODA'15 exponential gap.
-    for n in cfg["gap_ns"]:
-        config = gap_config(n)
-        md = config.monochromatic_distance()
-        for name, dyn in (("3-majority", ThreeMajority()), ("undecided", UndecidedState())):
-            ens = run_ensemble(
-                dyn,
-                config,
-                cfg["gap_reps"],
-                max_rounds=cfg["max_rounds"],
-                rng=np.random.default_rng(derive_seed(seed, "E9c", n, name)),
-            )
+    for (panel, dynamics, spec), ens in zip(_runs(scale, seed), results):
+        n, config = spec.n, spec.resolve().initial
+        row = dict(panel=panel, dynamics=_LABEL.get(dynamics, dynamics), replicas=ens.replicas)
+        if panel == "a-voter":
+            minority = ens.winners == 1
+            lo, hi = wilson_interval(int(minority.sum()), ens.replicas)
             table.add_row(
-                panel="c-gap",
-                params=f"n={n}, md={md:.2f}, n^1/3={n ** (1 / 3):.0f}",
-                dynamics=name,
-                replicas=ens.replicas,
+                **row,
+                params=f"n={n}, c=({config[0]},{config[1]})",
+                metric="minority_win_rate",
+                value=float(minority.mean()),
+                reference=f"c2/n = {config[1] / n:.3f} (CI {lo:.3f}..{hi:.3f})",
+            )
+        elif panel == "b-two-choices":
+            table.add_row(
+                **row,
+                params=f"n={n}, k={spec.k}",
+                metric="median_rounds",
+                value=ens.rounds_summary()["median"],
+                reference="grows with k (Θ(1/k) per-round agreement mass)",
+            )
+        elif panel == "c-gap":
+            table.add_row(
+                **row,
+                params=(
+                    f"n={n}, md={config.monochromatic_distance():.2f}, "
+                    f"n^1/3={n ** (1 / 3):.0f}"
+                ),
                 metric="median_rounds",
                 value=ens.rounds_summary()["median"],
                 reference="undecided ~ md(c) log n;  3-majority ~ (n/c1) log n",
             )
-
-    # (d) the undecided-state danger zone k = ω(√n): SODA'15 §3 exhibits
-    # configurations where the plurality color *disappears in one round*
-    # with constant probability — 3-majority never does this.
-    n = cfg["danger_n"]
-    config = danger_config(n)
-    for name, dyn in (("3-majority", ThreeMajority()), ("undecided", UndecidedState())):
-        rng = np.random.default_rng(derive_seed(seed, "E9d", name))
-        reps = cfg["danger_reps"]
-        if dyn.uses_extra_state:
-            batch = np.tile(UndecidedState.extend_counts(config.counts), (reps, 1))
-            nxt = dyn.step_many(batch, rng)[:, : config.k]
         else:
-            batch = np.tile(config.counts, (reps, 1))
-            nxt = dyn.step_many(batch, rng)
-        died = float((nxt[:, config.plurality_color] == 0).mean())
-        table.add_row(
-            panel="d-danger",
-            params=f"n={n}, k={config.k}, s={config.bias}",
-            dynamics=name,
-            replicas=reps,
-            metric="plurality_died_round1",
-            value=died,
-            reference="undecided-state kills the plurality in one round w/ const prob at k=ω(√n)",
-        )
+            # SODA'15 §3 exhibits configurations where the plurality color
+            # *disappears in one round* with constant probability —
+            # 3-majority never does this.
+            died = ens.trace["counts"][:, 1, config.plurality_color] == 0
+            table.add_row(
+                **row,
+                params=f"n={n}, k={spec.k}, s={config.bias}",
+                metric="plurality_died_round1",
+                value=float(died.mean()),
+                reference=(
+                    "undecided-state kills the plurality in one round w/ const prob at k=ω(√n)"
+                ),
+            )
     return table
 
 
@@ -187,6 +203,7 @@ SPEC = ExperimentSpec(
         "two-choices stalls as k grows; the undecided-state dynamics beats 3-majority on "
         "low-md(c) configurations but can lose the plurality at k = ω(√n)."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("baselines", "related-work"),
 )

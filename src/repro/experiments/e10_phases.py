@@ -13,12 +13,12 @@ The upper-bound proof decomposes a 3-majority run into three phases:
 
 Measurement
 -----------
-Record full trajectories at several (n, k) via the declarative
-``record=["counts"]`` metric trace, segment them with
-:func:`repro.analysis.distance.phase_segments`, and report per phase: the
-rounds spent, the observed per-round bias growth factor vs Lemma 3's
-``1 + c1/(4n)``, the observed minority decay ratio vs 8/9, and the length
-of the last-step phase (should be O(1) rounds).
+Record each replica's bias and plurality count at several (n, k), one
+ensemble spec per point, classify every recorded round of each replica's
+valid prefix with :func:`repro.analysis.distance.plurality_phase`, and
+report per phase: the rounds spent, the observed per-round bias growth
+factor vs Lemma 3's ``1 + c1/(4n)``, the observed minority decay ratio
+vs 8/9, and the length of the last-step phase (should be O(1) rounds).
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ from ..analysis.distance import (
     PHASE_LAST_STEP,
     PHASE_MAJORITY,
     PHASE_PLURALITY,
-    phase_segments,
+    plurality_phase,
 )
-from ..core.majority import ThreeMajority
-from ..core.metrics import BiasMetric
-from ..core.process import run_process
-from ..core.rng import derive_seed
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
-from .workloads import paper_biased
 
 _SCALE = {
     "smoke": dict(points=[(20_000, 8)], replicas=3, max_rounds=5_000),
@@ -48,32 +44,28 @@ _SCALE = {
 }
 
 
-def _phase_stats(trajectory: np.ndarray) -> dict[str, dict[str, float]]:
-    """Per-phase rounds, bias growth factors and minority decay ratios."""
-    segments = phase_segments(trajectory)
-    n = float(trajectory[0].sum())
-    biases = BiasMetric().compute_many(trajectory, n).astype(float)
-    minority = n - trajectory.max(axis=1).astype(float)
-    stats: dict[str, dict[str, float]] = {}
-    for seg in segments:
-        if seg.phase not in (PHASE_PLURALITY, PHASE_MAJORITY, PHASE_LAST_STEP):
-            continue
-        entry = stats.setdefault(
-            seg.phase, {"rounds": 0.0, "growth": [], "decay": [], "lemma3_pred": []}  # type: ignore[dict-item]
-        )
-        entry["rounds"] += seg.length if seg.phase != PHASE_LAST_STEP else seg.length
-        for t in range(seg.start_round, min(seg.end_round, trajectory.shape[0] - 2) + 1):
-            if seg.phase == PHASE_PLURALITY and biases[t] > 0:
-                entry["growth"].append(biases[t + 1] / biases[t])  # type: ignore[union-attr]
-                c1 = float(trajectory[t].max())
-                entry["lemma3_pred"].append(1.0 + c1 / (4.0 * n))  # type: ignore[union-attr]
-            if seg.phase == PHASE_MAJORITY and minority[t] > 0:
-                entry["decay"].append(minority[t + 1] / minority[t])  # type: ignore[union-attr]
-    return stats
-
-
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
     cfg = _SCALE[scale]
+    return [
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial="paper-biased",
+            n=n,
+            k=k,
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            record=["bias", "plurality-count"],
+            seed=spec_seed(seed, "E10", n, k),
+        )
+        for n, k in cfg["points"]
+    ]
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(values.mean()) if values.size else float("nan")
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     table = ResultTable(
         title="E10: three-phase decomposition of 3-majority runs (Lemmas 3-5)",
         columns=[
@@ -87,42 +79,38 @@ def run(scale: str, seed: int) -> ResultTable:
             "lemma4_bound",
         ],
     )
-    dyn = ThreeMajority()
-    for n, k in cfg["points"]:
-        config = paper_biased(n, k)
-        agg: dict[str, dict[str, list[float]]] = {}
-        for rep in range(cfg["replicas"]):
-            rng = np.random.default_rng(derive_seed(seed, "E10", n, k, rep))
-            res = run_process(
-                dyn, config, max_rounds=cfg["max_rounds"], rng=rng, record=["counts"]
-            )
-            trajectory = res.trace.replica(0, "counts")
-            for phase, st in _phase_stats(trajectory).items():
-                entry = agg.setdefault(
-                    phase, {"rounds": [], "growth": [], "decay": [], "lemma3_pred": []}
-                )
-                entry["rounds"].append(st["rounds"])
-                entry["growth"].extend(st["growth"])  # type: ignore[arg-type]
-                entry["decay"].extend(st["decay"])  # type: ignore[arg-type]
-                entry["lemma3_pred"].extend(st["lemma3_pred"])  # type: ignore[arg-type]
+    for (n, k), ens in zip(_SCALE[scale]["points"], results):
+        trace = ens.trace
+        c1 = trace["plurality-count"].astype(float)
+        bias = trace["bias"].astype(float)
+        minority = n - c1
+        valid = trace.valid_mask()
+        phases = plurality_phase(trace["plurality-count"], n)
         for phase in (PHASE_PLURALITY, PHASE_MAJORITY, PHASE_LAST_STEP):
-            if phase not in agg:
+            inside = (phases == phase) & valid
+            visited = inside.any(axis=1)
+            if not visited.any():
                 continue
-            entry = agg[phase]
+            # Per-round factors need round t + 1 in the replica's prefix too.
+            stepped = inside[:, :-1] & valid[:, 1:]
+            growth = prediction = decay = float("nan")
+            if phase == PHASE_PLURALITY:
+                at = stepped & (bias[:, :-1] > 0)
+                growth = _mean(bias[:, 1:][at] / bias[:, :-1][at])
+                prediction = _mean(1.0 + c1[:, :-1][at] / (4.0 * n))
+            if phase == PHASE_MAJORITY:
+                at = stepped & (minority[:, :-1] > 0)
+                decay = _mean(minority[:, 1:][at] / minority[:, :-1][at])
             table.add_row(
                 n=n,
                 k=k,
                 phase=phase,
-                mean_rounds=float(np.mean(entry["rounds"])),
-                mean_growth_factor=(
-                    float(np.mean(entry["growth"])) if entry["growth"] else float("nan")
-                ),
-                lemma3_prediction=(
-                    float(np.mean(entry["lemma3_pred"])) if entry["lemma3_pred"] else float("nan")
-                ),
-                mean_decay_ratio=(
-                    float(np.mean(entry["decay"])) if entry["decay"] else float("nan")
-                ),
+                # Rounds each replica spent in the phase, over the
+                # replicas that entered it.
+                mean_rounds=float(inside.sum(axis=1)[visited].mean()),
+                mean_growth_factor=growth,
+                lemma3_prediction=prediction,
+                mean_decay_ratio=decay,
                 lemma4_bound=8.0 / 9.0 if phase == PHASE_MAJORITY else float("nan"),
             )
     table.add_note(
@@ -140,6 +128,7 @@ SPEC = ExperimentSpec(
         "n - polylog the minority mass decays by <= 8/9 per round; above n - polylog all "
         "minorities die in one round."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("phases", "trajectory"),
 )

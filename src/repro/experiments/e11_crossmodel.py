@@ -32,11 +32,9 @@ import numpy as np
 
 from ..core.config import Configuration
 from ..core.population import PairwiseVoter, PopulationProcess, UndecidedPopulation
-from ..core.process import run_ensemble
 from ..core.rng import derive_seed
-from ..core.undecided import UndecidedState
-from ..core.voter import Voter
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
 
 _SCALE = {
@@ -46,9 +44,55 @@ _SCALE = {
 }
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def _start(n: int, k: int, bias_fraction: float) -> dict:
+    """The spec fields of a start: Θ(n)-biased binary at k = 2 (panels a
+    and b), a √-order bias at larger k (panel c)."""
+    if k == 2:
+        return dict(initial="two-color", initial_params={"bias": int(bias_fraction * n)}, n=n, k=k)
+    bias = max(2, int(np.sqrt(n * k) / 2))
+    return dict(initial="biased", initial_params={"bias": bias}, n=n, k=k)
+
+
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    """The parallel half: the voter, then undecided-state at each k."""
     cfg = _SCALE[scale]
-    n = cfg["n"]
+    n, reps = cfg["n"], cfg["reps"]
+    voter = ScenarioSpec(
+        dynamics="voter",
+        **_start(n, 2, cfg["bias_fraction"]),
+        replicas=reps,
+        max_rounds=10_000_000,
+        seed=spec_seed(seed, "E11a-par"),
+    )
+    return [voter] + [
+        ScenarioSpec(
+            dynamics="undecided-state",
+            **_start(n, k, cfg["bias_fraction"]),
+            replicas=reps,
+            max_rounds=100_000,
+            seed=spec_seed(seed, "E11b-par", k),
+        )
+        for k in cfg["ks"]
+    ]
+
+
+def _sequential(
+    protocol, config: Configuration, replicas: int, path: tuple, max_ticks: int | None = None
+) -> tuple[float, float]:
+    """Plurality-win rate and median tick/n time of ``replicas`` sequential runs."""
+    process = PopulationProcess(protocol)
+    wins, rounds = [], []
+    for rep in range(replicas):
+        rng = np.random.default_rng(derive_seed(*path, rep))
+        res = process.run(config.counts, rng=rng, max_ticks=max_ticks)
+        wins.append(res.plurality_won)
+        rounds.append(res.parallel_rounds(config.n))
+    return float(np.mean(wins)), float(np.median(rounds))
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
+    cfg = _SCALE[scale]
+    n, reps = cfg["n"], cfg["reps"]
     table = ResultTable(
         title="E11: parallel model vs sequential population model",
         columns=[
@@ -63,81 +107,31 @@ def run(scale: str, seed: int) -> ResultTable:
             "median_parallel_rounds",
         ],
     )
-
-    # (a) voter martingale in both models.
-    config = Configuration.two_color(n, bias=int(cfg["bias_fraction"] * n))
-    reps = cfg["reps"]
-    seq = PopulationProcess(PairwiseVoter())
-    seq_wins, seq_rounds = [], []
-    for rep in range(reps):
-        rng = np.random.default_rng(derive_seed(seed, "E11a", rep))
-        res = seq.run(config.counts, rng=rng)
-        seq_wins.append(res.plurality_won)
-        seq_rounds.append(res.parallel_rounds(n))
-    table.add_row(
-        panel="a-voter",
-        model="sequential",
-        protocol="pairwise-voter",
-        n=n,
-        k=2,
-        bias=config.bias,
-        replicas=reps,
-        plurality_win_rate=float(np.mean(seq_wins)),
-        median_parallel_rounds=float(np.median(seq_rounds)),
-    )
-    ens = run_ensemble(
-        Voter(), config, reps, max_rounds=10_000_000,
-        rng=np.random.default_rng(derive_seed(seed, "E11a-par")),
-    )
-    table.add_row(
-        panel="a-voter",
-        model="parallel",
-        protocol="voter",
-        n=n,
-        k=2,
-        bias=config.bias,
-        replicas=reps,
-        plurality_win_rate=ens.plurality_win_rate,
-        median_parallel_rounds=ens.rounds_summary()["median"],
-    )
-
-    # (b)+(c) undecided-state across k.
-    for k in cfg["ks"]:
-        if k == 2:
-            cfg_k = Configuration.two_color(n, bias=int(cfg["bias_fraction"] * n))
+    # Each parallel spec's result sits next to the sequential population
+    # model on its start, run here: one Python iteration per interaction.
+    for spec, ens in zip(specs(scale, seed), results):
+        config, k = spec.resolve().initial, spec.k
+        if spec.dynamics == "voter":
+            panel, protocol = "a-voter", "pairwise-voter"
+            sequential = _sequential(PairwiseVoter(), config, reps, (seed, "E11a"))
         else:
-            s = max(2, int(np.sqrt(n * k) / 2))
-            cfg_k = Configuration.biased(n, k, s)
-        seq = PopulationProcess(UndecidedPopulation())
-        wins, rounds = [], []
-        for rep in range(reps):
-            rng = np.random.default_rng(derive_seed(seed, "E11b", k, rep))
-            res = seq.run(cfg_k.counts, rng=rng, max_ticks=4_000 * n)
-            wins.append(res.plurality_won)
-            rounds.append(res.parallel_rounds(n))
+            panel = "b-undecided" if k == 2 else "c-undecided-k"
+            protocol = "undecided-population"
+            sequential = _sequential(
+                UndecidedPopulation(), config, reps, (seed, "E11b", k), max_ticks=4_000 * n
+            )
+        row = dict(panel=panel, n=n, k=k, bias=config.bias, replicas=reps)
         table.add_row(
-            panel="b-undecided" if k == 2 else "c-undecided-k",
+            **row,
             model="sequential",
-            protocol="undecided-population",
-            n=n,
-            k=k,
-            bias=cfg_k.bias,
-            replicas=reps,
-            plurality_win_rate=float(np.mean(wins)),
-            median_parallel_rounds=float(np.median(rounds)),
-        )
-        ens = run_ensemble(
-            UndecidedState(), cfg_k, reps, max_rounds=100_000,
-            rng=np.random.default_rng(derive_seed(seed, "E11b-par", k)),
+            protocol=protocol,
+            plurality_win_rate=sequential[0],
+            median_parallel_rounds=sequential[1],
         )
         table.add_row(
-            panel="b-undecided" if k == 2 else "c-undecided-k",
+            **row,
             model="parallel",
-            protocol="undecided-state",
-            n=n,
-            k=k,
-            bias=cfg_k.bias,
-            replicas=reps,
+            protocol=spec.dynamics,
             plurality_win_rate=ens.plurality_win_rate,
             median_parallel_rounds=ens.rounds_summary()["median"],
         )
@@ -158,6 +152,7 @@ SPEC = ExperimentSpec(
         "counterpart at k=Θ(1), s=Θ(n) after tick/n normalisation, and degrades outside "
         "that regime."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("cross-model", "related-work"),
 )

@@ -31,14 +31,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..analysis.meanfield import discrete_mean_field
-from ..core.config import Configuration
 from ..core.majority import ThreeMajority
-from ..core.process import run_ensemble
-from ..core.rng import derive_seed
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
 
 _SCALE = {
@@ -50,7 +46,26 @@ _SCALE = {
 }
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    """The stochastic half: one ensemble per bias multiplier."""
+    cfg = _SCALE[scale]
+    n = cfg["n"]
+    return [
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial="biased",
+            initial_params={"bias": int(mult * math.sqrt(n))},
+            n=n,
+            k=cfg["k"],
+            replicas=cfg["reps"],
+            max_rounds=200_000,
+            seed=spec_seed(seed, "E12", int(mult * 10)),
+        )
+        for mult in cfg["multipliers"]
+    ]
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     cfg = _SCALE[scale]
     n, k = cfg["n"], cfg["k"]
     table = ResultTable(
@@ -69,22 +84,14 @@ def run(scale: str, seed: int) -> ResultTable:
         ],
     )
     dyn = ThreeMajority()
-    for mult in cfg["multipliers"]:
-        s = int(mult * math.sqrt(n))
-        config = Configuration.biased(n, k, s)
+    for mult, spec, ens in zip(cfg["multipliers"], specs(scale, seed), results):
+        config = spec.resolve().initial
         # Deterministic mean field from the same fractions.
         mf = discrete_mean_field(dyn, config.fractions(), rounds=max(200, 30 * k))
         mf_winner = mf.winner(atol=1e-3)
-        mf_says_win = mf_winner == config.plurality_color if s > 0 else False
+        mf_says_win = mf_winner == config.plurality_color if config.bias > 0 else False
         mf_t90 = mf.rounds_to_fraction(0.9)
         # Stochastic truth.
-        ens = run_ensemble(
-            dyn,
-            config,
-            cfg["reps"],
-            max_rounds=200_000,
-            rng=np.random.default_rng(derive_seed(seed, "E12", int(mult * 10))),
-        )
         win = ens.plurality_win_rate
         measured = ens.rounds_summary()["median"]
         faithful = (
@@ -122,6 +129,7 @@ SPEC = ExperimentSpec(
         "bias, but the stochastic parallel process fails with constant probability until "
         "the bias clears the √(kn)-order fluctuation scale."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("methodology", "mean-field"),
 )

@@ -14,8 +14,8 @@ Measurement
 3-majority from a *weakly* biased start (additive bias of a few agents,
 well under the Theorem 1 threshold — enough to define a plurality winner
 without forcing every region of the graph towards it) on a family of
-topologies at equal (n, k, bias), all through the declarative spec
-facade (the same path ``repro simulate --topology`` takes):
+topologies at equal (n, k, bias), one spec per topology (the spec
+``repro simulate --topology`` runs):
 
 * ``clique`` — the paper's model (graph engine, not the counts engine,
   so any gap is attributable to topology alone);
@@ -31,8 +31,8 @@ facade (the same path ``repro simulate --topology`` takes):
 
 from __future__ import annotations
 
-from ..scenario import ScenarioSpec, simulate_ensemble
-from .harness import ExperimentSpec
+from ..scenario import ScenarioSpec
+from .harness import ExperimentSpec, spec_seed
 from .results import ResultTable
 
 _SCALE = {
@@ -52,7 +52,26 @@ _TOPOLOGIES = (
 )
 
 
-def run(scale: str, seed: int) -> ResultTable:
+def specs(scale: str, seed: int) -> list[ScenarioSpec]:
+    cfg = _SCALE[scale]
+    return [
+        ScenarioSpec(
+            dynamics="3-majority",
+            initial="biased",
+            initial_params={"bias": cfg["bias"]},
+            n=cfg["n"],
+            k=cfg["k"],
+            topology=name,
+            topology_params=dict(params),
+            replicas=cfg["replicas"],
+            max_rounds=cfg["max_rounds"],
+            seed=spec_seed(seed, "E13", label),
+        )
+        for label, name, params in _TOPOLOGIES
+    ]
+
+
+def table(scale: str, seed: int, results) -> ResultTable:
     cfg = _SCALE[scale]
     table = ResultTable(
         title="E13: 3-majority consensus time vs topology",
@@ -67,26 +86,13 @@ def run(scale: str, seed: int) -> ResultTable:
             "p90_rounds",
         ],
     )
-    for label, name, params in _TOPOLOGIES:
-        spec = ScenarioSpec(
-            dynamics="3-majority",
-            initial="biased",
-            initial_params={"bias": cfg["bias"]},
-            n=cfg["n"],
-            k=cfg["k"],
-            topology=name,
-            topology_params=dict(params),
-            replicas=cfg["replicas"],
-            max_rounds=cfg["max_rounds"],
-            seed=seed,
-        )
-        ens = simulate_ensemble(spec)
+    for (label, _, _), ens in zip(_TOPOLOGIES, results):
         summary = ens.rounds_summary()
         table.add_row(
             topology=label,
             n=cfg["n"],
             k=cfg["k"],
-            replicas=cfg["replicas"],
+            replicas=ens.replicas,
             convergence_rate=ens.convergence_rate,
             plurality_win_rate=ens.plurality_win_rate,
             median_rounds=summary["median"],
@@ -111,6 +117,7 @@ SPEC = ExperimentSpec(
         "expander-like, and the barbell's bottleneck stalls most replicas within "
         "the round budget (halves lock onto different colors)."
     ),
-    run=run,
+    specs=specs,
+    table=table,
     tags=("extension", "topology", "graphs"),
 )

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ..core.majority import ThreeMajority
-from ..core.process import run_process
+from ..scenario import ScenarioSpec, simulate
 from .plotting import ascii_plot
 from .registry import get_experiment
-from .workloads import paper_biased
 
 __all__ = ["FIGURES", "figure_ids", "render_figure"]
 
@@ -113,7 +111,9 @@ _F6_PARAMS = {"smoke": (20_000, 8), "small": (200_000, 16), "paper": (2_000_000,
 
 def _f6_trajectory(scale: str, seed: int) -> str:
     n, k = _F6_PARAMS[scale]
-    result = run_process(ThreeMajority(), paper_biased(n, k), rng=seed)
+    # One trajectory, recording the default bias and plurality count.
+    spec = ScenarioSpec(dynamics="3-majority", initial="paper-biased", n=n, k=k, seed=seed)
+    result = simulate(spec)
     bias_series = result.trace.replica(0, "bias")
     plurality_series = result.trace.replica(0, "plurality-count")
     rounds = list(range(bias_series.size))

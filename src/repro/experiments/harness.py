@@ -1,43 +1,47 @@
-"""Experiment harness: scales, specs, and the sweep runner.
+"""Experiment harness: scales, and the one path an experiment runs on.
 
-Every experiment module exposes an :class:`ExperimentSpec` whose ``run``
-callable maps ``(scale, seed)`` to a :class:`ResultTable`.  Scales keep a
-single code path honest at three budgets:
+Every experiment module exposes an :class:`ExperimentSpec` with two
+functions of ``(scale, seed)``:
+
+* ``specs(scale, seed)`` lists every engine run the experiment needs as a
+  :class:`~repro.scenario.ScenarioSpec`, each with its own integer seed
+  derived from the experiment's seed (:func:`spec_seed`);
+* ``table(scale, seed, results)`` reads the
+  :class:`~repro.core.process.EnsembleResult` of each spec, in the same
+  order, into a :class:`ResultTable`.  Analytic work (E12's mean field)
+  and E11's sequential population model run here too.
+
+:meth:`ExperimentSpec.run` joins them through
+:func:`~repro.serve.executor.run_batch` on in-process threads and without
+a cache: the path ``repro batch`` takes.  So every engine run of E1–E13
+has a cache key, and a second pass of an experiment's specs through one
+:class:`~repro.serve.cache.ResultCache` makes no run at all.
+
+Scales keep a single code path honest at three budgets:
 
 * ``smoke`` — seconds; exercised by the integration tests;
 * ``small`` — default CLI scale, tens of seconds;
 * ``paper`` — the scale of the paper's own claims (PAPER.md).
-
-:func:`sweep` is the shared inner loop: a cartesian or explicit list of
-parameter points, each measured over a replica ensemble with an
-independent derived seed, returning per-point summaries.  A point's
-``build`` callable may return either the classic ``(dynamics, initial)``
-pair or a declarative :class:`~repro.scenario.ScenarioSpec` — specs are
-resolved through the registries and run via
-:func:`~repro.scenario.simulate_ensemble`, with the sweep's
-``replicas``/``max_rounds``/derived-seed discipline overriding the
-spec's own run knobs so scale presets stay authoritative.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from ..core.config import Configuration
-from ..core.dynamics import Dynamics
-from ..core.process import EnsembleResult, run_ensemble
-from ..core.rng import derive_seed, make_rng
-from ..scenario import ScenarioSpec, simulate_ensemble
+import numpy as np
+
+from ..core.process import EnsembleResult
+from ..core.rng import derive_seed
+from ..scenario import ScenarioSpec
+from ..serve.executor import run_batch
 from .results import ResultTable
 
 __all__ = [
     "SCALES",
     "ExperimentSpec",
-    "SweepPoint",
-    "sweep",
-    "grid",
+    "first_round_at_least",
+    "spec_seed",
 ]
 
 #: Recognised scale presets, ordered by budget.
@@ -46,79 +50,43 @@ SCALES = ("smoke", "small", "paper")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Metadata + entry point of one experiment (one paper claim)."""
+    """Metadata, runs and table of one experiment (one paper claim)."""
 
     id: str
     title: str
     claim: str
-    run: Callable[[str, int], ResultTable]
+    specs: Callable[[str, int], list[ScenarioSpec]]
+    table: Callable[[str, int, Sequence[EnsembleResult]], ResultTable]
     tags: tuple[str, ...] = field(default_factory=tuple)
 
-    def __call__(self, scale: str = "small", seed: int = 0) -> ResultTable:
+    def run(self, scale: str = "small", seed: int = 0) -> ResultTable:
+        """Run every spec of ``(scale, seed)`` in process, then build the table."""
         if scale not in SCALES:
             raise ValueError(f"unknown scale {scale!r}; expected one of {SCALES}")
-        return self.run(scale, seed)
+        report = run_batch(self.specs(scale, seed), processes=1)
+        for error in report.errors:
+            if error is not None:
+                raise RuntimeError(f"{self.id}: a run failed: {error['type']}: {error['message']}")
+        return self.table(scale, seed, report.results)
+
+    __call__ = run
 
 
-@dataclass
-class SweepPoint:
-    """One measured parameter point of a sweep."""
+def spec_seed(seed: int, *path: int | str) -> int:
+    """The integer seed of the run named by ``path`` in an experiment at ``seed``.
 
-    params: dict[str, object]
-    ensemble: EnsembleResult
-    wall_seconds: float
-
-
-def sweep(
-    points: Iterable[Mapping[str, object]],
-    build: Callable[[Mapping[str, object]], ScenarioSpec | tuple[Dynamics, Configuration]],
-    *,
-    replicas: int,
-    max_rounds: int,
-    seed: int,
-    experiment_id: str,
-) -> list[SweepPoint]:
-    """Measure an ensemble at every parameter point.
-
-    Parameters
-    ----------
-    points:
-        The sweep grid: a sequence of parameter dicts.
-    build:
-        Maps a parameter point to ``(dynamics, initial_configuration)``
-        or to a :class:`~repro.scenario.ScenarioSpec` (whose
-        replicas/max_rounds/seed are overridden by the sweep's own).
-    seed / experiment_id:
-        Combined through :func:`~repro.core.rng.derive_seed` with the point
-        index, so each point gets an independent, reproducible stream.
+    A 32-bit word of :func:`~repro.core.rng.derive_seed`'s stream, so
+    distinct paths give independent runs and a spec stays plain JSON.
     """
-    out: list[SweepPoint] = []
-    for idx, params in enumerate(points):
-        built = build(params)
-        stream_seed = derive_seed(seed, experiment_id, idx)
-        start = time.perf_counter()
-        if isinstance(built, ScenarioSpec):
-            spec = built.with_overrides(replicas=replicas, max_rounds=max_rounds)
-            ens = simulate_ensemble(spec, rng=make_rng(stream_seed))
-        else:
-            dynamics, initial = built
-            ens = run_ensemble(
-                dynamics, initial, replicas, max_rounds=max_rounds, rng=make_rng(stream_seed)
-            )
-        out.append(
-            SweepPoint(
-                params=dict(params),
-                ensemble=ens,
-                wall_seconds=time.perf_counter() - start,
-            )
-        )
-    return out
+    return int(derive_seed(seed, *path).generate_state(1)[0])
 
 
-def grid(**axes: Sequence[object]) -> list[dict[str, object]]:
-    """Cartesian product of named axes, in row-major order."""
-    names = list(axes)
-    points: list[dict[str, object]] = [{}]
-    for name in names:
-        points = [{**p, name: v} for p in points for v in axes[name]]
-    return points
+def first_round_at_least(result: EnsembleResult, metric: str, threshold: float) -> np.ndarray:
+    """Per replica, the first recorded round at which ``metric`` reaches ``threshold``.
+
+    Reads each replica's valid trace prefix; a replica that never gets
+    there reads ``max_rounds``.
+    """
+    trace = result.trace
+    hit = (trace[metric] >= threshold) & trace.valid_mask()
+    return np.where(hit.any(axis=1), trace.rounds[hit.argmax(axis=1)], result.max_rounds)

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ..core.config import Configuration
-from ..core.registry import WORKLOADS
+from ..core.registry import WORKLOADS, checked_int
 from ..core.rng import make_rng
 
 __all__ = [
@@ -106,7 +106,9 @@ def lemma8_start(n: int, s: int | None = None) -> Configuration:
 
 
 @WORKLOADS.register("soda15-gap")
-def soda15_gap(n: int, k: int, heavy_colors: int = 2, heavy_fraction: float = 0.96) -> Configuration:
+def soda15_gap(
+    n: int, k: int, heavy_colors: int = 2, heavy_fraction: float = 0.96, lead: int | None = None
+) -> Configuration:
     """Low monochromatic-distance, low relative-bias configuration.
 
     ``heavy_colors`` colors share ``heavy_fraction`` of the agents almost
@@ -114,7 +116,10 @@ def soda15_gap(n: int, k: int, heavy_colors: int = 2, heavy_fraction: float = 0.
     other ``k - heavy_colors`` colors.  ``md(c)`` stays O(heavy_colors)
     while 3-majority's clock ``n / c_max ≈ heavy_colors / heavy_fraction``
     is small — but under a *large* k-tail (heavy_fraction near the
-    undecided-state's danger zone) the comparison flips; E9 sweeps this.
+    undecided-state's danger zone) the comparison flips.  ``lead`` sets
+    the plurality's margin over the other heavy colors (E9's two heavy
+    colors of ≈ n^{2/3} lead by ≈ 2n^{1/3}); by default it is the
+    smallest strict margin.
     """
     if not 1 <= heavy_colors < k:
         raise ValueError("need 1 <= heavy_colors < k")
@@ -122,12 +127,17 @@ def soda15_gap(n: int, k: int, heavy_colors: int = 2, heavy_fraction: float = 0.
         raise ValueError("heavy_fraction must be in (0, 1]")
     heavy_total = int(round(n * heavy_fraction))
     light_total = n - heavy_total
-    heavy = Configuration.balanced(heavy_total, heavy_colors).counts.copy()
-    if heavy_colors > 1 and heavy[0] == heavy[1]:
-        # guarantee a strict plurality among the heavy block
-        if heavy[1] > 0:
-            heavy[1] -= 1
-            heavy[0] += 1
+    if lead is not None:
+        lead = checked_int("lead", lead, 0)
+        heavy = np.full(heavy_colors, (heavy_total - lead) // heavy_colors, dtype=np.int64)
+        heavy[0] += heavy_total - heavy.sum()
+    else:
+        heavy = Configuration.balanced(heavy_total, heavy_colors).counts.copy()
+        if heavy_colors > 1 and heavy[0] == heavy[1]:
+            # guarantee a strict plurality among the heavy block
+            if heavy[1] > 0:
+                heavy[1] -= 1
+                heavy[0] += 1
     light = Configuration.balanced(light_total, k - heavy_colors).counts
     return Configuration(np.concatenate([heavy, light]))
 
@@ -174,10 +184,13 @@ def theorem4_start(n: int, k: int) -> Configuration:
 
 
 @WORKLOADS.register("lemma8", summary="Lemma 8's 3-color start (n/3+s, n/3, n/3-s)")
-def _lemma8_workload(n: int, k: int, s: int | None = None) -> Configuration:
+def _lemma8_workload(n: int, k: int, s: int | None = None, mirrored: bool = False) -> Configuration:
+    # ``mirrored``: (n/3-s, n/3, n/3+s), the plurality on the highest index
+    # (E5's start for the min rule, whose attractor is the lowest one).
     if k != 3:
         raise ValueError(f"the lemma8 workload is defined for k = 3, got k={k}")
-    return lemma8_start(n, s)
+    config = lemma8_start(n, s)
+    return config.permuted([2, 1, 0]) if mirrored else config
 
 
 @WORKLOADS.register("balanced", summary="as even a split of n agents over k colors as possible")

@@ -175,6 +175,10 @@ class Executor:
         Seconds to wait for one pooled attempt before the pool counts as
         stalled and is replaced (``None``: wait forever).  Threads cannot
         be timed out, so ``workers=0`` ignores it.
+    owners:
+        Owner threads, which probe the cache and run or await each key
+        (``None``: :data:`_POOL_OWNERS` over a pool, the
+        ``ThreadPoolExecutor`` default in process).
     """
 
     def __init__(
@@ -183,6 +187,7 @@ class Executor:
         *,
         workers: int = 0,
         worker_timeout: float | None = None,
+        owners: int | None = None,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -196,7 +201,7 @@ class Executor:
         self._inflight: dict[str, list[Future]] = {}
         self._pool = self._new_pool() if self.workers else None
         self._owners = ThreadPoolExecutor(
-            max_workers=_POOL_OWNERS if self.workers else None,
+            max_workers=owners or (_POOL_OWNERS if self.workers else None),
             thread_name_prefix="repro-executor",
         )
         self.runs = 0
@@ -516,10 +521,13 @@ def run_batch(
     Each entry is a :class:`~repro.scenario.ScenarioSpec` or its dict form
     with a concrete ``seed``; the entries go through one :class:`Batch`.
     ``processes`` is the pool width (``None``: one per CPU, at most one per
-    unique spec); a width of 1 runs on in-process threads.  An entry that
-    fails to parse, resolve or run becomes that item's ``"error"``
-    envelope, and its siblings still run; a run still crashing or
-    stalling after :data:`MAX_ATTEMPTS` raises :class:`WorkerPoolError`.
+    unique spec); a width of 1 runs the specs in process, one at a time,
+    since runs on concurrent threads mostly wait on each other for the GIL
+    (six small ensembles took 2–3× as long on six threads as one after
+    another, on two cores).  An entry that fails to parse, resolve or run
+    becomes that item's ``"error"`` envelope, and its siblings still run;
+    a run still crashing or stalling after :data:`MAX_ATTEMPTS` raises
+    :class:`WorkerPoolError`.
     Duplicate requests share one ``EnsembleResult`` object; treat results
     as read-only.
     """
@@ -528,7 +536,10 @@ def run_batch(
     width = processes if processes is not None else os.cpu_count() or 1
     width = min(width, len(batch.unique))  # a pool needs no more workers than unique specs
     with Executor(
-        cache, workers=width if width > 1 else 0, worker_timeout=worker_timeout
+        cache,
+        workers=width if width > 1 else 0,
+        worker_timeout=worker_timeout,
+        owners=None if width > 1 else 1,
     ) as executor:
         wait(batch.submit(executor))
         retries = dict(executor.retries)

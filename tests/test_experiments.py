@@ -1,17 +1,21 @@
 """Tests for the experiment layer: workloads, results, plots, harness, registry.
 
 Includes the end-to-end integration tests that run every experiment at
-smoke scale and assert its headline reproduction criterion.
+smoke scale and assert its headline reproduction criterion, and the
+checks that every experiment runs as specs through the batch path.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro import Configuration, ThreeMajority
+import repro.experiments
+from repro import ResultCache, ScenarioSpec, run_batch
 from repro.experiments import (
     ALL_EXPERIMENTS,
     ResultTable,
@@ -19,16 +23,14 @@ from repro.experiments import (
     experiment_ids,
     geometric_tail,
     get_experiment,
-    grid,
     lemma8_start,
     lemma10_start,
     paper_biased,
-    sweep,
     theorem1_bias,
     theorem2_start,
+    theorem4_start,
 )
 from repro.experiments.e03_polylog import corollary3_config
-from repro.experiments.e06_hplurality import theorem4_start
 from repro.experiments.e09_landscape import danger_config, gap_config
 
 
@@ -173,51 +175,71 @@ class TestAsciiPlot:
 
 
 class TestHarness:
-    def test_grid(self):
-        pts = grid(a=[1, 2], b=["x"])
-        assert pts == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
     def test_sweep_runs_and_seeds_differ(self):
-        dyn = ThreeMajority()
-
-        def build(params):
-            return dyn, Configuration.biased(2_000, 3, 400)
-
-        points = sweep(
-            [{"i": 0}, {"i": 1}],
-            build,
-            replicas=4,
-            max_rounds=1_000,
-            seed=0,
-            experiment_id="TEST",
-        )
-        assert len(points) == 2
-        assert all(p.ensemble.convergence_rate == 1.0 for p in points)
-        assert points[0].wall_seconds >= 0
+        # Every point of a sweep is a spec of its own, on a seed derived
+        # from the experiment's seed and the point.
+        specs = get_experiment("E2").specs("smoke", 0)
+        seeds = [spec.seed for spec in specs]
+        assert len(set(seeds)) == len(specs) > 1
+        assert set(seeds).isdisjoint(spec.seed for spec in get_experiment("E2").specs("smoke", 1))
+        report = run_batch(specs, processes=1)
+        assert all(result.convergence_rate == 1.0 for result in report.results)
+        assert report.summary()["misses"] == len(specs)
 
     def test_ensemble_at_reproducible(self):
-        # Each (dynamics, configuration) point runs on a stream derived from
-        # the sweep's seed, so equal seeds give equal sweeps.
-        cfg = Configuration.biased(2_000, 3, 400)
-
-        def run():
-            return sweep(
-                [{"i": 0}, {"i": 1}],
-                lambda params: (ThreeMajority(), cfg),
-                replicas=4,
-                max_rounds=1_000,
-                seed=3,
-                experiment_id="TEST",
-            )
-
-        for a, b in zip(run(), run()):
-            assert (a.ensemble.rounds == b.ensemble.rounds).all()
-            assert (a.ensemble.winners == b.ensemble.winners).all()
+        # Equal seeds give equal specs, so equal tables.
+        experiment = get_experiment("E4")
+        assert experiment.specs("smoke", 3) == experiment.specs("smoke", 3)
+        assert experiment("smoke", 3).render() == experiment("smoke", 3).render()
 
     def test_spec_rejects_unknown_scale(self):
         spec = get_experiment("E1")
         with pytest.raises(ValueError):
             spec(scale="huge")
+
+
+class TestExperimentSpecs:
+    """Every experiment runs as specs through the batch path, and nothing else."""
+
+    #: Engine runners and the per-batch step; experiments reach them only
+    #: through specs.
+    RUNNERS = {
+        "run_process", "run_ensemble", "run_graph_ensemble", "run_graph_process", "step_many",
+    }
+
+    def test_no_module_drives_an_engine(self):
+        package = pathlib.Path(repro.experiments.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.Name):
+                    names = {node.id}
+                else:
+                    continue
+                used = names & self.RUNNERS
+                assert not used, f"{path.name}:{node.lineno} uses {used}"
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("experiment_id", [f"E{i}" for i in range(1, 14)])
+    def test_specs_cache_and_table(self, experiment_id, tmp_path):
+        experiment = get_experiment(experiment_id)
+        specs = experiment.specs("smoke", 1)
+        assert specs and all(isinstance(spec, ScenarioSpec) for spec in specs)
+        assert all(type(spec.seed) is int for spec in specs)
+        assert len({spec.seed for spec in specs}) == len(specs)
+        cold = run_batch(specs, cache=ResultCache(tmp_path), processes=1)
+        # A second pass, on a fresh cache over the same directory, reads
+        # every result back from disk: no run at all.
+        warm = run_batch(specs, cache=ResultCache(tmp_path), processes=1)
+        assert cold.summary()["errors"] == 0
+        assert warm.summary()["misses"] == 0
+        assert warm.summary()["hits"] == warm.summary()["unique"]
+        table = experiment.table("smoke", 1, cold.results)
+        assert len(table) > 0
+        assert experiment.table("smoke", 1, warm.results).render() == table.render()
 
 
 class TestRegistry:

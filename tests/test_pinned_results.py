@@ -27,8 +27,15 @@ from repro import (
     TwoSampleUniform,
     UndecidedState,
     Voter,
+    first_rule,
+    majority_rule,
+    majority_uniform_rule,
+    max_rule,
+    median_rule,
+    min_rule,
     run_ensemble,
     run_process,
+    skewed_rule,
     three_input_rule,
 )
 from repro.core.process import ENGINE_SCHEMA_VERSION
@@ -185,6 +192,29 @@ CASES = {
         6,
         rng=30,
     ),
+    # The seven named 3-input factories, each on the engine its
+    # ``resolved_engine`` picks (counts, for every one of them).
+    "first-rule": lambda: run_ensemble(
+        first_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=33
+    ),
+    "majority-rule": lambda: run_ensemble(
+        majority_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=34
+    ),
+    "majority-uniform-rule": lambda: run_ensemble(
+        majority_uniform_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=35
+    ),
+    "max-rule": lambda: run_ensemble(
+        max_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=36
+    ),
+    "median-rule": lambda: run_ensemble(
+        median_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=37
+    ),
+    "min-rule": lambda: run_ensemble(
+        min_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=38
+    ),
+    "skewed-rule": lambda: run_ensemble(
+        skewed_rule(), Configuration([90, 60, 50]), 6, max_rounds=2_000, rng=39
+    ),
 }
 
 #: Computed by running each case on the commit before the graph runners
@@ -207,7 +237,8 @@ CASES = {
 #: entries; its draws did not move here).  ``process-balancing`` and
 #: ``process-random`` were added at schema 5 with the values it computes:
 #: the one-trajectory runner's adversary path for the greedy and the
-#: random strategy.
+#: random strategy.  The seven named 3-input factories, from ``first-rule``
+#: to ``skewed-rule``, were added at schema 5 with the values it computes.
 PINNED = {
     "run_process": "e86869f2de977c3a973c95d6ce1428a6093ec5a218a0689e7222fe8edd8181a8",
     "process-balancing": "761aa623203be4771f3657ed5e0d4184bfd408655b4685acc6bc0eb16d272dca",
@@ -231,6 +262,13 @@ PINNED = {
     "2-sample-uniform": "fc5905e0ce0e23eaa81f3938d5c09167e9c931d85b9c4f93d57380ddf3cea92f",
     "three-input-rule-counts": "5dd96e93152482dfb514cb9cd6fa85ee1f5ddb8a283a44a769e36778c5339464",
     "three-input-rule-agent": "b5f4f84b66f10e7c8d55c35e522dda7472e787453d4d56112378ccadd25cf0d6",
+    "first-rule": "b1ec13f4ab61397dd09b2caedffa67a7b2f243dc9209cd7f6224578955f08698",
+    "majority-rule": "05bc9b2db981104330d32c84bf637edf6b55934e0708fb83ef29a49bd60e10d1",
+    "majority-uniform-rule": "624d15efaf3397dedc8ff017de540e0cfa9e9e5d95e902922c766ad290d6f701",
+    "max-rule": "792f64ac41758629a3d5d29f819afd2a3ab84aa411e814286d0f33d81a6bf27c",
+    "median-rule": "de0d11b3d31c137215a6d358f39de6e3711827239d20adbd160380a57aaa7cbb",
+    "min-rule": "d9a5a67e47fc3b1cc4771b051cd1f1677ce7147c8f9b4f9eb598be20a65accf1",
+    "skewed-rule": "439efc4b47312346363be576e072d3a2a431221061eea0208e0f2b8400626efc",
 }
 
 

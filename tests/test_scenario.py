@@ -17,7 +17,6 @@ from repro import (
     simulate_ensemble,
 )
 from repro.core.registry import ADVERSARIES, DYNAMICS, STOPPING, WORKLOADS, Registry
-from repro.experiments.harness import sweep
 from repro.experiments.workloads import paper_biased
 
 #: Example parameters making every registered dynamics buildable by name.
@@ -291,30 +290,32 @@ class TestFacadeBitIdentity:
 
 
 class TestSweepSpecBuilds:
+    """An experiment's point built as a spec runs as the classic build of
+    its dynamics and configuration, at equal seed."""
+
     POINTS = [{"n": 4_000, "k": 3}, {"n": 6_000, "k": 4}]
 
     def test_spec_build_matches_classic_build(self):
-        classic = sweep(
-            self.POINTS,
-            lambda p: (ThreeMajority(), paper_biased(p["n"], p["k"])),
-            replicas=4,
-            max_rounds=1_000,
-            seed=0,
-            experiment_id="TST",
-        )
-        declarative = sweep(
-            self.POINTS,
-            lambda p: ScenarioSpec(
-                dynamics="3-majority", initial="paper-biased", n=p["n"], k=p["k"]
-            ),
-            replicas=4,
-            max_rounds=1_000,
-            seed=0,
-            experiment_id="TST",
-        )
-        for a, b in zip(classic, declarative):
-            assert np.array_equal(a.ensemble.rounds, b.ensemble.rounds)
-            assert np.array_equal(a.ensemble.winners, b.ensemble.winners)
+        for seed, point in enumerate(self.POINTS):
+            classic = run_ensemble(
+                ThreeMajority(),
+                paper_biased(point["n"], point["k"]),
+                4,
+                max_rounds=1_000,
+                rng=seed,
+            )
+            spec = ScenarioSpec(
+                dynamics="3-majority",
+                initial="paper-biased",
+                n=point["n"],
+                k=point["k"],
+                replicas=4,
+                max_rounds=1_000,
+                seed=seed,
+            )
+            declarative = simulate_ensemble(spec)
+            assert np.array_equal(classic.rounds, declarative.rounds)
+            assert np.array_equal(classic.winners, declarative.winners)
 
 
 class TestEveryDynamicsSimulates:
